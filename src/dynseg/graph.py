@@ -1,4 +1,4 @@
-"""Adjacency graph over supervoxels and its connected components (blobs).
+"""Adjacency graph over supervoxels, its blobs, and the connectivity helper.
 
 Two supervoxels are linked when their voxel footprints touch under
 26-adjacency or their centroids are closer than the adjacency radius.
@@ -8,9 +8,11 @@ Edge weight: w_ij = exp(-dE_lab / sigma_color) * exp(-d / sigma_distance).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components as _csgraph_components
 from scipy.spatial import cKDTree
 
 from .supervoxel import SuperVoxel
@@ -35,24 +37,10 @@ class AdjacencyGraph:
     nodes: list[int]
     edges: dict[tuple[int, int], float]  # keyed (i, j) with i < j, weight in (0, 1]
     svs: dict[int, SuperVoxel]
-    _adj: dict[int, list[tuple[int, float]]] = field(default_factory=dict, repr=False)
-
-    def __post_init__(self) -> None:
-        if not self._adj:
-            adj: dict[int, list[tuple[int, float]]] = {n: [] for n in self.nodes}
-            for (i, j), w in self.edges.items():
-                adj[i].append((j, w))
-                adj[j].append((i, w))
-            for n in adj:
-                adj[n].sort()
-            self._adj = adj
 
     @property
     def num_nodes(self) -> int:
         return len(self.nodes)
-
-    def neighbors(self, node: int) -> list[tuple[int, float]]:
-        return self._adj[node]
 
     def weight(self, i: int, j: int) -> float:
         return self.edges[(i, j) if i < j else (j, i)]
@@ -67,17 +55,7 @@ class AdjacencyGraph:
         return AdjacencyGraph(nodes=nodes, edges=edges, svs=self.svs)
 
     def is_connected(self) -> bool:
-        if not self.nodes:
-            return True
-        seen = {self.nodes[0]}
-        stack = [self.nodes[0]]
-        while stack:
-            n = stack.pop()
-            for m, _ in self._adj[n]:
-                if m not in seen:
-                    seen.add(m)
-                    stack.append(m)
-        return len(seen) == len(self.nodes)
+        return len(connected_sets(self.nodes, self.edges)) <= 1
 
 
 @dataclass(frozen=True)
@@ -134,38 +112,29 @@ def build_graph(supervoxels: list[SuperVoxel], config: GraphConfig, seed_resolut
     return AdjacencyGraph(nodes=nodes, edges=edges, svs=svs)
 
 
-class _UnionFind:
-    """Union by size with path compression."""
+def connected_sets(nodes, pairs) -> list[frozenset[int]]:
+    """Connected pieces of ``nodes`` linked by ``pairs``, ordered by smallest member.
 
-    def __init__(self, items) -> None:
-        self.parent = {i: i for i in items}
-        self.size = {i: 1 for i in items}
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
+    Pairs with an endpoint outside ``nodes`` are ignored.
+    """
+    order = sorted(set(nodes))
+    if not order:
+        return []
+    pos = {n: k for k, n in enumerate(order)}
+    links = np.asarray(
+        [(pos[a], pos[b]) for a, b in pairs if a in pos and b in pos], dtype=np.intp
+    ).reshape(-1, 2)
+    adjacency = coo_matrix(
+        (np.ones(len(links)), (links[:, 0], links[:, 1])), shape=(len(order), len(order))
+    )
+    count, labels = _csgraph_components(adjacency, directed=False)
+    pieces: list[list[int]] = [[] for _ in range(count)]
+    for n, label in zip(order, labels):
+        pieces[label].append(n)
+    return sorted((frozenset(p) for p in pieces), key=min)
 
 
 def connected_components(graph: AdjacencyGraph) -> list[Blob]:
     """Blobs of the graph; ids ordered by each blob's smallest member id."""
-    uf = _UnionFind(graph.nodes)
-    for (i, j) in graph.edges:
-        uf.union(i, j)
-    groups: dict[int, list[int]] = {}
-    for n in graph.nodes:
-        groups.setdefault(uf.find(n), []).append(n)
-    ordered = sorted(groups.values(), key=min)
-    return [Blob(blob_id=k, member_supervoxels=frozenset(g)) for k, g in enumerate(ordered)]
+    pieces = connected_sets(graph.nodes, graph.edges)
+    return [Blob(blob_id=k, member_supervoxels=piece) for k, piece in enumerate(pieces)]

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .graph import AdjacencyGraph
+from .graph import AdjacencyGraph, connected_sets
 
 INF = float("inf")
 _EPS = 1e-12
@@ -158,27 +158,39 @@ class _Dinic:
             if level[t] < 0:
                 return flow
             it = [0] * self.n
-
-            def dfs(u: int, pushed: float) -> float:
-                if u == t:
-                    return pushed
-                while it[u] < len(self.head[u]):
-                    e = self.head[u][it[u]]
-                    v = self.to[e]
-                    if self.cap[e] > _EPS and level[v] == level[u] + 1:
-                        got = dfs(v, min(pushed, self.cap[e]))
-                        if got > _EPS:
-                            self.cap[e] -= got
-                            self.cap[e ^ 1] += got
-                            return got
-                    it[u] += 1
-                return 0.0
-
             while True:
-                pushed = dfs(s, INF)
+                pushed = self._augment(s, t, level, it)
                 if pushed <= _EPS:
                     break
                 flow += pushed
+
+    def _augment(self, s: int, t: int, level: list[int], it: list[int]) -> float:
+        """Push flow along the first level-increasing path; 0.0 when none is left.
+
+        Depth-first with an explicit edge stack, so path length is not bounded
+        by the interpreter's recursion limit.  it[u] advances past an edge only
+        once the search below it has come back empty.
+        """
+        path: list[int] = []
+        u = s
+        while u != t:
+            while it[u] < len(self.head[u]):
+                e = self.head[u][it[u]]
+                if self.cap[e] > _EPS and level[self.to[e]] == level[u] + 1:
+                    path.append(e)
+                    u = self.to[e]
+                    break
+                it[u] += 1
+            else:
+                if not path:
+                    return 0.0
+                u = self.to[path.pop() ^ 1]
+                it[u] += 1
+        pushed = min(self.cap[e] for e in path)
+        for e in path:
+            self.cap[e] -= pushed
+            self.cap[e ^ 1] += pushed
+        return pushed
 
     def source_side(self, s: int) -> set[int]:
         seen = {s}
@@ -422,16 +434,11 @@ def oversegment(graph: AdjacencyGraph, config: OversegConfig = OversegConfig()) 
 
     out: list[frozenset[int]] = []
 
-    def components_of(g: AdjacencyGraph) -> list[frozenset[int]]:
-        from .graph import connected_components
-
-        return [b.member_supervoxels for b in connected_components(g)]
-
     def recurse(g: AdjacencyGraph) -> None:
         if g.num_nodes == 1:
             out.append(frozenset(g.nodes))
             return
-        comps = components_of(g)
+        comps = connected_sets(g.nodes, g.edges)
         if len(comps) > 1:
             for c in comps:
                 recurse(g.subgraph(c))

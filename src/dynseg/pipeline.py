@@ -149,7 +149,6 @@ def _fresh_tree(
 ) -> SegTree:
     """Blobs with nothing to inherit from: every blob founds a new object."""
     tree = init_tree(blobs, graph, frame_index, alloc, overseg, params)
-    tree.frame_index = frame_index
     if prev is not None:
         for o in prev.objects:
             if not o.component_ids:
@@ -214,7 +213,7 @@ def process_frame(state: PipelineState, frame: PointCloudFrame) -> FrameResult:
             timings["assignment"] = (time.perf_counter() - ta) * 1e3
 
             sr = cfg.supervoxel.seed_resolution
-            seeds, _ = derive_blob_seeds(problem, assignment, blobs, graph, sr)
+            seeds, seg_site = derive_blob_seeds(problem, assignment, blobs, graph, sr)
             cuts: dict[int, dict[int, int]] = {}
             tc = time.perf_counter()
             for blob in blob_list:
@@ -229,7 +228,7 @@ def process_frame(state: PipelineState, frame: PointCloudFrame) -> FrameResult:
             timings["cut"] = (time.perf_counter() - tc) * 1e3
 
             tree = update_tree(
-                state.tree, blobs, graph, problem, assignment, cuts, fidx, state.alloc, cfg.overseg, sr
+                state.tree, blobs, graph, problem, seeds, seg_site, cuts, fidx, state.alloc, cfg.overseg
             )
             tree = accumulate_similarities(tree, state.tree, graph, cfg.tree)
             tree, audit = confirm_splits_merges(tree, graph, cfg.tree, state.alloc, cfg.overseg)
@@ -251,7 +250,7 @@ def process_frame(state: PipelineState, frame: PointCloudFrame) -> FrameResult:
     timings["total"] = (time.perf_counter() - t_total) * 1e3
     state.frames_seen += 1
 
-    live = [o for o in (tree.objects if tree else [])] if tree else []
+    live = tree.objects if tree else []
     return FrameResult(
         frame_index=fidx,
         point_labels=labels,
@@ -272,23 +271,12 @@ def _update_ghosts(state: PipelineState, tree: SegTree, frame_index: int) -> Non
     live = {c.object_id for c in tree.components}
     for oid in sorted(live):
         state.ghosts.pop(oid, None)
+    prev_feats = _segment_features(prev) if prev is not None else []
     for o in list(tree.objects):
         oid = o.object_id
         if oid in live or oid in state.ghosts:
             continue
-        feats: list[SegmentFeature] = []
-        if prev is not None and any(c.object_id == oid for c in prev.components):
-            comp_obj = {c.component_id: c.object_id for c in prev.components}
-            for seg in sorted(prev.segments, key=lambda s: s.segment_id):
-                if comp_obj[seg.component_id] == oid:
-                    feats.append(
-                        SegmentFeature(
-                            centroid=tuple(seg.centroid),
-                            mean_color_lab=tuple(seg.mean_color_lab),
-                            parent_component_id=seg.component_id,
-                            parent_object_id=oid,
-                        )
-                    )
+        feats = [f for f in prev_feats if f.parent_object_id == oid]
         if feats:
             state.ghosts[oid] = _Ghost(segments=feats, missing_since=frame_index)
         else:

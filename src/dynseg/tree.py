@@ -14,9 +14,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .assignment import NONE_LABEL, Assignment, AssignmentProblem
+from .assignment import Assignment, AssignmentProblem
 from .cloud_io import InteractionRecord
-from .graph import AdjacencyGraph, Blob
+from .graph import AdjacencyGraph, Blob, connected_sets
 from .graphcut import OversegConfig, oversegment
 
 
@@ -155,15 +155,11 @@ def compute_similarity(a_svs, b_svs, graph: AdjacencyGraph, params: TreeParams) 
     """sim = exp(-gap / sigma_d) * exp(-dE_lab / sigma_c) over two supervoxel sets."""
     if params.sigma_distance is None:
         raise ValueError("params must be resolved")
-    a = sorted(a_svs)
-    b = sorted(b_svs)
-    if not a or not b:
+    if not a_svs or not b_svs:
         raise ValueError("similarity of an empty supervoxel set is undefined")
-    ca = np.asarray([graph.svs[i].centroid for i in a])
-    cb = np.asarray([graph.svs[i].centroid for i in b])
-    gap = float(np.min(np.linalg.norm(ca[:, None, :] - cb[None, :, :], axis=2)))
-    _, col_a = _weighted_features(a, graph)
-    _, col_b = _weighted_features(b, graph)
+    gap = _min_gap(a_svs, b_svs, graph)
+    _, col_a = _weighted_features(a_svs, graph)
+    _, col_b = _weighted_features(b_svs, graph)
     de = float(np.linalg.norm(col_a - col_b))
     return math.exp(-gap / params.sigma_distance) * math.exp(-de / params.sigma_color)
 
@@ -192,26 +188,6 @@ def _segments_for_component(
         )
         next_segment_id[0] += 1
     return out
-
-
-def _connected_pieces(sv_ids, graph: AdjacencyGraph) -> list[frozenset[int]]:
-    """Connected pieces of a supervoxel set, ordered by smallest member."""
-    remaining = set(sv_ids)
-    pieces = []
-    while remaining:
-        start = min(remaining)
-        seen = {start}
-        stack = [start]
-        while stack:
-            n = stack.pop()
-            for m, _ in graph.neighbors(n):
-                if m in remaining and m not in seen:
-                    seen.add(m)
-                    stack.append(m)
-        pieces.append(frozenset(seen))
-        remaining -= seen
-    pieces.sort(key=min)
-    return pieces
 
 
 def init_tree(
@@ -250,11 +226,10 @@ def init_tree(
         component_similarity={o.object_id: {} for o in objects},
     )
     # candidate pairs start accumulating from zero
-    resolved = params
     for i, a in enumerate(objects):
         for b in objects[i + 1 :]:
             gap = _min_gap(tree.object_supervoxels(a.object_id), tree.object_supervoxels(b.object_id), graph)
-            if gap < resolved.candidate_gap:
+            if gap < params.candidate_gap:
                 tree.object_similarity[_pair(a.object_id, b.object_id)] = 0.0
     return tree
 
@@ -333,19 +308,20 @@ def update_tree(
     blobs: list[Blob],
     graph: AdjacencyGraph,
     problem: AssignmentProblem,
-    assignment: Assignment,
+    seeds: dict[int, dict[int, int]],
+    seg_site: dict[int, tuple[int, int]],
     cuts: dict[int, dict[int, int]],
     frame_index: int,
     alloc: IdAllocator,
     overseg: OversegConfig,
-    seed_resolution: float,
 ) -> SegTree:
     """Carry object identity into the current frame's blob partition.
 
-    Single-label blobs go wholly to their object, multi-label blobs use the
-    supplied cut labelings, and unassigned blobs found new objects.
+    seeds and seg_site are derive_blob_seeds' output for this frame's
+    assignment.  Single-label blobs go wholly to their object, multi-label
+    blobs use the supplied cut labelings, and unassigned blobs found new
+    objects.
     """
-    seeds, seg_site = derive_blob_seeds(problem, assignment, blobs, graph, seed_resolution)
     sv_object: dict[int, int] = {}
     births: dict[int, int] = {o.object_id: o.birth_frame for o in prev.objects}
     blob_list = sorted(blobs, key=lambda b: b.blob_id)
@@ -378,7 +354,7 @@ def update_tree(
         for sv in blob.member_supervoxels:
             by_object.setdefault(sv_object[sv], set()).add(sv)
         for oid in sorted(by_object):
-            for piece in _connected_pieces(by_object[oid], graph):
+            for piece in connected_sets(by_object[oid], graph.edges):
                 for sv in piece:
                     piece_of_sv[sv] = len(raw_pieces)
                 raw_pieces.append((blob.blob_id, oid, piece))
@@ -517,26 +493,10 @@ def confirm_splits_merges(
     # merges
     merge_pairs = [k for k, v in tree.object_similarity.items() if v > params.merge_threshold]
     if merge_pairs:
-        parent: dict[int, int] = {}
-
-        def find(x: int) -> int:
-            parent.setdefault(x, x)
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in merge_pairs:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-        groups: dict[int, list[int]] = {}
-        for oid in {o for pair in merge_pairs for o in pair}:
-            groups.setdefault(find(oid), []).append(oid)
-        for winner in sorted(groups):
-            absorbed = sorted(set(groups[winner]) - {winner})
-            if not absorbed:
-                continue
+        involved = {o for pair in merge_pairs for o in pair}
+        for group in connected_sets(involved, merge_pairs):
+            winner = min(group)
+            absorbed = sorted(group - {winner})
             audit["merges"].append((winner, absorbed))
             for comp in tree.components:
                 if comp.object_id in absorbed:
@@ -555,7 +515,7 @@ def confirm_splits_merges(
                 union: set[int] = set()
                 for c in comps:
                     union |= c.supervoxel_ids
-                pieces = _connected_pieces(union, graph)
+                pieces = connected_sets(union, graph.edges)
                 if len(pieces) == len(comps):
                     continue  # nothing fused
                 # keep the id of the largest contributor inside each piece
@@ -583,7 +543,6 @@ def confirm_splits_merges(
                 ] + new_comps
                 tree.segments = [s for s in tree.segments if s.component_id not in dead]
                 next_seg = [max((s.segment_id for s in tree.segments), default=-1) + 1]
-                changed = {c.component_id for c in new_comps} | dead
                 merged_entries = {
                     k: v for k, v in merged_entries.items() if k[0] not in dead and k[1] not in dead
                 }
@@ -612,28 +571,12 @@ def confirm_splits_merges(
         if len(comps) < 2:
             continue
         entries = tree.component_similarity.get(obj.object_id, {})
-        parent2: dict[int, int] = {c.component_id: c.component_id for c in comps}
-
-        def find2(x: int) -> int:
-            while parent2[x] != x:
-                parent2[x] = parent2[parent2[x]]
-                x = parent2[x]
-            return x
-
-        for (a, b), v in entries.items():
-            if v > params.split_threshold and a in parent2 and b in parent2:
-                ra, rb = find2(a), find2(b)
-                if ra != rb:
-                    parent2[max(ra, rb)] = min(ra, rb)
-        clusters: dict[int, list[int]] = {}
-        for cid in sorted(parent2):
-            clusters.setdefault(find2(cid), []).append(cid)
+        linked = [k for k, v in entries.items() if v > params.split_threshold]
+        clusters = connected_sets((c.component_id for c in comps), linked)
         if len(clusters) < 2:
             continue
-        anchor = find2(min(parent2))  # cluster holding the oldest component keeps the id
-        departing = [sorted(cids) for root, cids in sorted(clusters.items()) if root != anchor]
-        moved_pairs: set[tuple[int, int]] = set()
-        for cids in departing:
+        # the first cluster holds the oldest component and keeps the id
+        for cids in (sorted(c) for c in clusters[1:]):
             new_oid = alloc.new_object_id()
             audit["splits"].append((obj.object_id, new_oid, cids))
             for comp in tree.components:
@@ -642,7 +585,6 @@ def confirm_splits_merges(
             sub_entries = {
                 k: v for k, v in entries.items() if k[0] in cids and k[1] in cids
             }
-            moved_pairs |= set(sub_entries)
             tree.component_similarity[new_oid] = sub_entries
             new_obj = ObjectNode(object_id=new_oid, component_ids=sorted(cids), birth_frame=tree.frame_index)
             tree.objects.append(new_obj)

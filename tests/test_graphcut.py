@@ -5,11 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_flow
 
 from dynseg.graphcut import (
     CutParams,
     CutProblem,
     OversegConfig,
+    _Dinic,
     boundary_midpoints,
     cut_energy,
     ncut_value,
@@ -128,6 +131,33 @@ class TestCutEnergy:
                 previous_boundary=np.empty((0, 3)),
                 params=CutParams(),
             )
+
+
+class TestMaxFlow:
+    def test_long_chain_flow_is_its_bottleneck(self):
+        # deeper than the interpreter's default recursion limit
+        n = 2000
+        caps = [1.0 + (k % 7) for k in range(n - 1)]
+        caps[1234] = 0.25
+        dinic = _Dinic(n)
+        for k, c in enumerate(caps):
+            dinic.add(k, k + 1, c)
+        assert dinic.max_flow(0, n - 1) == 0.25
+        assert dinic.source_side(0) == set(range(1235))
+
+    def test_matches_scipy_on_integer_capacities(self):
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            n = int(rng.integers(3, 12))
+            caps = np.zeros((n, n), dtype=np.int32)
+            dinic = _Dinic(n)
+            for u in range(n):
+                for v in range(n):
+                    if u != v and rng.random() < 0.3:
+                        caps[u, v] = int(rng.integers(1, 10))
+                        dinic.add(u, v, float(caps[u, v]))
+            expected = maximum_flow(csr_matrix(caps), 0, n - 1).flow_value
+            assert dinic.max_flow(0, n - 1) == expected
 
 
 class TestRestrictedCut:

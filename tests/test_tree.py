@@ -15,7 +15,6 @@ from dynseg.tree import (
     ObjectNode,
     SegTree,
     TreeParams,
-    _connected_pieces,
     accumulate_similarities,
     compute_similarity,
     confirm_splits_merges,
@@ -111,16 +110,6 @@ class TestSimilarity:
             compute_similarity({0}, {1}, g, TreeParams())
 
 
-class TestConnectedPieces:
-    def test_split_set(self):
-        g = graph_from_edges(
-            {(0, 1): 1.0, (1, 2): 1.0},
-            positions={k: (float(k), 0.0, 0.0) for k in range(3)},
-        )
-        assert _connected_pieces({0, 2}, g) == [frozenset({0}), frozenset({2})]
-        assert _connected_pieces({0, 1, 2}, g) == [frozenset({0, 1, 2})]
-
-
 class TestInitTree:
     def test_one_object_per_blob(self):
         g, blobs = _two_singletons()
@@ -207,11 +196,17 @@ def _tracked_pair():
     return prev, g1, blobs1, problem, alloc
 
 
+def _update(prev, blobs, graph, problem, assignment, cuts, alloc):
+    """update_tree at frame 1, seeded the way process_frame seeds it."""
+    seeds, seg_site = derive_blob_seeds(problem, assignment, blobs, graph, 0.08)
+    return update_tree(prev, blobs, graph, problem, seeds, seg_site, cuts, 1, alloc, OVERSEG)
+
+
 class TestUpdateTree:
     def test_identity_carries_over(self):
         prev, g1, blobs1, problem, alloc = _tracked_pair()
         assignment = Assignment(labels=np.asarray([0, 1]), energy=0.0)
-        tree = update_tree(prev, blobs1, g1, problem, assignment, {}, 1, alloc, OVERSEG, 0.08)
+        tree = _update(prev, blobs1, g1, problem, assignment, {}, alloc)
         assert tree.sv_to_object() == {0: 0, 1: 1}
         assert [c.component_id for c in tree.components] == [0, 1]
         assert all(o.birth_frame == 0 for o in tree.objects)
@@ -219,7 +214,7 @@ class TestUpdateTree:
     def test_identity_follows_assignment_not_position(self):
         prev, g1, blobs1, problem, alloc = _tracked_pair()
         assignment = Assignment(labels=np.asarray([1, 0]), energy=0.0)  # crossed
-        tree = update_tree(prev, blobs1, g1, problem, assignment, {}, 1, alloc, OVERSEG, 0.08)
+        tree = _update(prev, blobs1, g1, problem, assignment, {}, alloc)
         assert tree.sv_to_object() == {0: 1, 1: 0}
 
     def test_uncovered_blob_founds_new_object(self):
@@ -233,7 +228,7 @@ class TestUpdateTree:
             params=EPARAMS,
         )
         assignment = Assignment(labels=np.asarray([0]), energy=0.0)
-        tree = update_tree(prev, blobs1, g1, problem, assignment, {}, 1, alloc, OVERSEG, 0.08)
+        tree = _update(prev, blobs1, g1, problem, assignment, {}, alloc)
         assert tree.sv_to_object() == {0: 0, 1: 1}
         assert tree.object_by_id(1).birth_frame == 1
 
@@ -252,7 +247,7 @@ class TestUpdateTree:
             params=EPARAMS,
         )
         assignment = Assignment(labels=np.asarray([0, -1]), energy=0.0)
-        tree = update_tree(prev, blobs1, g1, problem, assignment, {}, 1, alloc, OVERSEG, 0.08)
+        tree = _update(prev, blobs1, g1, problem, assignment, {}, alloc)
         assert [o.object_id for o in tree.objects] == [0, 1]
         assert tree.object_by_id(1).component_ids == []
         assert tree.object_supervoxels(1) == frozenset()
@@ -277,9 +272,7 @@ class TestUpdateTree:
         )
         assignment = Assignment(labels=np.asarray([0, 0]), energy=0.0)
         cut = {0: 0, 1: 0, 2: 1, 3: 1}
-        tree = update_tree(
-            prev, blobs1, g1, problem, assignment, {0: cut}, 1, alloc, OVERSEG, 0.08
-        )
+        tree = _update(prev, blobs1, g1, problem, assignment, {0: cut}, alloc)
         assert tree.sv_to_object() == cut
         by_obj = {c.object_id: c for c in tree.components}
         assert by_obj[0].component_id == 0  # inherited through the seed votes
@@ -305,7 +298,7 @@ class TestUpdateTree:
         )
         assignment = Assignment(labels=np.asarray([0, 0]), energy=0.0)
         with pytest.raises(ValueError):
-            update_tree(prev, blobs1, g1, problem, assignment, {}, 1, alloc, OVERSEG, 0.08)
+            _update(prev, blobs1, g1, problem, assignment, {}, alloc)
 
     def test_disconnected_region_splits_into_components(self):
         # one object assigned into a blob pattern that leaves its svs split
@@ -322,7 +315,7 @@ class TestUpdateTree:
         # label, so give the far blob no cover and check the near one: the far
         # blob founds a new object while object 0 keeps one component
         assignment = Assignment(labels=np.asarray([0]), energy=0.0)
-        tree = update_tree(prev, blobs1, g1, problem, assignment, {}, 1, alloc, OVERSEG, 0.08)
+        tree = _update(prev, blobs1, g1, problem, assignment, {}, alloc)
         assert len(tree.components_of_object(0)) == 1
         assert len(tree.objects) == 2
 
