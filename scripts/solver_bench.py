@@ -72,7 +72,7 @@ def random_connected_graph(rng, n):
         i: SuperVoxel(
             sv_id=i,
             point_indices=np.array([i]),
-            voxel_keys=frozenset({(i, 0, 0)}),
+            voxel_keys=np.asarray([(i, 0, 0)], dtype=np.int64),
             centroid=np.array([0.05 * i, 0.0, 0.0]),
             mean_color_lab=np.array([50.0, 0.0, 0.0]),
         )

@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import os
 import sys
+import traceback
 import typing
 
 import numpy as np
@@ -23,7 +24,7 @@ from .cloud_io import LabeledFrame, ParseError, SequenceManifest
 from .evaluation import evaluate_run, format_metrics, generate_scenario, scenario_from_spec
 from .graph import GraphConfig
 from .graphcut import CutParams, OversegConfig
-from .pipeline import PipelineConfig, PipelineError, format_run_report, run_sequence
+from .pipeline import PipelineConfig, format_run_report, run_sequence
 from .supervoxel import SupervoxelConfig
 from .tree import TreeParams
 
@@ -89,7 +90,7 @@ def read_config_file(path: str) -> dict[str, str]:
                     raise ConfigError(f"{path}:{line_no}: expected key=value, got {line!r}")
                 key, _, val = line.partition("=")
                 pairs[key.strip()] = val.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return pairs
 
@@ -141,12 +142,16 @@ def cmd_segment(ns: argparse.Namespace) -> int:
     pairs = read_config_file(ns.config) if ns.config else {}
     pairs.update(_collect_overrides(ns))
     config = build_config(pairs)
+    try:
+        resolved_text = format_resolved_config(config)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     out_dir = ns.out or "."
     manifest = cloud_io.load_sequence(ns.manifest)
     frames = [cloud_io.load_frame(p, frame_index=i) for i, p in enumerate(manifest.frame_paths)]
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config_resolved.txt"), "w", encoding="utf-8") as fh:
-        fh.write(format_resolved_config(config))
+        fh.write(resolved_text)
     result = run_sequence(frames, config)
     for r in result.frames:
         if len(r.point_labels) == 0:
@@ -208,7 +213,10 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     found_events = cloud_io.read_interaction_log(found_path) if os.path.exists(found_path) else []
     truth_path = os.path.join(os.path.dirname(os.path.abspath(ns.manifest)), "interactions_gt.txt")
     truth_events = cloud_io.read_interaction_log(truth_path) if os.path.exists(truth_path) else []
-    report = evaluate_run(found_labels, truth_frames, found_events, truth_events)
+    try:
+        report = evaluate_run(found_labels, truth_frames, found_events, truth_events)
+    except ValueError as exc:  # the labels do not fit the manifest's frames
+        raise ParseError(f"{ns.labels_dir}: {exc}") from exc
     sys.stdout.write(format_metrics(report))
     return 0
 
@@ -218,7 +226,7 @@ def cmd_inspect(ns: argparse.Namespace) -> int:
     try:
         with open(path, encoding="utf-8") as fh:
             first = fh.readline().split()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     if first[:2] == ["ptseq", "v1"]:
         frame = cloud_io.load_frame(path)
@@ -284,17 +292,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, FileNotFoundError) as exc:
+    except (ParseError, FileNotFoundError, UnicodeDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except PipelineError as exc:
-        print(f"pipeline error: {exc}", file=sys.stderr)
-        return 3
-    except Exception as exc:  # pragma: no cover - last resort
-        print(f"pipeline error: {exc}", file=sys.stderr)
+    except Exception as exc:  # PipelineError or any other internal failure
+        traceback.print_exc()
+        print(f"pipeline error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

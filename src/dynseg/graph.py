@@ -7,7 +7,6 @@ Edge weight: w_ij = exp(-dE_lab / sigma_color) * exp(-d / sigma_distance).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -15,7 +14,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components as _csgraph_components
 from scipy.spatial import cKDTree
 
-from .supervoxel import SuperVoxel
+from .supervoxel import SuperVoxel, voxel_neighbour_pairs
 
 
 @dataclass
@@ -75,40 +74,25 @@ def build_graph(supervoxels: list[SuperVoxel], config: GraphConfig, seed_resolut
     if len(svs) != len(supervoxels):
         raise ValueError("duplicate supervoxel ids")
     nodes = sorted(svs)
+    if not nodes:
+        return AdjacencyGraph(nodes=[], edges={}, svs={})
+    centroids = np.asarray([svs[n].centroid for n in nodes], dtype=np.float64)
+    colors = np.asarray([svs[n].mean_color_lab for n in nodes], dtype=np.float64)
 
-    pairs: set[tuple[int, int]] = set()
-    owner: dict[tuple[int, int, int], int] = {}
-    for sv in supervoxels:
-        for k in sv.voxel_keys:
-            owner[k] = sv.sv_id
-    for sv in supervoxels:
-        for (x, y, z) in sv.voxel_keys:
-            for dx in (-1, 0, 1):
-                for dy in (-1, 0, 1):
-                    for dz in (-1, 0, 1):
-                        if dx == 0 and dy == 0 and dz == 0:
-                            continue
-                        other = owner.get((x + dx, y + dy, z + dz))
-                        if other is not None and other != sv.sv_id:
-                            a, b = (sv.sv_id, other) if sv.sv_id < other else (other, sv.sv_id)
-                            pairs.add((a, b))
-
-    if len(nodes) > 1:
-        centroids = np.asarray([svs[n].centroid for n in nodes])
-        tree = cKDTree(centroids)
-        for ai, bi in tree.query_pairs(cfg.adjacency_radius, output_type="ndarray"):
-            a, b = nodes[int(ai)], nodes[int(bi)]
-            if a > b:
-                a, b = b, a
-            d = float(np.linalg.norm(svs[a].centroid - svs[b].centroid))
-            if d < cfg.adjacency_radius:  # strict inequality
-                pairs.add((a, b))
-
-    edges: dict[tuple[int, int], float] = {}
-    for a, b in sorted(pairs):
-        dc = float(np.linalg.norm(svs[a].mean_color_lab - svs[b].mean_color_lab))
-        d = float(np.linalg.norm(svs[a].centroid - svs[b].centroid))
-        edges[(a, b)] = math.exp(-dc / cfg.sigma_color) * math.exp(-d / cfg.sigma_distance)
+    # footprint contact, as positions in nodes
+    owner = np.repeat(np.arange(len(nodes)), [len(svs[n].voxel_keys) for n in nodes])
+    touching = owner[voxel_neighbour_pairs(np.concatenate([svs[n].voxel_keys for n in nodes]))]
+    touching = touching[touching[:, 0] != touching[:, 1]]
+    # centroid proximity, strictly inside the radius
+    near = cKDTree(centroids).query_pairs(cfg.adjacency_radius, output_type="ndarray")
+    near = near[np.linalg.norm(centroids[near[:, 0]] - centroids[near[:, 1]], axis=1) < cfg.adjacency_radius]
+    both = np.concatenate([touching, near])
+    a, b = np.divmod(np.unique(both.min(axis=1) * len(nodes) + both.max(axis=1)), len(nodes))
+    dc = np.linalg.norm(colors[a] - colors[b], axis=1)
+    d = np.linalg.norm(centroids[a] - centroids[b], axis=1)
+    weights = np.exp(-dc / cfg.sigma_color) * np.exp(-d / cfg.sigma_distance)
+    ids = np.asarray(nodes, dtype=np.int64)
+    edges = dict(zip(zip(ids[a].tolist(), ids[b].tolist()), weights.tolist()))
     return AdjacencyGraph(nodes=nodes, edges=edges, svs=svs)
 
 

@@ -1,18 +1,23 @@
-"""Supervoxel clustering: voxelize, seed on a coarse grid, grow by feature distance.
+"""Supervoxel clustering: voxelize, seed on a coarse grid, grow by path cost.
 
-Growth distance between a voxel and a cluster is
-    D = sqrt(w_c * (dE_lab / 100)^2 + w_s * (d_spatial / seed_resolution)^2)
-and claims propagate only through 26-adjacent occupied voxels, so every
-cluster footprint stays connected.
+Occupied voxels are linked to their 26-adjacent occupied neighbours, and
+each link costs the growth metric between the two voxels' features,
+    D = sqrt(w_c * (dE_lab / 100)^2 + w_s * (d_spatial / seed_resolution)^2).
+A growth pass gives every voxel to the seed with the cheapest path to it
+(one multi-source Dijkstra), so each cluster is a shortest-path tree and
+its footprint stays 26-connected.  After each pass every seed moves to the
+member voxel nearest its cluster's centroid; passes stop once no seed
+moves or after max_iterations.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.spatial import cKDTree
 
 from .cloud_io import PointCloudFrame
 
@@ -43,11 +48,6 @@ def rgb_to_lab(rgb: np.ndarray) -> np.ndarray:
     return lab
 
 
-def delta_e(a: np.ndarray, b: np.ndarray) -> float:
-    """Euclidean distance in Lab."""
-    return float(np.linalg.norm(np.asarray(a, float) - np.asarray(b, float)))
-
-
 @dataclass
 class SupervoxelConfig:
     voxel_resolution: float = 0.008
@@ -71,185 +71,117 @@ class SupervoxelConfig:
 class SuperVoxel:
     sv_id: int
     point_indices: np.ndarray  # sorted indices into the source frame
-    voxel_keys: frozenset[tuple[int, int, int]]
+    voxel_keys: np.ndarray  # (k, 3) int64 footprint, lexicographically sorted rows
     centroid: np.ndarray  # (3,) mean of member point positions
     mean_color_lab: np.ndarray  # (3,) mean of member point Lab colors
 
 
-def voxelize(frame: PointCloudFrame, resolution: float) -> dict[tuple[int, int, int], np.ndarray]:
-    """Map voxel key (floor(p / resolution) per axis) to member point indices."""
+def voxelize(frame: PointCloudFrame, resolution: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Occupied voxels of a frame as ``(keys, inverse, counts)``.
+
+    ``keys`` holds the distinct voxel keys floor(p / resolution) as (n, 3)
+    int64 rows in lexicographic order, ``inverse`` the row of each point's
+    voxel, and ``counts`` the number of points in each voxel.
+    """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
-    if frame.num_points == 0:
-        return {}
     keys = np.floor(frame.points / resolution).astype(np.int64)
-    order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))
-    sorted_keys = keys[order]
-    boundaries = np.nonzero(np.any(np.diff(sorted_keys, axis=0) != 0, axis=1))[0] + 1
-    groups = np.split(order, boundaries)
-    out: dict[tuple[int, int, int], np.ndarray] = {}
-    for g in groups:
-        k = tuple(int(v) for v in keys[g[0]])
-        out[k] = np.sort(g)
-    return out
+    uniq, inverse, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+    return uniq, inverse.reshape(-1), counts
 
 
-_OFFSETS = [
-    (dx, dy, dz)
-    for dx in (-1, 0, 1)
-    for dy in (-1, 0, 1)
-    for dz in (-1, 0, 1)
-    if (dx, dy, dz) != (0, 0, 0)
-]
+def voxel_neighbour_pairs(keys: np.ndarray) -> np.ndarray:
+    """(m, 2) row pairs ``i < j`` of ``keys`` that are 26-adjacent (or equal)."""
+    return cKDTree(np.asarray(keys).reshape(-1, 3)).query_pairs(1, p=np.inf, output_type="ndarray")
 
 
-def _grow(
-    n_vox: int,
-    nbrs: list[list[int]],
-    vc: list[tuple[float, float, float]],
-    vl: list[tuple[float, float, float]],
-    seeds: list[tuple[tuple[float, float, float], tuple[float, float, float], int]],
-    wc: float,
-    ws: float,
-    seed_res: float,
-) -> list[int]:
-    """One watershed pass: claim voxels in order of increasing growth distance."""
+def _growth_metric(centroid_a, lab_a, centroid_b, lab_b, config: SupervoxelConfig) -> np.ndarray:
+    ds = np.linalg.norm(np.asarray(centroid_a, float) - np.asarray(centroid_b, float), axis=-1)
+    dc = np.linalg.norm(np.asarray(lab_a, float) - np.asarray(lab_b, float), axis=-1)
+    return np.sqrt(
+        config.weight_color * (dc / COLOR_NORM) ** 2
+        + config.weight_spatial * (ds / config.seed_resolution) ** 2
+    )
 
-    def dist(si: int, v: int) -> float:
-        sc, sl, _ = seeds[si]
-        c = vc[v]
-        l = vl[v]
-        ds = math.sqrt((sc[0] - c[0]) ** 2 + (sc[1] - c[1]) ** 2 + (sc[2] - c[2]) ** 2)
-        dc = math.sqrt((sl[0] - l[0]) ** 2 + (sl[1] - l[1]) ** 2 + (sl[2] - l[2]) ** 2)
-        return math.sqrt(wc * (dc / COLOR_NORM) ** 2 + ws * (ds / seed_res) ** 2)
 
-    claim = [-1] * n_vox
-    heap: list[tuple[float, int, int]] = []
-    for si, (_, _, origin) in enumerate(seeds):
-        heapq.heappush(heap, (dist(si, origin), si, origin))
-    n_claimed = 0
-    next_orphan = 0
-    while n_claimed < n_vox:
-        while heap:
-            d, si, v = heapq.heappop(heap)
-            if claim[v] >= 0:
-                continue
-            claim[v] = si
-            n_claimed += 1
-            for w in nbrs[v]:
-                if claim[w] < 0:
-                    heapq.heappush(heap, (dist(si, w), si, w))
-        if n_claimed < n_vox:
-            # voxel unreachable from every seed: promote it to its own seed
-            while claim[next_orphan] >= 0:
-                next_orphan += 1
-            v = next_orphan
-            seeds.append((vc[v], vl[v], v))
-            si = len(seeds) - 1
-            heapq.heappush(heap, (dist(si, v), si, v))
-    return claim
+def _group_means(values: np.ndarray, groups: np.ndarray, n: int, weights: np.ndarray | None = None) -> np.ndarray:
+    """(n, 3) weighted means of ``values`` rows by group label 0..n-1."""
+    w = np.ones(len(groups)) if weights is None else weights
+    sums = np.stack([np.bincount(groups, weights=w * values[:, k], minlength=n) for k in range(3)], axis=1)
+    return sums / np.bincount(groups, weights=w, minlength=n)[:, None]
+
+
+def _nearest_per_group(groups: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    """Sorted indices of each group's least ``d2``, ties to the lowest index."""
+    order = np.lexsort((d2, groups))
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = groups[order[1:]] != groups[order[:-1]]
+    return np.sort(order[first])
 
 
 def cluster_supervoxels(frame: PointCloudFrame, config: SupervoxelConfig) -> list[SuperVoxel]:
     """Partition a frame's points into supervoxels.
 
     One seed per occupied cell of a grid at seed_resolution, placed at the
-    occupied voxel nearest the cell center (ties by lexicographic voxel key),
-    then k-means-like growth passes until claims stabilize.
+    occupied voxel whose centroid is nearest the cell center, and one at the
+    smallest voxel of each 26-connected voxel component that no grid seed
+    lies in.  Each pass gives every voxel to the seed of least path cost,
+    then moves every seed to the member voxel nearest its cluster's point
+    centroid.  Voxel ties go to the smallest key.  Passes stop when no seed
+    moves, since the next pass would repeat the claims, or after
+    max_iterations passes.  Ids follow each supervoxel's smallest voxel key.
     """
     config.validate()
     if frame.num_points == 0:
         raise ValueError("cannot cluster an empty frame")
-    vox = voxelize(frame, config.voxel_resolution)
-    keys = list(vox.keys())  # already in lexicographic order
+    keys, point_voxel, counts = voxelize(frame, config.voxel_resolution)
     n_vox = len(keys)
-    key_to_idx = {k: i for i, k in enumerate(keys)}
     lab_all = rgb_to_lab(frame.colors)
+    vox_centroid = _group_means(frame.points, point_voxel, n_vox)
+    vox_lab = _group_means(lab_all, point_voxel, n_vox)
 
-    vox_centroid = np.empty((n_vox, 3))
-    vox_lab = np.empty((n_vox, 3))
-    vox_count = np.empty(n_vox, dtype=np.int64)
-    for i, k in enumerate(keys):
-        idx = vox[k]
-        vox_centroid[i] = frame.points[idx].mean(axis=0)
-        vox_lab[i] = lab_all[idx].mean(axis=0)
-        vox_count[i] = len(idx)
+    a, b = voxel_neighbour_pairs(keys).T
+    cost = _growth_metric(vox_centroid[a], vox_lab[a], vox_centroid[b], vox_lab[b], config)
+    links = csr_matrix((cost, (a, b)), shape=(n_vox, n_vox))
 
-    nbrs: list[list[int]] = []
-    for k in keys:
-        lst = []
-        for off in _OFFSETS:
-            j = key_to_idx.get((k[0] + off[0], k[1] + off[1], k[2] + off[2]))
-            if j is not None:
-                lst.append(j)
-        nbrs.append(lst)
-
-    # seed selection on the coarse grid
     cell_keys = np.floor(vox_centroid / config.seed_resolution).astype(np.int64)
-    cells: dict[tuple[int, int, int], list[int]] = {}
-    for i in range(n_vox):
-        cells.setdefault(tuple(int(v) for v in cell_keys[i]), []).append(i)
-    seed_voxels: list[int] = []
-    for cell in sorted(cells):
-        center = (np.asarray(cell, dtype=np.float64) + 0.5) * config.seed_resolution
-        members = cells[cell]
-        d2 = [float(np.sum((vox_centroid[i] - center) ** 2)) for i in members]
-        best = min(zip(d2, (keys[i] for i in members), members))[2]
-        seed_voxels.append(best)
+    _, cell_of = np.unique(cell_keys, axis=0, return_inverse=True)
+    centers = (cell_keys + 0.5) * config.seed_resolution
+    seeds = _nearest_per_group(cell_of.reshape(-1), np.sum((vox_centroid - centers) ** 2, axis=1))
+    _, component = connected_components(links, directed=False)
+    _, first_voxel = np.unique(component, return_index=True)
+    seedless = np.setdiff1d(np.arange(len(first_voxel)), component[seeds])
+    seeds = np.sort(np.concatenate([seeds, first_voxel[seedless]]))
 
-    vc = [tuple(map(float, row)) for row in vox_centroid]
-    vl = [tuple(map(float, row)) for row in vox_lab]
-    seeds = [(vc[v], vl[v], v) for v in seed_voxels]
-
-    def _canonical(labels: list[int]) -> list[int]:
-        remap: dict[int, int] = {}
-        out = []
-        for s in labels:
-            if s not in remap:
-                remap[s] = len(remap)
-            out.append(remap[s])
-        return out
-
-    claim: list[int] = []
-    prev_claim: list[int] | None = None
     for _ in range(config.max_iterations):
-        claim = _grow(n_vox, nbrs, vc, vl, list(seeds), config.weight_color, config.weight_spatial, config.seed_resolution)
-        if prev_claim is not None and _canonical(claim) == prev_claim:
+        _, _, claim = dijkstra(links, directed=False, indices=seeds, min_only=True, return_predecessors=True)
+        _, cluster = np.unique(claim, return_inverse=True)
+        cluster = cluster.reshape(-1)
+        centroid = _group_means(vox_centroid, cluster, cluster.max() + 1, counts)
+        moved = _nearest_per_group(cluster, np.sum((vox_centroid - centroid[cluster]) ** 2, axis=1))
+        if np.array_equal(moved, seeds):
             break
-        prev_claim = _canonical(claim)
-        # re-estimate cluster features; empty seeds drop out here
-        members: dict[int, list[int]] = {}
-        for v, s in enumerate(claim):
-            members.setdefault(s, []).append(v)
-        new_seeds = []
-        for s in sorted(members):
-            vs = members[s]
-            w = vox_count[vs].astype(np.float64)
-            cen = (vox_centroid[vs] * w[:, None]).sum(axis=0) / w.sum()
-            col = (vox_lab[vs] * w[:, None]).sum(axis=0) / w.sum()
-            d2 = [float(np.sum((vox_centroid[v] - cen) ** 2)) for v in vs]
-            origin = min(zip(d2, (keys[v] for v in vs), vs))[2]
-            new_seeds.append((tuple(map(float, cen)), tuple(map(float, col)), origin))
-        seeds = new_seeds
+        seeds = moved
 
-    groups: dict[int, list[int]] = {}
-    for v, s in enumerate(claim):
-        groups.setdefault(s, []).append(v)
-    # deterministic ids: order clusters by their smallest member voxel key
-    ordered = sorted(groups.values(), key=lambda vs: keys[min(vs)])
-    out: list[SuperVoxel] = []
-    for sv_id, vs in enumerate(ordered):
-        idx = np.sort(np.concatenate([vox[keys[v]] for v in vs]))
-        out.append(
-            SuperVoxel(
-                sv_id=sv_id,
-                point_indices=idx,
-                voxel_keys=frozenset(keys[v] for v in vs),
-                centroid=frame.points[idx].mean(axis=0),
-                mean_color_lab=lab_all[idx].mean(axis=0),
-            )
+    # a cluster's smallest voxel index is also its smallest key
+    _, first_member, cluster = np.unique(claim, return_index=True, return_inverse=True)
+    n_sv = len(first_member)
+    sv_of_voxel = np.argsort(np.argsort(first_member))[cluster.reshape(-1)]
+    sv_of_point = sv_of_voxel[point_voxel]
+    sv_centroid = _group_means(frame.points, sv_of_point, n_sv)
+    sv_lab = _group_means(lab_all, sv_of_point, n_sv)
+    points = np.split(np.argsort(sv_of_point, kind="stable"), np.cumsum(np.bincount(sv_of_point))[:-1])
+    footprints = np.split(keys[np.argsort(sv_of_voxel, kind="stable")], np.cumsum(np.bincount(sv_of_voxel))[:-1])
+    return [
+        SuperVoxel(
+            sv_id=k,
+            point_indices=points[k],
+            voxel_keys=footprints[k],
+            centroid=sv_centroid[k],
+            mean_color_lab=sv_lab[k],
         )
-    return out
+        for k in range(n_sv)
+    ]
 
 
 def growth_distance(
@@ -260,9 +192,4 @@ def growth_distance(
     config: SupervoxelConfig,
 ) -> float:
     """The growth metric D, exposed for direct checks."""
-    ds = float(np.linalg.norm(np.asarray(sv_centroid, float) - np.asarray(centroid, float)))
-    dc = delta_e(sv_color_lab, color_lab)
-    return math.sqrt(
-        config.weight_color * (dc / COLOR_NORM) ** 2
-        + config.weight_spatial * (ds / config.seed_resolution) ** 2
-    )
+    return float(_growth_metric(sv_centroid, sv_color_lab, centroid, color_lab, config))

@@ -347,17 +347,14 @@ def update_tree(
 
     # components: connected pieces of each (object, blob) region
     components: list[ComponentNode] = []
-    piece_of_sv: dict[int, int] = {}
-    raw_pieces: list[tuple[int, int, frozenset[int]]] = []  # (blob, object, svs)
-    for blob in blob_list:
-        by_object: dict[int, set[int]] = {}
-        for sv in blob.member_supervoxels:
-            by_object.setdefault(sv_object[sv], set()).add(sv)
-        for oid in sorted(by_object):
-            for piece in connected_sets(by_object[oid], graph.edges):
-                for sv in piece:
-                    piece_of_sv[sv] = len(raw_pieces)
-                raw_pieces.append((blob.blob_id, oid, piece))
+    # blobs are the graph's connected components, so no edge joins two blobs
+    blob_of = {sv: blob.blob_id for blob in blob_list for sv in blob.member_supervoxels}
+    inside = [e for e in graph.edges if sv_object.get(e[0]) == sv_object.get(e[1])]
+    raw_pieces: list[tuple[int, int, frozenset[int]]] = sorted(  # (blob, object, svs)
+        ((blob_of[min(piece)], sv_object[min(piece)], piece) for piece in connected_sets(sv_object, inside)),
+        key=lambda entry: (entry[0], entry[1], min(entry[2])),
+    )
+    piece_of_sv = {sv: idx for idx, (_, _, piece) in enumerate(raw_pieces) for sv in piece}
 
     # component id inheritance: each previous component passes its id to the
     # piece that received most of its assigned segments

@@ -24,7 +24,7 @@ def make_sv(
     return SuperVoxel(
         sv_id=sv_id,
         point_indices=np.arange(start, start + n_points),
-        voxel_keys=frozenset({tuple(key)}),
+        voxel_keys=np.asarray([key], dtype=np.int64),
         centroid=np.asarray(centroid, dtype=np.float64),
         mean_color_lab=np.asarray(color_lab, dtype=np.float64),
     )

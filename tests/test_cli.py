@@ -146,6 +146,56 @@ class TestExitCodes:
         )
         assert main(["eval", str(tmp_path), str(manifest)]) == 2
 
+    def test_seed_below_voxel_size_is_config_error_before_loading(self, tmp_path, capsys):
+        # the manifest does not exist: the config is checked first
+        code = main(
+            [
+                "segment",
+                str(tmp_path / "nope.txt"),
+                "--supervoxel.voxel_resolution",
+                "0.02",
+                "--supervoxel.seed_resolution",
+                "0.01",
+            ]
+        )
+        assert code == 1
+        assert "seed_resolution" in capsys.readouterr().err
+
+    def test_manifest_naming_missing_frame_is_data_error(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("frame frame_0000.txt\n")
+        assert main(["segment", str(manifest), "--out", str(tmp_path / "run")]) == 2
+        assert "frame_0000.txt" in capsys.readouterr().err
+
+    def test_stage_value_error_is_pipeline_error(self, tmp_path, capsys, monkeypatch):
+        spec = tmp_path / "scene.txt"
+        spec.write_text("kind = static\nframes = 1\npoints_per_object = 60\n")
+        assert main(["synth", str(spec), "--out", str(tmp_path / "data")]) == 0
+
+        def broken(frame, config):
+            raise ValueError("stage invariant broken")
+
+        monkeypatch.setattr("dynseg.pipeline.cluster_supervoxels", broken)
+        code = main(["segment", str(tmp_path / "data" / "manifest.txt"), "--out", str(tmp_path / "run")])
+        assert code == 3
+        assert "pipeline error: ValueError: stage invariant broken" in capsys.readouterr().err
+
+    def test_eval_labels_not_fitting_manifest_is_data_error(self, tmp_path):
+        frame = tmp_path / "frame_0000.txt"
+        gt = tmp_path / "gt_0000.txt"
+        cloud_io.write_frame(
+            cloud_io.PointCloudFrame(0, [[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]], [[1, 2, 3], [4, 5, 6]]), str(frame)
+        )
+        cloud_io.write_ground_truth([0, 1], str(gt))
+        manifest = tmp_path / "manifest.txt"
+        cloud_io.write_manifest(
+            SequenceManifest(name="x", frame_paths=[str(frame)], gt_paths=[str(gt)]), str(manifest)
+        )
+        run = tmp_path / "run"
+        run.mkdir()
+        cloud_io.write_labels(cloud_io.LabeledFrame(0, [0, 0, 0]), str(run / "labels_0000.txt"))
+        assert main(["eval", str(run), str(manifest)]) == 2
+
     def test_unknown_flag_exits_via_argparse(self):
         with pytest.raises(SystemExit):
             main(["segment", "m.txt", "--ga.rng_seed", "4"])
@@ -184,6 +234,11 @@ class TestInspect:
     def test_inspect_garbage_is_data_error(self, tmp_path):
         p = tmp_path / "junk.txt"
         p.write_text("whatever 1 2 3\n")
+        assert main(["inspect", str(p)]) == 2
+
+    def test_inspect_binary_file_is_data_error(self, tmp_path):
+        p = tmp_path / "blob.bin"
+        p.write_bytes(b"\xff\xfe\x00\x81 binary")
         assert main(["inspect", str(p)]) == 2
 
     def test_inspect_missing_file_is_data_error(self, tmp_path):

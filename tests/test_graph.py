@@ -1,5 +1,6 @@
 """Adjacency graph construction and connected components."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dynseg.cloud_io import PointCloudFrame
 from dynseg.graph import AdjacencyGraph, GraphConfig, build_graph, connected_components, connected_sets
+from dynseg.supervoxel import SupervoxelConfig, cluster_supervoxels
 
 from helpers import graph_from_edges, make_sv
 
@@ -61,6 +64,32 @@ class TestConnectedSets:
     @example(nodes={0, 1, 2}, pairs=[(0, 1), (1, 2)])
     def test_matches_union_find_reference(self, nodes, pairs):
         assert connected_sets(nodes, pairs) == _union_find_pieces(nodes, pairs)
+
+
+def _build_graph_loop(supervoxels, config, seed_resolution):
+    """Reference: the 26-offset footprint walk plus the strict centroid-radius test."""
+    cfg = config.resolve(seed_resolution)
+    svs = {sv.sv_id: sv for sv in supervoxels}
+    owner = {tuple(int(v) for v in k): sv.sv_id for sv in supervoxels for k in sv.voxel_keys}
+    pairs = set()
+    for (x, y, z), a in owner.items():
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                for dz in (-1, 0, 1):
+                    b = owner.get((x + dx, y + dy, z + dz))
+                    if b is not None and b != a:
+                        pairs.add((min(a, b), max(a, b)))
+    ids = sorted(svs)
+    for i, a in enumerate(ids):
+        for b in ids[i + 1 :]:
+            if float(np.linalg.norm(svs[a].centroid - svs[b].centroid)) < cfg.adjacency_radius:
+                pairs.add((a, b))
+    edges = {}
+    for a, b in sorted(pairs):
+        dc = float(np.linalg.norm(svs[a].mean_color_lab - svs[b].mean_color_lab))
+        d = float(np.linalg.norm(svs[a].centroid - svs[b].centroid))
+        edges[(a, b)] = math.exp(-dc / cfg.sigma_color) * math.exp(-d / cfg.sigma_distance)
+    return AdjacencyGraph(nodes=ids, edges=edges, svs=svs)
 
 
 class TestGraphConfig:
@@ -139,6 +168,31 @@ class TestBuildGraph:
         g = build_graph(svs, GraphConfig(), seed_resolution=0.08)
         for w in g.edges.values():
             assert 0.0 < w <= 1.0
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(1, 200),
+        extent=st.sampled_from([0.05, 0.15, 0.3]),
+        voxel=st.sampled_from([0.02, 0.008]),
+        radius=st.sampled_from([None, 0.05]),
+    )
+    def test_matches_loop_reference(self, seed, n, extent, voxel, radius):
+        rng = np.random.default_rng(seed)
+        frame = PointCloudFrame(
+            0, rng.uniform(0.0, extent, size=(n, 3)), rng.integers(0, 256, size=(n, 3), dtype=np.uint8)
+        )
+        svs = cluster_supervoxels(frame, SupervoxelConfig(voxel_resolution=voxel, seed_resolution=0.08))
+        # sparse ids in shuffled input order
+        svs = [dataclasses.replace(sv, sv_id=3 * sv.sv_id + 1) for sv in svs]
+        svs = [svs[i] for i in rng.permutation(len(svs))]
+        config = GraphConfig(adjacency_radius=radius)
+        got = build_graph(svs, config, seed_resolution=0.08)
+        want = _build_graph_loop(svs, config, seed_resolution=0.08)
+        assert got.nodes == want.nodes
+        assert list(got.edges) == sorted(want.edges)
+        for pair, w in want.edges.items():
+            assert got.edges[pair] == pytest.approx(w, rel=1e-12)
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)

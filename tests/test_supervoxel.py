@@ -1,16 +1,18 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dynseg.cloud_io import PointCloudFrame
+from dynseg.graph import connected_sets
 from dynseg.supervoxel import (
     SupervoxelConfig,
     cluster_supervoxels,
-    delta_e,
     growth_distance,
     rgb_to_lab,
+    voxel_neighbour_pairs,
     voxelize,
 )
 
@@ -38,11 +40,12 @@ def test_lab_batch_shape():
     assert lab.shape == (7, 3)
 
 
-def test_delta_e_symmetry():
-    a = rgb_to_lab(np.array([10, 200, 30]))
-    b = rgb_to_lab(np.array([200, 10, 30]))
-    assert delta_e(a, b) == pytest.approx(delta_e(b, a))
-    assert delta_e(a, a) == 0.0
+def test_growth_distance_symmetry():
+    cfg = SupervoxelConfig()
+    a = (np.array([0.01, 0.02, 0.0]), rgb_to_lab(np.array([10, 200, 30])))
+    b = (np.array([0.05, -0.01, 0.03]), rgb_to_lab(np.array([200, 10, 30])))
+    assert growth_distance(*a, *b, cfg) == pytest.approx(growth_distance(*b, *a, cfg))
+    assert growth_distance(*a, *a, cfg) == 0.0
 
 
 def test_voxelize_groups_points():
@@ -55,15 +58,16 @@ def test_voxelize_groups_points():
         ]
     )
     cols = np.zeros((4, 3), dtype=np.uint8)
-    vox = voxelize(PointCloudFrame(0, pts, cols), 0.008)
-    assert set(vox) == {(0, 0, 0), (1, 0, 0), (-1, 0, 0)}
-    np.testing.assert_array_equal(vox[(0, 0, 0)], [0, 1])
-    np.testing.assert_array_equal(vox[(1, 0, 0)], [2])
+    keys, inverse, counts = voxelize(PointCloudFrame(0, pts, cols), 0.008)
+    np.testing.assert_array_equal(keys, [(-1, 0, 0), (0, 0, 0), (1, 0, 0)])
+    np.testing.assert_array_equal(inverse, [1, 1, 2, 0])
+    np.testing.assert_array_equal(counts, [1, 2, 1])
 
 
 def test_voxelize_empty():
     frame = PointCloudFrame(0, np.zeros((0, 3)), np.zeros((0, 3), dtype=np.uint8))
-    assert voxelize(frame, 0.01) == {}
+    keys, inverse, counts = voxelize(frame, 0.01)
+    assert keys.shape == (0, 3) and len(inverse) == 0 and len(counts) == 0
 
 
 def test_voxelize_rejects_nonpositive_resolution():
@@ -132,8 +136,8 @@ def test_cluster_centroid_and_color_are_member_means():
 def test_cluster_footprints_disjoint():
     pts, cols = grid_cloud(shape=(12, 6, 1), spacing=0.02)
     svs = cluster_supervoxels(PointCloudFrame(0, pts, cols), _flat_cfg())
-    all_keys = [k for sv in svs for k in sv.voxel_keys]
-    assert len(all_keys) == len(set(all_keys))
+    all_keys = np.concatenate([sv.voxel_keys for sv in svs])
+    assert len(all_keys) == len(np.unique(all_keys, axis=0))
 
 
 def test_cluster_color_boundary_respected():
@@ -186,22 +190,114 @@ def test_cluster_partition_property(n, seed):
         assert np.isfinite(sv.centroid).all()
 
 
+def _is_26_connected(keys) -> bool:
+    return len(connected_sets(range(len(keys)), voxel_neighbour_pairs(keys).tolist())) == 1
+
+
 def test_footprint_connected():
     # grown clusters must have 26-connected voxel footprints
     pts, cols = grid_cloud(shape=(14, 4, 1), spacing=0.02)
     svs = cluster_supervoxels(PointCloudFrame(0, pts, cols), _flat_cfg())
     for sv in svs:
-        keys = set(sv.voxel_keys)
-        start = next(iter(keys))
-        seen = {start}
-        stack = [start]
-        while stack:
-            x, y, z = stack.pop()
-            for dx in (-1, 0, 1):
-                for dy in (-1, 0, 1):
-                    for dz in (-1, 0, 1):
-                        nb = (x + dx, y + dy, z + dz)
-                        if nb in keys and nb not in seen:
-                            seen.add(nb)
-                            stack.append(nb)
-        assert seen == keys
+        assert _is_26_connected(sv.voxel_keys)
+
+
+_OFFSETS = [d for d in itertools.product((-1, 0, 1), repeat=3) if d != (0, 0, 0)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    keys=st.sets(st.tuples(*[st.integers(-3, 3)] * 3), max_size=60),
+    shift=st.sampled_from([0, 2**40, -(2**45)]),
+)
+@example(keys=set(), shift=0)
+@example(keys={(0, 0, 0)}, shift=0)
+def test_voxel_neighbour_pairs_match_offset_lookup(keys, shift):
+    """The pair table equals the 26-offset dictionary lookup, also far from the origin."""
+    rows = sorted((x + shift, y, z - shift) for x, y, z in keys)
+    index = {k: i for i, k in enumerate(rows)}
+    expected = {
+        (i, index[n])
+        for i, (x, y, z) in enumerate(rows)
+        for dx, dy, dz in _OFFSETS
+        if (n := (x + dx, y + dy, z + dz)) in index and i < index[n]
+    }
+    got = voxel_neighbour_pairs(np.asarray(rows, dtype=np.int64).reshape(-1, 3))
+    assert {(int(a), int(b)) for a, b in got} == expected
+    assert len(got) == len(expected)
+
+
+def _random_cloud(seed: int, n: int, extent: float):
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(0.0, extent, size=(n, 3))
+    cols = rng.integers(0, 256, size=(n, 3), dtype=np.uint8)
+    return PointCloudFrame(0, pts, cols)
+
+
+def _seedless_components(frame: PointCloudFrame, cfg: SupervoxelConfig) -> list[set[tuple]]:
+    """Voxel components holding no grid seed, by a loop over voxels."""
+    members: dict[tuple, list[int]] = {}
+    for i, p in enumerate(frame.points):
+        members.setdefault(tuple(int(v) for v in np.floor(p / cfg.voxel_resolution)), []).append(i)
+    keys = sorted(members)
+    centroid = {k: frame.points[members[k]].mean(axis=0) for k in keys}
+    cells: dict[tuple, list[tuple]] = {}
+    for k in keys:
+        cells.setdefault(tuple(int(v) for v in np.floor(centroid[k] / cfg.seed_resolution)), []).append(k)
+    seeds = set()
+    for cell, ks in cells.items():
+        center = (np.asarray(cell) + 0.5) * cfg.seed_resolution
+        seeds.add(min(ks, key=lambda k: (float(np.sum((centroid[k] - center) ** 2)), k)))
+    index = {k: i for i, k in enumerate(keys)}
+    pairs = [
+        (index[k], index[n])
+        for k in keys
+        for d in _OFFSETS
+        if (n := (k[0] + d[0], k[1] + d[1], k[2] + d[2])) in index
+    ]
+    pieces = [{keys[i] for i in piece} for piece in connected_sets(range(len(keys)), pairs)]
+    return [piece for piece in pieces if not piece & seeds]
+
+
+_clouds = dict(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(1, 150),
+    extent=st.sampled_from([0.05, 0.15, 0.3]),
+    voxel=st.sampled_from([0.02, 0.008]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_clouds)
+def test_cluster_invariants_on_random_clouds(seed, n, extent, voxel):
+    cfg = SupervoxelConfig(voxel_resolution=voxel, seed_resolution=0.08)
+    frame = _random_cloud(seed, n, extent)
+    svs = cluster_supervoxels(frame, cfg)
+    # every point lands in exactly one supervoxel, listed in sorted order
+    np.testing.assert_array_equal(np.sort(np.concatenate([sv.point_indices for sv in svs])), np.arange(n))
+    for sv in svs:
+        assert np.all(np.diff(sv.point_indices) > 0)
+    # ids run 0..k-1 in order of smallest voxel key; footprints are sorted and hold the points
+    assert [sv.sv_id for sv in svs] == list(range(len(svs)))
+    smallest = [tuple(sv.voxel_keys[0]) for sv in svs]
+    assert smallest == sorted(smallest) and len(set(smallest)) == len(svs)
+    for sv in svs:
+        point_keys = np.floor(frame.points[sv.point_indices] / voxel).astype(np.int64)
+        np.testing.assert_array_equal(sv.voxel_keys, np.unique(point_keys, axis=0))
+        assert _is_26_connected(sv.voxel_keys)
+    # each seedless 26-component becomes exactly one supervoxel
+    footprint = {frozenset(map(tuple, sv.voxel_keys.tolist())): sv for sv in svs}
+    for piece in _seedless_components(frame, cfg):
+        assert frozenset(piece) in footprint
+
+
+@settings(max_examples=25, deadline=None)
+@given(order_seed=st.integers(0, 2**31 - 1), **_clouds)
+def test_point_order_does_not_change_the_partition(order_seed, seed, n, extent, voxel):
+    cfg = SupervoxelConfig(voxel_resolution=voxel, seed_resolution=0.08)
+    frame = _random_cloud(seed, n, extent)
+    perm = np.random.default_rng(order_seed).permutation(n)
+    shuffled = PointCloudFrame(0, frame.points[perm], frame.colors[perm])
+    base = {frozenset(sv.point_indices.tolist()) for sv in cluster_supervoxels(frame, cfg)}
+    moved = {frozenset(perm[sv.point_indices].tolist()) for sv in cluster_supervoxels(shuffled, cfg)}
+    assert moved == base
