@@ -78,7 +78,7 @@ def random_connected_graph(rng, n):
         )
         for i in range(n)
     }
-    return AdjacencyGraph(nodes=list(range(n)), edges=edges, svs=svs)
+    return AdjacencyGraph(nodes=list(range(n)), edges=list(edges), weights=list(edges.values()), svs=svs)
 
 
 def brute_force_ncut(graph):

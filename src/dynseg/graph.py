@@ -8,6 +8,7 @@ Edge weight: w_ij = exp(-dE_lab / sigma_color) * exp(-d / sigma_distance).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -33,25 +34,44 @@ class GraphConfig:
 
 @dataclass
 class AdjacencyGraph:
-    nodes: list[int]
-    edges: dict[tuple[int, int], float]  # keyed (i, j) with i < j, weight in (0, 1]
+    """Supervoxel adjacency graph in array form.
+
+    The constructor puts each edge as (i, j) with i < j and sorts the edges
+    lexicographically, carrying each weight along; every consumer relies on
+    that order.  A graph is not modified after construction, so
+    ``edge_index`` is computed once.  A subgraph shares the parent's ``svs``.
+    """
+
+    nodes: np.ndarray  # (N,) sorted int64 supervoxel ids
+    edges: np.ndarray  # (E, 2) int64 id pairs, i < j, unique, lexicographic
+    weights: np.ndarray  # (E,) build_graph's weights lie in (0, 1]
     svs: dict[int, SuperVoxel]
+
+    def __post_init__(self) -> None:
+        self.nodes = np.unique(np.asarray(self.nodes, dtype=np.int64))
+        edges = np.sort(np.asarray(self.edges, dtype=np.int64).reshape(-1, 2), axis=1)
+        weights = np.asarray(self.weights, dtype=np.float64).reshape(-1)
+        if len(weights) != len(edges):
+            raise ValueError(f"{len(edges)} edges but {len(weights)} weights")
+        order = np.lexsort((edges[:, 1], edges[:, 0]))
+        self.edges, self.weights = edges[order], weights[order]
+        repeated = (np.diff(self.edges, axis=0) == 0).all(axis=1)
+        if (self.edges[:, 0] == self.edges[:, 1]).any() or repeated.any():
+            raise ValueError("edges must be distinct pairs of distinct nodes")
 
     @property
     def num_nodes(self) -> int:
         return len(self.nodes)
 
-    def weight(self, i: int, j: int) -> float:
-        return self.edges[(i, j) if i < j else (j, i)]
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return ((i, j) if i < j else (j, i)) in self.edges
+    @cached_property
+    def edge_index(self) -> np.ndarray:
+        """(E, 2) positions in ``nodes`` of each edge's endpoints."""
+        return np.searchsorted(self.nodes, self.edges)
 
     def subgraph(self, node_subset) -> "AdjacencyGraph":
-        keep = set(node_subset)
-        nodes = sorted(keep)
-        edges = {(i, j): w for (i, j), w in self.edges.items() if i in keep and j in keep}
-        return AdjacencyGraph(nodes=nodes, edges=edges, svs=self.svs)
+        nodes = np.asarray(sorted(node_subset), dtype=np.int64)
+        inside = np.isin(self.edges, nodes).all(axis=1)
+        return AdjacencyGraph(nodes=nodes, edges=self.edges[inside], weights=self.weights[inside], svs=self.svs)
 
     def is_connected(self) -> bool:
         return len(connected_sets(self.nodes, self.edges)) <= 1
@@ -75,7 +95,7 @@ def build_graph(supervoxels: list[SuperVoxel], config: GraphConfig, seed_resolut
         raise ValueError("duplicate supervoxel ids")
     nodes = sorted(svs)
     if not nodes:
-        return AdjacencyGraph(nodes=[], edges={}, svs={})
+        return AdjacencyGraph(nodes=[], edges=[], weights=[], svs={})
     centroids = np.asarray([svs[n].centroid for n in nodes], dtype=np.float64)
     colors = np.asarray([svs[n].mean_color_lab for n in nodes], dtype=np.float64)
 
@@ -92,30 +112,29 @@ def build_graph(supervoxels: list[SuperVoxel], config: GraphConfig, seed_resolut
     d = np.linalg.norm(centroids[a] - centroids[b], axis=1)
     weights = np.exp(-dc / cfg.sigma_color) * np.exp(-d / cfg.sigma_distance)
     ids = np.asarray(nodes, dtype=np.int64)
-    edges = dict(zip(zip(ids[a].tolist(), ids[b].tolist()), weights.tolist()))
-    return AdjacencyGraph(nodes=nodes, edges=edges, svs=svs)
+    return AdjacencyGraph(nodes=ids, edges=np.column_stack([ids[a], ids[b]]), weights=weights, svs=svs)
 
 
 def connected_sets(nodes, pairs) -> list[frozenset[int]]:
     """Connected pieces of ``nodes`` linked by ``pairs``, ordered by smallest member.
 
-    Pairs with an endpoint outside ``nodes`` are ignored.
+    ``pairs`` is anything that converts to an (E, 2) integer array.  Pairs
+    with an endpoint outside ``nodes`` are ignored.
     """
-    order = sorted(set(nodes))
-    if not order:
+    order = np.unique(np.fromiter(nodes, dtype=np.int64))
+    if not len(order):
         return []
-    pos = {n: k for k, n in enumerate(order)}
-    links = np.asarray(
-        [(pos[a], pos[b]) for a, b in pairs if a in pos and b in pos], dtype=np.intp
-    ).reshape(-1, 2)
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    pos = np.minimum(np.searchsorted(order, pairs), len(order) - 1)
+    links = pos[(order[pos] == pairs).all(axis=1)]
     adjacency = coo_matrix(
         (np.ones(len(links)), (links[:, 0], links[:, 1])), shape=(len(order), len(order))
     )
     count, labels = _csgraph_components(adjacency, directed=False)
-    pieces: list[list[int]] = [[] for _ in range(count)]
-    for n, label in zip(order, labels):
-        pieces[label].append(n)
-    return sorted((frozenset(p) for p in pieces), key=min)
+    # each piece comes out sorted, so its first entry is its smallest member
+    sizes = np.bincount(labels, minlength=count)
+    pieces = np.split(order[np.argsort(labels, kind="stable")], np.cumsum(sizes)[:-1])
+    return [frozenset(p.tolist()) for p in sorted(pieces, key=lambda p: p[0])]
 
 
 def connected_components(graph: AdjacencyGraph) -> list[Blob]:

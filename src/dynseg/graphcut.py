@@ -11,11 +11,12 @@ Two labels are solved exactly by max-flow; three or more by expansion moves.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.spatial import cKDTree
 
 from .graph import AdjacencyGraph, connected_sets
 
@@ -52,7 +53,6 @@ class CutProblem:
     label_seeds: dict[int, int]  # supervoxel id -> object id
     previous_boundary: np.ndarray  # (B, 3) positions of the prior cut boundary, may be empty
     params: CutParams
-    _pre: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         self.previous_boundary = np.asarray(self.previous_boundary, dtype=np.float64).reshape(-1, 3)
@@ -63,70 +63,66 @@ class CutProblem:
     def labels(self) -> list[int]:
         return sorted(set(self.label_seeds.values()))
 
+    @cached_property
+    def unary(self) -> np.ndarray:
+        """(N, L) cost of each node taking each label, columns in labels() order."""
+        p = self.params.resolve()
+        g = self.subgraph
+        labels = self.labels()
+        centroids, colors = _node_array(g, "centroid"), _node_array(g, "mean_color_lab")
+        seeds = np.searchsorted(g.nodes, list(self.label_seeds))
+        seed_label = np.searchsorted(labels, list(self.label_seeds.values()))
+        ds = np.linalg.norm(centroids[:, None, :] - centroids[None, seeds, :], axis=2)
+        dc = np.linalg.norm(colors[:, None, :] - colors[None, seeds, :], axis=2)
+        to_seed = ds / p.seed_resolution + dc / COLOR_NORM  # (N, seeds)
+        out = np.column_stack([to_seed[:, seed_label == l].min(axis=1) for l in range(len(labels))])
+        out[seeds] = INF
+        out[seeds, seed_label] = 0.0
+        return out
 
-def _pairwise_costs(problem: CutProblem) -> dict[tuple[int, int], float]:
-    p = problem.params.resolve()
-    out: dict[tuple[int, int], float] = {}
-    boundary = problem.previous_boundary
-    svs = problem.subgraph.svs
-    for (i, j), w in sorted(problem.subgraph.edges.items()):
-        cost = p.lambda_smooth * w
-        if boundary.size:
-            mid = (svs[i].centroid + svs[j].centroid) / 2.0
-            d = float(np.min(np.linalg.norm(boundary - mid, axis=1)))
-            cost += p.mu_coherence * math.exp(-d / p.sigma_boundary)
-        out[(i, j)] = cost
-    return out
-
-
-def _unaries(problem: CutProblem) -> dict[int, dict[int, float]]:
-    p = problem.params.resolve()
-    svs = problem.subgraph.svs
-    seeds_by_label: dict[int, list[int]] = {}
-    for n, l in problem.label_seeds.items():
-        seeds_by_label.setdefault(l, []).append(n)
-    out: dict[int, dict[int, float]] = {}
-    for n in problem.subgraph.nodes:
-        if n in problem.label_seeds:
-            own = problem.label_seeds[n]
-            out[n] = {l: (0.0 if l == own else INF) for l in seeds_by_label}
-            continue
-        row: dict[int, float] = {}
-        for l, seeds in seeds_by_label.items():
-            best = INF
-            for s in seeds:
-                ds = float(np.linalg.norm(svs[n].centroid - svs[s].centroid))
-                dc = float(np.linalg.norm(svs[n].mean_color_lab - svs[s].mean_color_lab))
-                cost = ds / p.seed_resolution + dc / COLOR_NORM
-                if cost < best:
-                    best = cost
-            row[l] = best
-        out[n] = row
-    return out
+    @cached_property
+    def pairwise(self) -> np.ndarray:
+        """(E,) cost of cutting each subgraph edge, in edge order."""
+        p = self.params.resolve()
+        g = self.subgraph
+        cost = p.lambda_smooth * g.weights
+        if len(self.previous_boundary):
+            d, _ = cKDTree(self.previous_boundary).query(_midpoints(g, g.edge_index))
+            cost = cost + p.mu_coherence * np.exp(-d / p.sigma_boundary)
+        return cost
 
 
-def _prepared(problem: CutProblem) -> dict:
-    if not problem._pre:
-        problem._pre = {"unary": _unaries(problem), "pairwise": _pairwise_costs(problem)}
-    return problem._pre
+def _node_array(graph: AdjacencyGraph, attr: str) -> np.ndarray:
+    """(N, 3) per-node supervoxel attribute, in node order."""
+    rows = [getattr(graph.svs[n], attr) for n in graph.nodes.tolist()]
+    return np.asarray(rows, dtype=np.float64).reshape(-1, 3)
+
+
+def _midpoints(graph: AdjacencyGraph, pos: np.ndarray) -> np.ndarray:
+    """(len(pos), 3) centroid midpoints of the node-position pairs ``pos``."""
+    centroids = _node_array(graph, "centroid")
+    return (centroids[pos[:, 0]] + centroids[pos[:, 1]]) / 2.0
+
+
+def _energy(problem: CutProblem, lab: np.ndarray) -> float:
+    """Energy of a labeling given as one label position per node."""
+    pos = problem.subgraph.edge_index
+    cut = lab[pos[:, 0]] != lab[pos[:, 1]]
+    return float(problem.unary[np.arange(len(lab)), lab].sum() + problem.pairwise[cut].sum())
 
 
 def cut_energy(problem: CutProblem, labeling: dict[int, int]) -> float:
     """Energy of a full labeling of the subgraph; seed violations cost infinity."""
-    pre = _prepared(problem)
-    missing = [n for n in problem.subgraph.nodes if n not in labeling]
+    nodes = problem.subgraph.nodes.tolist()
+    missing = [n for n in nodes if n not in labeling]
     if missing:
         raise ValueError(f"labeling misses nodes {missing[:4]}")
-    e = 0.0
-    for n in problem.subgraph.nodes:
-        u = pre["unary"][n].get(labeling[n])
-        if u is None:
-            raise ValueError(f"label {labeling[n]} has no seed")
-        e += u
-    for (i, j), cost in pre["pairwise"].items():
-        if labeling[i] != labeling[j]:
-            e += cost
-    return e
+    lab = [labeling[n] for n in nodes]
+    labels = problem.labels()
+    unknown = sorted(set(lab) - set(labels))
+    if unknown:
+        raise ValueError(f"label {unknown[0]} has no seed")
+    return _energy(problem, np.searchsorted(labels, lab))
 
 
 class _Dinic:
@@ -206,36 +202,32 @@ class _Dinic:
 
 
 def _binary_cut(
-    nodes: list[int],
-    unary0: dict[int, float],
-    unary1: dict[int, float],
-    pairwise: dict[tuple[int, int], tuple[float, float]],
-) -> set[int]:
-    """Nodes choosing state 1 (sink side) for min sum of unaries plus cut costs.
+    unary0: np.ndarray, unary1: np.ndarray, pos: np.ndarray, cap_ij: np.ndarray, cap_ji: np.ndarray
+) -> np.ndarray:
+    """Mask of nodes choosing state 1 (sink side) for min sum of unaries plus cut costs.
 
-    pairwise maps (i, j) to directed caps (paid when i is 0-side and j 1-side,
-    paid for the reverse split).
+    Edge k joins node positions pos[k]; it costs cap_ij[k] when its first
+    node is 0-side and its second 1-side, and cap_ji[k] for the reverse split.
     """
-    idx = {n: i + 2 for i, n in enumerate(nodes)}
-    dinic = _Dinic(len(nodes) + 2)
+    n = len(unary0)
+    dinic = _Dinic(n + 2)
     s, t = 0, 1
-    for n in nodes:
-        # n on source side -> state 0 -> pays unary0 via the severed n->t arc
-        c_s = unary1[n]
-        c_t = unary0[n]
-        shift = min(c_s, c_t)  # normalize so both t-link caps are non-negative
-        if shift != INF and shift != 0.0:
-            c_s, c_t = c_s - shift, c_t - shift
+    # normalize so both t-link caps are non-negative; a node on the source
+    # side takes state 0 and pays unary0 via the severed n->t arc
+    shift = np.minimum(unary0, unary1)
+    shift[shift == INF] = 0.0
+    for k, (c_s, c_t) in enumerate(zip((unary1 - shift).tolist(), (unary0 - shift).tolist())):
         if c_s > 0:
-            dinic.add(s, idx[n], c_s)
+            dinic.add(s, k + 2, c_s)
         if c_t > 0:
-            dinic.add(idx[n], t, c_t)
-    for (i, j), (cap_ij, cap_ji) in pairwise.items():
-        if cap_ij > 0 or cap_ji > 0:
-            dinic.add(idx[i], idx[j], cap_ij, cap_ji)
+            dinic.add(k + 2, t, c_t)
+    for i, j, c_ij, c_ji in zip(pos[:, 0].tolist(), pos[:, 1].tolist(), cap_ij.tolist(), cap_ji.tolist()):
+        if c_ij > 0 or c_ji > 0:
+            dinic.add(i + 2, j + 2, c_ij, c_ji)
     dinic.max_flow(s, t)
-    src = dinic.source_side(s)
-    return {n for n in nodes if idx[n] not in src}
+    sink_side = np.ones(n + 2, dtype=bool)
+    sink_side[list(dinic.source_side(s))] = False
+    return sink_side[2:]
 
 
 def restricted_cut(problem: CutProblem) -> dict[int, int]:
@@ -243,69 +235,64 @@ def restricted_cut(problem: CutProblem) -> dict[int, int]:
 
     Exact for two labels; expansion moves until no improvement otherwise.
     """
-    labels = problem.labels()
+    labels = np.asarray(problem.labels())
     if len(labels) < 2:
         raise ValueError("restricted cut needs seeds of at least two distinct objects")
-    pre = _prepared(problem)
-    nodes = list(problem.subgraph.nodes)
-    unary = pre["unary"]
-    pairwise = pre["pairwise"]
+    unary, cost = problem.unary, problem.pairwise
+    pos = problem.subgraph.edge_index
+    nodes = problem.subgraph.nodes.tolist()
 
     if len(labels) == 2:
-        la, lb = labels
-        u0 = {n: unary[n][la] for n in nodes}
-        u1 = {n: unary[n][lb] for n in nodes}
-        sym = {e: (c, c) for e, c in pairwise.items()}
-        side_b = _binary_cut(nodes, u0, u1, sym)
-        return {n: (lb if n in side_b else la) for n in nodes}
+        current = _binary_cut(unary[:, 0], unary[:, 1], pos, cost, cost).astype(np.intp)
+        return dict(zip(nodes, labels[current].tolist()))
 
-    # alpha expansion over the same energy
-    current = {}
-    for n in nodes:
-        if n in problem.label_seeds:
-            current[n] = problem.label_seeds[n]
-        else:
-            row = unary[n]
-            current[n] = min(labels, key=lambda l: (row[l], l))
-    current_e = cut_energy(problem, current)
+    # alpha expansion over the same energy; seeds start on their own label
+    current = unary.argmin(axis=1)
+    current_e = _energy(problem, current)
+    rows = np.arange(len(nodes))
     improved = True
     sweeps = 0
     while improved and sweeps < 50:
         improved = False
         sweeps += 1
-        for alpha in labels:
-            u0 = {n: unary[n][current[n]] for n in nodes}
-            u1 = {n: unary[n][alpha] for n in nodes}
-            pw: dict[tuple[int, int], tuple[float, float]] = {}
-            for (i, j), cost in pairwise.items():
-                a = cost if current[i] != current[j] else 0.0
-                b = cost if current[i] != alpha else 0.0
-                c = cost if current[j] != alpha else 0.0
-                # E(xi,xj) = A + (C-A) xi - C xj + (B+C-A)(1-xi)xj, up to +C per edge
-                u1[i] = u1[i] + (c - a)
-                u0[j] = u0[j] + c
-                k = b + c - a  # >= 0 by the triangle inequality of the label costs
-                if k > 0:
-                    pw[(i, j)] = (k, 0.0)
-            switched = _binary_cut(nodes, u0, u1, pw)
-            candidate = {n: (alpha if n in switched else current[n]) for n in nodes}
-            cand_e = cut_energy(problem, candidate)
+        for alpha in range(len(labels)):
+            ci, cj = current[pos[:, 0]], current[pos[:, 1]]
+            a = np.where(ci != cj, cost, 0.0)
+            b = np.where(ci != alpha, cost, 0.0)
+            c = np.where(cj != alpha, cost, 0.0)
+            # E(xi,xj) = A + (C-A) xi - C xj + (B+C-A)(1-xi)xj, up to +C per edge;
+            # add.at accumulates per node in edge order
+            u0 = unary[rows, current]
+            u1 = unary[:, alpha].copy()
+            np.add.at(u1, pos[:, 0], c - a)
+            np.add.at(u0, pos[:, 1], c)
+            k = b + c - a  # >= 0 by the triangle inequality of the label costs
+            switched = _binary_cut(u0, u1, pos, k, np.zeros_like(k))
+            candidate = np.where(switched, alpha, current)
+            cand_e = _energy(problem, candidate)
             if cand_e < current_e - 1e-12:
                 current = candidate
                 current_e = cand_e
                 improved = True
-    return current
+    return dict(zip(nodes, labels[current].tolist()))
 
 
 def boundary_midpoints(graph: AdjacencyGraph, labeling: dict[int, int]) -> np.ndarray:
-    """Midpoints of edges whose endpoints carry different labels."""
-    mids = []
-    for (i, j) in sorted(graph.edges):
-        if labeling.get(i) != labeling.get(j):
-            mids.append((graph.svs[i].centroid + graph.svs[j].centroid) / 2.0)
-    if not mids:
-        return np.empty((0, 3))
-    return np.asarray(mids)
+    """Midpoints of edges whose endpoints carry different labels, in edge order."""
+    lab = np.asarray([labeling.get(n) for n in graph.nodes.tolist()], dtype=object)
+    pos = graph.edge_index
+    return _midpoints(graph, pos[lab[pos[:, 0]] != lab[pos[:, 1]]])
+
+
+def _ncut(weights: np.ndarray, side: np.ndarray) -> float:
+    """Normalized cut of edges whose endpoints lie on side A where ``side`` (E, 2) is True."""
+    crossing = side[:, 0] != side[:, 1]
+    cut = float(weights[crossing].sum())
+    if cut == 0.0:
+        return 0.0
+    wa = float(weights[~crossing & side[:, 0]].sum())
+    wb = float(weights[~crossing & ~side[:, 0]].sum())
+    return cut / (wa + cut) + cut / (wb + cut)
 
 
 def ncut_value(graph: AdjacencyGraph, side_a) -> float:
@@ -314,21 +301,7 @@ def ncut_value(graph: AdjacencyGraph, side_a) -> float:
     assoc(A, V) counts each intra-pair weight once plus the cut, so the
     two-clique case with a 0.01 bridge evaluates to 0.01/3.01 + 0.01/3.01.
     """
-    a = set(side_a)
-    cut = 0.0
-    wa = 0.0
-    wb = 0.0
-    for (i, j), w in graph.edges.items():
-        ina, inb = i in a, j in a
-        if ina != inb:
-            cut += w
-        elif ina:
-            wa += w
-        else:
-            wb += w
-    if cut == 0.0:
-        return 0.0
-    return cut / (wa + cut) + cut / (wb + cut)
+    return _ncut(graph.weights, np.isin(graph.edges, list(side_a)))
 
 
 def _second_eigenvector(graph: AdjacencyGraph, config: OversegConfig) -> np.ndarray:
@@ -337,13 +310,11 @@ def _second_eigenvector(graph: AdjacencyGraph, config: OversegConfig) -> np.ndar
     Shifted inverse power iteration on the symmetrized problem, deflating the
     trivial constant eigenvector each step.
     """
-    nodes = graph.nodes
-    n = len(nodes)
-    pos = {m: i for i, m in enumerate(nodes)}
+    n = graph.num_nodes
+    pos = graph.edge_index
     W = np.zeros((n, n))
-    for (i, j), w in graph.edges.items():
-        W[pos[i], pos[j]] = w
-        W[pos[j], pos[i]] = w
+    W[pos[:, 0], pos[:, 1]] = graph.weights
+    W[pos[:, 1], pos[:, 0]] = graph.weights
     d = W.sum(axis=1)
     inv_sqrt = 1.0 / np.sqrt(d)
     lsym = -W * inv_sqrt[:, None] * inv_sqrt[None, :]
@@ -393,33 +364,30 @@ def normalized_cut_bisect(
     """
     if graph.num_nodes < 2:
         raise ValueError("need at least two nodes to bisect")
-    if not graph.edges:
+    if not len(graph.edges):
         raise ValueError("need at least one edge to bisect")
     if not graph.is_connected():
         raise ValueError("subgraph is disconnected; bisect its components first")
     x = _second_eigenvector(graph, config)
-    nodes = graph.nodes
-    best: tuple[float, int] | None = None
+    pos = graph.edge_index
+    n = graph.num_nodes
+    best_cost = INF
     best_mask: np.ndarray | None = None
-    for k, t in enumerate(np.linspace(float(x.min()), float(x.max()), N_THRESHOLDS)):
+    for t in np.linspace(float(x.min()), float(x.max()), N_THRESHOLDS):
         mask = x <= t
-        na = int(mask.sum())
-        if na == 0 or na == len(nodes):
-            continue
-        cost = ncut_value(graph, {nodes[i] for i in range(len(nodes)) if mask[i]})
-        if best is None or cost < best[0]:
-            best = (cost, k)
-            best_mask = mask
-    if best is None or best_mask is None:
+        if 0 < mask.sum() < n:
+            cost = _ncut(graph.weights, mask[pos])
+            if cost < best_cost:
+                best_cost, best_mask = cost, mask
+    if best_mask is None:
         # degenerate flat eigenvector: peel off the first node
-        best_mask = np.zeros(len(nodes), dtype=bool)
-        best_mask[0] = True
-        best = (ncut_value(graph, {nodes[0]}), 0)
-    side_a = frozenset(nodes[i] for i in range(len(nodes)) if best_mask[i])
-    side_b = frozenset(nodes) - side_a
+        best_mask = np.arange(n) == 0
+        best_cost = _ncut(graph.weights, best_mask[pos])
+    side_a = frozenset(graph.nodes[best_mask].tolist())
+    side_b = frozenset(graph.nodes[~best_mask].tolist())
     if min(side_b) < min(side_a):
         side_a, side_b = side_b, side_a
-    return side_a, side_b, best[0]
+    return side_a, side_b, best_cost
 
 
 def oversegment(graph: AdjacencyGraph, config: OversegConfig = OversegConfig()) -> list[frozenset[int]]:
@@ -436,7 +404,7 @@ def oversegment(graph: AdjacencyGraph, config: OversegConfig = OversegConfig()) 
 
     def recurse(g: AdjacencyGraph) -> None:
         if g.num_nodes == 1:
-            out.append(frozenset(g.nodes))
+            out.append(frozenset(g.nodes.tolist()))
             return
         comps = connected_sets(g.nodes, g.edges)
         if len(comps) > 1:
@@ -444,14 +412,14 @@ def oversegment(graph: AdjacencyGraph, config: OversegConfig = OversegConfig()) 
                 recurse(g.subgraph(c))
             return
         if g.num_nodes < 2 * config.min_segment_supervoxels:
-            out.append(frozenset(g.nodes))
+            out.append(frozenset(g.nodes.tolist()))
             return
         a, b, cost = normalized_cut_bisect(g, config)
         if cost <= config.ncut_threshold and len(a) >= config.min_segment_supervoxels and len(b) >= config.min_segment_supervoxels:
             recurse(g.subgraph(a))
             recurse(g.subgraph(b))
         else:
-            out.append(frozenset(g.nodes))
+            out.append(frozenset(g.nodes.tolist()))
 
     recurse(graph)
     out.sort(key=min)

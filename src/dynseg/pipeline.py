@@ -84,7 +84,6 @@ class PipelineState:
     config: PipelineConfig
     alloc: IdAllocator = field(default_factory=IdAllocator)
     tree: SegTree | None = None
-    graph: AdjacencyGraph | None = None
     boundary: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
     ghosts: dict[int, _Ghost] = field(default_factory=dict)
     open_events: dict[frozenset[int], InteractionEvent] = field(default_factory=dict)
@@ -239,10 +238,9 @@ def process_frame(state: PipelineState, frame: PointCloudFrame) -> FrameResult:
         state.open_events, closed = detect_interactions(tree, state.open_events)
         _update_ghosts(state, tree, fidx)
         sv_obj = tree.sv_to_object()
-        state.boundary = boundary_midpoints(graph, sv_obj) if graph.nodes else np.zeros((0, 3))
+        state.boundary = boundary_midpoints(graph, sv_obj)
         labels = _point_labels(svs, sv_obj, len(frame.points))
         state.tree = tree
-        state.graph = graph
     else:
         labels = np.zeros(0, dtype=np.int64)
         state.boundary = np.zeros((0, 3))

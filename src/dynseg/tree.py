@@ -234,6 +234,11 @@ def init_tree(
     return tree
 
 
+def _first_free(ranked: list[int], taken: dict[int, int]) -> int | None:
+    """The first supervoxel in ``ranked`` that no object has taken yet."""
+    return next((sv for sv in ranked if sv not in taken), None)
+
+
 def derive_blob_seeds(
     problem: AssignmentProblem,
     assignment: Assignment,
@@ -258,45 +263,37 @@ def derive_blob_seeds(
         if not assigned:
             continue
         # claim cost mirrors the cut unary: distance plus color difference
-        claims: list[tuple[float, int, int, int]] = []  # (cost, object, segment, sv)
-        best_for_seg: dict[int, list[tuple[float, int]]] = {}
+        claims: list[tuple[float, int, int]] = []  # (cost, object, segment)
+        ranked: dict[int, list[int]] = {}  # segment -> members, cheapest first
         for s in assigned:
             seg = problem.segments[s]
             d = np.linalg.norm(cen - np.asarray(seg.centroid), axis=1) / seed_resolution
             dc = np.linalg.norm(col - np.asarray(seg.mean_color_lab), axis=1) / 100.0
             cost = d + dc
             order = np.argsort(cost, kind="stable")
-            best_for_seg[s] = [(float(cost[k]), members[k]) for k in order]
-            claims.append((float(cost[order[0]]), seg.parent_object_id, s, members[int(order[0])]))
+            ranked[s] = [members[k] for k in order]
+            claims.append((float(cost[order[0]]), seg.parent_object_id, s))
         claims.sort()
         taken = seeds[blob.blob_id]
         # round 1: one seed per object, cheapest first
         seeded_objects: set[int] = set()
-        for cost, oid, s, sv in claims:
+        for _, oid, s in claims:
             if oid in seeded_objects:
                 continue
-            site = None
-            for c, cand in best_for_seg[s]:
-                if cand not in taken:
-                    site = cand
-                    break
+            site = _first_free(ranked[s], taken)
             if site is None:
                 continue  # blob smaller than its object count
             taken[site] = oid
             seg_site[s] = (blob.blob_id, site)
             seeded_objects.add(oid)
-        # round 2: remaining segments seed their nearest free supervoxel
-        for cost, oid, s, sv in claims:
+        # round 2: remaining segments seed their nearest free supervoxel,
+        # or share the nearest occupied one when none is free
+        for _, oid, s in claims:
             if s in seg_site:
                 continue
-            site = None
-            for c, cand in best_for_seg[s]:
-                if cand not in taken:
-                    site = cand
-                    break
+            site = _first_free(ranked[s], taken)
             if site is None:
-                site = best_for_seg[s][0][1]  # fall back to the nearest occupied one
-                seg_site[s] = (blob.blob_id, site)
+                seg_site[s] = (blob.blob_id, ranked[s][0])
                 continue
             taken[site] = oid
             seg_site[s] = (blob.blob_id, site)
@@ -349,9 +346,11 @@ def update_tree(
     components: list[ComponentNode] = []
     # blobs are the graph's connected components, so no edge joins two blobs
     blob_of = {sv: blob.blob_id for blob in blob_list for sv in blob.member_supervoxels}
-    inside = [e for e in graph.edges if sv_object.get(e[0]) == sv_object.get(e[1])]
+    node_object = np.asarray([sv_object[sv] for sv in graph.nodes.tolist()], dtype=np.int64)
+    pos = graph.edge_index
+    inside = graph.edges[node_object[pos[:, 0]] == node_object[pos[:, 1]]]
     raw_pieces: list[tuple[int, int, frozenset[int]]] = sorted(  # (blob, object, svs)
-        ((blob_of[min(piece)], sv_object[min(piece)], piece) for piece in connected_sets(sv_object, inside)),
+        ((blob_of[min(piece)], sv_object[min(piece)], piece) for piece in connected_sets(graph.nodes, inside)),
         key=lambda entry: (entry[0], entry[1], min(entry[2])),
     )
     piece_of_sv = {sv: idx for idx, (_, _, piece) in enumerate(raw_pieces) for sv in piece}

@@ -44,11 +44,12 @@ def graph_from_edges(edges: dict, positions: dict | None = None, colors: dict | 
         pos = positions.get(n, (float(n), 0.0, 0.0)) if positions else (float(n), 0.0, 0.0)
         col = colors.get(n, (50.0, 0.0, 0.0)) if colors else (50.0, 0.0, 0.0)
         svs[n] = make_sv(n, pos, col)
-    norm_edges = {}
-    for (i, j), w in edges.items():
-        a, b = (i, j) if i < j else (j, i)
-        norm_edges[(a, b)] = float(w)
-    return AdjacencyGraph(nodes=nodes, edges=norm_edges, svs=svs)
+    return AdjacencyGraph(nodes=nodes, edges=list(edges), weights=list(edges.values()), svs=svs)
+
+
+def edge_dict(graph: AdjacencyGraph) -> dict[tuple[int, int], float]:
+    """The graph's edges as {(i, j): weight}, in edge order."""
+    return dict(zip(map(tuple, graph.edges.tolist()), graph.weights.tolist()))
 
 
 def grid_cloud(shape=(4, 4, 1), spacing=0.02, origin=(0.0, 0.0, 0.0), color=(128, 128, 128)):

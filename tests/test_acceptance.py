@@ -186,7 +186,7 @@ def _ncut_brute_force(graph):
     cut = np.zeros(len(masks))
     intra_a = np.zeros(len(masks))
     intra_b = np.zeros(len(masks))
-    for (i, j), w in graph.edges.items():
+    for (i, j), w in zip(graph.edges.tolist(), graph.weights.tolist()):
         a = side[:, idx[i]] if idx[i] < n - 1 else np.zeros(len(masks), dtype=np.int64)
         b = side[:, idx[j]] if idx[j] < n - 1 else np.zeros(len(masks), dtype=np.int64)
         cut[(a ^ b) == 1] += w

@@ -12,7 +12,7 @@ from dynseg.cloud_io import PointCloudFrame
 from dynseg.graph import AdjacencyGraph, GraphConfig, build_graph, connected_components, connected_sets
 from dynseg.supervoxel import SupervoxelConfig, cluster_supervoxels
 
-from helpers import graph_from_edges, make_sv
+from helpers import edge_dict, graph_from_edges, make_sv
 
 
 def _cc_oracle(nodes, edges):
@@ -89,7 +89,25 @@ def _build_graph_loop(supervoxels, config, seed_resolution):
         dc = float(np.linalg.norm(svs[a].mean_color_lab - svs[b].mean_color_lab))
         d = float(np.linalg.norm(svs[a].centroid - svs[b].centroid))
         edges[(a, b)] = math.exp(-dc / cfg.sigma_color) * math.exp(-d / cfg.sigma_distance)
-    return AdjacencyGraph(nodes=ids, edges=edges, svs=svs)
+    return ids, edges
+
+
+def _subgraph_loop(graph, node_subset):
+    """Reference: the dict-of-pairs subgraph, keeping edges with both ends in the subset."""
+    keep = set(node_subset)
+    return sorted(keep), {pair: w for pair, w in edge_dict(graph).items() if pair[0] in keep and pair[1] in keep}
+
+
+@st.composite
+def _random_graphs(draw):
+    """Graphs on sparse ids, edges given in random orientation and order."""
+    ids = sorted(draw(st.sets(st.integers(0, 60), max_size=16)))
+    pairs = draw(st.sets(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=40)) if ids else set()
+    edges = {}
+    for i, j in pairs:
+        if i != j and (j, i) not in edges:
+            edges[(i, j)] = draw(st.floats(0.01, 1.0))
+    return graph_from_edges(edges, positions={n: (0.01 * n, 0.0, 0.0) for n in ids})
 
 
 class TestGraphConfig:
@@ -112,34 +130,34 @@ class TestBuildGraph:
         a = make_sv(0, (0.0, 0.0, 0.0), color_lab=(50.0, 10.0, 0.0), key=(0, 0, 0))
         b = make_sv(1, (0.04, 0.0, 0.0), color_lab=(50.0, -5.0, 0.0), key=(50, 0, 0))
         g = build_graph([a, b], GraphConfig(), seed_resolution=0.08)
-        assert g.has_edge(0, 1)
-        assert g.weight(0, 1) == pytest.approx(math.exp(-1.0), rel=1e-12)
+        assert g.edges.tolist() == [[0, 1]]
+        assert g.weights[0] == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_adjacency_radius_is_strict(self):
         # centroids exactly at the radius must not link
         a = make_sv(0, (0.0, 0.0, 0.0), key=(0, 0, 0))
         b = make_sv(1, (0.12, 0.0, 0.0), key=(50, 0, 0))
         g = build_graph([a, b], GraphConfig(), seed_resolution=0.08)
-        assert not g.has_edge(0, 1)
+        assert g.edges.tolist() == []
 
         c = make_sv(1, (0.119, 0.0, 0.0), key=(50, 0, 0))
         g2 = build_graph([a, c], GraphConfig(), seed_resolution=0.08)
-        assert g2.has_edge(0, 1)
+        assert g2.edges.tolist() == [[0, 1]]
 
     def test_footprint_adjacency_overrides_distance(self):
         # diagonal voxel neighbors link even with centroids far apart
         a = make_sv(0, (0.0, 0.0, 0.0), key=(0, 0, 0))
         b = make_sv(1, (1.0, 0.0, 0.0), key=(1, 1, 1))
         g = build_graph([a, b], GraphConfig(), seed_resolution=0.08)
-        assert g.has_edge(0, 1)
-        assert 0.0 < g.weight(0, 1) <= 1.0
+        assert g.edges.tolist() == [[0, 1]]
+        assert 0.0 < g.weights[0] <= 1.0
 
     def test_gap_in_footprints_and_distance_gives_no_edge(self):
         a = make_sv(0, (0.0, 0.0, 0.0), key=(0, 0, 0))
         b = make_sv(1, (1.0, 0.0, 0.0), key=(2, 0, 0))
         g = build_graph([a, b], GraphConfig(), seed_resolution=0.08)
-        assert not g.has_edge(0, 1)
-        assert g.edges == {}
+        assert g.edges.shape == (0, 2)
+        assert g.weights.shape == (0,)
 
     def test_duplicate_ids_rejected(self):
         a = make_sv(3, (0.0, 0.0, 0.0))
@@ -151,8 +169,8 @@ class TestBuildGraph:
         a = make_sv(7, (0.0, 0.0, 0.0), key=(0, 0, 0))
         b = make_sv(3, (0.05, 0.0, 0.0), key=(50, 0, 0))
         g = build_graph([a, b], GraphConfig(), seed_resolution=0.08)
-        assert g.nodes == [3, 7]
-        assert g.has_edge(3, 7)
+        assert g.nodes.tolist() == [3, 7]
+        assert g.edges.tolist() == [[3, 7]]
 
     def test_weights_in_unit_interval(self):
         rng = np.random.default_rng(11)
@@ -166,8 +184,8 @@ class TestBuildGraph:
             for i in range(12)
         ]
         g = build_graph(svs, GraphConfig(), seed_resolution=0.08)
-        for w in g.edges.values():
-            assert 0.0 < w <= 1.0
+        assert len(g.weights) > 0
+        assert ((g.weights > 0.0) & (g.weights <= 1.0)).all()
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -188,39 +206,58 @@ class TestBuildGraph:
         svs = [svs[i] for i in rng.permutation(len(svs))]
         config = GraphConfig(adjacency_radius=radius)
         got = build_graph(svs, config, seed_resolution=0.08)
-        want = _build_graph_loop(svs, config, seed_resolution=0.08)
-        assert got.nodes == want.nodes
-        assert list(got.edges) == sorted(want.edges)
-        for pair, w in want.edges.items():
-            assert got.edges[pair] == pytest.approx(w, rel=1e-12)
+        want_nodes, want_edges = _build_graph_loop(svs, config, seed_resolution=0.08)
+        assert got.nodes.tolist() == want_nodes
+        assert list(map(tuple, got.edges.tolist())) == sorted(want_edges)
+        np.testing.assert_allclose(got.weights, [want_edges[p] for p in sorted(want_edges)], rtol=1e-12)
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)
         svs = [make_sv(i, rng.uniform(0, 0.2, size=3), key=(100 * i, 0, 0)) for i in range(10)]
         g1 = build_graph(svs, GraphConfig(), seed_resolution=0.08)
         g2 = build_graph(svs, GraphConfig(), seed_resolution=0.08)
-        assert g1.nodes == g2.nodes
-        assert g1.edges == g2.edges
+        assert np.array_equal(g1.nodes, g2.nodes)
+        assert np.array_equal(g1.edges, g2.edges)
+        assert np.array_equal(g1.weights, g2.weights)
 
 
 class TestAdjacencyGraph:
-    def test_weight_symmetric_lookup(self):
-        g = graph_from_edges({(0, 1): 0.7})
-        assert g.weight(0, 1) == g.weight(1, 0) == 0.7
+    def test_constructor_orients_and_sorts_edges(self):
+        g = AdjacencyGraph(nodes=[5, 0, 2], edges=[(5, 2), (0, 5), (2, 0)], weights=[0.1, 0.2, 0.3], svs={})
+        assert g.nodes.tolist() == [0, 2, 5]
+        assert g.edges.tolist() == [[0, 2], [0, 5], [2, 5]]
+        assert g.weights.tolist() == [0.3, 0.2, 0.1]
+
+    @pytest.mark.parametrize(
+        "edges, weights",
+        [([(0, 1), (1, 0)], [0.5, 0.5]), ([(1, 1)], [0.5]), ([(0, 1)], [0.5, 0.5])],
+    )
+    def test_constructor_rejects_malformed_edges(self, edges, weights):
+        with pytest.raises(ValueError):
+            AdjacencyGraph(nodes=[0, 1], edges=edges, weights=weights, svs={})
 
     def test_subgraph_keeps_internal_edges_only(self):
         g = graph_from_edges({(0, 1): 0.5, (1, 2): 0.5, (2, 3): 0.5})
         sub = g.subgraph({1, 2, 3})
-        assert sub.nodes == [1, 2, 3]
-        assert set(sub.edges) == {(1, 2), (2, 3)}
+        assert sub.nodes.tolist() == [1, 2, 3]
+        assert sub.edges.tolist() == [[1, 2], [2, 3]]
+
+    @settings(max_examples=100, deadline=None)
+    @given(graph=_random_graphs(), data=st.data())
+    def test_subgraph_matches_loop_reference(self, graph, data):
+        subset = data.draw(st.sets(st.sampled_from(graph.nodes.tolist()))) if graph.num_nodes else set()
+        sub = graph.subgraph(subset)
+        want_nodes, want_edges = _subgraph_loop(graph, subset)
+        assert sub.nodes.tolist() == want_nodes
+        assert edge_dict(sub) == want_edges
+        assert list(edge_dict(sub)) == sorted(want_edges)
 
     def test_is_connected(self):
         path = graph_from_edges({(0, 1): 0.5, (1, 2): 0.5})
         assert path.is_connected()
         split = graph_from_edges({(0, 1): 0.5}, positions={0: (0, 0, 0), 1: (1, 0, 0), 2: (2, 0, 0)})
         assert not split.is_connected()
-        empty = AdjacencyGraph(nodes=[], edges={}, svs={})
-        assert empty.is_connected()
+        assert graph_from_edges({}).is_connected()
 
 
 class TestConnectedComponents:
@@ -234,8 +271,7 @@ class TestConnectedComponents:
         assert [b.blob_id for b in blobs] == [0, 1, 2, 3]
 
     def test_empty_graph(self):
-        g = AdjacencyGraph(nodes=[], edges={}, svs={})
-        assert connected_components(g) == []
+        assert connected_components(graph_from_edges({})) == []
 
     def test_single_node(self):
         g = graph_from_edges({}, positions={5: (0.0, 0.0, 0.0)})

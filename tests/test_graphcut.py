@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
@@ -21,7 +23,7 @@ from dynseg.graphcut import (
     restricted_cut,
 )
 
-from helpers import graph_from_edges
+from helpers import edge_dict, graph_from_edges
 
 
 def _path_problem(boundary=()):
@@ -90,6 +92,129 @@ def _two_cliques(bridge=0.01, size=3, intra=1.0):
             edges[(i, j)] = intra
     edges[(size - 1, size)] = bridge
     return graph_from_edges(edges)
+
+
+# Loop references for the array code: each walks the edges one pair at a time.
+
+
+def _pairwise_costs_loop(problem):
+    p = problem.params.resolve()
+    out = {}
+    boundary = problem.previous_boundary
+    svs = problem.subgraph.svs
+    for (i, j), w in sorted(edge_dict(problem.subgraph).items()):
+        cost = p.lambda_smooth * w
+        if boundary.size:
+            mid = (svs[i].centroid + svs[j].centroid) / 2.0
+            d = float(np.min(np.linalg.norm(boundary - mid, axis=1)))
+            cost += p.mu_coherence * math.exp(-d / p.sigma_boundary)
+        out[(i, j)] = cost
+    return out
+
+
+def _unaries_loop(problem):
+    p = problem.params.resolve()
+    svs = problem.subgraph.svs
+    seeds_by_label = {}
+    for n, l in problem.label_seeds.items():
+        seeds_by_label.setdefault(l, []).append(n)
+    out = {}
+    for n in problem.subgraph.nodes.tolist():
+        if n in problem.label_seeds:
+            own = problem.label_seeds[n]
+            out[n] = {l: (0.0 if l == own else math.inf) for l in seeds_by_label}
+            continue
+        row = {}
+        for l, seeds in seeds_by_label.items():
+            best = math.inf
+            for s in seeds:
+                ds = float(np.linalg.norm(svs[n].centroid - svs[s].centroid))
+                dc = float(np.linalg.norm(svs[n].mean_color_lab - svs[s].mean_color_lab))
+                best = min(best, ds / p.seed_resolution + dc / 100.0)
+            row[l] = best
+        out[n] = row
+    return out
+
+
+def _boundary_midpoints_loop(graph, labeling):
+    mids = []
+    for i, j in sorted(edge_dict(graph)):
+        if labeling.get(i) != labeling.get(j):
+            mids.append((graph.svs[i].centroid + graph.svs[j].centroid) / 2.0)
+    return np.asarray(mids).reshape(-1, 3)
+
+
+def _ncut_value_loop(graph, side_a):
+    a = set(side_a)
+    cut = wa = wb = 0.0
+    for (i, j), w in edge_dict(graph).items():
+        ina, inb = i in a, j in a
+        if ina != inb:
+            cut += w
+        elif ina:
+            wa += w
+        else:
+            wb += w
+    if cut == 0.0:
+        return 0.0
+    return cut / (wa + cut) + cut / (wb + cut)
+
+
+@st.composite
+def _sparse_problems(draw):
+    """Cut problems on sparse node ids, edges in random orientation, several seeds per label."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 30))
+    ids = np.sort(rng.choice(5 * n, size=n, replace=False)).tolist()
+    edges = {}
+    for _ in range(draw(st.integers(0, 3 * n))):
+        i, j = (int(v) for v in rng.choice(ids, 2, replace=False))
+        if (j, i) not in edges:
+            edges[(i, j)] = float(rng.uniform(0.05, 1.0))
+    positions = {k: tuple(rng.uniform(0.0, 0.3, 3)) for k in ids}
+    colors = {k: (rng.uniform(20, 80), rng.uniform(-30, 30), rng.uniform(-30, 30)) for k in ids}
+    n_labels = draw(st.integers(1, min(n, 4)))
+    seed_nodes = rng.choice(ids, size=draw(st.integers(n_labels, n)), replace=False)
+    boundary = rng.uniform(0.0, 0.3, (draw(st.sampled_from([0, 1, 5])), 3))
+    return CutProblem(
+        subgraph=graph_from_edges(edges, positions=positions, colors=colors),
+        label_seeds={int(s): 100 + k % n_labels for k, s in enumerate(seed_nodes)},
+        previous_boundary=boundary,
+        params=CutParams(seed_resolution=0.08),
+    )
+
+
+class TestMatchesLoopReference:
+    @settings(max_examples=100, deadline=None)
+    @given(problem=_sparse_problems())
+    def test_pairwise_costs(self, problem):
+        want = _pairwise_costs_loop(problem)
+        assert list(map(tuple, problem.subgraph.edges.tolist())) == list(want)
+        np.testing.assert_allclose(problem.pairwise, list(want.values()), rtol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(problem=_sparse_problems())
+    def test_unaries(self, problem):
+        want = _unaries_loop(problem)
+        expected = [[want[n][l] for l in problem.labels()] for n in problem.subgraph.nodes.tolist()]
+        np.testing.assert_allclose(problem.unary, expected, rtol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(problem=_sparse_problems(), data=st.data())
+    def test_ncut_value(self, problem, data):
+        graph = problem.subgraph
+        side = data.draw(st.sets(st.sampled_from(graph.nodes.tolist())))
+        assert ncut_value(graph, side) == pytest.approx(_ncut_value_loop(graph, side), rel=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(problem=_sparse_problems(), data=st.data())
+    def test_boundary_midpoints(self, problem, data):
+        # labelings may leave nodes out; an unlabeled node matches only unlabeled ones
+        graph = problem.subgraph
+        labeling = data.draw(st.dictionaries(st.sampled_from(graph.nodes.tolist()), st.integers(0, 2)))
+        np.testing.assert_allclose(
+            boundary_midpoints(graph, labeling), _boundary_midpoints_loop(graph, labeling), rtol=1e-12
+        )
 
 
 class TestCutEnergy:
@@ -328,9 +453,7 @@ class TestOversegment:
             assert seen == list(range(n))
 
     def test_empty_graph(self):
-        from dynseg.graph import AdjacencyGraph
-
-        assert oversegment(AdjacencyGraph(nodes=[], edges={}, svs={})) == []
+        assert oversegment(graph_from_edges({})) == []
 
     def test_deterministic(self):
         g = _two_cliques(bridge=0.05, size=5)

@@ -1,0 +1,20 @@
+"""Smoke runs of the scripts under scripts/, which build graphs by hand."""
+
+import importlib.util
+import re
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_solver_bench_runs(capsys):
+    assert _load("solver_bench").main(["all", "--instances", "2"]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"^worst ratio \d+\.\d{3} over 2 instances$", out, re.MULTILINE)
