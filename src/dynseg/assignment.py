@@ -113,12 +113,8 @@ def _precompute(problem: AssignmentProblem) -> dict:
             cost[:, b] = p.alpha * appearance + p.beta * d1
             disp[:, b] = blob.sv_centroids[np.asarray(i1).reshape(ms)] - seg_c
         cost[:, mb] = p.rho
-    comp_groups: list[np.ndarray] = []
-    by_comp: dict[int, list[int]] = {}
-    for s, seg in enumerate(problem.segments):
-        by_comp.setdefault(seg.parent_component_id, []).append(s)
-    for cid in sorted(by_comp):
-        comp_groups.append(np.asarray(by_comp[cid], dtype=np.int64))
+    comp = np.asarray([seg.parent_component_id for seg in problem.segments], dtype=np.int64)
+    comp_groups = [np.flatnonzero(comp == cid) for cid in np.unique(comp)]
     problem._pre = {"cost": cost, "disp": disp, "groups": comp_groups}
     return problem._pre
 
@@ -182,31 +178,16 @@ def solve_exhaustive(problem: AssignmentProblem) -> Assignment:
     total = (mb + 1) ** ms
     if total > _MAX_EXHAUSTIVE:
         raise ValueError(f"instance too large for exhaustive search: {(mb + 1)}^{ms} labelings")
-    alphabet = np.arange(-1, mb, dtype=np.int64)  # NONE sorts first
-    best_e = np.inf
-    best_v: np.ndarray | None = None
-    chunk = 8192
-    buf = np.empty((chunk, ms), dtype=np.int64)
-    count = 0
-    import itertools
-
-    for combo in itertools.product(alphabet, repeat=ms):
-        buf[count] = combo
-        count += 1
-        if count == chunk:
-            e = _energy_batch(problem, buf)
-            i = int(np.argmin(e))
-            if e[i] < best_e:
-                best_e = float(e[i])
-                best_v = buf[i].copy()
-            count = 0
-    if count:
-        e = _energy_batch(problem, buf[:count])
+    # row k of the enumeration is k written in base mb + 1, most significant
+    # digit first, minus one: lexicographic order with NONE first
+    place = (mb + 1) ** np.arange(ms - 1, -1, -1, dtype=np.int64)
+    best_e, best_v = np.inf, None
+    for start in range(0, total, 8192):
+        batch = np.arange(start, min(start + 8192, total), dtype=np.int64)[:, None] // place % (mb + 1) - 1
+        e = _energy_batch(problem, batch)
         i = int(np.argmin(e))
         if e[i] < best_e:
-            best_e = float(e[i])
-            best_v = buf[i].copy()
-    assert best_v is not None
+            best_e, best_v = float(e[i]), batch[i]
     return Assignment(labels=best_v, energy=best_e)
 
 

@@ -38,8 +38,9 @@ class AdjacencyGraph:
 
     The constructor puts each edge as (i, j) with i < j and sorts the edges
     lexicographically, carrying each weight along; every consumer relies on
-    that order.  A graph is not modified after construction, so
-    ``edge_index`` is computed once.  A subgraph shares the parent's ``svs``.
+    that order; edges that already come in it are kept as given.  A graph is
+    not modified after construction, so ``edge_index`` is computed once.  A
+    subgraph shares the parent's ``svs``.
     """
 
     nodes: np.ndarray  # (N,) sorted int64 supervoxel ids
@@ -49,15 +50,20 @@ class AdjacencyGraph:
 
     def __post_init__(self) -> None:
         self.nodes = np.unique(np.asarray(self.nodes, dtype=np.int64))
-        edges = np.sort(np.asarray(self.edges, dtype=np.int64).reshape(-1, 2), axis=1)
+        edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
         weights = np.asarray(self.weights, dtype=np.float64).reshape(-1)
         if len(weights) != len(edges):
             raise ValueError(f"{len(edges)} edges but {len(weights)} weights")
-        order = np.lexsort((edges[:, 1], edges[:, 0]))
-        self.edges, self.weights = edges[order], weights[order]
-        repeated = (np.diff(self.edges, axis=0) == 0).all(axis=1)
-        if (self.edges[:, 0] == self.edges[:, 1]).any() or repeated.any():
-            raise ValueError("edges must be distinct pairs of distinct nodes")
+        # pairs with i < j in strictly rising order are sorted and distinct already
+        step = np.diff(edges, axis=0)
+        rising = (step[:, 0] > 0) | (step[:, 0] == 0) & (step[:, 1] > 0)
+        if not ((edges[:, 0] < edges[:, 1]).all() and rising.all()):
+            edges = np.sort(edges, axis=1)
+            order = np.lexsort((edges[:, 1], edges[:, 0]))
+            edges, weights = edges[order], weights[order]
+            if (edges[:, 0] == edges[:, 1]).any() or (np.diff(edges, axis=0) == 0).all(axis=1).any():
+                raise ValueError("edges must be distinct pairs of distinct nodes")
+        self.edges, self.weights = edges, weights
 
     @property
     def num_nodes(self) -> int:
@@ -74,7 +80,13 @@ class AdjacencyGraph:
         return AdjacencyGraph(nodes=nodes, edges=self.edges[inside], weights=self.weights[inside], svs=self.svs)
 
     def is_connected(self) -> bool:
-        return len(connected_sets(self.nodes, self.edges)) <= 1
+        return self.num_nodes == 0 or _components(self.num_nodes, self.edge_index)[0] == 1
+
+
+def _components(n: int, links: np.ndarray) -> tuple[int, np.ndarray]:
+    """Component count and per-node labels of n nodes linked by (E, 2) positions."""
+    adjacency = coo_matrix((np.ones(len(links)), (links[:, 0], links[:, 1])), shape=(n, n))
+    return _csgraph_components(adjacency, directed=False)
 
 
 @dataclass(frozen=True)
@@ -127,10 +139,7 @@ def connected_sets(nodes, pairs) -> list[frozenset[int]]:
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     pos = np.minimum(np.searchsorted(order, pairs), len(order) - 1)
     links = pos[(order[pos] == pairs).all(axis=1)]
-    adjacency = coo_matrix(
-        (np.ones(len(links)), (links[:, 0], links[:, 1])), shape=(len(order), len(order))
-    )
-    count, labels = _csgraph_components(adjacency, directed=False)
+    count, labels = _components(len(order), links)
     # each piece comes out sorted, so its first entry is its smallest member
     sizes = np.bincount(labels, minlength=count)
     pieces = np.split(order[np.argsort(labels, kind="stable")], np.cumsum(sizes)[:-1])

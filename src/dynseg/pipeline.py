@@ -20,6 +20,7 @@ from .assignment import (
     EnergyParams,
     GAConfig,
     SegmentFeature,
+    solve_exhaustive,
     solve_ga,
 )
 from .cloud_io import InteractionRecord, PointCloudFrame
@@ -101,6 +102,7 @@ class FrameResult:
     splits: list
     interactions_closed: list[InteractionEvent]
     timings_ms: dict[str, float]
+    assignment: str | None  # "exact", "ga", or None when no assignment ran
 
 
 @dataclass
@@ -175,6 +177,7 @@ def process_frame(state: PipelineState, frame: PointCloudFrame) -> FrameResult:
 
     merges: list = []
     splits: list = []
+    path = None
     t = time.perf_counter()
     if state.tree is None:
         tree = init_tree(blobs, graph, fidx, state.alloc, cfg.overseg, cfg.tree) if blobs else None
@@ -206,9 +209,12 @@ def process_frame(state: PipelineState, frame: PointCloudFrame) -> FrameResult:
                 for b in blob_list
             ]
             problem = AssignmentProblem(segments=segments, blobs=blob_feats, params=cfg.energy)
-            ga_cfg = replace(cfg.ga, rng_seed=(cfg.seed ^ fidx) & _MASK64)
             ta = time.perf_counter()
-            assignment = solve_ga(problem, ga_cfg)
+            # enumerate when that is no more label vectors than the GA's shortest run
+            if (len(blob_feats) + 1) ** len(segments) <= cfg.ga.population * (cfg.ga.stagnation_stop + 1):
+                path, assignment = "exact", solve_exhaustive(problem)
+            else:
+                path, assignment = "ga", solve_ga(problem, replace(cfg.ga, rng_seed=(cfg.seed ^ fidx) & _MASK64))
             timings["assignment"] = (time.perf_counter() - ta) * 1e3
 
             sr = cfg.supervoxel.seed_resolution
@@ -259,6 +265,7 @@ def process_frame(state: PipelineState, frame: PointCloudFrame) -> FrameResult:
         splits=splits,
         interactions_closed=closed,
         timings_ms=timings,
+        assignment=path,
     )
 
 

@@ -11,6 +11,7 @@ from dynseg.assignment import (
     BlobFeature,
     EnergyParams,
     GAConfig,
+    _energy_batch,
     energy_of,
     greedy_labels,
     solve_exhaustive,
@@ -195,6 +196,24 @@ class TestExhaustive:
             sol = solve_exhaustive(prob)
             assert sol.energy == pytest.approx(best, rel=1e-10)
             assert energy_of(prob, sol.labels) == pytest.approx(sol.energy, rel=1e-12)
+
+    @pytest.mark.parametrize("ms, mb", [(1, 1), (3, 2), (4, 3), (9, 2)])
+    def test_matches_itertools_reference_with_ties(self, ms, mb):
+        # (9, 2) has 19,683 labelings, three 8,192-row chunks
+        prob = _random_problem(np.random.default_rng(10 * ms + mb), ms, mb)
+        twins = AssignmentProblem(segments=prob.segments, blobs=[prob.blobs[0]] * mb, params=prob.params)
+        # every labeling ties, across chunk boundaries too
+        zero = EnergyParams(alpha=0.0, beta=0.0, gamma=0.0, delta=0.0, rho=0.0)
+        flat = AssignmentProblem(segments=prob.segments, blobs=prob.blobs, params=zero)
+        vectors = np.asarray(list(itertools.product(range(-1, mb), repeat=ms)), dtype=np.int64)
+        for p in (prob, twins, flat):
+            energies = _energy_batch(p, vectors)
+            sol = solve_exhaustive(p)
+            # first minimum in itertools order: the lexicographically smallest, NONE first
+            assert sol.labels.tolist() == vectors[int(np.argmin(energies))].tolist()
+            assert sol.energy == energies.min()
+            if p is twins and mb > 1:  # identical blobs tie exactly at the optimum
+                assert (energies == energies.min()).sum() >= 2
 
     def test_empty_segments(self):
         prob = AssignmentProblem(segments=[], blobs=[], params=_params())

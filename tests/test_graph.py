@@ -230,7 +230,14 @@ class TestAdjacencyGraph:
 
     @pytest.mark.parametrize(
         "edges, weights",
-        [([(0, 1), (1, 0)], [0.5, 0.5]), ([(1, 1)], [0.5]), ([(0, 1)], [0.5, 0.5])],
+        [
+            ([(0, 1), (1, 0)], [0.5, 0.5]),
+            ([(1, 1)], [0.5]),
+            ([(0, 1)], [0.5, 0.5]),
+            # already sorted, so only the checks can reject them
+            ([(0, 1), (0, 1)], [0.5, 0.5]),
+            ([(0, 1), (1, 2)], [0.5]),
+        ],
     )
     def test_constructor_rejects_malformed_edges(self, edges, weights):
         with pytest.raises(ValueError):
@@ -258,6 +265,30 @@ class TestAdjacencyGraph:
         split = graph_from_edges({(0, 1): 0.5}, positions={0: (0, 0, 0), 1: (1, 0, 0), 2: (2, 0, 0)})
         assert not split.is_connected()
         assert graph_from_edges({}).is_connected()
+
+    @settings(max_examples=100, deadline=None)
+    @given(graph=_random_graphs())
+    def test_is_connected_matches_oracle(self, graph):
+        assert graph.is_connected() == (len(_cc_oracle(graph.nodes.tolist(), graph.edges.tolist())) <= 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        pairs=st.sets(st.tuples(st.integers(0, 40), st.integers(0, 40)).filter(lambda p: p[0] < p[1]), max_size=40),
+        data=st.data(),
+    )
+    def test_constructor_same_result_for_any_edge_order(self, pairs, data):
+        ordered = sorted(pairs)
+        weights = dict(zip(ordered, np.linspace(0.01, 1.0, len(ordered)).tolist()))
+        given_order = data.draw(st.permutations(ordered))
+        flips = data.draw(st.lists(st.booleans(), min_size=len(ordered), max_size=len(ordered)))
+        shuffled = [(j, i) if flip else (i, j) for (i, j), flip in zip(given_order, flips)]
+        nodes = sorted({n for p in ordered for n in p})
+        a = AdjacencyGraph(nodes=nodes, edges=ordered, weights=[weights[p] for p in ordered], svs={})
+        b = AdjacencyGraph(nodes=nodes, edges=shuffled, weights=[weights[p] for p in given_order], svs={})
+        for g in (a, b):
+            assert g.edges.dtype == np.int64 and g.edges.shape == (len(ordered), 2)
+            assert g.edges.tolist() == [list(p) for p in ordered]
+            assert g.weights.tolist() == [weights[p] for p in ordered]
 
 
 class TestConnectedComponents:

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from dynseg.assignment import GAConfig
 from dynseg.cloud_io import PointCloudFrame
+from dynseg.evaluation import generate_scenario, make_scenario
 from dynseg.pipeline import (
     PipelineConfig,
     PipelineError,
@@ -44,6 +46,11 @@ def _far_pair(idx):
 def _pair_at(idx, blue_x):
     # per-frame displacement must stay well under rho / beta for tracking
     return _frame(idx, [((0.0, 0.0, 0.0), RED), ((blue_x, 0.0, 0.0), BLUE)])
+
+
+def _touching_pair():
+    """Two separate objects, then one blob holding both."""
+    return [_pair_at(0, 0.20), _pair_at(1, 0.10)]
 
 
 class TestStaticScenes:
@@ -169,6 +176,35 @@ class TestDeterminism:
         for a, b in zip(r1.frames, r2.frames):
             assert np.array_equal(a.point_labels, b.point_labels)
         assert r1.interactions == r2.interactions
+
+
+class TestAssignmentPath:
+    def test_small_instance_is_solved_exactly(self, monkeypatch):
+        def no_ga(*args, **kwargs):
+            raise AssertionError("solve_ga called on a small instance")
+
+        monkeypatch.setattr("dynseg.pipeline.solve_ga", no_ga)
+        result = run_sequence(_touching_pair(), _config())
+        assert [r.assignment for r in result.frames] == [None, "exact"]
+
+    def test_ga_runs_above_its_shortest_run(self):
+        # 2 segments, 1 blob: 4 labelings against a shortest run of 2 * (0 + 1)
+        result = run_sequence(_touching_pair(), _config(ga=GAConfig(population=2, stagnation_stop=0)))
+        assert [r.assignment for r in result.frames] == [None, "ga"]
+
+
+class TestMetamorphic:
+    def test_point_order_does_not_change_labels(self):
+        generated = generate_scenario(make_scenario("approach_merge_split", rng_seed=0))
+        rng = np.random.default_rng(0)
+        perms = [rng.permutation(f.num_points) for f in generated.frames]
+        shuffled = [PointCloudFrame(f.frame_index, f.points[p], f.colors[p]) for f, p in zip(generated.frames, perms)]
+        base = run_sequence(generated.frames, _config())
+        moved = run_sequence(shuffled, _config())
+        assert min(r.blob_count for r in base.frames) == 1  # the spheres touch
+        for a, b, p in zip(base.frames, moved.frames, perms):
+            assert np.array_equal(a.point_labels[p], b.point_labels)
+        assert base.interactions == moved.interactions
 
 
 class TestConfigAndReport:

@@ -17,4 +17,6 @@ def _load(name):
 def test_solver_bench_runs(capsys):
     assert _load("solver_bench").main(["all", "--instances", "2"]) == 0
     out = capsys.readouterr().out
+    assert re.search(r"^pipeline enumerates up to 1300 labelings$", out, re.MULTILINE)
+    assert len(re.findall(r"^ +\d+ +\d+ +\d+ +\d+ +\d+\.\d\d +\d+\.\d\d$", out, re.MULTILINE)) == 2
     assert re.search(r"^worst ratio \d+\.\d{3} over 2 instances$", out, re.MULTILINE)
