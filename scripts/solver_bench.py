@@ -1,17 +1,20 @@
 """Benchmark the discrete solvers against exhaustive baselines.
 
-Two experiments on seeded random instances:
+Three experiments on seeded random instances:
   assignment  per instance, exhaustive enumeration time beside default
               genetic search time, against the labeling count up to which
               the pipeline enumerates; then genetic search vs enumeration,
               sweeping the generation budget: hit rate and mean relative gap
   ncut        spectral bisection vs brute-force bipartition minimum
+  cut         2- and 3-label restricted cuts vs brute-force minimum energy,
+              with the time per cut
 
 Small instance sizes keep the baselines exact; the sweep measures solution
 quality per unit of budget, not wall-clock supremacy.
 """
 
 import argparse
+import itertools
 import sys
 import time
 
@@ -27,7 +30,7 @@ from dynseg.assignment import (
     solve_ga,
 )
 from dynseg.graph import AdjacencyGraph
-from dynseg.graphcut import ncut_value, normalized_cut_bisect
+from dynseg.graphcut import CutParams, CutProblem, cut_energy, ncut_value, normalized_cut_bisect, restricted_cut
 from dynseg.supervoxel import SuperVoxel
 
 
@@ -92,6 +95,31 @@ def brute_force_ncut(graph):
     return best
 
 
+def random_cut_problem(rng, n, num_labels):
+    """A connected graph with random centroids and colors, one seed per label."""
+    graph = random_connected_graph(rng, n)
+    for sv in graph.svs.values():
+        sv.centroid = rng.uniform(0.0, 0.3, 3)
+        sv.mean_color_lab = np.array([rng.uniform(20, 80), rng.uniform(-30, 30), rng.uniform(-30, 30)])
+    seeds = rng.choice(n, size=num_labels, replace=False)
+    return CutProblem(
+        subgraph=graph,
+        label_seeds={int(s): k for k, s in enumerate(seeds)},
+        previous_boundary=rng.uniform(0.0, 0.3, (int(rng.integers(0, 3)), 3)),
+        params=CutParams(seed_resolution=0.08),
+    )
+
+
+def brute_force_cut(problem):
+    free = [n for n in problem.subgraph.nodes.tolist() if n not in problem.label_seeds]
+    best = float("inf")
+    for combo in itertools.product(problem.labels(), repeat=len(free)):
+        labeling = dict(problem.label_seeds)
+        labeling.update(zip(free, combo))
+        best = min(best, cut_energy(problem, labeling))
+    return best
+
+
 def bench_assignment(instances, seed):
     rng = np.random.default_rng(seed)
     params = EnergyParams().resolve(0.08)
@@ -141,9 +169,29 @@ def bench_ncut(instances, seed):
     print(f"worst ratio {worst:.3f} over {instances} instances")
 
 
+def bench_cut(instances, seed):
+    rng = np.random.default_rng(seed)
+    print(f"{'labels':>6} {'nodes':>5} {'edges':>5} {'cut':>9} {'optimum':>9} {'ratio':>9} {'ms':>7}")
+    worst = 1.0
+    total_ms = 0.0
+    for i in range(instances):
+        num_labels = 2 + i % 2
+        problem = random_cut_problem(rng, int(rng.integers(5, 12 if num_labels == 2 else 9)), num_labels)
+        t0 = time.perf_counter()
+        labeling = restricted_cut(problem)
+        ms = (time.perf_counter() - t0) * 1e3
+        total_ms += ms
+        energy, best = cut_energy(problem, labeling), brute_force_cut(problem)
+        ratio = energy / best if best > 0 else 1.0
+        worst = max(worst, ratio)
+        g = problem.subgraph
+        print(f"{num_labels:>6} {g.num_nodes:>5} {len(g.edges):>5} {energy:>9.5f} {best:>9.5f} {ratio:>9.6f} {ms:>7.2f}")
+    print(f"cut worst ratio {worst:.6f} over {instances} instances, {total_ms / instances:.2f} ms per cut")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("experiment", choices=("assignment", "ncut", "all"), nargs="?", default="all")
+    ap.add_argument("experiment", choices=("assignment", "ncut", "cut", "all"), nargs="?", default="all")
     ap.add_argument("--instances", type=int, default=40)
     ap.add_argument("--seed", type=int, default=0)
     ns = ap.parse_args(argv)
@@ -151,6 +199,8 @@ def main(argv=None) -> int:
         bench_assignment(ns.instances, ns.seed)
     if ns.experiment in ("ncut", "all"):
         bench_ncut(min(ns.instances, 20), ns.seed)
+    if ns.experiment in ("cut", "all"):
+        bench_cut(min(ns.instances, 20), ns.seed)
     return 0
 
 

@@ -6,7 +6,8 @@ Cut energy for a labeling l:
 with U(n, l) = min over seeds of label l of
     (|c_n - c_seed| / seed_resolution + dE_lab(n, seed) / 100).
 Seeded nodes keep their seed label (zero cost own label, infinite otherwise).
-Two labels are solved exactly by max-flow; three or more by expansion moves.
+Two labels are solved by max-flow on integer-rounded capacities (exact up to
+the rounding); three or more by expansion moves.
 """
 
 from __future__ import annotations
@@ -15,13 +16,14 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import eigh
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 from scipy.spatial import cKDTree
 
 from .graph import AdjacencyGraph, connected_sets
 
 INF = float("inf")
-_EPS = 1e-12
 COLOR_NORM = 100.0
 
 
@@ -43,8 +45,6 @@ class CutParams:
 class OversegConfig:
     ncut_threshold: float = 0.2  # split while the best bisection costs no more than this
     min_segment_supervoxels: int = 4
-    eigen_tolerance: float = 1e-8
-    eigen_max_iterations: int = 5000
 
 
 @dataclass
@@ -125,80 +125,9 @@ def cut_energy(problem: CutProblem, labeling: dict[int, int]) -> float:
     return _energy(problem, np.searchsorted(labels, lab))
 
 
-class _Dinic:
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self.head: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[float] = []
-
-    def add(self, u: int, v: int, cap_uv: float, cap_vu: float = 0.0) -> None:
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(cap_uv)
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(cap_vu)
-
-    def max_flow(self, s: int, t: int) -> float:
-        flow = 0.0
-        while True:
-            level = [-1] * self.n
-            level[s] = 0
-            queue = [s]
-            for u in queue:
-                for e in self.head[u]:
-                    if self.cap[e] > _EPS and level[self.to[e]] < 0:
-                        level[self.to[e]] = level[u] + 1
-                        queue.append(self.to[e])
-            if level[t] < 0:
-                return flow
-            it = [0] * self.n
-            while True:
-                pushed = self._augment(s, t, level, it)
-                if pushed <= _EPS:
-                    break
-                flow += pushed
-
-    def _augment(self, s: int, t: int, level: list[int], it: list[int]) -> float:
-        """Push flow along the first level-increasing path; 0.0 when none is left.
-
-        Depth-first with an explicit edge stack, so path length is not bounded
-        by the interpreter's recursion limit.  it[u] advances past an edge only
-        once the search below it has come back empty.
-        """
-        path: list[int] = []
-        u = s
-        while u != t:
-            while it[u] < len(self.head[u]):
-                e = self.head[u][it[u]]
-                if self.cap[e] > _EPS and level[self.to[e]] == level[u] + 1:
-                    path.append(e)
-                    u = self.to[e]
-                    break
-                it[u] += 1
-            else:
-                if not path:
-                    return 0.0
-                u = self.to[path.pop() ^ 1]
-                it[u] += 1
-        pushed = min(self.cap[e] for e in path)
-        for e in path:
-            self.cap[e] -= pushed
-            self.cap[e ^ 1] += pushed
-        return pushed
-
-    def source_side(self, s: int) -> set[int]:
-        seen = {s}
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for e in self.head[u]:
-                v = self.to[e]
-                if self.cap[e] > _EPS and v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return seen
+# Quantized finite capacities sum to about this; the int32 flow solver keeps
+# headroom for the rounding and for the seed t-links clamped one above the sum.
+_FLOW_BUDGET = 2**30
 
 
 def _binary_cut(
@@ -208,25 +137,31 @@ def _binary_cut(
 
     Edge k joins node positions pos[k]; it costs cap_ij[k] when its first
     node is 0-side and its second 1-side, and cap_ji[k] for the reverse split.
+    Capacities are rounded to integers at _FLOW_BUDGET / (sum of the finite
+    ones), so the cut is optimal to within (E + N) / that scale.
     """
     n = len(unary0)
-    dinic = _Dinic(n + 2)
     s, t = 0, 1
     # normalize so both t-link caps are non-negative; a node on the source
     # side takes state 0 and pays unary0 via the severed n->t arc
     shift = np.minimum(unary0, unary1)
     shift[shift == INF] = 0.0
-    for k, (c_s, c_t) in enumerate(zip((unary1 - shift).tolist(), (unary0 - shift).tolist())):
-        if c_s > 0:
-            dinic.add(s, k + 2, c_s)
-        if c_t > 0:
-            dinic.add(k + 2, t, c_t)
-    for i, j, c_ij, c_ji in zip(pos[:, 0].tolist(), pos[:, 1].tolist(), cap_ij.tolist(), cap_ji.tolist()):
-        if c_ij > 0 or c_ji > 0:
-            dinic.add(i + 2, j + 2, c_ij, c_ji)
-    dinic.max_flow(s, t)
+    nodes = np.arange(2, n + 2)
+    tail = np.concatenate([np.full(n, s), nodes, pos[:, 0] + 2, pos[:, 1] + 2])
+    head = np.concatenate([nodes, np.full(n, t), pos[:, 1] + 2, pos[:, 0] + 2])
+    cap = np.concatenate([unary1 - shift, unary0 - shift, cap_ij, cap_ji])
+    keep = cap > 0
+    tail, head, cap = tail[keep], head[keep], cap[keep]
+    finite = cap < INF
+    total = float(cap[finite].sum())
+    scale = _FLOW_BUDGET / total if total > 0 else 1.0
+    quantized = np.rint(cap[finite] * scale).astype(np.int64)
+    capacity = np.full(len(cap), int(quantized.sum()) + 1, dtype=np.int32)
+    capacity[finite] = quantized
+    graph = csr_matrix((capacity, (tail, head)), shape=(n + 2, n + 2))
+    residual = graph - maximum_flow(graph, s, t, method="dinic").flow
     sink_side = np.ones(n + 2, dtype=bool)
-    sink_side[list(dinic.source_side(s))] = False
+    sink_side[breadth_first_order(residual > 0, s, return_predecessors=False)] = False
     return sink_side[2:]
 
 
@@ -304,59 +239,30 @@ def ncut_value(graph: AdjacencyGraph, side_a) -> float:
     return _ncut(graph.weights, np.isin(graph.edges, list(side_a)))
 
 
-def _second_eigenvector(graph: AdjacencyGraph, config: OversegConfig) -> np.ndarray:
+def _second_eigenvector(graph: AdjacencyGraph) -> np.ndarray:
     """Second-smallest generalized eigenvector of (D - W) x = t D x.
 
-    Shifted inverse power iteration on the symmetrized problem, deflating the
-    trivial constant eigenvector each step.
+    Solved densely as the symmetrized problem D^-1/2 (D - W) D^-1/2 y = t y
+    with x = D^-1/2 y.  The sign is fixed so that the largest-magnitude
+    entry of x (the first one on a tie) is positive.
     """
     n = graph.num_nodes
     pos = graph.edge_index
     W = np.zeros((n, n))
     W[pos[:, 0], pos[:, 1]] = graph.weights
     W[pos[:, 1], pos[:, 0]] = graph.weights
-    d = W.sum(axis=1)
-    inv_sqrt = 1.0 / np.sqrt(d)
+    inv_sqrt = 1.0 / np.sqrt(W.sum(axis=1))
     lsym = -W * inv_sqrt[:, None] * inv_sqrt[None, :]
     lsym[np.arange(n), np.arange(n)] += 1.0
-    lsym = (lsym + lsym.T) / 2.0
-    z0 = np.sqrt(d)
-    z0 /= np.linalg.norm(z0)
-    shift = 1e-10
-    factor = cho_factor(lsym + shift * np.eye(n))
-
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(0x5EED)))
-    v = rng.standard_normal(n)
-    v -= (z0 @ v) * z0
-    nv = np.linalg.norm(v)
-    if nv < 1e-30:
-        v = np.arange(n, dtype=np.float64) - (n - 1) / 2.0
-        v -= (z0 @ v) * z0
-        nv = np.linalg.norm(v)
-    v /= nv
-    prev_eig = INF
-    for _ in range(config.eigen_max_iterations):
-        y = cho_solve(factor, v)
-        y -= (z0 @ y) * z0
-        ny = np.linalg.norm(y)
-        if ny < 1e-300:
-            raise RuntimeError("eigenvector iteration collapsed")
-        v = y / ny
-        eig = float(v @ (lsym @ v))
-        if abs(eig - prev_eig) <= config.eigen_tolerance * max(1.0, abs(eig)):
-            return inv_sqrt * v
-        prev_eig = eig
-    raise RuntimeError(
-        f"eigenvector iteration did not converge in {config.eigen_max_iterations} iterations"
-    )
+    _, y = eigh(lsym, subset_by_index=[1, 1])
+    x = inv_sqrt * y[:, 0]
+    return -x if x[np.argmax(np.abs(x))] < 0 else x
 
 
 N_THRESHOLDS = 32
 
 
-def normalized_cut_bisect(
-    graph: AdjacencyGraph, config: OversegConfig = OversegConfig()
-) -> tuple[frozenset[int], frozenset[int], float]:
+def normalized_cut_bisect(graph: AdjacencyGraph) -> tuple[frozenset[int], frozenset[int], float]:
     """Best threshold bisection along the second eigenvector.
 
     Threshold chosen among 32 evenly spaced candidates over the eigenvector
@@ -368,7 +274,7 @@ def normalized_cut_bisect(
         raise ValueError("need at least one edge to bisect")
     if not graph.is_connected():
         raise ValueError("subgraph is disconnected; bisect its components first")
-    x = _second_eigenvector(graph, config)
+    x = _second_eigenvector(graph)
     pos = graph.edge_index
     n = graph.num_nodes
     best_cost = INF
@@ -414,7 +320,7 @@ def oversegment(graph: AdjacencyGraph, config: OversegConfig = OversegConfig()) 
         if g.num_nodes < 2 * config.min_segment_supervoxels:
             out.append(frozenset(g.nodes.tolist()))
             return
-        a, b, cost = normalized_cut_bisect(g, config)
+        a, b, cost = normalized_cut_bisect(g)
         if cost <= config.ncut_threshold and len(a) >= config.min_segment_supervoxels and len(b) >= config.min_segment_supervoxels:
             recurse(g.subgraph(a))
             recurse(g.subgraph(b))

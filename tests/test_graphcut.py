@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
@@ -14,7 +14,9 @@ from dynseg.graphcut import (
     CutParams,
     CutProblem,
     OversegConfig,
-    _Dinic,
+    _FLOW_BUDGET,
+    _binary_cut,
+    _second_eigenvector,
     boundary_midpoints,
     cut_energy,
     ncut_value,
@@ -160,6 +162,179 @@ def _ncut_value_loop(graph, side_a):
     return cut / (wa + cut) + cut / (wb + cut)
 
 
+# Max-flow oracle: a pure-Python Dinic on float capacities, and the binary cut
+# built on it one arc at a time.
+
+_EPS = 1e-12
+
+
+class _Dinic:
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.head: list[list[int]] = [[] for _ in range(n)]
+        self.to: list[int] = []
+        self.cap: list[float] = []
+
+    def add(self, u: int, v: int, cap_uv: float, cap_vu: float = 0.0) -> None:
+        self.head[u].append(len(self.to))
+        self.to.append(v)
+        self.cap.append(cap_uv)
+        self.head[v].append(len(self.to))
+        self.to.append(u)
+        self.cap.append(cap_vu)
+
+    def max_flow(self, s: int, t: int) -> float:
+        flow = 0.0
+        while True:
+            level = [-1] * self.n
+            level[s] = 0
+            queue = [s]
+            for u in queue:
+                for e in self.head[u]:
+                    if self.cap[e] > _EPS and level[self.to[e]] < 0:
+                        level[self.to[e]] = level[u] + 1
+                        queue.append(self.to[e])
+            if level[t] < 0:
+                return flow
+            it = [0] * self.n
+            while True:
+                pushed = self._augment(s, t, level, it)
+                if pushed <= _EPS:
+                    break
+                flow += pushed
+
+    def _augment(self, s: int, t: int, level: list[int], it: list[int]) -> float:
+        """Push flow along the first level-increasing path; 0.0 when none is left.
+
+        Depth-first with an explicit edge stack, so path length is not bounded
+        by the interpreter's recursion limit.  it[u] advances past an edge only
+        once the search below it has come back empty.
+        """
+        path: list[int] = []
+        u = s
+        while u != t:
+            while it[u] < len(self.head[u]):
+                e = self.head[u][it[u]]
+                if self.cap[e] > _EPS and level[self.to[e]] == level[u] + 1:
+                    path.append(e)
+                    u = self.to[e]
+                    break
+                it[u] += 1
+            else:
+                if not path:
+                    return 0.0
+                u = self.to[path.pop() ^ 1]
+                it[u] += 1
+        pushed = min(self.cap[e] for e in path)
+        for e in path:
+            self.cap[e] -= pushed
+            self.cap[e ^ 1] += pushed
+        return pushed
+
+    def source_side(self, s: int) -> set[int]:
+        seen = {s}
+        stack = [s]
+        while stack:
+            u = stack.pop()
+            for e in self.head[u]:
+                v = self.to[e]
+                if self.cap[e] > _EPS and v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        return seen
+
+
+def _binary_cut_dinic(
+    unary0: np.ndarray, unary1: np.ndarray, pos: np.ndarray, cap_ij: np.ndarray, cap_ji: np.ndarray
+) -> np.ndarray:
+    """The binary cut on float capacities through _Dinic: the exact minimal min cut."""
+    n = len(unary0)
+    dinic = _Dinic(n + 2)
+    s, t = 0, 1
+    # normalize so both t-link caps are non-negative; a node on the source
+    # side takes state 0 and pays unary0 via the severed n->t arc
+    shift = np.minimum(unary0, unary1)
+    shift[shift == math.inf] = 0.0
+    for k, (c_s, c_t) in enumerate(zip((unary1 - shift).tolist(), (unary0 - shift).tolist())):
+        if c_s > 0:
+            dinic.add(s, k + 2, c_s)
+        if c_t > 0:
+            dinic.add(k + 2, t, c_t)
+    for i, j, c_ij, c_ji in zip(pos[:, 0].tolist(), pos[:, 1].tolist(), cap_ij.tolist(), cap_ji.tolist()):
+        if c_ij > 0 or c_ji > 0:
+            dinic.add(i + 2, j + 2, c_ij, c_ji)
+    dinic.max_flow(s, t)
+    sink_side = np.ones(n + 2, dtype=bool)
+    sink_side[list(dinic.source_side(s))] = False
+    return sink_side[2:]
+
+
+def _binary_energy(unary0, unary1, pos, cap_ij, cap_ji, state):
+    """Energy of a 0/1 state per node under _binary_cut's cost model."""
+    x = np.asarray(state, dtype=bool)
+    first, second = x[pos[:, 0]], x[pos[:, 1]]
+    return float(
+        np.where(x, unary1, unary0).sum() + cap_ij[~first & second].sum() + cap_ji[first & ~second].sum()
+    )
+
+
+def _flow_scale(unary0, unary1, pos, cap_ij, cap_ji):
+    """The quantization scale _binary_cut uses: budget over the finite positive capacities."""
+    shift = np.minimum(unary0, unary1)
+    shift[shift == math.inf] = 0.0
+    cap = np.concatenate([unary1 - shift, unary0 - shift, cap_ij, cap_ji])
+    total = cap[(cap > 0) & (cap < math.inf)].sum()
+    return _FLOW_BUDGET / total if total > 0 else 1.0
+
+
+@st.composite
+def _binary_problems(draw):
+    """Unaries and edge caps of one binary cut; some nodes seeded, some caps zero or tied."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 40))
+    pairs = {tuple(sorted(rng.choice(n, 2, replace=False).tolist())) for _ in range(3 * n)} if n > 1 else set()
+    pos = np.asarray(sorted(pairs), dtype=np.intp).reshape(-1, 2)
+    magnitude = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+
+    def values(size):
+        v = rng.uniform(0.0, magnitude, size)
+        if draw(st.booleans()):  # coarse grid: ties between cuts
+            v = np.round(v * 4 / magnitude) * magnitude / 4
+        v[rng.random(size) < 0.2] = 0.0
+        return v
+
+    unary0, unary1 = values(n), values(n)
+    seeded = rng.random(n) < 0.2
+    forced_one = rng.random(n) < 0.5
+    unary0[seeded & forced_one] = math.inf
+    unary1[seeded & ~forced_one] = math.inf
+    return unary0, unary1, pos, values(len(pos)), values(len(pos))
+
+
+def _random_connected_graph(rng, n):
+    """Random spanning tree plus up to n extra edges, weights in [0.05, 1)."""
+    edges = {}
+    order = rng.permutation(n)
+    for k in range(1, n):
+        a, b = int(order[k]), int(order[int(rng.integers(0, k))])
+        edges[(min(a, b), max(a, b))] = float(rng.uniform(0.05, 1.0))
+    for _ in range(n):
+        i, j = (int(v) for v in rng.integers(0, n, 2))
+        if i != j:
+            edges[(min(i, j), max(i, j))] = float(rng.uniform(0.05, 1.0))
+    return graph_from_edges(edges)
+
+
+def _normalized_laplacian(graph):
+    """Dense D^-1/2 (D - W) D^-1/2 and D^-1/2, built one edge at a time."""
+    index = {v: k for k, v in enumerate(graph.nodes.tolist())}
+    W = np.zeros((graph.num_nodes, graph.num_nodes))
+    for (i, j), w in edge_dict(graph).items():
+        W[index[i], index[j]] = W[index[j], index[i]] = w
+    inv_sqrt = 1.0 / np.sqrt(W.sum(axis=1))
+    return np.eye(len(W)) - inv_sqrt[:, None] * W * inv_sqrt[None, :], inv_sqrt
+
+
 @st.composite
 def _sparse_problems(draw):
     """Cut problems on sparse node ids, edges in random orientation, several seeds per label."""
@@ -283,6 +458,90 @@ class TestMaxFlow:
                         dinic.add(u, v, float(caps[u, v]))
             expected = maximum_flow(csr_matrix(caps), 0, n - 1).flow_value
             assert dinic.max_flow(0, n - 1) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(problem=_binary_problems())
+    def test_binary_cut_energy_within_rounding_of_oracle(self, problem):
+        unary0, unary1, pos, cap_ij, cap_ji = problem
+        got = _binary_energy(*problem, _binary_cut(*problem))
+        want = _binary_energy(*problem, _binary_cut_dinic(*problem))
+        assert math.isfinite(got) and math.isfinite(want)
+        bound = (len(pos) + len(unary0)) / _flow_scale(*problem)
+        assert got - want <= bound + 1e-12 * max(1.0, abs(want))
+
+    def test_capacities_summing_past_int32_keep_the_oracle_cut(self):
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            n = 30
+            pairs = {tuple(sorted(rng.choice(n, 2, replace=False).tolist())) for _ in range(3 * n)}
+            pos = np.asarray(sorted(pairs), dtype=np.intp)
+            unary0, unary1 = rng.uniform(0.5e9, 1.5e9, (2, n))
+            cap = rng.uniform(0.5e9, 1.5e9, len(pos))
+            unary1[:3] = math.inf  # seeded to state 0
+            unary0[3:6] = math.inf  # seeded to state 1
+            problem = (unary0, unary1, pos, cap, cap)
+            assert 1.0 / _flow_scale(*problem) > 2**31 / _FLOW_BUDGET
+            got = _binary_cut(*problem)
+            assert np.array_equal(got, _binary_cut_dinic(*problem))
+            assert not got[:3].any() and got[3:6].all()
+
+    def test_long_chain_through_binary_cut(self):
+        n = 2000
+        cap = 1.0 + np.arange(n - 1) % 7
+        cap[1234] = 0.25
+        unary0, unary1 = np.zeros(n), np.zeros(n)
+        unary1[0] = math.inf
+        unary0[-1] = math.inf
+        pos = np.column_stack([np.arange(n - 1), np.arange(1, n)])
+        assert np.array_equal(_binary_cut(unary0, unary1, pos, cap, cap), np.arange(n) > 1234)
+
+    def test_no_edges_takes_each_cheaper_state(self):
+        unary0 = np.array([0.0, 1.0, 2.0, 0.5, math.inf])
+        unary1 = np.array([1.0, 0.0, 2.0, 0.5, 0.0])
+        pos, none = np.empty((0, 2), dtype=np.intp), np.empty(0)
+        got = _binary_cut(unary0, unary1, pos, none, none)
+        # a tie leaves the node unreached from the source, so on the sink side
+        assert got.tolist() == [False, True, True, True, True]
+        assert np.array_equal(got, _binary_cut_dinic(unary0, unary1, pos, none, none))
+
+    def test_all_zero_capacities_put_every_node_on_the_sink_side(self):
+        pos = np.array([[0, 1], [1, 2], [0, 2]])
+        zeros3 = np.zeros(3)
+        got = _binary_cut(zeros3, zeros3, pos, zeros3, zeros3)
+        assert got.all()
+        assert np.array_equal(got, _binary_cut_dinic(zeros3, zeros3, pos, zeros3, zeros3))
+
+
+class TestSecondEigenvector:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40))
+    def test_matches_dense_reference(self, seed, n):
+        graph = _random_connected_graph(np.random.default_rng(seed), n)
+        lsym, inv_sqrt = _normalized_laplacian(graph)
+        vals, vecs = np.linalg.eigh(lsym)
+        assume(n == 2 or vals[2] - vals[1] > 1e-4)
+        x = _second_eigenvector(graph)
+        ref = inv_sqrt * vecs[:, 1]
+        cos = abs(x @ ref) / (np.linalg.norm(x) * np.linalg.norm(ref))
+        assert cos == pytest.approx(1.0, abs=1e-8)
+        k = int(np.argmax(np.abs(x)))
+        assert x[k] > 0
+        assert not (np.abs(x[:k]) == x[k]).any()
+
+    def test_repeated_eigenvalue_is_deterministic(self):
+        # a uniform 6-cycle: the second eigenvalue, 1/2, has a 2-D eigenspace
+        def cycle():
+            return graph_from_edges({(min(k, (k + 1) % 6), max(k, (k + 1) % 6)): 1.0 for k in range(6)})
+
+        lsym, inv_sqrt = _normalized_laplacian(cycle())
+        assert np.linalg.eigvalsh(lsym)[1:3] == pytest.approx([0.5, 0.5])
+        x = _second_eigenvector(cycle())
+        assert np.array_equal(x, _second_eigenvector(cycle()))
+        y = x / inv_sqrt
+        np.testing.assert_allclose(lsym @ y, 0.5 * y, atol=1e-12)
+        a, b, cost = normalized_cut_bisect(cycle())
+        assert a and b and a | b == frozenset(range(6)) and not a & b
+        assert (a, b, cost) == normalized_cut_bisect(cycle())
 
 
 class TestRestrictedCut:

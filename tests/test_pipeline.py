@@ -236,3 +236,39 @@ class TestConfigAndReport:
         assert sum(1 for l in lines if l.startswith("frame ")) == 3
         assert any(l.startswith("interaction 1 1 0 1") for l in lines)
         assert report.endswith("\n")
+
+
+def _cloud(idx, points, colors=RED):
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    return PointCloudFrame(idx, points, np.broadcast_to(np.asarray(colors, dtype=np.uint8), points.shape))
+
+
+def _plane(idx, gap):
+    """A dense 0.002 m lattice in z = 0: a red and a blue 0.1 m square, gap apart in x."""
+    red, _ = grid_cloud((50, 50, 1), spacing=0.002)
+    blue, _ = grid_cloud((50, 50, 1), spacing=0.002, origin=(0.1 + gap, 0.0, 0.0))
+    return _cloud(idx, np.concatenate([red, blue]), np.repeat([RED, BLUE], len(red), axis=0))
+
+
+_rng = np.random.default_rng(11)
+DEGENERATE = {
+    "one_voxel": [_cloud(i, 0.001 + 0.004 * _rng.random((50, 3))) for i in range(2)],
+    "duplicates": [_cloud(i, np.tile([0.3, -0.2, 0.5], (40, 1))) for i in range(2)],
+    "collinear": [_cloud(i, np.outer(np.arange(300) * 0.002, [1.0, 0.5, 0.0])) for i in range(2)],
+    "two_far_then_one": [_cloud(0, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), _cloud(1, [[0.0, 0.0, 0.0]])],
+    "offset_1e6": [_cloud(i, 1e6 + grid_cloud((30, 30, 2), spacing=0.006)[0]) for i in range(2)],
+    "dense_plane": [_plane(i, gap) for i, gap in enumerate([0.16, 0.12, 0.08, 0.04, 0.0, 0.08, 0.16])],
+}
+
+
+class TestDegenerateInputs:
+    @pytest.mark.parametrize("name", sorted(DEGENERATE))
+    def test_labels_every_point_and_reruns_identically(self, name):
+        frames = DEGENERATE[name]
+        first = run_sequence(frames, PipelineConfig())
+        again = run_sequence(frames, PipelineConfig())
+        for frame, a, b in zip(frames, first.frames, again.frames):
+            assert a.point_labels.shape == (frame.num_points,)
+            assert (a.point_labels >= 0).all()
+            assert np.array_equal(a.point_labels, b.point_labels)
+        assert first.interactions == again.interactions

@@ -20,3 +20,5 @@ def test_solver_bench_runs(capsys):
     assert re.search(r"^pipeline enumerates up to 1300 labelings$", out, re.MULTILINE)
     assert len(re.findall(r"^ +\d+ +\d+ +\d+ +\d+ +\d+\.\d\d +\d+\.\d\d$", out, re.MULTILINE)) == 2
     assert re.search(r"^worst ratio \d+\.\d{3} over 2 instances$", out, re.MULTILINE)
+    cut = re.search(r"^cut worst ratio (\d+\.\d{6}) over 2 instances, \d+\.\d\d ms per cut$", out, re.MULTILINE)
+    assert cut and float(cut.group(1)) >= 1.0
