@@ -65,3 +65,57 @@ def grid_cloud(shape=(4, 4, 1), spacing=0.02, origin=(0.0, 0.0, 0.0), color=(128
     pts = np.asarray(pts, dtype=np.float64)
     cols = np.tile(np.asarray(color, dtype=np.uint8), (len(pts), 1))
     return pts, cols
+
+
+def check_frame_invariants(tree, labels) -> set[int]:
+    """Assert the object tree's partition invariants for one frame.
+
+    ``labels`` are the frame's point labels.  Returns the object ids on file,
+    live or not, so the caller can check across frames that a dropped id
+    never comes back.
+    """
+    labels = np.asarray(labels)
+    assert (labels >= 0).all()
+    objects = {o.object_id: o for o in tree.objects}
+    assert len(objects) == len(tree.objects), "object ids repeat"
+    components = {c.component_id: (c.object_id, c.blob_id, c.supervoxel_ids) for c in tree.components}
+    assert len(components) == len(tree.components), "component ids repeat"
+    segments = [(s.component_id, s.supervoxel_ids) for s in tree.segments]
+    blobs = {b.blob_id: b.member_supervoxels for b in tree.blobs}
+    for oid, o in objects.items():
+        assert sorted(o.component_ids) == sorted(c for c, (owner, _, _) in components.items() if owner == oid)
+
+    live = {oid for oid, _, _ in components.values()}
+    assert set(np.unique(labels).tolist()) == live, "point labels and live objects differ"
+    for cid, (oid, bid, svs) in components.items():
+        assert oid in objects and bid in blobs and svs, f"component {cid} has a dangling link"
+    for bid, members in blobs.items():
+        parts = [svs for _, b, svs in components.values() if b == bid]
+        assert sum(map(len, parts)) == len(members) and frozenset().union(*parts) == members, (
+            f"components do not partition blob {bid}"
+        )
+    for cid, (_, _, svs) in components.items():
+        parts = [s for c, s in segments if c == cid]
+        assert sum(map(len, parts)) == len(svs) and frozenset().union(*parts) == svs, (
+            f"segments do not partition component {cid}"
+        )
+    assert all(c in components for c, _ in segments), "a segment has no component"
+    return set(objects)
+
+
+def run_checked(frames, config):
+    """Run frames through process_frame, checking the invariants after each one."""
+    from dynseg.pipeline import init_state, process_frame
+
+    state = init_state(config)
+    results, on_file, dropped = [], set(), set()
+    for frame in frames:
+        results.append(process_frame(state, frame))
+        if state.tree is None:
+            assert len(results[-1].point_labels) == 0
+            continue
+        now = check_frame_invariants(state.tree, results[-1].point_labels)
+        assert not now & dropped, f"object ids {sorted(now & dropped)} came back"
+        dropped |= on_file - now
+        on_file = now
+    return results

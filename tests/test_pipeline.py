@@ -17,7 +17,7 @@ from dynseg.pipeline import (
 )
 from dynseg.supervoxel import SupervoxelConfig
 
-from helpers import grid_cloud
+from helpers import grid_cloud, run_checked
 
 RED = (200, 50, 50)
 BLUE = (50, 50, 200)
@@ -207,6 +207,18 @@ class TestMetamorphic:
         assert base.interactions == moved.interactions
 
 
+class TestInvariants:
+    @pytest.mark.parametrize("kind", ["static", "approach_merge_split", "occlusion_split", "crossing"])
+    def test_scenario_frames(self, kind):
+        run_checked(generate_scenario(make_scenario(kind, rng_seed=0)).frames, _config())
+
+    def test_merge_and_split_frames(self):
+        frames = generate_scenario(make_scenario("approach_merge_split", rng_seed=1)).frames
+        results = run_checked(frames, PipelineConfig(supervoxel=SupervoxelConfig(voxel_resolution=0.008)))
+        assert sum(len(r.merges) for r in results) == 1
+        assert sum(len(r.splits) for r in results) == 1
+
+
 class TestConfigAndReport:
     def test_unresolved_state_rejected(self):
         state = PipelineState(config=PipelineConfig())
@@ -272,3 +284,7 @@ class TestDegenerateInputs:
             assert (a.point_labels >= 0).all()
             assert np.array_equal(a.point_labels, b.point_labels)
         assert first.interactions == again.interactions
+
+    @pytest.mark.parametrize("name", sorted(DEGENERATE))
+    def test_tree_invariants_hold_on_every_frame(self, name):
+        run_checked(DEGENERATE[name], PipelineConfig())
