@@ -22,3 +22,13 @@ def test_solver_bench_runs(capsys):
     assert re.search(r"^worst ratio \d+\.\d{3} over 2 instances$", out, re.MULTILINE)
     cut = re.search(r"^cut worst ratio (\d+\.\d{6}) over 2 instances, \d+\.\d\d ms per cut$", out, re.MULTILINE)
     assert cut and float(cut.group(1)) >= 1.0
+
+
+def test_output_digest_is_stable(capsys):
+    digest = _load("output_digest")
+    outputs = []
+    for _ in range(2):
+        assert digest.main(["static-0"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert re.fullmatch(r"[0-9a-f]{64}  static-0\n", outputs[0])
+    assert outputs[0] == outputs[1]
