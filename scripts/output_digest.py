@@ -53,7 +53,8 @@ def check_set() -> list[tuple[str, object, float]]:
         out += [(f"{name}-0-seq{i}", s, voxel) for i, s in enumerate(workloads.scenarios(name, 0))]
     out += [(f"{kind}-0", make_scenario(kind, rng_seed=0), 0.02) for kind in KINDS]
     out += [(f"triple_contact_fine-{s}", workloads.scenarios("triple_contact_fine", s)[0], 0.008) for s in (0, 1)]
-    out += [(f"approach_merge_split-{s}-fine", make_scenario("approach_merge_split", rng_seed=s), 0.008) for s in (1, 2)]
+    for s in (1, 2):
+        out.append((f"approach_merge_split-{s}-fine", make_scenario("approach_merge_split", rng_seed=s), 0.008))
     return out
 
 

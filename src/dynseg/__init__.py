@@ -40,9 +40,6 @@ from .graphcut import (
 )
 from .tree import (
     SegTree,
-    ObjectNode,
-    ComponentNode,
-    SegmentNode,
     InteractionEvent,
     TreeParams,
     init_tree,

@@ -39,8 +39,8 @@ class AdjacencyGraph:
     The constructor puts each edge as (i, j) with i < j and sorts the edges
     lexicographically, carrying each weight along; every consumer relies on
     that order; edges that already come in it are kept as given.  A graph is
-    not modified after construction, so ``edge_index`` is computed once.  A
-    subgraph shares the parent's ``svs``.
+    not modified after construction, so ``edge_index`` and the per-node
+    arrays are computed once.  A subgraph shares the parent's ``svs``.
     """
 
     nodes: np.ndarray  # (N,) sorted int64 supervoxel ids
@@ -73,6 +73,25 @@ class AdjacencyGraph:
     def edge_index(self) -> np.ndarray:
         """(E, 2) positions in ``nodes`` of each edge's endpoints."""
         return np.searchsorted(self.nodes, self.edges)
+
+    @cached_property
+    def centroids(self) -> np.ndarray:
+        """(N, 3) supervoxel centroids, in node order."""
+        return self._node_rows("centroid")
+
+    @cached_property
+    def colors_lab(self) -> np.ndarray:
+        """(N, 3) supervoxel mean Lab colours, in node order."""
+        return self._node_rows("mean_color_lab")
+
+    @cached_property
+    def point_counts(self) -> np.ndarray:
+        """(N,) float point count of each supervoxel, in node order."""
+        return np.asarray([len(self.svs[n].point_indices) for n in self.nodes.tolist()], dtype=np.float64)
+
+    def _node_rows(self, attr: str) -> np.ndarray:
+        rows = [getattr(self.svs[n], attr) for n in self.nodes.tolist()]
+        return np.asarray(rows, dtype=np.float64).reshape(-1, 3)
 
     def subgraph(self, node_subset) -> "AdjacencyGraph":
         nodes = np.asarray(sorted(node_subset), dtype=np.int64)

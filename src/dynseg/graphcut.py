@@ -69,7 +69,7 @@ class CutProblem:
         p = self.params.resolve()
         g = self.subgraph
         labels = self.labels()
-        centroids, colors = _node_array(g, "centroid"), _node_array(g, "mean_color_lab")
+        centroids, colors = g.centroids, g.colors_lab
         seeds = np.searchsorted(g.nodes, list(self.label_seeds))
         seed_label = np.searchsorted(labels, list(self.label_seeds.values()))
         ds = np.linalg.norm(centroids[:, None, :] - centroids[None, seeds, :], axis=2)
@@ -92,16 +92,9 @@ class CutProblem:
         return cost
 
 
-def _node_array(graph: AdjacencyGraph, attr: str) -> np.ndarray:
-    """(N, 3) per-node supervoxel attribute, in node order."""
-    rows = [getattr(graph.svs[n], attr) for n in graph.nodes.tolist()]
-    return np.asarray(rows, dtype=np.float64).reshape(-1, 3)
-
-
 def _midpoints(graph: AdjacencyGraph, pos: np.ndarray) -> np.ndarray:
     """(len(pos), 3) centroid midpoints of the node-position pairs ``pos``."""
-    centroids = _node_array(graph, "centroid")
-    return (centroids[pos[:, 0]] + centroids[pos[:, 1]]) / 2.0
+    return (graph.centroids[pos[:, 0]] + graph.centroids[pos[:, 1]]) / 2.0
 
 
 def _energy(problem: CutProblem, lab: np.ndarray) -> float:

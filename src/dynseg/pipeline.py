@@ -24,13 +24,12 @@ from .assignment import (
     solve_ga,
 )
 from .cloud_io import InteractionRecord, PointCloudFrame
-from .graph import AdjacencyGraph, Blob, GraphConfig, build_graph, connected_components
+from .graph import AdjacencyGraph, GraphConfig, build_graph, connected_components
 from .graphcut import CutParams, CutProblem, OversegConfig, boundary_midpoints, restricted_cut
 from .supervoxel import SupervoxelConfig, cluster_supervoxels
 from .tree import (
     IdAllocator,
     InteractionEvent,
-    ObjectNode,
     SegTree,
     TreeParams,
     accumulate_similarities,
@@ -117,45 +116,11 @@ def init_state(config: PipelineConfig) -> PipelineState:
     return PipelineState(config=config.resolved())
 
 
-def _segment_features(tree: SegTree) -> list[SegmentFeature]:
-    comp_obj = {c.component_id: c.object_id for c in tree.components}
-    out = []
-    for seg in sorted(tree.segments, key=lambda s: s.segment_id):
-        out.append(
-            SegmentFeature(
-                centroid=tuple(seg.centroid),
-                mean_color_lab=tuple(seg.mean_color_lab),
-                parent_component_id=seg.component_id,
-                parent_object_id=comp_obj[seg.component_id],
-            )
-        )
-    return out
-
-
-def _point_labels(svs, sv_obj: dict[int, int], n_points: int) -> np.ndarray:
+def _point_labels(graph: AdjacencyGraph, object_of: np.ndarray, n_points: int) -> np.ndarray:
     labels = np.full(n_points, -1, dtype=np.int64)
-    for sv in svs:
-        labels[sv.point_indices] = sv_obj[sv.sv_id]
+    for sv_id, oid in zip(graph.nodes.tolist(), object_of.tolist()):
+        labels[graph.svs[sv_id].point_indices] = oid
     return labels
-
-
-def _fresh_tree(
-    prev: SegTree | None,
-    blobs: list[Blob],
-    graph: AdjacencyGraph,
-    frame_index: int,
-    alloc: IdAllocator,
-    overseg: OversegConfig,
-    params: TreeParams,
-) -> SegTree:
-    """Blobs with nothing to inherit from: every blob founds a new object."""
-    tree = init_tree(blobs, graph, frame_index, alloc, overseg, params)
-    if prev is not None:
-        for o in prev.objects:
-            if not o.component_ids:
-                tree.objects.append(ObjectNode(object_id=o.object_id, component_ids=[], birth_frame=o.birth_frame))
-        tree.objects.sort(key=lambda o: o.object_id)
-    return tree
 
 
 def process_frame(state: PipelineState, frame: PointCloudFrame) -> FrameResult:
@@ -179,88 +144,68 @@ def process_frame(state: PipelineState, frame: PointCloudFrame) -> FrameResult:
     splits: list = []
     path = None
     t = time.perf_counter()
-    if state.tree is None:
-        tree = init_tree(blobs, graph, fidx, state.alloc, cfg.overseg, cfg.tree) if blobs else None
-    elif not blobs:
-        # nothing visible; every object goes (or stays) missing
-        tree = SegTree(
-            frame_index=fidx,
-            blobs=[],
-            objects=[
-                ObjectNode(object_id=o.object_id, component_ids=[], birth_frame=o.birth_frame)
-                for o in state.tree.objects
-            ],
-            components=[],
-            segments=[],
-        )
+    segments = state.tree.segment_features() if state.tree is not None else []
+    for oid in sorted(state.ghosts):
+        segments.extend(state.ghosts[oid].segments)
+    if not blobs or not segments:
+        # nothing to inherit: every blob founds an object, the rest go (or stay) missing
+        tree = init_tree(blobs, graph, fidx, state.alloc, cfg.overseg, cfg.tree, prev=state.tree)
     else:
-        segments = _segment_features(state.tree)
-        for oid in sorted(state.ghosts):
-            segments.extend(state.ghosts[oid].segments)
-        if not segments:
-            tree = _fresh_tree(state.tree, blobs, graph, fidx, state.alloc, cfg.overseg, cfg.tree)
-        else:
-            blob_list = sorted(blobs, key=lambda b: b.blob_id)
-            blob_feats = [
-                BlobFeature(
-                    sv_centroids=np.asarray([graph.svs[i].centroid for i in b.members_sorted]),
-                    sv_colors_lab=np.asarray([graph.svs[i].mean_color_lab for i in b.members_sorted]),
-                )
-                for b in blob_list
-            ]
-            problem = AssignmentProblem(segments=segments, blobs=blob_feats, params=cfg.energy)
-            ta = time.perf_counter()
-            # enumerate when that is no more label vectors than the GA's shortest run
-            if (len(blob_feats) + 1) ** len(segments) <= cfg.ga.population * (cfg.ga.stagnation_stop + 1):
-                path, assignment = "exact", solve_exhaustive(problem)
-            else:
-                path, assignment = "ga", solve_ga(problem, replace(cfg.ga, rng_seed=(cfg.seed ^ fidx) & _MASK64))
-            timings["assignment"] = (time.perf_counter() - ta) * 1e3
-
-            sr = cfg.supervoxel.seed_resolution
-            seeds, seg_site = derive_blob_seeds(problem, assignment, blobs, graph, sr)
-            cuts: dict[int, dict[int, int]] = {}
-            tc = time.perf_counter()
-            for blob in blob_list:
-                if len(set(seeds[blob.blob_id].values())) >= 2:
-                    cut_problem = CutProblem(
-                        subgraph=graph.subgraph(blob.member_supervoxels),
-                        label_seeds=seeds[blob.blob_id],
-                        previous_boundary=state.boundary,
-                        params=cfg.cut,
-                    )
-                    cuts[blob.blob_id] = restricted_cut(cut_problem)
-            timings["cut"] = (time.perf_counter() - tc) * 1e3
-
-            tree = update_tree(
-                state.tree, blobs, graph, problem, seeds, seg_site, cuts, fidx, state.alloc, cfg.overseg
+        blob_list = sorted(blobs, key=lambda b: b.blob_id)
+        blob_feats = [
+            BlobFeature(
+                sv_centroids=np.asarray([graph.svs[i].centroid for i in b.members_sorted]),
+                sv_colors_lab=np.asarray([graph.svs[i].mean_color_lab for i in b.members_sorted]),
             )
-            tree = accumulate_similarities(tree, state.tree, graph, cfg.tree)
-            tree, audit = confirm_splits_merges(tree, graph, cfg.tree, state.alloc, cfg.overseg)
-            merges, splits = audit["merges"], audit["splits"]
+            for b in blob_list
+        ]
+        problem = AssignmentProblem(segments=segments, blobs=blob_feats, params=cfg.energy)
+        ta = time.perf_counter()
+        # enumerate when that is no more label vectors than the GA's shortest run
+        if (len(blob_feats) + 1) ** len(segments) <= cfg.ga.population * (cfg.ga.stagnation_stop + 1):
+            path, assignment = "exact", solve_exhaustive(problem)
+        else:
+            path, assignment = "ga", solve_ga(problem, replace(cfg.ga, rng_seed=(cfg.seed ^ fidx) & _MASK64))
+        timings["assignment"] = (time.perf_counter() - ta) * 1e3
 
-    closed: list[InteractionEvent] = []
-    if tree is not None:
-        state.open_events, closed = detect_interactions(tree, state.open_events)
-        _update_ghosts(state, tree, fidx)
-        sv_obj = tree.sv_to_object()
-        state.boundary = boundary_midpoints(graph, sv_obj)
-        labels = _point_labels(svs, sv_obj, len(frame.points))
-        state.tree = tree
-    else:
-        labels = np.zeros(0, dtype=np.int64)
-        state.boundary = np.zeros((0, 3))
+        sr = cfg.supervoxel.seed_resolution
+        seeds, seg_site = derive_blob_seeds(problem, assignment, blobs, graph, sr)
+        cuts: dict[int, dict[int, int]] = {}
+        tc = time.perf_counter()
+        for blob in blob_list:
+            if len(set(seeds[blob.blob_id].values())) >= 2:
+                cut_problem = CutProblem(
+                    subgraph=graph.subgraph(blob.member_supervoxels),
+                    label_seeds=seeds[blob.blob_id],
+                    previous_boundary=state.boundary,
+                    params=cfg.cut,
+                )
+                cuts[blob.blob_id] = restricted_cut(cut_problem)
+        timings["cut"] = (time.perf_counter() - tc) * 1e3
+
+        tree = update_tree(
+            state.tree, blobs, graph, problem, seeds, seg_site, cuts, fidx, state.alloc, cfg.overseg
+        )
+        tree = accumulate_similarities(tree, state.tree, graph, cfg.tree)
+        tree, audit = confirm_splits_merges(tree, graph, cfg.tree, state.alloc, cfg.overseg)
+        merges, splits = audit["merges"], audit["splits"]
+
+    state.open_events, closed = detect_interactions(tree, state.open_events)
+    _update_ghosts(state, tree, fidx)
+    object_of = tree.object_of()
+    state.boundary = boundary_midpoints(graph, dict(zip(graph.nodes.tolist(), object_of.tolist())))
+    labels = _point_labels(graph, object_of, frame.num_points)
+    state.tree = tree
     timings["tree"] = (time.perf_counter() - t) * 1e3 - timings["assignment"] - timings["cut"]
     timings["total"] = (time.perf_counter() - t_total) * 1e3
     state.frames_seen += 1
 
-    live = tree.objects if tree else []
     return FrameResult(
         frame_index=fidx,
         point_labels=labels,
         supervoxel_count=len(svs),
         blob_count=len(blobs),
-        object_count=sum(1 for o in live if o.component_ids),
+        object_count=len(tree.live_objects()),
         merges=merges,
         splits=splits,
         interactions_closed=closed,
@@ -272,20 +217,18 @@ def process_frame(state: PipelineState, frame: PointCloudFrame) -> FrameResult:
 def _update_ghosts(state: PipelineState, tree: SegTree, frame_index: int) -> None:
     """Track objects with no presence this frame; expire long-missing ones."""
     retention = state.config.retention_frames
-    prev = state.tree
-    live = {c.object_id for c in tree.components}
-    for oid in sorted(live):
+    for oid in tree.live_objects():
         state.ghosts.pop(oid, None)
-    prev_feats = _segment_features(prev) if prev is not None else []
-    for o in list(tree.objects):
-        oid = o.object_id
-        if oid in live or oid in state.ghosts:
+    prev_feats = state.tree.segment_features() if state.tree is not None else []
+    unrecorded = []  # nothing recorded to revive them from
+    for oid in tree.missing_objects():
+        if oid in state.ghosts:
             continue
         feats = [f for f in prev_feats if f.parent_object_id == oid]
         if feats:
             state.ghosts[oid] = _Ghost(segments=feats, missing_since=frame_index)
         else:
-            tree.objects.remove(o)  # nothing recorded to revive it from
+            unrecorded.append(oid)
     expired = [
         oid
         for oid, g in state.ghosts.items()
@@ -293,7 +236,7 @@ def _update_ghosts(state: PipelineState, tree: SegTree, frame_index: int) -> Non
     ]
     for oid in expired:
         del state.ghosts[oid]
-        tree.objects = [o for o in tree.objects if o.object_id != oid]
+    tree.forget(unrecorded + expired)
 
 
 def run_sequence(frames, config: PipelineConfig) -> SequenceResult:
@@ -313,9 +256,7 @@ def run_sequence(frames, config: PipelineConfig) -> SequenceResult:
 def format_run_report(result: SequenceResult) -> str:
     lines = ["run v1"]
     lines.append(f"frames {len(result.frames)}")
-    final_objects = (
-        sum(1 for o in result.final_tree.objects if o.component_ids) if result.final_tree else 0
-    )
+    final_objects = len(result.final_tree.live_objects()) if result.final_tree else 0
     lines.append(f"objects {final_objects}")
     lines.append(f"interactions {len(result.interactions)}")
     for r in result.frames:

@@ -105,9 +105,12 @@ def _growth_metric(centroid_a, lab_a, centroid_b, lab_b, config: SupervoxelConfi
 
 
 def _group_means(values: np.ndarray, groups: np.ndarray, n: int, weights: np.ndarray | None = None) -> np.ndarray:
-    """(n, 3) weighted means of ``values`` rows by group label 0..n-1."""
+    """(n, k) weighted means of the (m, k) ``values`` rows by group label 0..n-1.
+
+    Each group's sum accumulates its rows in input order.
+    """
     w = np.ones(len(groups)) if weights is None else weights
-    sums = np.stack([np.bincount(groups, weights=w * values[:, k], minlength=n) for k in range(3)], axis=1)
+    sums = np.stack([np.bincount(groups, weights=w * col, minlength=n) for col in values.T], axis=1)
     return sums / np.bincount(groups, weights=w, minlength=n)[:, None]
 
 

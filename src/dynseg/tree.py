@@ -9,15 +9,18 @@ with the previous accumulated value.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .assignment import Assignment, AssignmentProblem
+from .assignment import Assignment, AssignmentProblem, SegmentFeature
 from .cloud_io import InteractionRecord
 from .graph import AdjacencyGraph, Blob, connected_sets
 from .graphcut import OversegConfig, oversegment
+from .supervoxel import _group_means
 
 
 @dataclass
@@ -34,30 +37,6 @@ class TreeParams:
             sigma_distance=2.0 * seed_resolution if self.sigma_distance is None else self.sigma_distance,
             candidate_gap=3.0 * seed_resolution if self.candidate_gap is None else self.candidate_gap,
         )
-
-
-@dataclass
-class ObjectNode:
-    object_id: int
-    component_ids: list[int]
-    birth_frame: int
-
-
-@dataclass
-class ComponentNode:
-    component_id: int
-    object_id: int
-    blob_id: int
-    supervoxel_ids: frozenset[int]
-
-
-@dataclass
-class SegmentNode:
-    segment_id: int
-    component_id: int
-    supervoxel_ids: frozenset[int]
-    centroid: np.ndarray
-    mean_color_lab: np.ndarray
 
 
 @dataclass
@@ -78,116 +57,123 @@ class InteractionEvent:
 
 @dataclass
 class SegTree:
+    """One frame's tree as labels over the frame graph's sorted supervoxel ids.
+
+    Objects on file include those with no component this frame.  Segment ids
+    run 0..S-1 in segment order.  Object membership, component lists and
+    supervoxel sets are derived from these fields when needed.
+    """
+
     frame_index: int
-    blobs: list[Blob]
-    objects: list[ObjectNode]
-    components: list[ComponentNode]
-    segments: list[SegmentNode]
+    nodes: np.ndarray  # (N,) sorted supervoxel ids
+    component_of: np.ndarray  # (N,) component id per supervoxel
+    segment_of: np.ndarray  # (N,) segment id per supervoxel
+    components: dict[int, tuple[int, int]]  # component id -> (object id, blob id)
+    births: dict[int, int]  # object id on file -> birth frame
+    segment_centroids: np.ndarray  # (S, 3) point-weighted centroid per segment
+    segment_colors: np.ndarray  # (S, 3) point-weighted mean Lab colour per segment
     object_similarity: dict[tuple[int, int], float] = field(default_factory=dict)
     component_similarity: dict[int, dict[tuple[int, int], float]] = field(default_factory=dict)
 
-    def object_by_id(self, oid: int) -> ObjectNode:
-        for o in self.objects:
-            if o.object_id == oid:
-                return o
-        raise KeyError(oid)
+    def object_of(self) -> np.ndarray:
+        """(N,) object id of each supervoxel."""
+        owner = {cid: oid for cid, (oid, _) in self.components.items()}
+        return np.asarray([owner[c] for c in self.component_of.tolist()], dtype=np.int64)
 
-    def component_by_id(self, cid: int) -> ComponentNode:
-        for c in self.components:
-            if c.component_id == cid:
-                return c
-        raise KeyError(cid)
+    def live_objects(self) -> list[int]:
+        """Ids of the objects with supervoxels this frame, ascending."""
+        return sorted({oid for oid, _ in self.components.values()})
 
-    def components_of_object(self, oid: int) -> list[ComponentNode]:
-        return [c for c in self.components if c.object_id == oid]
+    def missing_objects(self) -> list[int]:
+        """Ids of the objects on file with no supervoxels this frame, ascending."""
+        return sorted(self.births.keys() - self.live_objects())
 
-    def segments_of_component(self, cid: int) -> list[SegmentNode]:
-        return [s for s in self.segments if s.component_id == cid]
+    def forget(self, object_ids) -> None:
+        """Take objects with no supervoxels off file."""
+        for oid in object_ids:
+            del self.births[oid]
 
-    def sv_to_object(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for c in self.components:
-            for sv in c.supervoxel_ids:
-                out[sv] = c.object_id
-        return out
-
-    def object_supervoxels(self, oid: int) -> frozenset[int]:
-        out: set[int] = set()
-        for c in self.components:
-            if c.object_id == oid:
-                out |= c.supervoxel_ids
-        return frozenset(out)
+    def segment_features(self) -> list[SegmentFeature]:
+        """Segment centroid, colour and parents, in segment order."""
+        parents = self.component_of[np.unique(self.segment_of, return_index=True)[1]].tolist()
+        return [
+            SegmentFeature(
+                centroid=tuple(cen),
+                mean_color_lab=tuple(col),
+                parent_component_id=cid,
+                parent_object_id=self.components[cid][0],
+            )
+            for cen, col, cid in zip(self.segment_centroids, self.segment_colors, parents)
+        ]
 
 
 class IdAllocator:
     """Monotone id sources; object and component ids are never reused."""
 
     def __init__(self) -> None:
-        self._next_object = 0
-        self._next_component = 0
+        self._objects = itertools.count()
+        self._components = itertools.count()
 
     def new_object_id(self) -> int:
-        oid = self._next_object
-        self._next_object += 1
-        return oid
+        return next(self._objects)
 
     def new_component_id(self) -> int:
-        cid = self._next_component
-        self._next_component += 1
-        return cid
+        return next(self._components)
 
 
-def _pair(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a < b else (b, a)
+def _grouped(pairs) -> dict[int, list[int]]:
+    """key -> its values, in order, of (key, value) pairs."""
+    out: dict[int, list[int]] = {}
+    for key, value in pairs:
+        out.setdefault(key, []).append(value)
+    return out
 
 
-def _weighted_features(sv_ids, graph: AdjacencyGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Point-count-weighted centroid and mean Lab color of a supervoxel set."""
-    ids = sorted(sv_ids)
-    w = np.asarray([len(graph.svs[i].point_indices) for i in ids], dtype=np.float64)
-    cen = np.asarray([graph.svs[i].centroid for i in ids])
-    col = np.asarray([graph.svs[i].mean_color_lab for i in ids])
-    total = w.sum()
-    return (cen * w[:, None]).sum(axis=0) / total, (col * w[:, None]).sum(axis=0) / total
+def _by_object(tree: SegTree) -> dict[int, list[int]]:
+    """Object id -> its component ids, in table order."""
+    return _grouped((oid, cid) for cid, (oid, _) in tree.components.items())
+
+
+def _gap(centroids_a: np.ndarray, centroids_b: np.ndarray) -> float:
+    """Smallest distance between two sets of supervoxel centroids."""
+    return float(np.min(np.linalg.norm(centroids_a[:, None, :] - centroids_b[None, :, :], axis=2)))
 
 
 def compute_similarity(a_svs, b_svs, graph: AdjacencyGraph, params: TreeParams) -> float:
-    """sim = exp(-gap / sigma_d) * exp(-dE_lab / sigma_c) over two supervoxel sets."""
+    """sim = exp(-gap / sigma_d) * exp(-dE_lab / sigma_c) over two supervoxel sets.
+
+    The gap is the smallest centroid distance between the sets; dE_lab
+    compares their point-weighted mean colours.
+    """
     if params.sigma_distance is None:
         raise ValueError("params must be resolved")
-    if not a_svs or not b_svs:
+    a, b = (np.searchsorted(graph.nodes, sorted(svs)) for svs in (a_svs, b_svs))
+    if not (len(a) and len(b)):
         raise ValueError("similarity of an empty supervoxel set is undefined")
-    gap = _min_gap(a_svs, b_svs, graph)
-    _, col_a = _weighted_features(a_svs, graph)
-    _, col_b = _weighted_features(b_svs, graph)
-    de = float(np.linalg.norm(col_a - col_b))
+    _, color = _means(graph, np.concatenate([a, b]), np.repeat([0, 1], [len(a), len(b)]))
+    gap = _gap(graph.centroids[a], graph.centroids[b])
+    de = float(np.linalg.norm(color[0] - color[1]))
     return math.exp(-gap / params.sigma_distance) * math.exp(-de / params.sigma_color)
 
 
-def _min_gap(a_svs, b_svs, graph: AdjacencyGraph) -> float:
-    ca = np.asarray([graph.svs[i].centroid for i in sorted(a_svs)])
-    cb = np.asarray([graph.svs[i].centroid for i in sorted(b_svs)])
-    return float(np.min(np.linalg.norm(ca[:, None, :] - cb[None, :, :], axis=2)))
-
-
-def _segments_for_component(
-    comp: ComponentNode, graph: AdjacencyGraph, overseg: OversegConfig, next_segment_id: list[int]
-) -> list[SegmentNode]:
-    parts = oversegment(graph.subgraph(comp.supervoxel_ids), overseg)
-    out = []
+def _segment(graph: AdjacencyGraph, parts, segment_of: np.ndarray, overseg: OversegConfig):
+    """Over-segment each part in turn into the next free segment ids; return all segment means."""
+    next_id = segment_of.max(initial=-1) + 1
     for part in parts:
-        cen, col = _weighted_features(part, graph)
-        out.append(
-            SegmentNode(
-                segment_id=next_segment_id[0],
-                component_id=comp.component_id,
-                supervoxel_ids=part,
-                centroid=cen,
-                mean_color_lab=col,
-            )
-        )
-        next_segment_id[0] += 1
-    return out
+        for seg in oversegment(graph.subgraph(part), overseg):
+            segment_of[np.searchsorted(graph.nodes, sorted(seg))] = next_id
+            next_id += 1
+    return _means(graph, slice(None), segment_of)
+
+
+def _means(graph: AdjacencyGraph, at, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Point-weighted centroid and mean Lab colour per label 0..n-1 of the nodes at positions ``at``.
+
+    Each label's members are summed in node order, as a loop over sorted ids would.
+    """
+    rows = np.hstack([graph.centroids[at], graph.colors_lab[at]])
+    means = _group_means(rows, labels, labels.max(initial=-1) + 1, graph.point_counts[at])
+    return means[:, :3], means[:, 3:]
 
 
 def init_tree(
@@ -197,40 +183,16 @@ def init_tree(
     alloc: IdAllocator,
     overseg: OversegConfig,
     params: TreeParams,
+    prev: SegTree | None = None,
 ) -> SegTree:
-    """First frame: every blob becomes one object with one component."""
-    if params.candidate_gap is None:
-        raise ValueError("params must be resolved")
-    objects: list[ObjectNode] = []
-    components: list[ComponentNode] = []
-    segments: list[SegmentNode] = []
-    next_seg = [0]
-    for blob in sorted(blobs, key=lambda b: b.blob_id):
-        oid = alloc.new_object_id()
-        cid = alloc.new_component_id()
-        comp = ComponentNode(
-            component_id=cid,
-            object_id=oid,
-            blob_id=blob.blob_id,
-            supervoxel_ids=blob.member_supervoxels,
-        )
-        objects.append(ObjectNode(object_id=oid, component_ids=[cid], birth_frame=frame_index))
-        components.append(comp)
-        segments.extend(_segments_for_component(comp, graph, overseg, next_seg))
-    tree = SegTree(
-        frame_index=frame_index,
-        blobs=list(blobs),
-        objects=objects,
-        components=components,
-        segments=segments,
-        component_similarity={o.object_id: {} for o in objects},
-    )
-    # candidate pairs start accumulating from zero
-    for i, a in enumerate(objects):
-        for b in objects[i + 1 :]:
-            gap = _min_gap(tree.object_supervoxels(a.object_id), tree.object_supervoxels(b.object_id), graph)
-            if gap < params.candidate_gap:
-                tree.object_similarity[_pair(a.object_id, b.object_id)] = 0.0
+    """A frame with nothing to inherit: every blob founds an object with one component.
+
+    The objects on file in ``prev`` stay on file, with no components.  New
+    objects closer than candidate_gap start accumulating their similarity
+    from zero.
+    """
+    tree = update_tree(prev, blobs, graph, None, {b.blob_id: {} for b in blobs}, {}, {}, frame_index, alloc, overseg)
+    tree.object_similarity = dict.fromkeys(_candidates(tree, graph, params, {}), 0.0)
     return tree
 
 
@@ -301,10 +263,10 @@ def derive_blob_seeds(
 
 
 def update_tree(
-    prev: SegTree,
+    prev: SegTree | None,
     blobs: list[Blob],
     graph: AdjacencyGraph,
-    problem: AssignmentProblem,
+    problem: AssignmentProblem | None,
     seeds: dict[int, dict[int, int]],
     seg_site: dict[int, tuple[int, int]],
     cuts: dict[int, dict[int, int]],
@@ -315,101 +277,63 @@ def update_tree(
     """Carry object identity into the current frame's blob partition.
 
     seeds and seg_site are derive_blob_seeds' output for this frame's
-    assignment.  Single-label blobs go wholly to their object, multi-label
-    blobs use the supplied cut labelings, and unassigned blobs found new
-    objects.
+    assignment of ``problem``.  Single-label blobs go wholly to their object,
+    multi-label blobs use the supplied cut labelings, and unassigned blobs
+    found new objects.  The objects on file in ``prev`` stay on file.
     """
-    sv_object: dict[int, int] = {}
-    births: dict[int, int] = {o.object_id: o.birth_frame for o in prev.objects}
-    blob_list = sorted(blobs, key=lambda b: b.blob_id)
-    for blob in blob_list:
-        blob_seeds = seeds[blob.blob_id]
-        labels = sorted(set(blob_seeds.values()))
+    nodes = graph.nodes
+    owner = np.empty(len(nodes), dtype=np.int64)  # object per supervoxel
+    blob_of = np.empty(len(nodes), dtype=np.int64)
+    births = dict(prev.births) if prev is not None else {}
+    for blob in sorted(blobs, key=lambda b: b.blob_id):
+        at = np.searchsorted(nodes, blob.members_sorted)
+        blob_of[at] = blob.blob_id
+        labels = sorted(set(seeds[blob.blob_id].values()))
         if not labels:
-            oid = alloc.new_object_id()
-            births[oid] = frame_index
-            for sv in blob.member_supervoxels:
-                sv_object[sv] = oid
-        elif len(labels) == 1:
-            for sv in blob.member_supervoxels:
-                sv_object[sv] = labels[0]
+            labels = [alloc.new_object_id()]
+            births[labels[0]] = frame_index
+        if len(labels) == 1:
+            owner[at] = labels[0]
         else:
-            cut = cuts.get(blob.blob_id)
-            if cut is None:
-                raise ValueError(f"multi-label blob {blob.blob_id} has no cut labeling")
-            for sv in blob.member_supervoxels:
-                if sv not in cut:
-                    raise ValueError(f"cut for blob {blob.blob_id} misses supervoxel {sv}")
-                sv_object[sv] = cut[sv]
+            cut = cuts.get(blob.blob_id, {})
+            if not blob.member_supervoxels <= cut.keys():
+                raise ValueError(f"multi-label blob {blob.blob_id} has no cut label for every supervoxel")
+            owner[at] = [cut[sv] for sv in nodes[at].tolist()]
 
-    # components: connected pieces of each (object, blob) region
-    components: list[ComponentNode] = []
-    # blobs are the graph's connected components, so no edge joins two blobs
-    blob_of = {sv: blob.blob_id for blob in blob_list for sv in blob.member_supervoxels}
-    node_object = np.asarray([sv_object[sv] for sv in graph.nodes.tolist()], dtype=np.int64)
+    # components: connected pieces of each (object, blob) region, as node
+    # positions ordered by (blob, object, smallest member); no edge joins two blobs
     pos = graph.edge_index
-    inside = graph.edges[node_object[pos[:, 0]] == node_object[pos[:, 1]]]
-    raw_pieces: list[tuple[int, int, frozenset[int]]] = sorted(  # (blob, object, svs)
-        ((blob_of[min(piece)], sv_object[min(piece)], piece) for piece in connected_sets(graph.nodes, inside)),
-        key=lambda entry: (entry[0], entry[1], min(entry[2])),
+    inside = graph.edges[owner[pos[:, 0]] == owner[pos[:, 1]]]
+    pieces = sorted(
+        (np.searchsorted(nodes, sorted(p)) for p in connected_sets(nodes, inside)),
+        key=lambda at: (blob_of[at[0]], owner[at[0]], at[0]),
     )
-    piece_of_sv = {sv: idx for idx, (_, _, piece) in enumerate(raw_pieces) for sv in piece}
+    piece_of = np.empty(len(nodes), dtype=np.int64)
+    for k, at in enumerate(pieces):
+        piece_of[at] = k
 
     # component id inheritance: each previous component passes its id to the
     # piece that received most of its assigned segments
-    prev_comp_object = {c.component_id: c.object_id for c in prev.components}
-    votes: dict[int, dict[int, int]] = {}
-    for s, (blob_id, sv) in seg_site.items():
+    votes: dict[int, Counter] = {}
+    for s, (_, sv) in seg_site.items():
         seg = problem.segments[s]
-        piece_idx = piece_of_sv.get(sv)
-        if piece_idx is None:
-            continue
-        if raw_pieces[piece_idx][1] != seg.parent_object_id:
-            continue  # the piece went to another object in the cut
-        votes.setdefault(seg.parent_component_id, {})[piece_idx] = (
-            votes.get(seg.parent_component_id, {}).get(piece_idx, 0) + 1
-        )
+        at = np.searchsorted(nodes, sv)
+        if owner[at] == seg.parent_object_id:  # else the piece went to another object in the cut
+            votes.setdefault(seg.parent_component_id, Counter())[int(piece_of[at])] += 1
+    prev_owner = {cid: oid for cid, (oid, _) in prev.components.items()} if prev is not None else {}
     piece_cid: dict[int, int] = {}
     for cid in sorted(votes):
-        ranked = sorted(votes[cid].items(), key=lambda kv: (-kv[1], min(raw_pieces[kv[0]][2])))
-        for piece_idx, _count in ranked:
-            if piece_idx not in piece_cid and raw_pieces[piece_idx][1] == prev_comp_object.get(cid):
-                piece_cid[piece_idx] = cid
+        tally = votes[cid]
+        for k in sorted(tally, key=lambda k: (-tally[k], pieces[k][0])):
+            if k not in piece_cid and owner[pieces[k][0]] == prev_owner.get(cid):
+                piece_cid[k] = cid
                 break
-    for idx, (blob_id, oid, piece) in enumerate(raw_pieces):
-        cid = piece_cid.get(idx)
-        if cid is None:
-            cid = alloc.new_component_id()
-        components.append(
-            ComponentNode(component_id=cid, object_id=oid, blob_id=blob_id, supervoxel_ids=piece)
-        )
-
-    present = sorted({c.object_id for c in components})
-    objects = []
-    comp_ids: dict[int, list[int]] = {}
-    for c in components:
-        comp_ids.setdefault(c.object_id, []).append(c.component_id)
-    for oid in present:
-        objects.append(ObjectNode(object_id=oid, component_ids=sorted(comp_ids[oid]), birth_frame=births[oid]))
-    # objects that lost every supervoxel stay listed; retention is decided upstream
-    for o in prev.objects:
-        if o.object_id not in comp_ids:
-            objects.append(ObjectNode(object_id=o.object_id, component_ids=[], birth_frame=o.birth_frame))
-    objects.sort(key=lambda o: o.object_id)
-
-    next_seg = [0]
-    segments: list[SegmentNode] = []
-    for comp in components:
-        segments.extend(_segments_for_component(comp, graph, overseg, next_seg))
-    return SegTree(
-        frame_index=frame_index,
-        blobs=list(blobs),
-        objects=objects,
-        components=components,
-        segments=segments,
-        object_similarity={},
-        component_similarity={},
-    )
+    cids = [piece_cid[k] if k in piece_cid else alloc.new_component_id() for k in range(len(pieces))]
+    component_of = np.asarray(cids, dtype=np.int64)[piece_of]
+    components = {cid: (int(owner[at[0]]), int(blob_of[at[0]])) for cid, at in zip(cids, pieces)}
+    segment_of = np.full(len(nodes), -1, dtype=np.int64)
+    features = _segment(graph, (nodes[at] for at in pieces), segment_of, overseg)
+    return SegTree(frame_index, nodes, component_of, segment_of, components, births, *features)
 
 
 def accumulate_similarities(
@@ -421,53 +345,44 @@ def accumulate_similarities(
     similarity.  Objects with no supervoxels this frame drop out of the
     matrices until they reappear.
     """
+    object_of = tree.object_of()
+    members = {oid: tree.nodes[object_of == oid] for oid in tree.live_objects()}
+    prev_obj = prev.object_similarity if prev is not None else {}
+    tree.object_similarity = _accumulate(_candidates(tree, graph, params, prev_obj), members, prev_obj, graph, params)
+
+    members = {cid: tree.nodes[tree.component_of == cid] for cid in tree.components}
+    prev_comp = prev.component_similarity if prev is not None else {}
+    tree.component_similarity = {
+        oid: _accumulate(itertools.combinations(sorted(cids), 2), members, prev_comp.get(oid, {}), graph, params)
+        for oid, cids in _by_object(tree).items()
+    }
+    return tree
+
+
+def _candidates(tree: SegTree, graph: AdjacencyGraph, params: TreeParams, tracked) -> list[tuple[int, int]]:
+    """Live object pairs that share a blob, are already tracked, or lie closer than candidate_gap."""
     if params.candidate_gap is None:
         raise ValueError("params must be resolved")
-    alive = [o.object_id for o in tree.objects if tree.object_supervoxels(o.object_id)]
-    sv_sets = {oid: tree.object_supervoxels(oid) for oid in alive}
-    prev_obj = prev.object_similarity if prev is not None else {}
+    object_of = tree.object_of()
+    pairs: set[tuple[int, int]] = set()
+    for oids in _grouped((bid, oid) for oid, bid in tree.components.values()).values():
+        pairs.update(itertools.combinations(sorted(set(oids)), 2))
+    for a, b in itertools.combinations(tree.live_objects(), 2):
+        if (a, b) not in pairs and (
+            (a, b) in tracked
+            or _gap(graph.centroids[object_of == a], graph.centroids[object_of == b]) < params.candidate_gap
+        ):
+            pairs.add((a, b))
+    return sorted(pairs)
 
-    candidates: set[tuple[int, int]] = set()
-    by_blob: dict[int, set[int]] = {}
-    for c in tree.components:
-        by_blob.setdefault(c.blob_id, set()).add(c.object_id)
-    for oids in by_blob.values():
-        ordered = sorted(oids)
-        for i, a in enumerate(ordered):
-            for b in ordered[i + 1 :]:
-                candidates.add(_pair(a, b))
-    for i, a in enumerate(alive):
-        for b in alive[i + 1 :]:
-            key = _pair(a, b)
-            if key in candidates:
-                continue
-            if key in prev_obj:
-                candidates.add(key)
-            elif _min_gap(sv_sets[a], sv_sets[b], graph) < params.candidate_gap:
-                candidates.add(key)
 
-    obj_sim: dict[tuple[int, int], float] = {}
-    for key in sorted(candidates):
-        a, b = key
-        if a not in sv_sets or b not in sv_sets:
-            continue
-        now = compute_similarity(sv_sets[a], sv_sets[b], graph, params)
-        obj_sim[key] = (now + prev_obj[key]) / 2.0 if key in prev_obj else now
-    tree.object_similarity = obj_sim
-
-    comp_sim: dict[int, dict[tuple[int, int], float]] = {}
-    for o in tree.objects:
-        comps = tree.components_of_object(o.object_id)
-        entries: dict[tuple[int, int], float] = {}
-        prev_entries = prev.component_similarity.get(o.object_id, {}) if prev is not None else {}
-        for i, ca in enumerate(comps):
-            for cb in comps[i + 1 :]:
-                key = _pair(ca.component_id, cb.component_id)
-                now = compute_similarity(ca.supervoxel_ids, cb.supervoxel_ids, graph, params)
-                entries[key] = (now + prev_entries[key]) / 2.0 if key in prev_entries else now
-        comp_sim[o.object_id] = entries
-    tree.component_similarity = comp_sim
-    return tree
+def _accumulate(pairs, members, previous, graph: AdjacencyGraph, params: TreeParams) -> dict:
+    """Each pair's current similarity, averaged with its previous value where it has one."""
+    out = {}
+    for key in pairs:
+        now = compute_similarity(members[key[0]], members[key[1]], graph, params)
+        out[key] = (now + previous[key]) / 2.0 if key in previous else now
+    return out
 
 
 def confirm_splits_merges(
@@ -485,136 +400,70 @@ def confirm_splits_merges(
     new object.
     """
     audit: dict = {"merges": [], "splits": []}
-
-    # merges
     merge_pairs = [k for k, v in tree.object_similarity.items() if v > params.merge_threshold]
-    if merge_pairs:
-        involved = {o for pair in merge_pairs for o in pair}
-        for group in connected_sets(involved, merge_pairs):
-            winner = min(group)
-            absorbed = sorted(group - {winner})
-            audit["merges"].append((winner, absorbed))
-            for comp in tree.components:
-                if comp.object_id in absorbed:
-                    comp.object_id = winner
-            # rebuild the winner's per-blob pieces; fused pieces re-segment
-            merged_entries = dict(tree.component_similarity.get(winner, {}))
-            for oid in absorbed:
-                merged_entries.update(tree.component_similarity.pop(oid, {}))
-            by_blob: dict[int, list[ComponentNode]] = {}
-            for comp in tree.components:
-                if comp.object_id == winner:
-                    by_blob.setdefault(comp.blob_id, []).append(comp)
-            for blob_id, comps in sorted(by_blob.items()):
-                if len(comps) < 2:
-                    continue
-                union: set[int] = set()
-                for c in comps:
-                    union |= c.supervoxel_ids
-                pieces = connected_sets(union, graph.edges)
-                if len(pieces) == len(comps):
-                    continue  # nothing fused
-                # keep the id of the largest contributor inside each piece
-                dead: set[int] = set()
-                new_comps: list[ComponentNode] = []
-                for piece in pieces:
-                    contrib = sorted(
-                        ((len(c.supervoxel_ids & piece), -c.component_id) for c in comps),
-                        reverse=True,
-                    )
-                    keep_cid = -contrib[0][1]
-                    for c in comps:
-                        if c.component_id != keep_cid and c.supervoxel_ids & piece:
-                            dead.add(c.component_id)
-                    new_comps.append(
-                        ComponentNode(
-                            component_id=keep_cid,
-                            object_id=winner,
-                            blob_id=blob_id,
-                            supervoxel_ids=piece,
-                        )
-                    )
-                tree.components = [
-                    c for c in tree.components if not (c.object_id == winner and c.blob_id == blob_id)
-                ] + new_comps
-                tree.segments = [s for s in tree.segments if s.component_id not in dead]
-                next_seg = [max((s.segment_id for s in tree.segments), default=-1) + 1]
-                merged_entries = {
-                    k: v for k, v in merged_entries.items() if k[0] not in dead and k[1] not in dead
-                }
-                for comp in new_comps:
-                    tree.segments = [s for s in tree.segments if s.component_id != comp.component_id]
-                    tree.segments.extend(_segments_for_component(comp, graph, overseg, next_seg))
-            # fresh pairs between the fused families start at the current similarity
-            comps_now = tree.components_of_object(winner)
-            for i, ca in enumerate(comps_now):
-                for cb in comps_now[i + 1 :]:
-                    key = _pair(ca.component_id, cb.component_id)
-                    if key not in merged_entries:
-                        merged_entries[key] = compute_similarity(
-                            ca.supervoxel_ids, cb.supervoxel_ids, graph, params
-                        )
-            tree.component_similarity[winner] = merged_entries
-            # drop absorbed rows from the object matrix
-            tree.object_similarity = {
-                k: v for k, v in tree.object_similarity.items() if not (set(k) & set(absorbed))
-            }
-        _reindex_objects(tree)
-
-    # splits
-    for obj in sorted(tree.objects, key=lambda o: o.object_id):
-        comps = tree.components_of_object(obj.object_id)
-        if len(comps) < 2:
-            continue
-        entries = tree.component_similarity.get(obj.object_id, {})
-        linked = [k for k, v in entries.items() if v > params.split_threshold]
-        clusters = connected_sets((c.component_id for c in comps), linked)
-        if len(clusters) < 2:
-            continue
-        # the first cluster holds the oldest component and keeps the id
-        for cids in (sorted(c) for c in clusters[1:]):
-            new_oid = alloc.new_object_id()
-            audit["splits"].append((obj.object_id, new_oid, cids))
-            for comp in tree.components:
-                if comp.component_id in cids:
-                    comp.object_id = new_oid
-            sub_entries = {
-                k: v for k, v in entries.items() if k[0] in cids and k[1] in cids
-            }
-            tree.component_similarity[new_oid] = sub_entries
-            new_obj = ObjectNode(object_id=new_oid, component_ids=sorted(cids), birth_frame=tree.frame_index)
-            tree.objects.append(new_obj)
-        kept = {c.component_id for c in tree.components if c.object_id == obj.object_id}
-        tree.component_similarity[obj.object_id] = {
-            k: v for k, v in entries.items() if k[0] in kept and k[1] in kept
+    for group in connected_sets({o for pair in merge_pairs for o in pair}, merge_pairs):
+        winner = min(group)
+        absorbed = sorted(group - {winner})
+        audit["merges"].append((winner, absorbed))
+        entries = dict(tree.component_similarity.get(winner, {}))
+        for oid in absorbed:
+            entries.update(tree.component_similarity.pop(oid, {}))
+            del tree.births[oid]
+        tree.components = {cid: (winner if o in absorbed else o, b) for cid, (o, b) in tree.components.items()}
+        _fuse(tree, graph, winner, overseg)
+        entries = {k: v for k, v in entries.items() if k[0] in tree.components and k[1] in tree.components}
+        # fresh pairs between the fused families start at the current similarity
+        for key in itertools.combinations(sorted(_by_object(tree)[winner]), 2):
+            if key not in entries:
+                a, b = (tree.nodes[tree.component_of == cid] for cid in key)
+                entries[key] = compute_similarity(a, b, graph, params)
+        tree.component_similarity[winner] = entries
+        tree.object_similarity = {
+            k: v for k, v in tree.object_similarity.items() if k[0] not in absorbed and k[1] not in absorbed
         }
-        _reindex_objects(tree)
+
+    for oid, cids in sorted(_by_object(tree).items()):
+        if len(cids) < 2:
+            continue
+        entries = tree.component_similarity.get(oid, {})
+        linked = [k for k, v in entries.items() if v > params.split_threshold]
+        clusters = connected_sets(cids, linked)
+        # the first cluster holds the oldest component and keeps the id
+        for cluster in clusters[1:]:
+            new_oid = alloc.new_object_id()
+            audit["splits"].append((oid, new_oid, sorted(cluster)))
+            tree.births[new_oid] = tree.frame_index
+            for cid in cluster:
+                tree.components[cid] = (new_oid, tree.components[cid][1])
+            tree.component_similarity[new_oid] = {k: v for k, v in entries.items() if set(k) <= cluster}
+        if len(clusters) > 1:
+            tree.component_similarity[oid] = {k: v for k, v in entries.items() if set(k) <= clusters[0]}
     return tree, audit
 
 
-def _reindex_objects(tree: SegTree) -> None:
-    """Recompute object rows from components.
+def _fuse(tree: SegTree, graph: AdjacencyGraph, winner: int, overseg: OversegConfig) -> None:
+    """Join the winner's components that now touch inside a blob.
 
-    Rows that already had no components keep waiting for a reappearance; rows
-    that lose all components here were absorbed by a merge and drop out.
+    Each fused piece keeps the id of its largest component (ties to the
+    smallest id), and every piece of such a blob is over-segmented again,
+    after all other segments.
     """
-    comp_ids: dict[int, list[int]] = {}
-    for c in tree.components:
-        comp_ids.setdefault(c.object_id, []).append(c.component_id)
-    kept: list[ObjectNode] = []
-    for o in tree.objects:
-        if o.object_id in comp_ids:
-            kept.append(
-                ObjectNode(
-                    object_id=o.object_id,
-                    component_ids=sorted(comp_ids[o.object_id]),
-                    birth_frame=o.birth_frame,
-                )
-            )
-        elif not o.component_ids:
-            kept.append(o)
-    kept.sort(key=lambda o: o.object_id)
-    tree.objects = kept
+    by_blob = _grouped((bid, cid) for cid, (oid, bid) in tree.components.items() if oid == winner)
+    for cids in (cids for _, cids in sorted(by_blob.items()) if len(cids) > 1):
+        region = np.isin(tree.component_of, cids)
+        pieces = connected_sets(tree.nodes[region], graph.edges)
+        if len(pieces) == len(cids):
+            continue  # nothing fused
+        for piece in pieces:
+            at = np.searchsorted(tree.nodes, sorted(piece))
+            inside, count = np.unique(tree.component_of[at], return_counts=True)
+            keep = inside[np.argmax(count)]
+            for cid in inside[inside != keep].tolist():
+                del tree.components[cid]
+            tree.component_of[at] = keep
+        _, tree.segment_of[~region] = np.unique(tree.segment_of[~region], return_inverse=True)
+        tree.segment_of[region] = -1
+        tree.segment_centroids, tree.segment_colors = _segment(graph, pieces, tree.segment_of, overseg)
 
 
 def detect_interactions(
@@ -627,16 +476,10 @@ def detect_interactions(
     separation therefore yields two distinct events.
     """
     frame = tree.frame_index
-    current: dict[frozenset[int], int] = {}
-    by_blob: dict[int, set[int]] = {}
-    for c in tree.components:
-        by_blob.setdefault(c.blob_id, set()).add(c.object_id)
-    for blob_id in sorted(by_blob):
-        oids = by_blob[blob_id]
-        if len(oids) >= 2:
-            key = frozenset(oids)
-            if key not in current:
-                current[key] = blob_id
+    current: dict[frozenset[int], int] = {}  # object set -> first blob hosting it
+    for blob_id, oids in sorted(_grouped((bid, oid) for oid, bid in tree.components.values()).items()):
+        if len(set(oids)) >= 2:
+            current.setdefault(frozenset(oids), blob_id)
     closed: list[InteractionEvent] = []
     still_open: dict[frozenset[int], InteractionEvent] = {}
     for key, ev in open_events.items():
@@ -652,18 +495,3 @@ def detect_interactions(
                 start_frame=frame, end_frame=frame, object_ids=key, blob_trace=[current[key]]
             )
     return still_open, closed
-
-
-def dump_tree(tree: SegTree) -> str:
-    """Indented debug dump: level, id, parent id, member count per line."""
-    lines = [f"root frame={tree.frame_index} blobs={len(tree.blobs)}"]
-    sv_count = {c.component_id: len(c.supervoxel_ids) for c in tree.components}
-    for obj in sorted(tree.objects, key=lambda o: o.object_id):
-        total = sum(sv_count.get(cid, 0) for cid in obj.component_ids)
-        lines.append(f"  object {obj.object_id} - {total}")
-        for cid in obj.component_ids:
-            comp = tree.component_by_id(cid)
-            lines.append(f"    component {cid} {obj.object_id} {len(comp.supervoxel_ids)}")
-            for seg in tree.segments_of_component(cid):
-                lines.append(f"      segment {seg.segment_id} {cid} {len(seg.supervoxel_ids)}")
-    return "\n".join(lines) + "\n"

@@ -76,14 +76,21 @@ def check_frame_invariants(tree, labels) -> set[int]:
     """
     labels = np.asarray(labels)
     assert (labels >= 0).all()
-    objects = {o.object_id: o for o in tree.objects}
-    assert len(objects) == len(tree.objects), "object ids repeat"
-    components = {c.component_id: (c.object_id, c.blob_id, c.supervoxel_ids) for c in tree.components}
-    assert len(components) == len(tree.components), "component ids repeat"
-    segments = [(s.component_id, s.supervoxel_ids) for s in tree.segments]
-    blobs = {b.blob_id: b.member_supervoxels for b in tree.blobs}
-    for oid, o in objects.items():
-        assert sorted(o.component_ids) == sorted(c for c, (owner, _, _) in components.items() if owner == oid)
+    objects = set(tree.births)
+    nodes = tree.nodes.tolist()
+    assert nodes == sorted(set(nodes)) and len(tree.component_of) == len(tree.segment_of) == len(nodes)
+
+    def labelled(labels, key):
+        return frozenset(n for n, k in zip(nodes, labels.tolist()) if k == key)
+
+    components = {c: (oid, bid, labelled(tree.component_of, c)) for c, (oid, bid) in tree.components.items()}
+    assert set(tree.component_of.tolist()) == set(components), "component ids repeat"
+    num_segments = len(tree.segment_centroids)
+    assert set(tree.segment_of.tolist()) == set(range(num_segments)) and len(tree.segment_colors) == num_segments
+    segments = [(tree.component_of[tree.segment_of == s][0], labelled(tree.segment_of, s)) for s in range(num_segments)]
+    blobs = {}
+    for _, bid, svs in components.values():
+        blobs[bid] = blobs.get(bid, frozenset()) | svs
 
     live = {oid for oid, _, _ in components.values()}
     assert set(np.unique(labels).tolist()) == live, "point labels and live objects differ"

@@ -9,6 +9,7 @@ independently of the library internals they check.
 import itertools
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -41,10 +42,7 @@ from dynseg.graphcut import (
 from dynseg.pipeline import PipelineConfig, run_sequence
 from dynseg.supervoxel import SupervoxelConfig
 from dynseg.tree import (
-    ComponentNode,
     IdAllocator,
-    ObjectNode,
-    SegTree,
     TreeParams,
     accumulate_similarities,
     compute_similarity,
@@ -343,16 +341,7 @@ def test_criterion_7_accumulation_closed_form():
     prev = init_tree(blobs, g, 0, IdAllocator(), OversegConfig(), params)
     s = compute_similarity({0}, {1}, g, params)
     for k in range(1, 21):
-        cur = SegTree(
-            frame_index=k,
-            blobs=list(prev.blobs),
-            objects=[ObjectNode(o.object_id, list(o.component_ids), o.birth_frame) for o in prev.objects],
-            components=[
-                ComponentNode(c.component_id, c.object_id, c.blob_id, c.supervoxel_ids)
-                for c in prev.components
-            ],
-            segments=[],
-        )
+        cur = replace(prev, frame_index=k, object_similarity={}, component_similarity={})
         accumulate_similarities(cur, prev, g, params)
         assert abs(cur.object_similarity[(0, 1)] - s * (1.0 - 2.0 ** (-k))) < 1e-12
         prev = cur

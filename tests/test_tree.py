@@ -1,31 +1,33 @@
 """Object tree bookkeeping: identity carry-over, similarities, splits, merges."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynseg.assignment import Assignment, AssignmentProblem, BlobFeature, EnergyParams, SegmentFeature
-from dynseg.graph import connected_components
+from dynseg.graph import AdjacencyGraph, connected_components
 from dynseg.graphcut import OversegConfig
 from dynseg.tree import (
-    ComponentNode,
     IdAllocator,
     InteractionEvent,
-    ObjectNode,
     SegTree,
     TreeParams,
+    _gap,
+    _means,
     accumulate_similarities,
     compute_similarity,
     confirm_splits_merges,
     derive_blob_seeds,
     detect_interactions,
-    dump_tree,
     init_tree,
     update_tree,
 )
 
-from helpers import graph_from_edges
+from helpers import check_frame_invariants, graph_from_edges, make_sv
 
 PARAMS = TreeParams().resolve(0.08)
 OVERSEG = OversegConfig()
@@ -44,6 +46,32 @@ def _seg_feature(centroid, comp, obj, color=(50.0, 0.0, 0.0)):
         parent_component_id=comp,
         parent_object_id=obj,
     )
+
+
+def _tree(frame, comps, births=None, **similarities):
+    """A SegTree over comps {component id: (object id, blob id, supervoxels)}, one segment per component."""
+    nodes = np.asarray(sorted(sv for _, _, svs in comps.values() for sv in svs), dtype=np.int64)
+    component_of = np.empty(len(nodes), dtype=np.int64)
+    segment_of = np.empty(len(nodes), dtype=np.int64)
+    for k, (cid, (_, _, svs)) in enumerate(comps.items()):
+        at = np.searchsorted(nodes, sorted(svs))
+        component_of[at], segment_of[at] = cid, k
+    return SegTree(
+        frame_index=frame,
+        nodes=nodes,
+        component_of=component_of,
+        segment_of=segment_of,
+        components={cid: (oid, bid) for cid, (oid, bid, _) in comps.items()},
+        births={oid: 0 for oid, _, _ in comps.values()} if births is None else births,
+        segment_centroids=np.zeros((len(comps), 3)),
+        segment_colors=np.zeros((len(comps), 3)),
+        **similarities,
+    )
+
+
+def _check(tree):
+    """The frame invariants, with one point per supervoxel."""
+    return check_frame_invariants(tree, tree.object_of())
 
 
 def _blob_features(graph, blobs):
@@ -115,12 +143,12 @@ class TestInitTree:
         g, blobs = _two_singletons()
         alloc = IdAllocator()
         tree = init_tree(blobs, g, 0, alloc, OVERSEG, PARAMS)
-        assert [o.object_id for o in tree.objects] == [0, 1]
-        assert all(o.birth_frame == 0 for o in tree.objects)
-        assert [c.blob_id for c in tree.components] == [0, 1]
-        assert tree.sv_to_object() == {0: 0, 1: 1}
+        assert tree.births == {0: 0, 1: 0}
+        assert tree.components == {0: (0, 0), 1: (1, 1)}
+        assert tree.object_of().tolist() == [0, 1]
         # far apart: no candidate pair
         assert tree.object_similarity == {}
+        _check(tree)
 
     def test_candidate_pair_starts_at_zero(self):
         g, blobs = _two_singletons(0.0, 0.1)  # gap under 3 * seed_resolution
@@ -133,8 +161,23 @@ class TestInitTree:
             positions={k: (0.02 * k, 0.0, 0.0) for k in range(3)},
         )
         tree = init_tree(connected_components(g), g, 0, IdAllocator(), OVERSEG, PARAMS)
-        covered = sorted(sv for s in tree.segments for sv in s.supervoxel_ids)
-        assert covered == [0, 1, 2]
+        assert tree.nodes.tolist() == [0, 1, 2]
+        assert (tree.segment_of >= 0).all()
+        _check(tree)
+
+    def test_objects_on_file_carry_over_without_components(self):
+        g, blobs = _two_singletons()
+        alloc = IdAllocator()
+        prev = init_tree(blobs, g, 0, alloc, OVERSEG, PARAMS)
+        tree = init_tree(blobs, g, 3, alloc, OVERSEG, PARAMS, prev=prev)
+        assert tree.births == {0: 0, 1: 0, 2: 3, 3: 3}
+        assert tree.live_objects() == [2, 3]
+        assert tree.missing_objects() == [0, 1]
+        empty = graph_from_edges({})
+        tree = init_tree([], empty, 4, alloc, OVERSEG, PARAMS, prev=tree)
+        assert tree.live_objects() == [] and tree.missing_objects() == [0, 1, 2, 3]
+        assert tree.segment_features() == []
+        _check(tree)
 
     def test_unresolved_params_rejected(self):
         g, blobs = _two_singletons()
@@ -207,15 +250,16 @@ class TestUpdateTree:
         prev, g1, blobs1, problem, alloc = _tracked_pair()
         assignment = Assignment(labels=np.asarray([0, 1]), energy=0.0)
         tree = _update(prev, blobs1, g1, problem, assignment, {}, alloc)
-        assert tree.sv_to_object() == {0: 0, 1: 1}
-        assert [c.component_id for c in tree.components] == [0, 1]
-        assert all(o.birth_frame == 0 for o in tree.objects)
+        assert tree.object_of().tolist() == [0, 1]
+        assert list(tree.components) == [0, 1]
+        assert tree.births == {0: 0, 1: 0}
+        _check(tree)
 
     def test_identity_follows_assignment_not_position(self):
         prev, g1, blobs1, problem, alloc = _tracked_pair()
         assignment = Assignment(labels=np.asarray([1, 0]), energy=0.0)  # crossed
         tree = _update(prev, blobs1, g1, problem, assignment, {}, alloc)
-        assert tree.sv_to_object() == {0: 1, 1: 0}
+        assert tree.object_of().tolist() == [1, 0]
 
     def test_uncovered_blob_founds_new_object(self):
         g0 = graph_from_edges({}, positions={0: (0.0, 0.0, 0.0)})
@@ -229,8 +273,8 @@ class TestUpdateTree:
         )
         assignment = Assignment(labels=np.asarray([0]), energy=0.0)
         tree = _update(prev, blobs1, g1, problem, assignment, {}, alloc)
-        assert tree.sv_to_object() == {0: 0, 1: 1}
-        assert tree.object_by_id(1).birth_frame == 1
+        assert tree.object_of().tolist() == [0, 1]
+        assert tree.births[1] == 1
 
     def test_vanished_object_keeps_empty_row(self):
         g0, blobs0 = _two_singletons()
@@ -248,9 +292,9 @@ class TestUpdateTree:
         )
         assignment = Assignment(labels=np.asarray([0, -1]), energy=0.0)
         tree = _update(prev, blobs1, g1, problem, assignment, {}, alloc)
-        assert [o.object_id for o in tree.objects] == [0, 1]
-        assert tree.object_by_id(1).component_ids == []
-        assert tree.object_supervoxels(1) == frozenset()
+        assert sorted(tree.births) == [0, 1]
+        assert tree.missing_objects() == [1]
+        assert 1 not in tree.object_of()
 
     def test_multi_label_blob_uses_cut(self):
         g0, blobs0 = _two_singletons(0.0, 0.3)
@@ -273,11 +317,10 @@ class TestUpdateTree:
         assignment = Assignment(labels=np.asarray([0, 0]), energy=0.0)
         cut = {0: 0, 1: 0, 2: 1, 3: 1}
         tree = _update(prev, blobs1, g1, problem, assignment, {0: cut}, alloc)
-        assert tree.sv_to_object() == cut
-        by_obj = {c.object_id: c for c in tree.components}
-        assert by_obj[0].component_id == 0  # inherited through the seed votes
-        assert by_obj[1].component_id == 1
-        assert by_obj[0].blob_id == by_obj[1].blob_id == 0
+        assert tree.object_of().tolist() == [0, 0, 1, 1]
+        # ids inherited through the seed votes, both components in blob 0
+        assert tree.components == {0: (0, 0), 1: (1, 0)}
+        _check(tree)
 
     def test_multi_label_blob_without_cut_rejected(self):
         g0, blobs0 = _two_singletons(0.0, 0.3)
@@ -316,8 +359,8 @@ class TestUpdateTree:
         # blob founds a new object while object 0 keeps one component
         assignment = Assignment(labels=np.asarray([0]), energy=0.0)
         tree = _update(prev, blobs1, g1, problem, assignment, {}, alloc)
-        assert len(tree.components_of_object(0)) == 1
-        assert len(tree.objects) == 2
+        assert [oid for oid, _ in tree.components.values()].count(0) == 1
+        assert len(tree.births) == 2
 
 
 class TestAccumulation:
@@ -327,16 +370,7 @@ class TestAccumulation:
         prev = init_tree(blobs, g, 0, alloc, OVERSEG, PARAMS)
         s = compute_similarity({0}, {1}, g, PARAMS)
         for k in range(1, 21):
-            cur = SegTree(
-                frame_index=k,
-                blobs=list(prev.blobs),
-                objects=[ObjectNode(o.object_id, list(o.component_ids), o.birth_frame) for o in prev.objects],
-                components=[
-                    ComponentNode(c.component_id, c.object_id, c.blob_id, c.supervoxel_ids)
-                    for c in prev.components
-                ],
-                segments=[],
-            )
+            cur = replace(prev, frame_index=k, object_similarity={}, component_similarity={})
             accumulate_similarities(cur, prev, g, PARAMS)
             assert abs(cur.object_similarity[(0, 1)] - s * (1.0 - 2.0 ** (-k))) < 1e-12
             prev = cur
@@ -346,17 +380,8 @@ class TestAccumulation:
         alloc = IdAllocator()
         prev = init_tree(blobs0, g0, 0, alloc, OVERSEG, PARAMS)
         assert prev.object_similarity == {}
-        g1, blobs1 = _two_singletons(0.0, 0.1)  # now within reach
-        cur = SegTree(
-            frame_index=1,
-            blobs=list(blobs1),
-            objects=[ObjectNode(o.object_id, list(o.component_ids), o.birth_frame) for o in prev.objects],
-            components=[
-                ComponentNode(c.component_id, c.object_id, c.blob_id, c.supervoxel_ids)
-                for c in prev.components
-            ],
-            segments=[],
-        )
+        g1, _ = _two_singletons(0.0, 0.1)  # now within reach
+        cur = replace(prev, frame_index=1, object_similarity={}, component_similarity={})
         accumulate_similarities(cur, prev, g1, PARAMS)
         s_now = compute_similarity({0}, {1}, g1, PARAMS)
         assert cur.object_similarity[(0, 1)] == pytest.approx(s_now, rel=1e-12)
@@ -366,16 +391,7 @@ class TestAccumulation:
         alloc = IdAllocator()
         prev = init_tree(blobs0, g0, 0, alloc, OVERSEG, PARAMS)
         g1 = graph_from_edges({}, positions={0: (0.0, 0.0, 0.0)})
-        cur = SegTree(
-            frame_index=1,
-            blobs=connected_components(g1),
-            objects=[
-                ObjectNode(0, [0], 0),
-                ObjectNode(1, [], 0),  # lost every supervoxel
-            ],
-            components=[ComponentNode(0, 0, 0, frozenset({0}))],
-            segments=[],
-        )
+        cur = _tree(1, {0: (0, 0, {0})}, births={0: 0, 1: 0})  # object 1 lost every supervoxel
         accumulate_similarities(cur, prev, g1, PARAMS)
         assert cur.object_similarity == {}
 
@@ -384,16 +400,7 @@ class TestAccumulation:
             {(0, 1): 1.0},
             positions={0: (0.0, 0.0, 0.0), 1: (0.02, 0.0, 0.0), 2: (0.3, 0.0, 0.0)},
         )
-        cur = SegTree(
-            frame_index=1,
-            blobs=connected_components(g),
-            objects=[ObjectNode(0, [0, 1], 0)],
-            components=[
-                ComponentNode(0, 0, 0, frozenset({0, 1})),
-                ComponentNode(1, 0, 1, frozenset({2})),
-            ],
-            segments=[],
-        )
+        cur = _tree(1, {0: (0, 0, {0, 1}), 1: (0, 1, {2})})
         accumulate_similarities(cur, None, g, PARAMS)
         expected = compute_similarity({0, 1}, {2}, g, PARAMS)
         assert cur.component_similarity[0][(0, 1)] == pytest.approx(expected, rel=1e-12)
@@ -407,17 +414,28 @@ def _merge_candidate(sim):
     alloc = IdAllocator()
     alloc.new_object_id(), alloc.new_object_id()
     alloc.new_component_id(), alloc.new_component_id()
-    tree = SegTree(
-        frame_index=5,
-        blobs=connected_components(g),
-        objects=[ObjectNode(0, [0], 0), ObjectNode(1, [1], 2)],
-        components=[
-            ComponentNode(0, 0, 0, frozenset({0, 1})),
-            ComponentNode(1, 1, 0, frozenset({2, 3})),
-        ],
-        segments=[],
+    tree = _tree(
+        5,
+        {0: (0, 0, {0, 1}), 1: (1, 0, {2, 3})},
+        births={0: 0, 1: 2},
         object_similarity={(0, 1): sim},
         component_similarity={0: {}, 1: {}},
+    )
+    return tree, g, alloc
+
+
+def _two_far_components(split_similarity):
+    g = graph_from_edges(
+        {(0, 1): 1.0, (2, 3): 1.0},
+        positions={0: (0.0, 0.0, 0.0), 1: (0.02, 0.0, 0.0), 2: (1.0, 0.0, 0.0), 3: (1.02, 0.0, 0.0)},
+    )
+    alloc = IdAllocator()
+    alloc.new_object_id()
+    alloc.new_component_id(), alloc.new_component_id()
+    tree = _tree(
+        7,
+        {0: (0, 0, {0, 1}), 1: (0, 1, {2, 3})},
+        component_similarity={0: {(0, 1): split_similarity}},
     )
     return tree, g, alloc
 
@@ -428,18 +446,26 @@ class TestConfirmMergesSplits:
         tree, audit = confirm_splits_merges(tree, g, PARAMS, alloc, OVERSEG)
         assert audit["merges"] == [(0, [1])]
         assert audit["splits"] == []
-        assert [o.object_id for o in tree.objects] == [0]
-        assert len(tree.components) == 1
-        assert tree.components[0].supervoxel_ids == frozenset({0, 1, 2, 3})
+        assert tree.births == {0: 0}
+        assert tree.components == {0: (0, 0)}
+        assert tree.component_of.tolist() == [0, 0, 0, 0]
         assert tree.object_similarity == {}
-        covered = sorted(sv for s in tree.segments for sv in s.supervoxel_ids)
-        assert covered == [0, 1, 2, 3]
+        # the fused component is segmented afresh, with features for each segment
+        assert len(tree.segment_centroids) == tree.segment_of.max() + 1
+        _check(tree)
+
+    def test_fused_piece_keeps_its_largest_component_id(self):
+        tree, g, alloc = _merge_candidate(0.8)
+        tree = _tree(5, {0: (0, 0, {0}), 1: (1, 0, {1, 2, 3})}, object_similarity={(0, 1): 0.8})
+        tree, _ = confirm_splits_merges(tree, g, PARAMS, alloc, OVERSEG)
+        assert tree.components == {1: (0, 0)}
+        assert tree.component_of.tolist() == [1, 1, 1, 1]
 
     def test_merge_threshold_is_strict(self):
         tree, g, alloc = _merge_candidate(0.7)
         tree, audit = confirm_splits_merges(tree, g, PARAMS, alloc, OVERSEG)
         assert audit["merges"] == []
-        assert [o.object_id for o in tree.objects] == [0, 1]
+        assert sorted(tree.births) == [0, 1]
 
     def test_merge_across_blobs_keeps_components(self):
         g = graph_from_edges(
@@ -449,100 +475,70 @@ class TestConfirmMergesSplits:
         alloc = IdAllocator()
         alloc.new_object_id(), alloc.new_object_id()
         alloc.new_component_id(), alloc.new_component_id()
-        tree = SegTree(
-            frame_index=3,
-            blobs=connected_components(g),
-            objects=[ObjectNode(0, [0], 0), ObjectNode(1, [1], 0)],
-            components=[
-                ComponentNode(0, 0, 0, frozenset({0, 1})),
-                ComponentNode(1, 1, 1, frozenset({2, 3})),
-            ],
-            segments=[],
+        tree = _tree(
+            3,
+            {0: (0, 0, {0, 1}), 1: (1, 1, {2, 3})},
             object_similarity={(0, 1): 0.9},
             component_similarity={0: {}, 1: {}},
         )
         tree, audit = confirm_splits_merges(tree, g, PARAMS, alloc, OVERSEG)
         assert audit["merges"] == [(0, [1])]
-        assert [o.object_id for o in tree.objects] == [0]
-        assert sorted(c.component_id for c in tree.components) == [0, 1]
+        assert sorted(tree.births) == [0]
+        assert tree.components == {0: (0, 0), 1: (0, 1)}
         # the fused families get a fresh similarity entry to accumulate from
         assert (0, 1) in tree.component_similarity[0]
 
-    def test_split_moves_cluster_to_new_object(self):
+    def test_merge_keeps_segment_order_and_appends_fused_segments(self):
+        # object 2 sits in its own blob; objects 0 and 1 fuse in blob 0
         g = graph_from_edges(
-            {(0, 1): 1.0, (2, 3): 1.0},
-            positions={0: (0.0, 0.0, 0.0), 1: (0.02, 0.0, 0.0), 2: (1.0, 0.0, 0.0), 3: (1.02, 0.0, 0.0)},
+            {(0, 1): 1.0, (1, 2): 1.0, (2, 3): 1.0, (5, 6): 1.0},
+            positions={**{k: (0.02 * k, 0.0, 0.0) for k in range(4)}, 5: (1.0, 0.0, 0.0), 6: (1.02, 0.0, 0.0)},
         )
-        alloc = IdAllocator()
-        alloc.new_object_id()
-        alloc.new_component_id(), alloc.new_component_id()
-        tree = SegTree(
-            frame_index=7,
-            blobs=connected_components(g),
-            objects=[ObjectNode(0, [0, 1], 0)],
-            components=[
-                ComponentNode(0, 0, 0, frozenset({0, 1})),
-                ComponentNode(1, 0, 1, frozenset({2, 3})),
-            ],
-            segments=[],
-            component_similarity={0: {(0, 1): 0.1}},
+        tree = _tree(
+            1,
+            {0: (0, 0, {0, 1}), 2: (1, 0, {2, 3}), 1: (2, 1, {5, 6})},
+            object_similarity={(0, 1): 0.9},
         )
+        tree, _ = confirm_splits_merges(tree, g, PARAMS, IdAllocator(), OVERSEG)
+        assert tree.components == {0: (0, 0), 1: (2, 1)}
+        # the untouched segment moves up to id 0; the fused component's come last
+        assert tree.segment_of.tolist() == [1, 1, 1, 1, 0, 0]
+        assert tree.segment_features()[0].parent_object_id == 2
+        assert tree.segment_features()[0].centroid == pytest.approx((1.01, 0.0, 0.0))
+        _check(tree)
+
+    def test_split_moves_cluster_to_new_object(self):
+        tree, g, alloc = _two_far_components(0.1)
         tree, audit = confirm_splits_merges(tree, g, PARAMS, alloc, OVERSEG)
         assert audit["splits"] == [(0, 1, [1])]
-        assert [o.object_id for o in tree.objects] == [0, 1]
-        assert tree.object_by_id(0).component_ids == [0]
-        assert tree.object_by_id(1).component_ids == [1]
-        assert tree.object_by_id(1).birth_frame == 7
+        assert tree.components == {0: (0, 0), 1: (1, 1)}
+        assert tree.births == {0: 0, 1: 7}
         assert tree.component_similarity[1] == {}
+        _check(tree)
 
     def test_no_split_above_threshold(self):
-        g = graph_from_edges(
-            {(0, 1): 1.0, (2, 3): 1.0},
-            positions={0: (0.0, 0.0, 0.0), 1: (0.02, 0.0, 0.0), 2: (1.0, 0.0, 0.0), 3: (1.02, 0.0, 0.0)},
-        )
-        alloc = IdAllocator()
-        alloc.new_object_id()
-        alloc.new_component_id(), alloc.new_component_id()
-        tree = SegTree(
-            frame_index=7,
-            blobs=connected_components(g),
-            objects=[ObjectNode(0, [0, 1], 0)],
-            components=[
-                ComponentNode(0, 0, 0, frozenset({0, 1})),
-                ComponentNode(1, 0, 1, frozenset({2, 3})),
-            ],
-            segments=[],
-            component_similarity={0: {(0, 1): 0.5}},
-        )
+        tree, g, alloc = _two_far_components(0.5)
         tree, audit = confirm_splits_merges(tree, g, PARAMS, alloc, OVERSEG)
         assert audit["splits"] == []
-        assert [o.object_id for o in tree.objects] == [0]
+        assert sorted(tree.births) == [0]
 
     def test_confirm_is_idempotent(self):
         tree, g, alloc = _merge_candidate(0.8)
         tree, first = confirm_splits_merges(tree, g, PARAMS, alloc, OVERSEG)
         assert first["merges"]
-        snapshot = (
-            [(o.object_id, tuple(o.component_ids)) for o in tree.objects],
-            [(c.component_id, c.object_id, c.supervoxel_ids) for c in tree.components],
-        )
+
+        def snapshot(t):
+            return dict(t.births), dict(t.components), t.component_of.tolist(), t.segment_of.tolist()
+
+        before = snapshot(tree)
         tree, second = confirm_splits_merges(tree, g, PARAMS, alloc, OVERSEG)
         assert second == {"merges": [], "splits": []}
-        assert snapshot == (
-            [(o.object_id, tuple(o.component_ids)) for o in tree.objects],
-            [(c.component_id, c.object_id, c.supervoxel_ids) for c in tree.components],
-        )
+        assert snapshot(tree) == before
 
 
 def _interaction_tree(frame, pairs):
     """pairs: list of (object_id, blob_id)."""
-    comps = [
-        ComponentNode(component_id=k, object_id=oid, blob_id=bid, supervoxel_ids=frozenset({k}))
-        for k, (oid, bid) in enumerate(pairs)
-    ]
-    oids = sorted({oid for oid, _ in pairs})
-    objects = [ObjectNode(oid, [c.component_id for c in comps if c.object_id == oid], 0) for oid in oids]
-    return SegTree(frame_index=frame, blobs=[], objects=objects, components=comps, segments=[])
+    return _tree(frame, {k: (oid, bid, {k}) for k, (oid, bid) in enumerate(pairs)})
 
 
 class TestInteractions:
@@ -584,11 +580,69 @@ class TestInteractions:
         assert rec.blob_hint == 3
 
 
-class TestDump:
-    def test_dump_lists_every_level(self):
-        g, blobs = _two_singletons()
-        tree = init_tree(blobs, g, 0, IdAllocator(), OVERSEG, PARAMS)
-        text = dump_tree(tree)
-        assert text.startswith("root frame=0")
-        assert "object 0" in text and "object 1" in text
-        assert "component 0" in text and "segment" in text
+# The loop forms the array code replaced, kept as references.
+
+
+def _weighted_features(sv_ids, graph):
+    """Point-count-weighted centroid and mean Lab color of a supervoxel set."""
+    ids = sorted(sv_ids)
+    w = np.asarray([len(graph.svs[i].point_indices) for i in ids], dtype=np.float64)
+    cen = np.asarray([graph.svs[i].centroid for i in ids])
+    col = np.asarray([graph.svs[i].mean_color_lab for i in ids])
+    total = w.sum()
+    return (cen * w[:, None]).sum(axis=0) / total, (col * w[:, None]).sum(axis=0) / total
+
+
+def _min_gap(a_svs, b_svs, graph):
+    ca = np.asarray([graph.svs[i].centroid for i in sorted(a_svs)])
+    cb = np.asarray([graph.svs[i].centroid for i in sorted(b_svs)])
+    return float(np.min(np.linalg.norm(ca[:, None, :] - cb[None, :, :], axis=2)))
+
+
+@st.composite
+def _partitioned_graphs(draw):
+    """A graph on sparse random ids with random features, and a random labelling into parts 0..k-1."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 60))
+    ids = np.sort(rng.choice(10_000, size=n, replace=False))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    svs = {
+        int(i): make_sv(
+            int(i),
+            rng.normal(size=3) * scale,
+            rng.uniform([0.0, -80.0, -80.0], [100.0, 80.0, 80.0]),
+            n_points=int(rng.integers(1, 200)),
+        )
+        for i in ids
+    }
+    graph = AdjacencyGraph(nodes=ids, edges=[], weights=[], svs=svs)
+    k = draw(st.integers(1, n))
+    labels = rng.permutation(np.arange(n) % k)
+    return graph, labels, k
+
+
+class TestArrayFeaturesMatchLoops:
+    @settings(max_examples=100, deadline=None)
+    @given(case=_partitioned_graphs())
+    def test_segment_means_equal_loop_features(self, case):
+        graph, labels, k = case
+        centroids, colors = _means(graph, slice(None), labels)
+        for part in range(k):
+            cen, col = _weighted_features(graph.nodes[labels == part].tolist(), graph)
+            assert np.array_equal(centroids[part], cen)
+            assert np.array_equal(colors[part], col)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=_partitioned_graphs())
+    def test_gaps_and_similarities_equal_loop_forms(self, case):
+        graph, labels, k = case
+        parts = [graph.nodes[labels == part] for part in range(k)]
+        for a in parts:
+            for b in parts[:3]:
+                gap = _min_gap(a.tolist(), b.tolist(), graph)
+                assert _gap(graph.centroids[np.isin(graph.nodes, a)], graph.centroids[np.isin(graph.nodes, b)]) == gap
+                _, col_a = _weighted_features(a.tolist(), graph)
+                _, col_b = _weighted_features(b.tolist(), graph)
+                de = float(np.linalg.norm(col_a - col_b))
+                loop = math.exp(-gap / PARAMS.sigma_distance) * math.exp(-de / PARAMS.sigma_color)
+                assert compute_similarity(set(a.tolist()), set(b.tolist()), graph, PARAMS) == loop
