@@ -169,7 +169,7 @@ def _segment(graph: AdjacencyGraph, parts, segment_of: np.ndarray, overseg: Over
 def _means(graph: AdjacencyGraph, at, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Point-weighted centroid and mean Lab colour per label 0..n-1 of the nodes at positions ``at``.
 
-    Each label's members are summed in node order, as a loop over sorted ids would.
+    Each label sums its members in node order, so the means equal a loop over sorted ids bit for bit.
     """
     rows = np.hstack([graph.centroids[at], graph.colors_lab[at]])
     means = _group_means(rows, labels, labels.max(initial=-1) + 1, graph.point_counts[at])

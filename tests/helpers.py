@@ -1,10 +1,11 @@
-"""Shared builders for hand-constructed graphs and supervoxels."""
+"""Shared builders for hand-constructed graphs and supervoxels, and the per-frame tree invariant check."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from dynseg.graph import AdjacencyGraph
+from dynseg.pipeline import init_state, process_frame
 from dynseg.supervoxel import SuperVoxel
 
 _next_point = [0]
@@ -112,8 +113,6 @@ def check_frame_invariants(tree, labels) -> set[int]:
 
 def run_checked(frames, config):
     """Run frames through process_frame, checking the invariants after each one."""
-    from dynseg.pipeline import init_state, process_frame
-
     state = init_state(config)
     results, on_file, dropped = [], set(), set()
     for frame in frames:

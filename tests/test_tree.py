@@ -455,7 +455,7 @@ class TestConfirmMergesSplits:
         _check(tree)
 
     def test_fused_piece_keeps_its_largest_component_id(self):
-        tree, g, alloc = _merge_candidate(0.8)
+        _, g, alloc = _merge_candidate(0.8)  # the same four-node chain
         tree = _tree(5, {0: (0, 0, {0}), 1: (1, 0, {1, 2, 3})}, object_similarity={(0, 1): 0.8})
         tree, _ = confirm_splits_merges(tree, g, PARAMS, alloc, OVERSEG)
         assert tree.components == {1: (0, 0)}
