@@ -1,7 +1,8 @@
 """Adjacency graph over supervoxels, its blobs, and the connectivity helper.
 
-Two supervoxels are linked when their voxel footprints touch under
-26-adjacency or their centroids are closer than the adjacency radius.
+Two supervoxels are linked when their voxel footprints touch, meaning two of
+their voxels lie within the growth's voxel reach (1 is 26-adjacency), or
+their centroids are closer than the adjacency radius.
 Edge weight: w_ij = exp(-dE_lab / sigma_color) * exp(-d / sigma_distance).
 """
 
@@ -118,8 +119,10 @@ class Blob:
         return sorted(self.member_supervoxels)
 
 
-def build_graph(supervoxels: list[SuperVoxel], config: GraphConfig, seed_resolution: float) -> AdjacencyGraph:
-    """Link supervoxels by footprint adjacency or centroid proximity."""
+def build_graph(
+    supervoxels: list[SuperVoxel], config: GraphConfig, seed_resolution: float, reach: int = 1
+) -> AdjacencyGraph:
+    """Link supervoxels by footprint contact within ``reach`` voxels or by centroid proximity."""
     cfg = config.resolve(seed_resolution)
     svs = {sv.sv_id: sv for sv in supervoxels}
     if len(svs) != len(supervoxels):
@@ -132,7 +135,7 @@ def build_graph(supervoxels: list[SuperVoxel], config: GraphConfig, seed_resolut
 
     # footprint contact, as positions in nodes
     owner = np.repeat(np.arange(len(nodes)), [len(svs[n].voxel_keys) for n in nodes])
-    touching = owner[voxel_neighbour_pairs(np.concatenate([svs[n].voxel_keys for n in nodes]))]
+    touching = owner[voxel_neighbour_pairs(np.concatenate([svs[n].voxel_keys for n in nodes]), reach)]
     touching = touching[touching[:, 0] != touching[:, 1]]
     # centroid proximity, strictly inside the radius
     near = cKDTree(centroids).query_pairs(cfg.adjacency_radius, output_type="ndarray")

@@ -26,7 +26,7 @@ from .assignment import (
 from .cloud_io import InteractionRecord, PointCloudFrame
 from .graph import AdjacencyGraph, GraphConfig, build_graph, connected_components
 from .graphcut import CutParams, CutProblem, OversegConfig, boundary_midpoints, restricted_cut
-from .supervoxel import SupervoxelConfig, cluster_supervoxels
+from .supervoxel import SupervoxelConfig, cluster_supervoxels, voxel_reach
 from .tree import (
     IdAllocator,
     InteractionEvent,
@@ -88,6 +88,9 @@ class PipelineState:
     ghosts: dict[int, _Ghost] = field(default_factory=dict)
     open_events: dict[frozenset[int], InteractionEvent] = field(default_factory=dict)
     frames_seen: int = 0
+    # voxel-neighbour reach, decided once on the first frame with points so
+    # the partition rule does not flicker between frames
+    reach: int | None = None
 
 
 @dataclass
@@ -130,13 +133,15 @@ def process_frame(state: PipelineState, frame: PointCloudFrame) -> FrameResult:
     fidx = frame.frame_index
     timings = {"supervoxel": 0.0, "graph": 0.0, "assignment": 0.0, "cut": 0.0, "tree": 0.0}
     t_total = time.perf_counter()
+    if state.reach is None and frame.num_points:
+        state.reach = voxel_reach(frame.points, cfg.supervoxel.voxel_resolution)
 
     t = time.perf_counter()
-    svs = cluster_supervoxels(frame, cfg.supervoxel) if frame.num_points else []
+    svs = cluster_supervoxels(frame, cfg.supervoxel, state.reach) if frame.num_points else []
     timings["supervoxel"] = (time.perf_counter() - t) * 1e3
 
     t = time.perf_counter()
-    graph = build_graph(svs, cfg.graph, cfg.supervoxel.seed_resolution)
+    graph = build_graph(svs, cfg.graph, cfg.supervoxel.seed_resolution, state.reach)
     blobs = connected_components(graph)
     timings["graph"] = (time.perf_counter() - t) * 1e3
 

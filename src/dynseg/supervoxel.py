@@ -1,13 +1,14 @@
 """Supervoxel clustering: voxelize, seed on a coarse grid, grow by path cost.
 
-Occupied voxels are linked to their 26-adjacent occupied neighbours, and
-each link costs the growth metric between the two voxels' features,
+Occupied voxels are linked to those within a Chebyshev reach of 1 (26-
+adjacency) or, on clouds sparser than the voxel grid, 2 (``voxel_reach``),
+and each link costs the growth metric between the two voxels' features,
     D = sqrt(w_c * (dE_lab / 100)^2 + w_s * (d_spatial / seed_resolution)^2).
 A growth pass gives every voxel to the seed with the cheapest path to it
 (one multi-source Dijkstra), so each cluster is a shortest-path tree and
-its footprint stays 26-connected.  After each pass every seed moves to the
-member voxel nearest its cluster's centroid; passes stop once no seed
-moves or after max_iterations.
+its footprint stays connected under the reach.  After each pass every seed
+moves to the member voxel nearest its cluster's centroid; passes stop once
+no seed moves or after max_iterations.
 """
 
 from __future__ import annotations
@@ -22,6 +23,9 @@ from scipy.spatial import cKDTree
 from .cloud_io import PointCloudFrame
 
 COLOR_NORM = 100.0  # Lab distance scale in the growth metric
+# reach 2 once the median nearest-neighbour spacing is this many voxels; the
+# synthetic kinds read 0.40-0.74 at voxel 0.02 and 1.00-1.85 at voxel 0.008
+REACH_2_SPACING = 0.875
 
 # sRGB (D65) to XYZ, then XYZ to CIELab with the D65 reference white.
 _RGB_TO_XYZ = np.array(
@@ -90,9 +94,19 @@ def voxelize(frame: PointCloudFrame, resolution: float) -> tuple[np.ndarray, np.
     return uniq, inverse.reshape(-1), counts
 
 
-def voxel_neighbour_pairs(keys: np.ndarray) -> np.ndarray:
-    """(m, 2) row pairs ``i < j`` of ``keys`` that are 26-adjacent (or equal)."""
-    return cKDTree(np.asarray(keys).reshape(-1, 3)).query_pairs(1, p=np.inf, output_type="ndarray")
+def voxel_neighbour_pairs(keys: np.ndarray, reach: int = 1) -> np.ndarray:
+    """(m, 2) row pairs ``i < j`` of ``keys`` within Chebyshev distance ``reach`` (1: 26-adjacent)."""
+    return cKDTree(np.asarray(keys).reshape(-1, 3)).query_pairs(reach, p=np.inf, output_type="ndarray")
+
+
+def voxel_reach(points: np.ndarray, voxel_resolution: float) -> int:
+    """Voxel-neighbour reach: 2 when the median nearest-neighbour spacing is
+    at least REACH_2_SPACING voxels, else 1.  26-adjacency (reach 1) assumes a
+    cloud as dense as the voxel grid and splits sparser ones into islands.
+    """
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    spacing = np.median(cKDTree(points).query(points, k=2)[0][:, 1])
+    return 2 if spacing >= REACH_2_SPACING * voxel_resolution else 1
 
 
 def _growth_metric(centroid_a, lab_a, centroid_b, lab_b, config: SupervoxelConfig) -> np.ndarray:
@@ -122,13 +136,13 @@ def _nearest_per_group(groups: np.ndarray, d2: np.ndarray) -> np.ndarray:
     return np.sort(order[first])
 
 
-def cluster_supervoxels(frame: PointCloudFrame, config: SupervoxelConfig) -> list[SuperVoxel]:
-    """Partition a frame's points into supervoxels.
+def cluster_supervoxels(frame: PointCloudFrame, config: SupervoxelConfig, reach: int = 1) -> list[SuperVoxel]:
+    """Partition a frame's points into supervoxels, linking voxels within ``reach``.
 
     One seed per occupied cell of a grid at seed_resolution, placed at the
     occupied voxel whose centroid is nearest the cell center, and one at the
-    smallest voxel of each 26-connected voxel component that no grid seed
-    lies in.  Each pass gives every voxel to the seed of least path cost,
+    smallest voxel of each voxel component (under ``reach``) that no grid
+    seed lies in.  Each pass gives every voxel to the seed of least path cost,
     then moves every seed to the member voxel nearest its cluster's point
     centroid.  Voxel ties go to the smallest key.  Passes stop when no seed
     moves, since the next pass would repeat the claims, or after
@@ -143,7 +157,7 @@ def cluster_supervoxels(frame: PointCloudFrame, config: SupervoxelConfig) -> lis
     vox_centroid = _group_means(frame.points, point_voxel, n_vox)
     vox_lab = _group_means(lab_all, point_voxel, n_vox)
 
-    a, b = voxel_neighbour_pairs(keys).T
+    a, b = voxel_neighbour_pairs(keys, reach).T
     cost = _growth_metric(vox_centroid[a], vox_lab[a], vox_centroid[b], vox_lab[b], config)
     links = csr_matrix((cost, (a, b)), shape=(n_vox, n_vox))
 

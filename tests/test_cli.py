@@ -172,7 +172,7 @@ class TestExitCodes:
         spec.write_text("kind = static\nframes = 1\npoints_per_object = 60\n")
         assert main(["synth", str(spec), "--out", str(tmp_path / "data")]) == 0
 
-        def broken(frame, config):
+        def broken(frame, config, reach):
             raise ValueError("stage invariant broken")
 
         monkeypatch.setattr("dynseg.pipeline.cluster_supervoxels", broken)

@@ -66,16 +66,17 @@ class TestConnectedSets:
         assert connected_sets(nodes, pairs) == _union_find_pieces(nodes, pairs)
 
 
-def _build_graph_loop(supervoxels, config, seed_resolution):
-    """Reference: the 26-offset footprint walk plus the strict centroid-radius test."""
+def _build_graph_loop(supervoxels, config, seed_resolution, reach=1):
+    """Reference: the 26- or 124-offset footprint walk plus the strict centroid-radius test."""
     cfg = config.resolve(seed_resolution)
     svs = {sv.sv_id: sv for sv in supervoxels}
     owner = {tuple(int(v) for v in k): sv.sv_id for sv in supervoxels for k in sv.voxel_keys}
     pairs = set()
+    steps = range(-reach, reach + 1)
     for (x, y, z), a in owner.items():
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
+        for dx in steps:
+            for dy in steps:
+                for dz in steps:
                     b = owner.get((x + dx, y + dy, z + dz))
                     if b is not None and b != a:
                         pairs.add((min(a, b), max(a, b)))
@@ -159,6 +160,13 @@ class TestBuildGraph:
         assert g.edges.shape == (0, 2)
         assert g.weights.shape == (0,)
 
+    def test_reach_two_bridges_a_one_voxel_gap(self):
+        a = make_sv(0, (0.0, 0.0, 0.0), key=(0, 0, 0))
+        b = make_sv(1, (1.0, 0.0, 0.0), key=(2, -2, 2))
+        c = make_sv(2, (2.0, 0.0, 0.0), key=(5, 0, 0))
+        g = build_graph([a, b, c], GraphConfig(), seed_resolution=0.08, reach=2)
+        assert g.edges.tolist() == [[0, 1]]
+
     def test_duplicate_ids_rejected(self):
         a = make_sv(3, (0.0, 0.0, 0.0))
         b = make_sv(3, (0.1, 0.0, 0.0))
@@ -194,19 +202,20 @@ class TestBuildGraph:
         extent=st.sampled_from([0.05, 0.15, 0.3]),
         voxel=st.sampled_from([0.02, 0.008]),
         radius=st.sampled_from([None, 0.05]),
+        reach=st.sampled_from([1, 2]),
     )
-    def test_matches_loop_reference(self, seed, n, extent, voxel, radius):
+    def test_matches_loop_reference(self, seed, n, extent, voxel, radius, reach):
         rng = np.random.default_rng(seed)
         frame = PointCloudFrame(
             0, rng.uniform(0.0, extent, size=(n, 3)), rng.integers(0, 256, size=(n, 3), dtype=np.uint8)
         )
-        svs = cluster_supervoxels(frame, SupervoxelConfig(voxel_resolution=voxel, seed_resolution=0.08))
+        svs = cluster_supervoxels(frame, SupervoxelConfig(voxel_resolution=voxel, seed_resolution=0.08), reach)
         # sparse ids in shuffled input order
         svs = [dataclasses.replace(sv, sv_id=3 * sv.sv_id + 1) for sv in svs]
         svs = [svs[i] for i in rng.permutation(len(svs))]
         config = GraphConfig(adjacency_radius=radius)
-        got = build_graph(svs, config, seed_resolution=0.08)
-        want_nodes, want_edges = _build_graph_loop(svs, config, seed_resolution=0.08)
+        got = build_graph(svs, config, seed_resolution=0.08, reach=reach)
+        want_nodes, want_edges = _build_graph_loop(svs, config, seed_resolution=0.08, reach=reach)
         assert got.nodes.tolist() == want_nodes
         assert list(map(tuple, got.edges.tolist())) == sorted(want_edges)
         np.testing.assert_allclose(got.weights, [want_edges[p] for p in sorted(want_edges)], rtol=1e-12)

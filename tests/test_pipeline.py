@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from dynseg.assignment import GAConfig
+from dynseg.assignment import EnergyParams, GAConfig
 from dynseg.cloud_io import LabeledFrame, PointCloudFrame
-from dynseg.evaluation import generate_scenario, make_scenario, segmentation_error
+from dynseg.evaluation import ShapeSpec, SynthScenario, generate_scenario, make_scenario, segmentation_error
 from dynseg.pipeline import (
     PipelineConfig,
     PipelineError,
@@ -15,7 +15,7 @@ from dynseg.pipeline import (
     process_frame,
     run_sequence,
 )
-from dynseg.supervoxel import SupervoxelConfig
+from dynseg.supervoxel import SupervoxelConfig, cluster_supervoxels, voxel_reach
 
 from helpers import grid_cloud, run_checked
 
@@ -220,17 +220,46 @@ class TestMetamorphic:
             assert a.object_count == b.object_count
         assert base.interactions == moved.interactions
 
+    @pytest.mark.parametrize("voxel", [0.02, 0.008])
+    @pytest.mark.parametrize("kind", ["approach_merge_split", "occlusion_split"])
+    def test_scale_by_two_keeps_labels(self, kind, voxel):
+        # doubling is exact in binary; every length setting doubles with the
+        # cloud, and delta weighs a variance in m^2, so it is quartered
+        frames = generate_scenario(make_scenario(kind, rng_seed=0)).frames
+        scaled = [PointCloudFrame(f.frame_index, 2.0 * f.points, f.colors) for f in frames]
+        base = run_sequence(frames, PipelineConfig(supervoxel=SupervoxelConfig(voxel_resolution=voxel)))
+        big = run_sequence(
+            scaled,
+            PipelineConfig(
+                supervoxel=SupervoxelConfig(voxel_resolution=2 * voxel, seed_resolution=2 * SupervoxelConfig().seed_resolution),
+                energy=EnergyParams(delta=EnergyParams().delta / 4),
+            ),
+        )
+        assert base.state.reach == big.state.reach
+        for a, b in zip(base.frames, big.frames):
+            assert np.array_equal(a.point_labels, b.point_labels)
+        assert base.interactions == big.interactions
+
 
 class TestInvariants:
     @pytest.mark.parametrize("kind", ["static", "approach_merge_split", "occlusion_split", "crossing"])
     def test_scenario_frames(self, kind):
         run_checked(generate_scenario(make_scenario(kind, rng_seed=0)).frames, _config())
 
-    def test_merge_and_split_frames(self):
+    def test_merge_and_split_frames(self, monkeypatch):
+        # at reach 1 this sampling splits off a third object at frame 12 and
+        # merges it back at frame 15
+        monkeypatch.setattr("dynseg.pipeline.voxel_reach", lambda points, voxel_resolution: 1)
         frames = generate_scenario(make_scenario("approach_merge_split", rng_seed=1)).frames
         results = run_checked(frames, PipelineConfig(supervoxel=SupervoxelConfig(voxel_resolution=0.008)))
         assert sum(len(r.merges) for r in results) == 1
         assert sum(len(r.splits) for r in results) == 1
+
+    @pytest.mark.parametrize("rng_seed", [0, 1, 2])
+    def test_fine_voxel_keeps_two_objects(self, rng_seed):
+        frames = generate_scenario(make_scenario("approach_merge_split", rng_seed=rng_seed)).frames
+        results = run_checked(frames, PipelineConfig(supervoxel=SupervoxelConfig(voxel_resolution=0.008)))
+        assert [r.object_count for r in results] == [2] * len(frames)
 
 
 class TestConfigAndReport:
@@ -302,3 +331,52 @@ class TestDegenerateInputs:
     @pytest.mark.parametrize("name", sorted(DEGENERATE))
     def test_tree_invariants_hold_on_every_frame(self, name):
         run_checked(DEGENERATE[name], PipelineConfig())
+
+
+def _three_spheres(rng_seed):
+    """Three r = 0.12 spheres 120 degrees apart, moving radially on approach_merge_split's gap profile."""
+    pair = make_scenario("approach_merge_split", rng_seed=rng_seed)
+    radius = pair.shapes[0].size[0]
+    gaps = pair.trajectories[1, :, 0] - pair.trajectories[0, :, 0] - 2 * radius
+    distance = (gaps + 2 * radius) / (2 * np.sin(np.pi / 3))  # centre to the middle
+    angles = np.pi / 2 + 2 * np.pi * np.arange(3) / 3
+    traj = np.zeros((3, pair.frame_count, 3))
+    traj[:, :, 0] = np.outer(np.cos(angles), distance)
+    traj[:, :, 1] = np.outer(np.sin(angles), distance)
+    colors = [(205, 60, 60), (60, 80, 205), (70, 180, 90)]
+    return SynthScenario(
+        kind=pair.kind,
+        shapes=[ShapeSpec("sphere", (radius,), c) for c in colors],
+        trajectories=traj,
+        frame_count=pair.frame_count,
+        rng_seed=rng_seed,
+    )
+
+
+class TestSparseClouds:
+    """The voxel-neighbour reach on clouds sparser than the default voxel."""
+
+    def test_three_touching_spheres_stay_three_objects(self):
+        generated = generate_scenario(_three_spheres(0))
+        results = run_checked(generated.frames, PipelineConfig())
+        assert min(r.blob_count for r in results) == 1  # all three touch
+        assert [r.object_count for r in results] == [3] * len(results)
+        for r, truth in zip(results, generated.truth_labels):
+            assert segmentation_error(LabeledFrame(r.frame_index, r.point_labels), truth) == 0.0
+
+    def test_reach_is_kept_when_later_frames_are_denser(self):
+        sparse = _cloud(0, grid_cloud((10, 10, 1), spacing=0.012)[0])
+        dense = [_cloud(i, grid_cloud((20, 20, 1), spacing=0.006)[0]) for i in (1, 2)]
+        cfg = PipelineConfig()
+        assert voxel_reach(sparse.points, 0.008) == 2 and voxel_reach(dense[0].points, 0.008) == 1
+        result = run_sequence([sparse, *dense], cfg)
+        assert result.state.reach == 2
+        assert result.frames[1].supervoxel_count == len(cluster_supervoxels(dense[0], cfg.supervoxel, 2))
+
+    def test_leading_empty_frames_do_not_decide_the_reach(self):
+        state = init_state(PipelineConfig())
+        for i in range(2):
+            process_frame(state, _cloud(i, np.zeros((0, 3))))
+            assert state.reach is None
+        process_frame(state, _cloud(2, grid_cloud((10, 10, 1), spacing=0.012)[0]))
+        assert state.reach == 2

@@ -13,6 +13,7 @@ from dynseg.supervoxel import (
     growth_distance,
     rgb_to_lab,
     voxel_neighbour_pairs,
+    voxel_reach,
     voxelize,
 )
 
@@ -190,8 +191,8 @@ def test_cluster_partition_property(n, seed):
         assert np.isfinite(sv.centroid).all()
 
 
-def _is_26_connected(keys) -> bool:
-    return len(connected_sets(range(len(keys)), voxel_neighbour_pairs(keys).tolist())) == 1
+def _is_connected(keys, reach: int = 1) -> bool:
+    return len(connected_sets(range(len(keys)), voxel_neighbour_pairs(keys, reach).tolist())) == 1
 
 
 def test_footprint_connected():
@@ -199,30 +200,37 @@ def test_footprint_connected():
     pts, cols = grid_cloud(shape=(14, 4, 1), spacing=0.02)
     svs = cluster_supervoxels(PointCloudFrame(0, pts, cols), _flat_cfg())
     for sv in svs:
-        assert _is_26_connected(sv.voxel_keys)
+        assert _is_connected(sv.voxel_keys)
 
 
-_OFFSETS = [d for d in itertools.product((-1, 0, 1), repeat=3) if d != (0, 0, 0)]
+def _offsets(reach: int) -> list[tuple[int, int, int]]:
+    return [d for d in itertools.product(range(-reach, reach + 1), repeat=3) if d != (0, 0, 0)]
+
+
+def test_offset_counts():
+    assert (len(_offsets(1)), len(_offsets(2))) == (26, 124)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     keys=st.sets(st.tuples(*[st.integers(-3, 3)] * 3), max_size=60),
     shift=st.sampled_from([0, 2**40, -(2**45)]),
+    reach=st.sampled_from([1, 2]),
 )
-@example(keys=set(), shift=0)
-@example(keys={(0, 0, 0)}, shift=0)
-def test_voxel_neighbour_pairs_match_offset_lookup(keys, shift):
-    """The pair table equals the 26-offset dictionary lookup, also far from the origin."""
+@example(keys=set(), shift=0, reach=1)
+@example(keys={(0, 0, 0)}, shift=0, reach=1)
+@example(keys={(0, 0, 0), (2, -2, 1), (3, 0, 0)}, shift=2**40, reach=2)
+def test_voxel_neighbour_pairs_match_offset_lookup(keys, shift, reach):
+    """The pair table equals the 26- or 124-offset dictionary lookup, also far from the origin."""
     rows = sorted((x + shift, y, z - shift) for x, y, z in keys)
     index = {k: i for i, k in enumerate(rows)}
     expected = {
         (i, index[n])
         for i, (x, y, z) in enumerate(rows)
-        for dx, dy, dz in _OFFSETS
+        for dx, dy, dz in _offsets(reach)
         if (n := (x + dx, y + dy, z + dz)) in index and i < index[n]
     }
-    got = voxel_neighbour_pairs(np.asarray(rows, dtype=np.int64).reshape(-1, 3))
+    got = voxel_neighbour_pairs(np.asarray(rows, dtype=np.int64).reshape(-1, 3), reach)
     assert {(int(a), int(b)) for a, b in got} == expected
     assert len(got) == len(expected)
 
@@ -234,8 +242,8 @@ def _random_cloud(seed: int, n: int, extent: float):
     return PointCloudFrame(0, pts, cols)
 
 
-def _seedless_components(frame: PointCloudFrame, cfg: SupervoxelConfig) -> list[set[tuple]]:
-    """Voxel components holding no grid seed, by a loop over voxels."""
+def _seedless_components(frame: PointCloudFrame, cfg: SupervoxelConfig, reach: int) -> list[set[tuple]]:
+    """Voxel components (under ``reach``) holding no grid seed, by a loop over voxels."""
     members: dict[tuple, list[int]] = {}
     for i, p in enumerate(frame.points):
         members.setdefault(tuple(int(v) for v in np.floor(p / cfg.voxel_resolution)), []).append(i)
@@ -252,7 +260,7 @@ def _seedless_components(frame: PointCloudFrame, cfg: SupervoxelConfig) -> list[
     pairs = [
         (index[k], index[n])
         for k in keys
-        for d in _OFFSETS
+        for d in _offsets(reach)
         if (n := (k[0] + d[0], k[1] + d[1], k[2] + d[2])) in index
     ]
     pieces = [{keys[i] for i in piece} for piece in connected_sets(range(len(keys)), pairs)]
@@ -268,11 +276,11 @@ _clouds = dict(
 
 
 @settings(max_examples=40, deadline=None)
-@given(**_clouds)
-def test_cluster_invariants_on_random_clouds(seed, n, extent, voxel):
+@given(reach=st.sampled_from([1, 2]), **_clouds)
+def test_cluster_invariants_on_random_clouds(reach, seed, n, extent, voxel):
     cfg = SupervoxelConfig(voxel_resolution=voxel, seed_resolution=0.08)
     frame = _random_cloud(seed, n, extent)
-    svs = cluster_supervoxels(frame, cfg)
+    svs = cluster_supervoxels(frame, cfg, reach)
     # every point lands in exactly one supervoxel, listed in sorted order
     np.testing.assert_array_equal(np.sort(np.concatenate([sv.point_indices for sv in svs])), np.arange(n))
     for sv in svs:
@@ -284,10 +292,10 @@ def test_cluster_invariants_on_random_clouds(seed, n, extent, voxel):
     for sv in svs:
         point_keys = np.floor(frame.points[sv.point_indices] / voxel).astype(np.int64)
         np.testing.assert_array_equal(sv.voxel_keys, np.unique(point_keys, axis=0))
-        assert _is_26_connected(sv.voxel_keys)
-    # each seedless 26-component becomes exactly one supervoxel
+        assert _is_connected(sv.voxel_keys, reach)
+    # each seedless voxel component becomes exactly one supervoxel
     footprint = {frozenset(map(tuple, sv.voxel_keys.tolist())): sv for sv in svs}
-    for piece in _seedless_components(frame, cfg):
+    for piece in _seedless_components(frame, cfg, reach):
         assert frozenset(piece) in footprint
 
 
@@ -301,3 +309,32 @@ def test_point_order_does_not_change_the_partition(order_seed, seed, n, extent, 
     base = {frozenset(sv.point_indices.tolist()) for sv in cluster_supervoxels(frame, cfg)}
     moved = {frozenset(perm[sv.point_indices].tolist()) for sv in cluster_supervoxels(shuffled, cfg)}
     assert moved == base
+
+
+@pytest.mark.parametrize(
+    "points, reach",
+    [
+        ([[0.3, -0.2, 0.5]], 2),  # spacing inf
+        (np.tile([0.3, -0.2, 0.5], (40, 1)), 1),  # spacing 0
+        (np.outer(np.arange(300) * 0.002, [1.0, 0.5, 0.0]), 1),
+        (np.outer(np.arange(300) * 0.012, [1.0, 0.5, 0.0]), 2),
+    ],
+)
+def test_voxel_reach_on_degenerate_clouds(points, reach):
+    assert voxel_reach(np.asarray(points), 0.008) == reach
+
+
+def test_voxel_reach_threshold_is_relative_to_the_voxel():
+    line = np.outer(np.arange(50), [0.01, 0.0, 0.0])  # spacing 0.01; 0.875 * 0.0114 < 0.01 < 0.875 * 0.0115
+    for scale in (1.0, 2.0, 0.5, 1000.0):
+        assert [voxel_reach(scale * line, scale * v) for v in (0.0114, 0.0115)] == [2, 1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(order_seed=st.integers(0, 2**31 - 1), shift=st.sampled_from([0.0123, -3.7, 1e3]), **_clouds)
+def test_voxel_reach_ignores_point_order_and_translation(order_seed, shift, seed, n, extent, voxel):
+    points = _random_cloud(seed, n, extent).points
+    reach = voxel_reach(points, voxel)
+    assert reach in (1, 2)
+    assert voxel_reach(points[np.random.default_rng(order_seed).permutation(n)], voxel) == reach
+    assert voxel_reach(points + shift, voxel) == reach
