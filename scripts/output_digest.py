@@ -11,8 +11,8 @@ outputs.  NAMEs select a subset of the check set.
 
 The check set has 16 sequences: seed 0 of the benchmark's pair_contact_fine
 and crossing_coarse workloads (4 sequences each), seed 0 of the four
-scenario kinds at voxel 0.02, and four sequences that merge and split at
-voxel 0.008: triple_contact_fine seeds 0-1 and approach_merge_split seeds 1-2.
+scenario kinds at voxel 0.02, and four contact sequences at voxel 0.008:
+triple_contact_fine seeds 0-1 and approach_merge_split seeds 1-2.
 """
 
 from __future__ import annotations
