@@ -1,7 +1,7 @@
 """Supervoxel clustering: voxelize, seed on a coarse grid, grow by path cost.
 
-Occupied voxels are linked to those within a Chebyshev reach of 1 (26-
-adjacency) or, on clouds sparser than the voxel grid, 2 (``voxel_reach``),
+Occupied voxels are linked to those within a Chebyshev reach of 1
+(26-adjacency) or, on clouds sparser than the voxel grid, 2 (``voxel_reach``),
 and each link costs the growth metric between the two voxels' features,
     D = sqrt(w_c * (dE_lab / 100)^2 + w_s * (d_spatial / seed_resolution)^2).
 A growth pass gives every voxel to the seed with the cheapest path to it

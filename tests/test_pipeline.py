@@ -223,15 +223,16 @@ class TestMetamorphic:
     @pytest.mark.parametrize("voxel", [0.02, 0.008])
     @pytest.mark.parametrize("kind", ["approach_merge_split", "occlusion_split"])
     def test_scale_by_two_keeps_labels(self, kind, voxel):
-        # doubling is exact in binary; every length setting doubles with the
-        # cloud, and delta weighs a variance in m^2, so it is quartered
+        # doubling is exact in binary; the voxel and the seed resolution (0.08
+        # by default) double with the cloud, every other length defaults to a
+        # multiple of the seed resolution, and delta weighs a variance in m^2
         frames = generate_scenario(make_scenario(kind, rng_seed=0)).frames
         scaled = [PointCloudFrame(f.frame_index, 2.0 * f.points, f.colors) for f in frames]
         base = run_sequence(frames, PipelineConfig(supervoxel=SupervoxelConfig(voxel_resolution=voxel)))
         big = run_sequence(
             scaled,
             PipelineConfig(
-                supervoxel=SupervoxelConfig(voxel_resolution=2 * voxel, seed_resolution=2 * SupervoxelConfig().seed_resolution),
+                supervoxel=SupervoxelConfig(voxel_resolution=2 * voxel, seed_resolution=2 * 0.08),
                 energy=EnergyParams(delta=EnergyParams().delta / 4),
             ),
         )
@@ -365,13 +366,18 @@ class TestSparseClouds:
             assert segmentation_error(LabeledFrame(r.frame_index, r.point_labels), truth) == 0.0
 
     def test_reach_is_kept_when_later_frames_are_denser(self):
-        sparse = _cloud(0, grid_cloud((10, 10, 1), spacing=0.012)[0])
-        dense = [_cloud(i, grid_cloud((20, 20, 1), spacing=0.006)[0]) for i in (1, 2)]
-        cfg = PipelineConfig()
+        # two patches one empty voxel apart: reach 2 bridges them, reach 1 does not
+        def patches(idx, n, spacing):
+            left = grid_cloud((n, n, 1), spacing=spacing, origin=(0.001, 0.001, 0.001))[0]
+            right = grid_cloud((n, n, 1), spacing=spacing, origin=(0.033, 0.001, 0.001))[0]
+            return _cloud(idx, np.concatenate([left, right]))
+
+        sparse, dense = patches(0, 3, 0.008), [patches(i, 6, 0.004) for i in (1, 2)]
         assert voxel_reach(sparse.points, 0.008) == 2 and voxel_reach(dense[0].points, 0.008) == 1
-        result = run_sequence([sparse, *dense], cfg)
+        assert len(cluster_supervoxels(dense[0], SupervoxelConfig(), 1)) == 2
+        result = run_sequence([sparse, *dense], PipelineConfig())
         assert result.state.reach == 2
-        assert result.frames[1].supervoxel_count == len(cluster_supervoxels(dense[0], cfg.supervoxel, 2))
+        assert [r.supervoxel_count for r in result.frames] == [1, 1, 1]
 
     def test_leading_empty_frames_do_not_decide_the_reach(self):
         state = init_state(PipelineConfig())

@@ -207,10 +207,6 @@ def _offsets(reach: int) -> list[tuple[int, int, int]]:
     return [d for d in itertools.product(range(-reach, reach + 1), repeat=3) if d != (0, 0, 0)]
 
 
-def test_offset_counts():
-    assert (len(_offsets(1)), len(_offsets(2))) == (26, 124)
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     keys=st.sets(st.tuples(*[st.integers(-3, 3)] * 3), max_size=60),
