@@ -31,7 +31,6 @@ from dynseg.assignment import (
 )
 from dynseg.graph import AdjacencyGraph
 from dynseg.graphcut import CutParams, CutProblem, cut_energy, ncut_value, normalized_cut_bisect, restricted_cut
-from dynseg.supervoxel import SuperVoxel
 
 
 def random_assignment(rng, num_segments, num_blobs, params):
@@ -63,7 +62,12 @@ def random_assignment(rng, num_segments, num_blobs, params):
     return AssignmentProblem(segments=segments, blobs=blobs, params=params)
 
 
-def random_connected_graph(rng, n):
+def random_connected_graph(rng, n, random_features=False):
+    """A connected graph on nodes 0..n-1.
+
+    Centroids lie 0.05 apart on the x axis with one shared colour or, with
+    ``random_features``, centroids and colours are drawn node by node.
+    """
     order = rng.permutation(n)
     edges = {}
     for k in range(1, n):
@@ -73,17 +77,23 @@ def random_connected_graph(rng, n):
         a, b = (int(v) for v in rng.integers(0, n, 2))
         if a != b:
             edges.setdefault((min(a, b), max(a, b)), float(rng.uniform(0.05, 1.0)))
-    svs = {
-        i: SuperVoxel(
-            sv_id=i,
-            point_indices=np.array([i]),
-            voxel_keys=np.asarray([(i, 0, 0)], dtype=np.int64),
-            centroid=np.array([0.05 * i, 0.0, 0.0]),
-            mean_color_lab=np.array([50.0, 0.0, 0.0]),
-        )
-        for i in range(n)
-    }
-    return AdjacencyGraph(nodes=list(range(n)), edges=list(edges), weights=list(edges.values()), svs=svs)
+    if random_features:
+        rows = [
+            (rng.uniform(0.0, 0.3, 3), [rng.uniform(20, 80), rng.uniform(-30, 30), rng.uniform(-30, 30)])
+            for _ in range(n)
+        ]
+        centroids, colors = np.asarray([c for c, _ in rows]), np.asarray([lab for _, lab in rows])
+    else:
+        centroids = np.column_stack([0.05 * np.arange(n), np.zeros((n, 2))])
+        colors = np.tile([50.0, 0.0, 0.0], (n, 1))
+    return AdjacencyGraph(
+        nodes=np.arange(n),
+        edges=list(edges),
+        weights=list(edges.values()),
+        centroids=centroids,
+        colors_lab=colors,
+        point_counts=np.ones(n),
+    )
 
 
 def brute_force_ncut(graph):
@@ -97,10 +107,7 @@ def brute_force_ncut(graph):
 
 def random_cut_problem(rng, n, num_labels):
     """A connected graph with random centroids and colors, one seed per label."""
-    graph = random_connected_graph(rng, n)
-    for sv in graph.svs.values():
-        sv.centroid = rng.uniform(0.0, 0.3, 3)
-        sv.mean_color_lab = np.array([rng.uniform(20, 80), rng.uniform(-30, 30), rng.uniform(-30, 30)])
+    graph = random_connected_graph(rng, n, random_features=True)
     seeds = rng.choice(n, size=num_labels, replace=False)
     return CutProblem(
         subgraph=graph,

@@ -17,7 +17,7 @@ from .cloud_io import (
     write_frame,
     load_sequence,
 )
-from .supervoxel import SuperVoxel, SupervoxelConfig, cluster_supervoxels, voxelize
+from .supervoxel import Supervoxels, SupervoxelConfig, cluster_supervoxels, voxelize
 from .graph import AdjacencyGraph, GraphConfig, Blob, build_graph, connected_components
 from .assignment import (
     AssignmentProblem,

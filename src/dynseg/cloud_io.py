@@ -331,12 +331,3 @@ def read_interaction_log(path: str | os.PathLike) -> list[InteractionRecord]:
             )
     return out
 
-
-def dump_supervoxels(supervoxels, path: str | os.PathLike) -> None:
-    """Debug dump: "sv v1 <K>" then one line per supervoxel."""
-    lines = [f"sv {FORMAT_VERSION} {len(supervoxels)}"]
-    for sv in supervoxels:
-        c = sv.centroid
-        lines.append(f"{sv.sv_id} {len(sv.point_indices)} {c[0]:.9g} {c[1]:.9g} {c[2]:.9g}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")

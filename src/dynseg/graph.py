@@ -1,8 +1,8 @@
 """Adjacency graph over supervoxels, its blobs, and the connectivity helper.
 
-Two supervoxels are linked when their voxel footprints touch, meaning two of
-their voxels lie within the growth's voxel reach (1 is 26-adjacency), or
-their centroids are closer than the adjacency radius.
+Two supervoxels are linked when they touch, meaning the supervoxel growth
+linked a voxel of one to a voxel of the other (its contacts), or when their
+centroids are closer than the adjacency radius.
 Edge weight: w_ij = exp(-dE_lab / sigma_color) * exp(-d / sigma_distance).
 """
 
@@ -16,7 +16,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components as _csgraph_components
 from scipy.spatial import cKDTree
 
-from .supervoxel import SuperVoxel, voxel_neighbour_pairs
+from .supervoxel import Supervoxels
 
 
 @dataclass
@@ -37,20 +37,32 @@ class GraphConfig:
 class AdjacencyGraph:
     """Supervoxel adjacency graph in array form.
 
-    The constructor puts each edge as (i, j) with i < j and sorts the edges
-    lexicographically, carrying each weight along; every consumer relies on
-    that order; edges that already come in it are kept as given.  A graph is
-    not modified after construction, so ``edge_index`` and the per-node
-    arrays are computed once.  A subgraph shares the parent's ``svs``.
+    The constructor sorts the nodes, carrying each node's rows along, puts
+    each edge as (i, j) with i < j and sorts the edges lexicographically,
+    carrying each weight along; every consumer relies on that order; edges
+    that already come in it are kept as given.  A graph is not modified after
+    construction, so ``edge_index`` is computed once.
     """
 
-    nodes: np.ndarray  # (N,) sorted int64 supervoxel ids
+    nodes: np.ndarray  # (N,) sorted distinct int64 supervoxel ids
     edges: np.ndarray  # (E, 2) int64 id pairs, i < j, unique, lexicographic
     weights: np.ndarray  # (E,) build_graph's weights lie in (0, 1]
-    svs: dict[int, SuperVoxel]
+    centroids: np.ndarray  # (N, 3) supervoxel centroids, in node order
+    colors_lab: np.ndarray  # (N, 3) supervoxel mean Lab colours, in node order
+    point_counts: np.ndarray  # (N,) float point count of each supervoxel, in node order
 
     def __post_init__(self) -> None:
-        self.nodes = np.unique(np.asarray(self.nodes, dtype=np.int64))
+        nodes = np.asarray(self.nodes, dtype=np.int64).reshape(-1)
+        centroids = np.asarray(self.centroids, dtype=np.float64).reshape(-1, 3)
+        colors = np.asarray(self.colors_lab, dtype=np.float64).reshape(-1, 3)
+        counts = np.asarray(self.point_counts, dtype=np.float64).reshape(-1)
+        if not len(nodes) == len(centroids) == len(colors) == len(counts):
+            raise ValueError("nodes, centroids, colours and point counts differ in length")
+        order = np.argsort(nodes, kind="stable")
+        self.nodes = nodes[order]
+        if (np.diff(self.nodes) == 0).any():
+            raise ValueError("duplicate node ids")
+        self.centroids, self.colors_lab, self.point_counts = centroids[order], colors[order], counts[order]
         edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
         weights = np.asarray(self.weights, dtype=np.float64).reshape(-1)
         if len(weights) != len(edges):
@@ -75,29 +87,20 @@ class AdjacencyGraph:
         """(E, 2) positions in ``nodes`` of each edge's endpoints."""
         return np.searchsorted(self.nodes, self.edges)
 
-    @cached_property
-    def centroids(self) -> np.ndarray:
-        """(N, 3) supervoxel centroids, in node order."""
-        return self._node_rows("centroid")
-
-    @cached_property
-    def colors_lab(self) -> np.ndarray:
-        """(N, 3) supervoxel mean Lab colours, in node order."""
-        return self._node_rows("mean_color_lab")
-
-    @cached_property
-    def point_counts(self) -> np.ndarray:
-        """(N,) float point count of each supervoxel, in node order."""
-        return np.asarray([len(self.svs[n].point_indices) for n in self.nodes.tolist()], dtype=np.float64)
-
-    def _node_rows(self, attr: str) -> np.ndarray:
-        rows = [getattr(self.svs[n], attr) for n in self.nodes.tolist()]
-        return np.asarray(rows, dtype=np.float64).reshape(-1, 3)
-
     def subgraph(self, node_subset) -> "AdjacencyGraph":
         nodes = np.asarray(sorted(node_subset), dtype=np.int64)
+        if not np.isin(nodes, self.nodes).all():
+            raise ValueError("subgraph nodes must be nodes of the graph")
+        at = np.searchsorted(self.nodes, nodes)
         inside = np.isin(self.edges, nodes).all(axis=1)
-        return AdjacencyGraph(nodes=nodes, edges=self.edges[inside], weights=self.weights[inside], svs=self.svs)
+        return AdjacencyGraph(
+            nodes=nodes,
+            edges=self.edges[inside],
+            weights=self.weights[inside],
+            centroids=self.centroids[at],
+            colors_lab=self.colors_lab[at],
+            point_counts=self.point_counts[at],
+        )
 
     def is_connected(self) -> bool:
         return self.num_nodes == 0 or _components(self.num_nodes, self.edge_index)[0] == 1
@@ -119,34 +122,27 @@ class Blob:
         return sorted(self.member_supervoxels)
 
 
-def build_graph(
-    supervoxels: list[SuperVoxel], config: GraphConfig, seed_resolution: float, reach: int = 1
-) -> AdjacencyGraph:
-    """Link supervoxels by footprint contact within ``reach`` voxels or by centroid proximity."""
+def build_graph(supervoxels: Supervoxels, config: GraphConfig, seed_resolution: float) -> AdjacencyGraph:
+    """Link supervoxels that touch (their ``contacts``) or whose centroids are near."""
     cfg = config.resolve(seed_resolution)
-    svs = {sv.sv_id: sv for sv in supervoxels}
-    if len(svs) != len(supervoxels):
-        raise ValueError("duplicate supervoxel ids")
-    nodes = sorted(svs)
-    if not nodes:
-        return AdjacencyGraph(nodes=[], edges=[], weights=[], svs={})
-    centroids = np.asarray([svs[n].centroid for n in nodes], dtype=np.float64)
-    colors = np.asarray([svs[n].mean_color_lab for n in nodes], dtype=np.float64)
-
-    # footprint contact, as positions in nodes
-    owner = np.repeat(np.arange(len(nodes)), [len(svs[n].voxel_keys) for n in nodes])
-    touching = owner[voxel_neighbour_pairs(np.concatenate([svs[n].voxel_keys for n in nodes]), reach)]
-    touching = touching[touching[:, 0] != touching[:, 1]]
+    n = len(supervoxels)
+    centroids, colors = supervoxels.centroids, supervoxels.colors_lab
     # centroid proximity, strictly inside the radius
     near = cKDTree(centroids).query_pairs(cfg.adjacency_radius, output_type="ndarray")
     near = near[np.linalg.norm(centroids[near[:, 0]] - centroids[near[:, 1]], axis=1) < cfg.adjacency_radius]
-    both = np.concatenate([touching, near])
-    a, b = np.divmod(np.unique(both.min(axis=1) * len(nodes) + both.max(axis=1)), len(nodes))
+    both = np.concatenate([supervoxels.contacts, near])
+    a, b = np.divmod(np.unique(both.min(axis=1) * n + both.max(axis=1)), n)
     dc = np.linalg.norm(colors[a] - colors[b], axis=1)
     d = np.linalg.norm(centroids[a] - centroids[b], axis=1)
     weights = np.exp(-dc / cfg.sigma_color) * np.exp(-d / cfg.sigma_distance)
-    ids = np.asarray(nodes, dtype=np.int64)
-    return AdjacencyGraph(nodes=ids, edges=np.column_stack([ids[a], ids[b]]), weights=weights, svs=svs)
+    return AdjacencyGraph(
+        nodes=np.arange(n),
+        edges=np.column_stack([a, b]),
+        weights=weights,
+        centroids=centroids,
+        colors_lab=colors,
+        point_counts=supervoxels.point_counts,
+    )
 
 
 def connected_sets(nodes, pairs) -> list[frozenset[int]]:

@@ -57,7 +57,7 @@ class CutProblem:
     def __post_init__(self) -> None:
         self.previous_boundary = np.asarray(self.previous_boundary, dtype=np.float64).reshape(-1, 3)
         for n in self.label_seeds:
-            if n not in self.subgraph.svs or n not in self.subgraph.nodes:
+            if n not in self.subgraph.nodes:
                 raise ValueError(f"seed node {n} not in subgraph")
 
     def labels(self) -> list[int]:
@@ -205,9 +205,14 @@ def restricted_cut(problem: CutProblem) -> dict[int, int]:
     return dict(zip(nodes, labels[current].tolist()))
 
 
-def boundary_midpoints(graph: AdjacencyGraph, labeling: dict[int, int]) -> np.ndarray:
-    """Midpoints of edges whose endpoints carry different labels, in edge order."""
-    lab = np.asarray([labeling.get(n) for n in graph.nodes.tolist()], dtype=object)
+def boundary_midpoints(graph: AdjacencyGraph, labels: np.ndarray) -> np.ndarray:
+    """Midpoints of edges whose endpoints carry different labels, in edge order.
+
+    ``labels`` holds one label per node, in node order.
+    """
+    lab = np.asarray(labels)
+    if len(lab) != graph.num_nodes:
+        raise ValueError(f"{len(lab)} labels for {graph.num_nodes} nodes")
     pos = graph.edge_index
     return _midpoints(graph, pos[lab[pos[:, 0]] != lab[pos[:, 1]]])
 

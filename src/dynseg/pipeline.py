@@ -24,9 +24,9 @@ from .assignment import (
     solve_ga,
 )
 from .cloud_io import InteractionRecord, PointCloudFrame
-from .graph import AdjacencyGraph, GraphConfig, build_graph, connected_components
+from .graph import GraphConfig, build_graph, connected_components
 from .graphcut import CutParams, CutProblem, OversegConfig, boundary_midpoints, restricted_cut
-from .supervoxel import SupervoxelConfig, cluster_supervoxels, voxel_reach
+from .supervoxel import SupervoxelConfig, Supervoxels, cluster_supervoxels, voxel_reach
 from .tree import (
     IdAllocator,
     InteractionEvent,
@@ -119,13 +119,6 @@ def init_state(config: PipelineConfig) -> PipelineState:
     return PipelineState(config=config.resolved())
 
 
-def _point_labels(graph: AdjacencyGraph, object_of: np.ndarray, n_points: int) -> np.ndarray:
-    labels = np.full(n_points, -1, dtype=np.int64)
-    for sv_id, oid in zip(graph.nodes.tolist(), object_of.tolist()):
-        labels[graph.svs[sv_id].point_indices] = oid
-    return labels
-
-
 def process_frame(state: PipelineState, frame: PointCloudFrame) -> FrameResult:
     cfg = state.config
     if cfg.energy.beta is None or cfg.tree.candidate_gap is None:
@@ -137,11 +130,11 @@ def process_frame(state: PipelineState, frame: PointCloudFrame) -> FrameResult:
         state.reach = voxel_reach(frame.points, cfg.supervoxel.voxel_resolution)
 
     t = time.perf_counter()
-    svs = cluster_supervoxels(frame, cfg.supervoxel, state.reach) if frame.num_points else []
+    svs = cluster_supervoxels(frame, cfg.supervoxel, state.reach) if frame.num_points else Supervoxels.empty()
     timings["supervoxel"] = (time.perf_counter() - t) * 1e3
 
     t = time.perf_counter()
-    graph = build_graph(svs, cfg.graph, cfg.supervoxel.seed_resolution, state.reach)
+    graph = build_graph(svs, cfg.graph, cfg.supervoxel.seed_resolution)
     blobs = connected_components(graph)
     timings["graph"] = (time.perf_counter() - t) * 1e3
 
@@ -157,11 +150,9 @@ def process_frame(state: PipelineState, frame: PointCloudFrame) -> FrameResult:
         tree = init_tree(blobs, graph, fidx, state.alloc, cfg.overseg, cfg.tree, prev=state.tree)
     else:
         blob_list = sorted(blobs, key=lambda b: b.blob_id)
+        # node k of the frame graph is supervoxel k, so ids index its rows
         blob_feats = [
-            BlobFeature(
-                sv_centroids=np.asarray([graph.svs[i].centroid for i in b.members_sorted]),
-                sv_colors_lab=np.asarray([graph.svs[i].mean_color_lab for i in b.members_sorted]),
-            )
+            BlobFeature(sv_centroids=graph.centroids[b.members_sorted], sv_colors_lab=graph.colors_lab[b.members_sorted])
             for b in blob_list
         ]
         problem = AssignmentProblem(segments=segments, blobs=blob_feats, params=cfg.energy)
@@ -198,8 +189,8 @@ def process_frame(state: PipelineState, frame: PointCloudFrame) -> FrameResult:
     state.open_events, closed = detect_interactions(tree, state.open_events)
     _update_ghosts(state, tree, fidx)
     object_of = tree.object_of()
-    state.boundary = boundary_midpoints(graph, dict(zip(graph.nodes.tolist(), object_of.tolist())))
-    labels = _point_labels(graph, object_of, frame.num_points)
+    state.boundary = boundary_midpoints(graph, object_of)
+    labels = object_of[svs.of_point]
     state.tree = tree
     timings["tree"] = (time.perf_counter() - t) * 1e3 - timings["assignment"] - timings["cut"]
     timings["total"] = (time.perf_counter() - t_total) * 1e3

@@ -72,12 +72,23 @@ class SupervoxelConfig:
 
 
 @dataclass
-class SuperVoxel:
-    sv_id: int
-    point_indices: np.ndarray  # sorted indices into the source frame
-    voxel_keys: np.ndarray  # (k, 3) int64 footprint, lexicographically sorted rows
-    centroid: np.ndarray  # (3,) mean of member point positions
-    mean_color_lab: np.ndarray  # (3,) mean of member point Lab colors
+class Supervoxels:
+    """A frame's supervoxels as arrays; supervoxel k has id k."""
+
+    of_point: np.ndarray  # (P,) supervoxel of each point
+    centroids: np.ndarray  # (S, 3) mean of member point positions
+    colors_lab: np.ndarray  # (S, 3) mean of member point Lab colours
+    point_counts: np.ndarray  # (S,) number of member points
+    contacts: np.ndarray  # (C, 2) distinct pairs i < j owning two linked voxels, lexicographic
+
+    def __len__(self) -> int:
+        return len(self.centroids)
+
+    @classmethod
+    def empty(cls) -> "Supervoxels":
+        """The supervoxels of a frame with no points."""
+        none = np.zeros(0, dtype=np.int64)
+        return cls(none, np.zeros((0, 3)), np.zeros((0, 3)), none, np.zeros((0, 2), dtype=np.int64))
 
 
 def voxelize(frame: PointCloudFrame, resolution: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -136,7 +147,7 @@ def _nearest_per_group(groups: np.ndarray, d2: np.ndarray) -> np.ndarray:
     return np.sort(order[first])
 
 
-def cluster_supervoxels(frame: PointCloudFrame, config: SupervoxelConfig, reach: int = 1) -> list[SuperVoxel]:
+def cluster_supervoxels(frame: PointCloudFrame, config: SupervoxelConfig, reach: int = 1) -> Supervoxels:
     """Partition a frame's points into supervoxels, linking voxels within ``reach``.
 
     One seed per occupied cell of a grid at seed_resolution, placed at the
@@ -147,6 +158,7 @@ def cluster_supervoxels(frame: PointCloudFrame, config: SupervoxelConfig, reach:
     centroid.  Voxel ties go to the smallest key.  Passes stop when no seed
     moves, since the next pass would repeat the claims, or after
     max_iterations passes.  Ids follow each supervoxel's smallest voxel key.
+    Contacts are the supervoxel pairs that own the two ends of a voxel link.
     """
     config.validate()
     if frame.num_points == 0:
@@ -157,7 +169,8 @@ def cluster_supervoxels(frame: PointCloudFrame, config: SupervoxelConfig, reach:
     vox_centroid = _group_means(frame.points, point_voxel, n_vox)
     vox_lab = _group_means(lab_all, point_voxel, n_vox)
 
-    a, b = voxel_neighbour_pairs(keys, reach).T
+    pairs = voxel_neighbour_pairs(keys, reach)
+    a, b = pairs.T
     cost = _growth_metric(vox_centroid[a], vox_lab[a], vox_centroid[b], vox_lab[b], config)
     links = csr_matrix((cost, (a, b)), shape=(n_vox, n_vox))
 
@@ -184,21 +197,16 @@ def cluster_supervoxels(frame: PointCloudFrame, config: SupervoxelConfig, reach:
     _, first_member, cluster = np.unique(claim, return_index=True, return_inverse=True)
     n_sv = len(first_member)
     sv_of_voxel = np.argsort(np.argsort(first_member))[cluster.reshape(-1)]
-    sv_of_point = sv_of_voxel[point_voxel]
-    sv_centroid = _group_means(frame.points, sv_of_point, n_sv)
-    sv_lab = _group_means(lab_all, sv_of_point, n_sv)
-    points = np.split(np.argsort(sv_of_point, kind="stable"), np.cumsum(np.bincount(sv_of_point))[:-1])
-    footprints = np.split(keys[np.argsort(sv_of_voxel, kind="stable")], np.cumsum(np.bincount(sv_of_voxel))[:-1])
-    return [
-        SuperVoxel(
-            sv_id=k,
-            point_indices=points[k],
-            voxel_keys=footprints[k],
-            centroid=sv_centroid[k],
-            mean_color_lab=sv_lab[k],
-        )
-        for k in range(n_sv)
-    ]
+    of_point = sv_of_voxel[point_voxel]
+    touch = np.sort(sv_of_voxel[pairs], axis=1)
+    touch = touch[touch[:, 0] != touch[:, 1]]
+    return Supervoxels(
+        of_point=of_point,
+        centroids=_group_means(frame.points, of_point, n_sv),
+        colors_lab=_group_means(lab_all, of_point, n_sv),
+        point_counts=np.bincount(of_point, minlength=n_sv),
+        contacts=np.column_stack(np.divmod(np.unique(touch[:, 0] * n_sv + touch[:, 1]), n_sv)),
+    )
 
 
 def growth_distance(

@@ -219,8 +219,8 @@ def derive_blob_seeds(
     seg_site: dict[int, tuple[int, int]] = {}
     for pos, blob in enumerate(blob_list):
         members = blob.members_sorted
-        cen = np.asarray([graph.svs[i].centroid for i in members])
-        col = np.asarray([graph.svs[i].mean_color_lab for i in members])
+        at = np.searchsorted(graph.nodes, members)
+        cen, col = graph.centroids[at], graph.colors_lab[at]
         assigned = [s for s in range(problem.num_segments) if assignment.labels[s] == pos]
         if not assigned:
             continue

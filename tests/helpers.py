@@ -1,4 +1,4 @@
-"""Shared builders for hand-constructed graphs and supervoxels, and the per-frame tree invariant check."""
+"""Shared builders for hand-constructed graphs and supervoxels, per-supervoxel views, and the per-frame tree invariant check."""
 
 from __future__ import annotations
 
@@ -6,33 +6,36 @@ import numpy as np
 
 from dynseg.graph import AdjacencyGraph
 from dynseg.pipeline import init_state, process_frame
-from dynseg.supervoxel import SuperVoxel
-
-_next_point = [0]
+from dynseg.supervoxel import Supervoxels, voxelize
 
 
-def make_sv(
-    sv_id: int,
-    centroid,
-    color_lab=(50.0, 0.0, 0.0),
-    n_points: int = 5,
-    key=None,
-) -> SuperVoxel:
-    start = _next_point[0]
-    _next_point[0] += n_points
-    if key is None:
-        key = (sv_id, 0, 0)
-    return SuperVoxel(
-        sv_id=sv_id,
-        point_indices=np.arange(start, start + n_points),
-        voxel_keys=np.asarray([key], dtype=np.int64),
-        centroid=np.asarray(centroid, dtype=np.float64),
-        mean_color_lab=np.asarray(color_lab, dtype=np.float64),
+def make_supervoxels(centroids, colors_lab=None, contacts=(), n_points: int = 5) -> Supervoxels:
+    """A frame's supervoxels by hand: n_points points each, touching along ``contacts``."""
+    centroids = np.asarray(centroids, dtype=np.float64).reshape(-1, 3)
+    count = len(centroids)
+    colors = np.tile([50.0, 0.0, 0.0], (count, 1)) if colors_lab is None else colors_lab
+    return Supervoxels(
+        of_point=np.repeat(np.arange(count), n_points),
+        centroids=centroids,
+        colors_lab=np.asarray(colors, dtype=np.float64).reshape(-1, 3),
+        point_counts=np.full(count, n_points),
+        contacts=np.asarray(contacts, dtype=np.int64).reshape(-1, 2),
     )
 
 
+def members(supervoxels: Supervoxels) -> list[np.ndarray]:
+    """Each supervoxel's sorted point indices."""
+    return [np.flatnonzero(supervoxels.of_point == k) for k in range(len(supervoxels))]
+
+
+def footprints(frame, supervoxels: Supervoxels, voxel_resolution: float) -> list[np.ndarray]:
+    """Each supervoxel's voxel keys, lexicographically sorted rows, rebuilt from ``voxelize``."""
+    keys, point_voxel, _ = voxelize(frame, voxel_resolution)
+    return [keys[np.unique(point_voxel[supervoxels.of_point == k])] for k in range(len(supervoxels))]
+
+
 def graph_from_edges(edges: dict, positions: dict | None = None, colors: dict | None = None) -> AdjacencyGraph:
-    """AdjacencyGraph over the nodes mentioned in edges (plus positions keys)."""
+    """AdjacencyGraph over the nodes mentioned in edges (plus positions keys), 5 points per node."""
     nodes = set()
     for i, j in edges:
         nodes.add(i)
@@ -40,12 +43,15 @@ def graph_from_edges(edges: dict, positions: dict | None = None, colors: dict | 
     if positions:
         nodes.update(positions)
     nodes = sorted(nodes)
-    svs = {}
-    for n in nodes:
-        pos = positions.get(n, (float(n), 0.0, 0.0)) if positions else (float(n), 0.0, 0.0)
-        col = colors.get(n, (50.0, 0.0, 0.0)) if colors else (50.0, 0.0, 0.0)
-        svs[n] = make_sv(n, pos, col)
-    return AdjacencyGraph(nodes=nodes, edges=list(edges), weights=list(edges.values()), svs=svs)
+    positions, colors = positions or {}, colors or {}
+    return AdjacencyGraph(
+        nodes=nodes,
+        edges=list(edges),
+        weights=list(edges.values()),
+        centroids=[positions.get(n, (float(n), 0.0, 0.0)) for n in nodes],
+        colors_lab=[colors.get(n, (50.0, 0.0, 0.0)) for n in nodes],
+        point_counts=np.full(len(nodes), 5),
+    )
 
 
 def edge_dict(graph: AdjacencyGraph) -> dict[tuple[int, int], float]:

@@ -1,6 +1,5 @@
 """Adjacency graph construction and connected components."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +11,7 @@ from dynseg.cloud_io import PointCloudFrame
 from dynseg.graph import AdjacencyGraph, GraphConfig, build_graph, connected_components, connected_sets
 from dynseg.supervoxel import SupervoxelConfig, cluster_supervoxels
 
-from helpers import edge_dict, graph_from_edges, make_sv
+from helpers import edge_dict, footprints, graph_from_edges, make_supervoxels
 
 
 def _cc_oracle(nodes, edges):
@@ -66,11 +65,10 @@ class TestConnectedSets:
         assert connected_sets(nodes, pairs) == _union_find_pieces(nodes, pairs)
 
 
-def _build_graph_loop(supervoxels, config, seed_resolution, reach=1):
-    """Reference: the 26- or 124-offset footprint walk plus the strict centroid-radius test."""
+def _build_graph_loop(feet, centroids, colors, config, seed_resolution, reach=1):
+    """Reference: the 26- or 124-offset walk over the footprints ``feet`` plus the strict centroid-radius test."""
     cfg = config.resolve(seed_resolution)
-    svs = {sv.sv_id: sv for sv in supervoxels}
-    owner = {tuple(int(v) for v in k): sv.sv_id for sv in supervoxels for k in sv.voxel_keys}
+    owner = {tuple(int(v) for v in k): sv for sv, keys in enumerate(feet) for k in keys}
     pairs = set()
     steps = range(-reach, reach + 1)
     for (x, y, z), a in owner.items():
@@ -80,15 +78,15 @@ def _build_graph_loop(supervoxels, config, seed_resolution, reach=1):
                     b = owner.get((x + dx, y + dy, z + dz))
                     if b is not None and b != a:
                         pairs.add((min(a, b), max(a, b)))
-    ids = sorted(svs)
+    ids = list(range(len(feet)))
     for i, a in enumerate(ids):
         for b in ids[i + 1 :]:
-            if float(np.linalg.norm(svs[a].centroid - svs[b].centroid)) < cfg.adjacency_radius:
+            if float(np.linalg.norm(centroids[a] - centroids[b])) < cfg.adjacency_radius:
                 pairs.add((a, b))
     edges = {}
     for a, b in sorted(pairs):
-        dc = float(np.linalg.norm(svs[a].mean_color_lab - svs[b].mean_color_lab))
-        d = float(np.linalg.norm(svs[a].centroid - svs[b].centroid))
+        dc = float(np.linalg.norm(colors[a] - colors[b]))
+        d = float(np.linalg.norm(centroids[a] - centroids[b]))
         edges[(a, b)] = math.exp(-dc / cfg.sigma_color) * math.exp(-d / cfg.sigma_distance)
     return ids, edges
 
@@ -124,73 +122,72 @@ class TestGraphConfig:
         assert cfg.sigma_distance == 0.05
 
 
+def _cell_frame(keys, voxel=0.01):
+    """One grey point at the centre of each listed voxel key."""
+    pts = (np.asarray(keys, dtype=np.float64) + 0.5) * voxel
+    return PointCloudFrame(0, pts, np.full(pts.shape, 128, dtype=np.uint8))
+
+
+# seed cells as small as the voxel give every voxel of _cell_frame its own
+# supervoxel; a radius this small leaves footprint contact as the only link
+_ONE_PER_VOXEL = SupervoxelConfig(voxel_resolution=0.01, seed_resolution=0.01)
+_NO_RADIUS = GraphConfig(adjacency_radius=1e-9)
+
+
 class TestBuildGraph:
     def test_edge_weight_hand_value(self):
         # dLab = 15, d = 0.04, sigma_c = 30, sigma_d = 0.08
         # w = exp(-15/30) * exp(-0.04/0.08) = exp(-1)
-        a = make_sv(0, (0.0, 0.0, 0.0), color_lab=(50.0, 10.0, 0.0), key=(0, 0, 0))
-        b = make_sv(1, (0.04, 0.0, 0.0), color_lab=(50.0, -5.0, 0.0), key=(50, 0, 0))
-        g = build_graph([a, b], GraphConfig(), seed_resolution=0.08)
+        svs = make_supervoxels([(0.0, 0.0, 0.0), (0.04, 0.0, 0.0)], colors_lab=[(50.0, 10.0, 0.0), (50.0, -5.0, 0.0)])
+        g = build_graph(svs, GraphConfig(), seed_resolution=0.08)
         assert g.edges.tolist() == [[0, 1]]
         assert g.weights[0] == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_adjacency_radius_is_strict(self):
         # centroids exactly at the radius must not link
-        a = make_sv(0, (0.0, 0.0, 0.0), key=(0, 0, 0))
-        b = make_sv(1, (0.12, 0.0, 0.0), key=(50, 0, 0))
-        g = build_graph([a, b], GraphConfig(), seed_resolution=0.08)
+        g = build_graph(make_supervoxels([(0.0, 0.0, 0.0), (0.12, 0.0, 0.0)]), GraphConfig(), seed_resolution=0.08)
         assert g.edges.tolist() == []
 
-        c = make_sv(1, (0.119, 0.0, 0.0), key=(50, 0, 0))
-        g2 = build_graph([a, c], GraphConfig(), seed_resolution=0.08)
+        g2 = build_graph(make_supervoxels([(0.0, 0.0, 0.0), (0.119, 0.0, 0.0)]), GraphConfig(), seed_resolution=0.08)
         assert g2.edges.tolist() == [[0, 1]]
 
     def test_footprint_adjacency_overrides_distance(self):
         # diagonal voxel neighbors link even with centroids far apart
-        a = make_sv(0, (0.0, 0.0, 0.0), key=(0, 0, 0))
-        b = make_sv(1, (1.0, 0.0, 0.0), key=(1, 1, 1))
-        g = build_graph([a, b], GraphConfig(), seed_resolution=0.08)
+        svs = cluster_supervoxels(_cell_frame([(0, 0, 0), (1, 1, 1)]), _ONE_PER_VOXEL)
+        assert svs.contacts.tolist() == [[0, 1]]
+        g = build_graph(svs, _NO_RADIUS, seed_resolution=0.08)
         assert g.edges.tolist() == [[0, 1]]
         assert 0.0 < g.weights[0] <= 1.0
+        far = make_supervoxels([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)], contacts=[(0, 1)])
+        assert build_graph(far, GraphConfig(), seed_resolution=0.08).edges.tolist() == [[0, 1]]
 
     def test_gap_in_footprints_and_distance_gives_no_edge(self):
-        a = make_sv(0, (0.0, 0.0, 0.0), key=(0, 0, 0))
-        b = make_sv(1, (1.0, 0.0, 0.0), key=(2, 0, 0))
-        g = build_graph([a, b], GraphConfig(), seed_resolution=0.08)
+        svs = cluster_supervoxels(_cell_frame([(0, 0, 0), (2, 0, 0)]), _ONE_PER_VOXEL)
+        assert len(svs) == 2 and svs.contacts.shape == (0, 2)
+        g = build_graph(svs, _NO_RADIUS, seed_resolution=0.08)
         assert g.edges.shape == (0, 2)
         assert g.weights.shape == (0,)
 
     def test_reach_two_bridges_a_one_voxel_gap(self):
-        a = make_sv(0, (0.0, 0.0, 0.0), key=(0, 0, 0))
-        b = make_sv(1, (1.0, 0.0, 0.0), key=(2, -2, 2))
-        c = make_sv(2, (2.0, 0.0, 0.0), key=(5, 0, 0))
-        g = build_graph([a, b, c], GraphConfig(), seed_resolution=0.08, reach=2)
+        frame = _cell_frame([(0, 0, 0), (2, -2, 2), (5, 0, 0)])
+        svs = cluster_supervoxels(frame, _ONE_PER_VOXEL, reach=2)
+        g = build_graph(svs, _NO_RADIUS, seed_resolution=0.08)
         assert g.edges.tolist() == [[0, 1]]
-
-    def test_duplicate_ids_rejected(self):
-        a = make_sv(3, (0.0, 0.0, 0.0))
-        b = make_sv(3, (0.1, 0.0, 0.0))
-        with pytest.raises(ValueError):
-            build_graph([a, b], GraphConfig(), seed_resolution=0.08)
+        assert cluster_supervoxels(frame, _ONE_PER_VOXEL, reach=1).contacts.shape == (0, 2)
 
     def test_nodes_sorted_regardless_of_input_order(self):
-        a = make_sv(7, (0.0, 0.0, 0.0), key=(0, 0, 0))
-        b = make_sv(3, (0.05, 0.0, 0.0), key=(50, 0, 0))
-        g = build_graph([a, b], GraphConfig(), seed_resolution=0.08)
-        assert g.nodes.tolist() == [3, 7]
-        assert g.edges.tolist() == [[3, 7]]
+        # contacts listed out of order, one of them also a centroid pair
+        svs = make_supervoxels([(0.0, 0.0, 0.0), (0.05, 0.0, 0.0), (1.0, 0.0, 0.0)], contacts=[(1, 2), (0, 1)])
+        g = build_graph(svs, GraphConfig(), seed_resolution=0.08)
+        assert g.nodes.tolist() == [0, 1, 2]
+        assert g.edges.tolist() == [[0, 1], [1, 2]]
 
     def test_weights_in_unit_interval(self):
         rng = np.random.default_rng(11)
-        svs = [
-            make_sv(
-                i,
-                rng.uniform(0, 0.3, size=3),
-                color_lab=(rng.uniform(20, 80), rng.uniform(-40, 40), rng.uniform(-40, 40)),
-                key=(100 * i, 0, 0),
-            )
-            for i in range(12)
-        ]
+        svs = make_supervoxels(
+            rng.uniform(0, 0.3, size=(12, 3)),
+            colors_lab=np.column_stack([rng.uniform(20, 80, 12), rng.uniform(-40, 40, 12), rng.uniform(-40, 40, 12)]),
+        )
         g = build_graph(svs, GraphConfig(), seed_resolution=0.08)
         assert len(g.weights) > 0
         assert ((g.weights > 0.0) & (g.weights <= 1.0)).all()
@@ -206,23 +203,23 @@ class TestBuildGraph:
     )
     def test_matches_loop_reference(self, seed, n, extent, voxel, radius, reach):
         rng = np.random.default_rng(seed)
-        frame = PointCloudFrame(
-            0, rng.uniform(0.0, extent, size=(n, 3)), rng.integers(0, 256, size=(n, 3), dtype=np.uint8)
-        )
+        pts = rng.uniform(0.0, extent, size=(n, 3))
+        cols = rng.integers(0, 256, size=(n, 3), dtype=np.uint8)
+        order = rng.permutation(n)
+        frame = PointCloudFrame(0, pts[order], cols[order])
         svs = cluster_supervoxels(frame, SupervoxelConfig(voxel_resolution=voxel, seed_resolution=0.08), reach)
-        # sparse ids in shuffled input order
-        svs = [dataclasses.replace(sv, sv_id=3 * sv.sv_id + 1) for sv in svs]
-        svs = [svs[i] for i in rng.permutation(len(svs))]
         config = GraphConfig(adjacency_radius=radius)
-        got = build_graph(svs, config, seed_resolution=0.08, reach=reach)
-        want_nodes, want_edges = _build_graph_loop(svs, config, seed_resolution=0.08, reach=reach)
+        got = build_graph(svs, config, seed_resolution=0.08)
+        want_nodes, want_edges = _build_graph_loop(
+            footprints(frame, svs, voxel), svs.centroids, svs.colors_lab, config, seed_resolution=0.08, reach=reach
+        )
         assert got.nodes.tolist() == want_nodes
         assert list(map(tuple, got.edges.tolist())) == sorted(want_edges)
         np.testing.assert_allclose(got.weights, [want_edges[p] for p in sorted(want_edges)], rtol=1e-12)
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)
-        svs = [make_sv(i, rng.uniform(0, 0.2, size=3), key=(100 * i, 0, 0)) for i in range(10)]
+        svs = make_supervoxels(rng.uniform(0, 0.2, size=(10, 3)))
         g1 = build_graph(svs, GraphConfig(), seed_resolution=0.08)
         g2 = build_graph(svs, GraphConfig(), seed_resolution=0.08)
         assert np.array_equal(g1.nodes, g2.nodes)
@@ -230,12 +227,39 @@ class TestBuildGraph:
         assert np.array_equal(g1.weights, g2.weights)
 
 
+def _bare(nodes, edges, weights):
+    """A graph whose nodes all sit at the origin with one colour."""
+    return AdjacencyGraph(
+        nodes=nodes,
+        edges=edges,
+        weights=weights,
+        centroids=np.zeros((len(nodes), 3)),
+        colors_lab=np.zeros((len(nodes), 3)),
+        point_counts=np.ones(len(nodes)),
+    )
+
+
 class TestAdjacencyGraph:
     def test_constructor_orients_and_sorts_edges(self):
-        g = AdjacencyGraph(nodes=[5, 0, 2], edges=[(5, 2), (0, 5), (2, 0)], weights=[0.1, 0.2, 0.3], svs={})
+        g = AdjacencyGraph(
+            nodes=[5, 0, 2],
+            edges=[(5, 2), (0, 5), (2, 0)],
+            weights=[0.1, 0.2, 0.3],
+            centroids=[(5.0, 0.0, 0.0), (0.0, 0.0, 0.0), (2.0, 0.0, 0.0)],
+            colors_lab=[(55.0, 0.0, 0.0), (50.0, 0.0, 0.0), (52.0, 0.0, 0.0)],
+            point_counts=[6, 1, 3],
+        )
         assert g.nodes.tolist() == [0, 2, 5]
         assert g.edges.tolist() == [[0, 2], [0, 5], [2, 5]]
         assert g.weights.tolist() == [0.3, 0.2, 0.1]
+        # node rows follow their nodes
+        assert g.centroids[:, 0].tolist() == [0.0, 2.0, 5.0]
+        assert g.colors_lab[:, 0].tolist() == [50.0, 52.0, 55.0]
+        assert g.point_counts.tolist() == [1.0, 3.0, 6.0]
+
+    def test_duplicate_nodes_rejected(self):
+        with pytest.raises(ValueError):
+            _bare([3, 3], [], [])
 
     @pytest.mark.parametrize(
         "edges, weights",
@@ -250,13 +274,15 @@ class TestAdjacencyGraph:
     )
     def test_constructor_rejects_malformed_edges(self, edges, weights):
         with pytest.raises(ValueError):
-            AdjacencyGraph(nodes=[0, 1], edges=edges, weights=weights, svs={})
+            _bare([0, 1], edges, weights)
 
     def test_subgraph_keeps_internal_edges_only(self):
         g = graph_from_edges({(0, 1): 0.5, (1, 2): 0.5, (2, 3): 0.5})
         sub = g.subgraph({1, 2, 3})
         assert sub.nodes.tolist() == [1, 2, 3]
         assert sub.edges.tolist() == [[1, 2], [2, 3]]
+        with pytest.raises(ValueError):
+            g.subgraph({1, 4})
 
     @settings(max_examples=100, deadline=None)
     @given(graph=_random_graphs(), data=st.data())
@@ -267,6 +293,9 @@ class TestAdjacencyGraph:
         assert sub.nodes.tolist() == want_nodes
         assert edge_dict(sub) == want_edges
         assert list(edge_dict(sub)) == sorted(want_edges)
+        kept = np.isin(graph.nodes, want_nodes)
+        for rows in ("centroids", "colors_lab", "point_counts"):
+            assert np.array_equal(getattr(sub, rows), getattr(graph, rows)[kept])
 
     def test_is_connected(self):
         path = graph_from_edges({(0, 1): 0.5, (1, 2): 0.5})
@@ -292,8 +321,8 @@ class TestAdjacencyGraph:
         flips = data.draw(st.lists(st.booleans(), min_size=len(ordered), max_size=len(ordered)))
         shuffled = [(j, i) if flip else (i, j) for (i, j), flip in zip(given_order, flips)]
         nodes = sorted({n for p in ordered for n in p})
-        a = AdjacencyGraph(nodes=nodes, edges=ordered, weights=[weights[p] for p in ordered], svs={})
-        b = AdjacencyGraph(nodes=nodes, edges=shuffled, weights=[weights[p] for p in given_order], svs={})
+        a = _bare(nodes, ordered, [weights[p] for p in ordered])
+        b = _bare(nodes, shuffled, [weights[p] for p in given_order])
         for g in (a, b):
             assert g.edges.dtype == np.int64 and g.edges.shape == (len(ordered), 2)
             assert g.edges.tolist() == [list(p) for p in ordered]

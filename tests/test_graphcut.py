@@ -99,15 +99,25 @@ def _two_cliques(bridge=0.01, size=3, intra=1.0):
 # Loop references for the array code: each walks the edges one pair at a time.
 
 
+def _centroid_of(graph):
+    """Supervoxel id -> centroid row."""
+    return dict(zip(graph.nodes.tolist(), graph.centroids))
+
+
+def _color_of(graph):
+    """Supervoxel id -> mean Lab colour row."""
+    return dict(zip(graph.nodes.tolist(), graph.colors_lab))
+
+
 def _pairwise_costs_loop(problem):
     p = problem.params.resolve()
     out = {}
     boundary = problem.previous_boundary
-    svs = problem.subgraph.svs
+    centroid = _centroid_of(problem.subgraph)
     for (i, j), w in sorted(edge_dict(problem.subgraph).items()):
         cost = p.lambda_smooth * w
         if boundary.size:
-            mid = (svs[i].centroid + svs[j].centroid) / 2.0
+            mid = (centroid[i] + centroid[j]) / 2.0
             d = float(np.min(np.linalg.norm(boundary - mid, axis=1)))
             cost += p.mu_coherence * math.exp(-d / p.sigma_boundary)
         out[(i, j)] = cost
@@ -116,7 +126,7 @@ def _pairwise_costs_loop(problem):
 
 def _unaries_loop(problem):
     p = problem.params.resolve()
-    svs = problem.subgraph.svs
+    centroid, color = _centroid_of(problem.subgraph), _color_of(problem.subgraph)
     seeds_by_label = {}
     for n, l in problem.label_seeds.items():
         seeds_by_label.setdefault(l, []).append(n)
@@ -130,8 +140,8 @@ def _unaries_loop(problem):
         for l, seeds in seeds_by_label.items():
             best = math.inf
             for s in seeds:
-                ds = float(np.linalg.norm(svs[n].centroid - svs[s].centroid))
-                dc = float(np.linalg.norm(svs[n].mean_color_lab - svs[s].mean_color_lab))
+                ds = float(np.linalg.norm(centroid[n] - centroid[s]))
+                dc = float(np.linalg.norm(color[n] - color[s]))
                 best = min(best, ds / p.seed_resolution + dc / 100.0)
             row[l] = best
         out[n] = row
@@ -139,10 +149,11 @@ def _unaries_loop(problem):
 
 
 def _boundary_midpoints_loop(graph, labeling):
+    centroid = _centroid_of(graph)
     mids = []
     for i, j in sorted(edge_dict(graph)):
-        if labeling.get(i) != labeling.get(j):
-            mids.append((graph.svs[i].centroid + graph.svs[j].centroid) / 2.0)
+        if labeling[i] != labeling[j]:
+            mids.append((centroid[i] + centroid[j]) / 2.0)
     return np.asarray(mids).reshape(-1, 3)
 
 
@@ -384,11 +395,11 @@ class TestMatchesLoopReference:
     @settings(max_examples=100, deadline=None)
     @given(problem=_sparse_problems(), data=st.data())
     def test_boundary_midpoints(self, problem, data):
-        # labelings may leave nodes out; an unlabeled node matches only unlabeled ones
         graph = problem.subgraph
-        labeling = data.draw(st.dictionaries(st.sampled_from(graph.nodes.tolist()), st.integers(0, 2)))
+        labels = data.draw(st.lists(st.integers(0, 2), min_size=graph.num_nodes, max_size=graph.num_nodes))
+        labeling = dict(zip(graph.nodes.tolist(), labels))
         np.testing.assert_allclose(
-            boundary_midpoints(graph, labeling), _boundary_midpoints_loop(graph, labeling), rtol=1e-12
+            boundary_midpoints(graph, np.asarray(labels)), _boundary_midpoints_loop(graph, labeling), rtol=1e-12
         )
 
 
@@ -607,13 +618,15 @@ class TestBoundaryMidpoints:
             {(0, 1): 0.5, (1, 2): 0.5},
             positions={0: (0.0, 0.0, 0.0), 1: (0.1, 0.0, 0.0), 2: (0.3, 0.0, 0.0)},
         )
-        mids = boundary_midpoints(g, {0: 1, 1: 1, 2: 2})
+        mids = boundary_midpoints(g, np.asarray([1, 1, 2]))
         assert mids.shape == (1, 3)
         assert mids[0] == pytest.approx([0.2, 0.0, 0.0])
+        with pytest.raises(ValueError):
+            boundary_midpoints(g, np.asarray([1, 1]))
 
     def test_uniform_labeling_gives_empty(self):
         g = graph_from_edges({(0, 1): 0.5})
-        assert boundary_midpoints(g, {0: 1, 1: 1}).shape == (0, 3)
+        assert boundary_midpoints(g, np.asarray([1, 1])).shape == (0, 3)
 
 
 class TestNcutValue:

@@ -193,6 +193,14 @@ class TestAssignmentPath:
         assert [r.assignment for r in result.frames] == [None, "ga"]
 
 
+_RIGID_MOTIONS = {
+    # a shift that is no multiple of the voxel re-cuts every voxel boundary
+    "translate": lambda p: p + np.asarray([0.0123, -0.0071, 0.0049]),
+    # a quarter turn about z, (x, y, z) -> (-y, x, z), reorders the voxel keys
+    "rotate_z90": lambda p: np.column_stack([-p[:, 1], p[:, 0], p[:, 2]]),
+}
+
+
 class TestMetamorphic:
     def test_point_order_does_not_change_labels(self):
         generated = generate_scenario(make_scenario("approach_merge_split", rng_seed=0))
@@ -206,14 +214,19 @@ class TestMetamorphic:
             assert np.array_equal(a.point_labels[p], b.point_labels)
         assert base.interactions == moved.interactions
 
-    @pytest.mark.parametrize("kind", ["approach_merge_split", "occlusion_split"])
-    def test_translation_moves_few_labels(self, kind):
-        # a shift that is no multiple of the voxel re-cuts every voxel boundary
+    @pytest.mark.parametrize(
+        "kind, motion",
+        [
+            pytest.param(kind, motion, id=kind if motion == "translate" else f"{kind}-{motion}")
+            for motion in _RIGID_MOTIONS
+            for kind in ("approach_merge_split", "occlusion_split")
+        ],
+    )
+    def test_translation_moves_few_labels(self, kind, motion):
         frames = generate_scenario(make_scenario(kind, rng_seed=0)).frames
-        shift = np.asarray([0.0123, -0.0071, 0.0049])
-        shifted = [PointCloudFrame(f.frame_index, f.points + shift, f.colors) for f in frames]
+        transformed = [PointCloudFrame(f.frame_index, _RIGID_MOTIONS[motion](f.points), f.colors) for f in frames]
         base = run_sequence(frames, _config())
-        moved = run_sequence(shifted, _config())
+        moved = run_sequence(transformed, _config())
         for a, b in zip(base.frames, moved.frames):
             found, truth = (LabeledFrame(a.frame_index, r.point_labels) for r in (b, a))
             assert segmentation_error(found, truth) <= 0.005

@@ -17,7 +17,7 @@ from dynseg.supervoxel import (
     voxelize,
 )
 
-from helpers import grid_cloud
+from helpers import footprints, grid_cloud, members
 
 
 def test_lab_white():
@@ -109,7 +109,7 @@ def _flat_cfg():
 def test_cluster_partition_covers_all_points():
     pts, cols = grid_cloud(shape=(10, 10, 2), spacing=0.02)
     svs = cluster_supervoxels(PointCloudFrame(0, pts, cols), _flat_cfg())
-    seen = np.concatenate([sv.point_indices for sv in svs])
+    seen = np.concatenate(members(svs))
     assert len(seen) == len(pts)
     assert len(np.unique(seen)) == len(pts)
 
@@ -120,8 +120,8 @@ def test_cluster_one_seed_per_occupied_seed_cell():
     cols = np.full((3, 3), 128, dtype=np.uint8)
     svs = cluster_supervoxels(PointCloudFrame(0, pts, cols), _flat_cfg())
     assert len(svs) == 2
-    sizes = sorted(len(sv.point_indices) for sv in svs)
-    assert sizes == [1, 2]
+    assert sorted(svs.point_counts.tolist()) == [1, 2]
+    assert sorted(map(len, members(svs))) == [1, 2]
 
 
 def test_cluster_centroid_and_color_are_member_means():
@@ -129,15 +129,16 @@ def test_cluster_centroid_and_color_are_member_means():
     frame = PointCloudFrame(0, pts, cols)
     svs = cluster_supervoxels(frame, _flat_cfg())
     lab = rgb_to_lab(cols)
-    for sv in svs:
-        np.testing.assert_allclose(sv.centroid, pts[sv.point_indices].mean(axis=0), atol=1e-12)
-        np.testing.assert_allclose(sv.mean_color_lab, lab[sv.point_indices].mean(axis=0), atol=1e-9)
+    for k, idx in enumerate(members(svs)):
+        np.testing.assert_allclose(svs.centroids[k], pts[idx].mean(axis=0), atol=1e-12)
+        np.testing.assert_allclose(svs.colors_lab[k], lab[idx].mean(axis=0), atol=1e-9)
+        assert svs.point_counts[k] == len(idx)
 
 
 def test_cluster_footprints_disjoint():
     pts, cols = grid_cloud(shape=(12, 6, 1), spacing=0.02)
-    svs = cluster_supervoxels(PointCloudFrame(0, pts, cols), _flat_cfg())
-    all_keys = np.concatenate([sv.voxel_keys for sv in svs])
+    frame = PointCloudFrame(0, pts, cols)
+    all_keys = np.concatenate(footprints(frame, cluster_supervoxels(frame, _flat_cfg()), 0.02))
     assert len(all_keys) == len(np.unique(all_keys, axis=0))
 
 
@@ -150,9 +151,8 @@ def test_cluster_color_boundary_respected():
         pts.append((0.01 + 0.02 * i, 0.01, 0.01))
         cols.append((230, 40, 40) if i < 4 else (40, 40, 230))
     frame = PointCloudFrame(0, np.asarray(pts, float), np.asarray(cols, np.uint8))
-    svs = cluster_supervoxels(frame, _flat_cfg())
-    for sv in svs:
-        member_cols = np.asarray(cols)[sv.point_indices]
+    for idx in members(cluster_supervoxels(frame, _flat_cfg())):
+        member_cols = np.asarray(cols)[idx]
         assert len(np.unique(member_cols, axis=0)) == 1, "supervoxel mixes colors"
 
 
@@ -164,17 +164,17 @@ def test_cluster_deterministic():
     a = cluster_supervoxels(frame, _flat_cfg())
     b = cluster_supervoxels(frame, _flat_cfg())
     assert len(a) == len(b)
-    for sa, sb in zip(a, b):
-        assert sa.sv_id == sb.sv_id
-        np.testing.assert_array_equal(sa.point_indices, sb.point_indices)
+    np.testing.assert_array_equal(a.of_point, b.of_point)
+    np.testing.assert_array_equal(a.contacts, b.contacts)
 
 
 def test_cluster_ids_sorted_and_stable():
     pts, cols = grid_cloud(shape=(8, 8, 1), spacing=0.02)
-    svs = cluster_supervoxels(PointCloudFrame(0, pts, cols), _flat_cfg())
-    ids = [sv.sv_id for sv in svs]
-    assert ids == sorted(ids)
-    assert ids == list(range(len(svs)))
+    frame = PointCloudFrame(0, pts, cols)
+    svs = cluster_supervoxels(frame, _flat_cfg())
+    assert np.array_equal(np.unique(svs.of_point), np.arange(len(svs)))
+    smallest = [tuple(keys[0]) for keys in footprints(frame, svs, 0.02)]
+    assert smallest == sorted(smallest)
 
 
 @settings(max_examples=25, deadline=None)
@@ -184,11 +184,10 @@ def test_cluster_partition_property(n, seed):
     pts = rng.uniform(-0.1, 0.1, size=(n, 3))
     cols = rng.integers(0, 256, size=(n, 3), dtype=np.uint8)
     svs = cluster_supervoxels(PointCloudFrame(0, pts, cols), _flat_cfg())
-    seen = sorted(int(i) for sv in svs for i in sv.point_indices)
-    assert seen == list(range(n))
-    for sv in svs:
-        assert len(sv.point_indices) > 0
-        assert np.isfinite(sv.centroid).all()
+    assert svs.of_point.shape == (n,)
+    assert np.array_equal(svs.point_counts, np.bincount(svs.of_point, minlength=len(svs)))
+    assert (svs.point_counts > 0).all()
+    assert np.isfinite(svs.centroids).all()
 
 
 def _is_connected(keys, reach: int = 1) -> bool:
@@ -198,9 +197,9 @@ def _is_connected(keys, reach: int = 1) -> bool:
 def test_footprint_connected():
     # grown clusters must have 26-connected voxel footprints
     pts, cols = grid_cloud(shape=(14, 4, 1), spacing=0.02)
-    svs = cluster_supervoxels(PointCloudFrame(0, pts, cols), _flat_cfg())
-    for sv in svs:
-        assert _is_connected(sv.voxel_keys)
+    frame = PointCloudFrame(0, pts, cols)
+    for keys in footprints(frame, cluster_supervoxels(frame, _flat_cfg()), 0.02):
+        assert _is_connected(keys)
 
 
 def _offsets(reach: int) -> list[tuple[int, int, int]]:
@@ -277,20 +276,30 @@ def test_cluster_invariants_on_random_clouds(reach, seed, n, extent, voxel):
     cfg = SupervoxelConfig(voxel_resolution=voxel, seed_resolution=0.08)
     frame = _random_cloud(seed, n, extent)
     svs = cluster_supervoxels(frame, cfg, reach)
-    # every point lands in exactly one supervoxel, listed in sorted order
-    np.testing.assert_array_equal(np.sort(np.concatenate([sv.point_indices for sv in svs])), np.arange(n))
-    for sv in svs:
-        assert np.all(np.diff(sv.point_indices) > 0)
-    # ids run 0..k-1 in order of smallest voxel key; footprints are sorted and hold the points
-    assert [sv.sv_id for sv in svs] == list(range(len(svs)))
-    smallest = [tuple(sv.voxel_keys[0]) for sv in svs]
+    feet = footprints(frame, svs, voxel)
+    # every point lands in exactly one supervoxel, and each holds one
+    assert svs.of_point.shape == (n,)
+    assert np.array_equal(np.unique(svs.of_point), np.arange(len(svs)))
+    # ids run 0..k-1 in order of smallest voxel key; footprints partition the
+    # voxels, each is the keys of its points and connected under the reach
+    smallest = [tuple(keys[0]) for keys in feet]
     assert smallest == sorted(smallest) and len(set(smallest)) == len(svs)
-    for sv in svs:
-        point_keys = np.floor(frame.points[sv.point_indices] / voxel).astype(np.int64)
-        np.testing.assert_array_equal(sv.voxel_keys, np.unique(point_keys, axis=0))
-        assert _is_connected(sv.voxel_keys, reach)
+    assert sum(map(len, feet)) == len(voxelize(frame, voxel)[0])
+    for idx, keys in zip(members(svs), feet):
+        point_keys = np.floor(frame.points[idx] / voxel).astype(np.int64)
+        np.testing.assert_array_equal(keys, np.unique(point_keys, axis=0))
+        assert _is_connected(keys, reach)
+    # contacts are the distinct supervoxel pairs owning two voxels within the reach
+    owner = {tuple(k): sv for sv, keys in enumerate(feet) for k in keys.tolist()}
+    touching = {
+        (min(a, b), max(a, b))
+        for (x, y, z), a in owner.items()
+        for dx, dy, dz in _offsets(reach)
+        if (b := owner.get((x + dx, y + dy, z + dz), a)) != a
+    }
+    assert svs.contacts.tolist() == [list(p) for p in sorted(touching)]
     # each seedless voxel component becomes exactly one supervoxel
-    footprint = {frozenset(map(tuple, sv.voxel_keys.tolist())): sv for sv in svs}
+    footprint = {frozenset(map(tuple, keys.tolist())) for keys in feet}
     for piece in _seedless_components(frame, cfg, reach):
         assert frozenset(piece) in footprint
 
@@ -302,8 +311,8 @@ def test_point_order_does_not_change_the_partition(order_seed, seed, n, extent, 
     frame = _random_cloud(seed, n, extent)
     perm = np.random.default_rng(order_seed).permutation(n)
     shuffled = PointCloudFrame(0, frame.points[perm], frame.colors[perm])
-    base = {frozenset(sv.point_indices.tolist()) for sv in cluster_supervoxels(frame, cfg)}
-    moved = {frozenset(perm[sv.point_indices].tolist()) for sv in cluster_supervoxels(shuffled, cfg)}
+    base = {frozenset(idx.tolist()) for idx in members(cluster_supervoxels(frame, cfg))}
+    moved = {frozenset(perm[idx].tolist()) for idx in members(cluster_supervoxels(shuffled, cfg))}
     assert moved == base
 
 

@@ -27,7 +27,7 @@ from dynseg.tree import (
     update_tree,
 )
 
-from helpers import check_frame_invariants, graph_from_edges, make_sv
+from helpers import check_frame_invariants, graph_from_edges
 
 PARAMS = TreeParams().resolve(0.08)
 OVERSEG = OversegConfig()
@@ -77,13 +77,8 @@ def _check(tree):
 def _blob_features(graph, blobs):
     out = []
     for b in sorted(blobs, key=lambda b: b.blob_id):
-        members = b.members_sorted
-        out.append(
-            BlobFeature(
-                sv_centroids=np.asarray([graph.svs[m].centroid for m in members]),
-                sv_colors_lab=np.asarray([graph.svs[m].mean_color_lab for m in members]),
-            )
-        )
+        at = np.searchsorted(graph.nodes, b.members_sorted)
+        out.append(BlobFeature(sv_centroids=graph.centroids[at], sv_colors_lab=graph.colors_lab[at]))
     return out
 
 
@@ -583,19 +578,24 @@ class TestInteractions:
 # The loop forms the array code replaced, kept as references.
 
 
+def _rows(graph, sv_ids):
+    """Each listed supervoxel's row in the graph's node arrays, one lookup per id."""
+    return [int(np.flatnonzero(graph.nodes == i)[0]) for i in sorted(sv_ids)]
+
+
 def _weighted_features(sv_ids, graph):
     """Point-count-weighted centroid and mean Lab color of a supervoxel set."""
-    ids = sorted(sv_ids)
-    w = np.asarray([len(graph.svs[i].point_indices) for i in ids], dtype=np.float64)
-    cen = np.asarray([graph.svs[i].centroid for i in ids])
-    col = np.asarray([graph.svs[i].mean_color_lab for i in ids])
+    rows = _rows(graph, sv_ids)
+    w = np.asarray([graph.point_counts[r] for r in rows], dtype=np.float64)
+    cen = np.asarray([graph.centroids[r] for r in rows])
+    col = np.asarray([graph.colors_lab[r] for r in rows])
     total = w.sum()
     return (cen * w[:, None]).sum(axis=0) / total, (col * w[:, None]).sum(axis=0) / total
 
 
 def _min_gap(a_svs, b_svs, graph):
-    ca = np.asarray([graph.svs[i].centroid for i in sorted(a_svs)])
-    cb = np.asarray([graph.svs[i].centroid for i in sorted(b_svs)])
+    ca = np.asarray([graph.centroids[r] for r in _rows(graph, a_svs)])
+    cb = np.asarray([graph.centroids[r] for r in _rows(graph, b_svs)])
     return float(np.min(np.linalg.norm(ca[:, None, :] - cb[None, :, :], axis=2)))
 
 
@@ -606,16 +606,18 @@ def _partitioned_graphs(draw):
     n = draw(st.integers(1, 60))
     ids = np.sort(rng.choice(10_000, size=n, replace=False))
     scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
-    svs = {
-        int(i): make_sv(
-            int(i),
-            rng.normal(size=3) * scale,
-            rng.uniform([0.0, -80.0, -80.0], [100.0, 80.0, 80.0]),
-            n_points=int(rng.integers(1, 200)),
-        )
-        for i in ids
-    }
-    graph = AdjacencyGraph(nodes=ids, edges=[], weights=[], svs=svs)
+    rows = [
+        (rng.normal(size=3) * scale, rng.uniform([0.0, -80.0, -80.0], [100.0, 80.0, 80.0]), int(rng.integers(1, 200)))
+        for _ in ids
+    ]
+    graph = AdjacencyGraph(
+        nodes=ids,
+        edges=[],
+        weights=[],
+        centroids=[c for c, _, _ in rows],
+        colors_lab=[col for _, col, _ in rows],
+        point_counts=[n for _, _, n in rows],
+    )
     k = draw(st.integers(1, n))
     labels = rng.permutation(np.arange(n) % k)
     return graph, labels, k
