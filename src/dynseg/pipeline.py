@@ -130,11 +130,11 @@ def process_frame(state: PipelineState, frame: PointCloudFrame) -> FrameResult:
         state.reach = voxel_reach(frame.points, cfg.supervoxel.voxel_resolution)
 
     t = time.perf_counter()
-    svs = cluster_supervoxels(frame, cfg.supervoxel, state.reach) if frame.num_points else Supervoxels.empty()
+    supervoxels = cluster_supervoxels(frame, cfg.supervoxel, state.reach) if frame.num_points else Supervoxels.empty()
     timings["supervoxel"] = (time.perf_counter() - t) * 1e3
 
     t = time.perf_counter()
-    graph = build_graph(svs, cfg.graph, cfg.supervoxel.seed_resolution)
+    graph = build_graph(supervoxels, cfg.graph, cfg.supervoxel.seed_resolution)
     blobs = connected_components(graph)
     timings["graph"] = (time.perf_counter() - t) * 1e3
 
@@ -190,7 +190,7 @@ def process_frame(state: PipelineState, frame: PointCloudFrame) -> FrameResult:
     _update_ghosts(state, tree, fidx)
     object_of = tree.object_of()
     state.boundary = boundary_midpoints(graph, object_of)
-    labels = object_of[svs.of_point]
+    labels = object_of[supervoxels.of_point]
     state.tree = tree
     timings["tree"] = (time.perf_counter() - t) * 1e3 - timings["assignment"] - timings["cut"]
     timings["total"] = (time.perf_counter() - t_total) * 1e3
@@ -199,7 +199,7 @@ def process_frame(state: PipelineState, frame: PointCloudFrame) -> FrameResult:
     return FrameResult(
         frame_index=fidx,
         point_labels=labels,
-        supervoxel_count=len(svs),
+        supervoxel_count=len(supervoxels),
         blob_count=len(blobs),
         object_count=len(tree.live_objects()),
         merges=merges,
