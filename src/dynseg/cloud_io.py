@@ -1,7 +1,9 @@
 """Text formats for point-cloud frames, label files, manifests, and interaction logs.
 
 All writers emit "\n" newlines, single-space separators, and no trailing
-whitespace so that repeated runs produce byte-identical files.
+whitespace so that repeated runs produce byte-identical files.  Frame files
+are converted with numpy; the line-by-line checker reads only files in doubt
+and names the faulty line.
 """
 
 from __future__ import annotations
@@ -9,12 +11,14 @@ from __future__ import annotations
 import os
 import warnings
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 FRAME_MAGIC = "ptseq"
 LABEL_MAGIC = "ptlab"
 FORMAT_VERSION = "v1"
+_BLOCK_ROWS = 512  # frame rows converted at once by the numpy reader
 
 
 class ParseError(Exception):
@@ -75,7 +79,57 @@ class InteractionRecord:
 
 
 def load_frame(path: str | os.PathLike, frame_index: int = 0) -> PointCloudFrame:
-    """Read one "ptseq v1" frame file. "#" lines are ignored anywhere."""
+    """Read one "ptseq v1" frame file. "#" lines are ignored anywhere.
+
+    A file that is its header and then the declared number of six-field rows
+    is converted with numpy.  On any doubt (a field count, the point count, a
+    field that does not parse, a non-finite coordinate, a colour outside
+    0-255, a blank or "#" line) the line checker reads it again, so every
+    error names its line and out-of-range colours are clamped with a warning.
+    """
+    arrays = _frame_arrays(path)
+    if arrays is None:
+        points, colors, clamped = _check_frame_lines(path)
+        if clamped:
+            warnings.warn(f"{path}: color values outside [0, 255] were clamped", stacklevel=2)
+    else:
+        points, colors = arrays
+    return PointCloudFrame(frame_index=frame_index, points=points, colors=colors)
+
+
+def _frame_arrays(path: str | os.PathLike) -> tuple[np.ndarray, np.ndarray] | None:
+    """(points, colors) of a frame file the line checker would accept as is, or None.
+
+    Rows convert in blocks of _BLOCK_ROWS, so little parsed text is held at
+    once; fields convert as float() and int() convert them, as in the line
+    checker.
+    """
+    points, colors = [np.zeros((0, 3))], [np.zeros((0, 3), dtype=np.int64)]
+    with open(path, "r", encoding="utf-8") as fh:
+        parts = fh.readline().split()
+        if len(parts) != 3 or parts[0] != FRAME_MAGIC or parts[1] != FORMAT_VERSION:
+            return None
+        try:
+            count = int(parts[2])
+            while block := list(map(str.split, islice(fh, _BLOCK_ROWS))):
+                table = np.array(block, dtype=object)
+                if table.shape != (len(block), 6):
+                    return None
+                points.append(table[:, :3].astype(np.float64))
+                colors.append(table[:, 3:].astype(np.int64))
+        except (ValueError, OverflowError):  # the line checker names the fault
+            return None
+    points, colors = np.concatenate(points), np.concatenate(colors)
+    if len(points) != count or not np.isfinite(points).all() or ((colors < 0) | (colors > 255)).any():
+        return None
+    return points, colors.astype(np.uint8)
+
+
+def _check_frame_lines(path: str | os.PathLike) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Read a frame file line by line: (points, clamped colors, whether any were clamped).
+
+    Raises ParseError naming the first faulty line.
+    """
     header = None
     pts: list[tuple[float, float, float]] = []
     cols: list[tuple[int, int, int]] = []
@@ -119,11 +173,9 @@ def load_frame(path: str | os.PathLike, frame_index: int = 0) -> PointCloudFrame
         raise ParseError(f"{path}: missing '{FRAME_MAGIC} {FORMAT_VERSION}' header")
     if len(pts) != expected:
         raise ParseError(f"{path}: end of file: header declared {expected} points, found {len(pts)}")
-    if clamped:
-        warnings.warn(f"{path}: color values outside [0, 255] were clamped", stacklevel=2)
     points = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
     colors = np.asarray(cols, dtype=np.uint8).reshape(-1, 3)
-    return PointCloudFrame(frame_index=frame_index, points=points, colors=colors)
+    return points, colors, clamped
 
 
 def write_frame(frame: PointCloudFrame, path: str | os.PathLike) -> None:
@@ -247,7 +299,8 @@ def write_labels(frame: LabeledFrame, path: str | os.PathLike) -> None:
         raise ValueError("refusing to write an empty label set")
     if np.any(frame.labels < 0):
         raise ValueError("negative object id in labels")
-    lines = [f"{frame.frame_index} {i} {int(v)}" for i, v in enumerate(frame.labels)]
+    prefix = f"{frame.frame_index} "
+    lines = [f"{prefix}{i} {v}" for i, v in enumerate(frame.labels.tolist())]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -105,6 +105,8 @@ class FrameResult:
     interactions_closed: list[InteractionEvent]
     timings_ms: dict[str, float]
     assignment: str | None  # "exact", "ga", or None when no assignment ran
+    growth_passes: int  # supervoxel growth passes run (0 for a frame with no points)
+    growth_converged: bool  # the last growth pass moved no seed
 
 
 @dataclass
@@ -207,6 +209,8 @@ def process_frame(state: PipelineState, frame: PointCloudFrame) -> FrameResult:
         interactions_closed=closed,
         timings_ms=timings,
         assignment=path,
+        growth_passes=supervoxels.passes,
+        growth_converged=supervoxels.converged,
     )
 
 

@@ -9,6 +9,12 @@ A growth pass gives every voxel to the seed with the cheapest path to it
 its footprint stays connected under the reach.  After each pass every seed
 moves to the member voxel nearest its cluster's centroid; passes stop once
 no seed moves or after max_iterations.
+
+The bookkeeping around the Dijkstra sorts as little as it can: voxel and
+seed-cell keys are grouped through 1-D codes built from per-axis ranks, the
+voxel links are read from an index table over the keys' bounding box, the
+symmetric link matrix is built once per frame, and each pass renumbers its
+claims through a seed -> slot array.
 """
 
 from __future__ import annotations
@@ -26,6 +32,9 @@ COLOR_NORM = 100.0  # Lab distance scale in the growth metric
 # reach 2 once the median nearest-neighbour spacing is this many voxels; the
 # synthetic kinds read 0.40-0.74 at voxel 0.02 and 1.00-1.85 at voxel 0.008
 REACH_2_SPACING = 0.875
+# the voxel-neighbour index table may hold this many int32 cells per voxel;
+# the benchmark workloads' padded bounding boxes read 4-45 cells per voxel
+TABLE_CELLS_PER_VOXEL = 64
 
 # sRGB (D65) to XYZ, then XYZ to CIELab with the D65 reference white.
 _RGB_TO_XYZ = np.array(
@@ -80,6 +89,8 @@ class Supervoxels:
     colors_lab: np.ndarray  # (S, 3) mean of member point Lab colours
     point_counts: np.ndarray  # (S,) number of member points
     contacts: np.ndarray  # (C, 2) distinct pairs i < j owning two linked voxels, lexicographic
+    passes: int = 0  # growth passes run
+    converged: bool = True  # the last pass moved no seed
 
     def __len__(self) -> int:
         return len(self.centroids)
@@ -89,6 +100,19 @@ class Supervoxels:
         """The supervoxels of a frame with no points."""
         none = np.zeros(0, dtype=np.int64)
         return cls(none, np.zeros((0, 3)), np.zeros((0, 3)), none, np.zeros((0, 2), dtype=np.int64))
+
+
+def _lex_rank(rows: np.ndarray) -> np.ndarray:
+    """Dense rank of each (n, k) integer row in lexicographic row order.
+
+    The rank of the leading columns and the next column's rank combine into
+    one code below n**2, so no key value can overflow int64.
+    """
+    rank = np.zeros(len(rows), dtype=np.int64)
+    for column in rows.T:
+        values, column_rank = np.unique(column, return_inverse=True)
+        _, rank = np.unique(rank * len(values) + column_rank, return_inverse=True)
+    return rank
 
 
 def voxelize(frame: PointCloudFrame, resolution: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -101,13 +125,48 @@ def voxelize(frame: PointCloudFrame, resolution: float) -> tuple[np.ndarray, np.
     if resolution <= 0:
         raise ValueError("resolution must be positive")
     keys = np.floor(frame.points / resolution).astype(np.int64)
-    uniq, inverse, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
-    return uniq, inverse.reshape(-1), counts
+    inverse = _lex_rank(keys)
+    counts = np.bincount(inverse)
+    uniq = np.empty((len(counts), 3), dtype=np.int64)
+    uniq[inverse] = keys
+    return uniq, inverse, counts
+
+
+def _half_stencil(reach: int) -> np.ndarray:
+    """The lexicographically positive offsets within Chebyshev ``reach``: one of each +-d pair."""
+    span = np.arange(-reach, reach + 1)
+    offsets = np.stack(np.meshgrid(span, span, span, indexing="ij"), axis=-1).reshape(-1, 3)
+    return offsets[len(offsets) // 2 + 1 :]
 
 
 def voxel_neighbour_pairs(keys: np.ndarray, reach: int = 1) -> np.ndarray:
-    """(m, 2) row pairs ``i < j`` of ``keys`` within Chebyshev distance ``reach`` (1: 26-adjacent)."""
-    return cKDTree(np.asarray(keys).reshape(-1, 3)).query_pairs(reach, p=np.inf, output_type="ndarray")
+    """(m, 2) row pairs ``i < j`` of ``keys`` within Chebyshev distance ``reach`` (1: 26-adjacent).
+
+    Each half-stencil offset is looked up in an index table over the keys'
+    bounding box, padded by the reach.  A box with more than
+    TABLE_CELLS_PER_VOXEL cells per key falls back to a k-d tree.
+    """
+    keys = np.asarray(keys, dtype=np.int64).reshape(-1, 3)
+    n = len(keys)
+    if n == 0:
+        return np.zeros((0, 2), dtype=np.int64)
+    low = keys.min(axis=0)
+    # in Python ints: the extent of far-apart keys need not fit in int64
+    dims = [int(hi) - int(lo) + 1 + 2 * reach for lo, hi in zip(low, keys.max(axis=0))]
+    if dims[0] * dims[1] * dims[2] > TABLE_CELLS_PER_VOXEL * n:
+        return cKDTree(keys).query_pairs(reach, p=np.inf, output_type="ndarray")
+    strides = np.array([dims[1] * dims[2], dims[2], 1])
+    cell = (keys - low + reach) @ strides
+    table = np.full(dims[0] * dims[1] * dims[2], -1, dtype=np.int32)
+    table[cell] = np.arange(n)
+    rows, found = [], []
+    for step in _half_stencil(reach) @ strides:
+        hit = table[cell + step]
+        (row,) = np.nonzero(hit >= 0)
+        rows.append(row)
+        found.append(hit[row])
+    rows, found = np.concatenate(rows), np.concatenate(found)
+    return np.column_stack([np.minimum(rows, found), np.maximum(rows, found)])
 
 
 def voxel_reach(points: np.ndarray, voxel_resolution: float) -> int:
@@ -140,11 +199,14 @@ def _group_means(values: np.ndarray, groups: np.ndarray, n: int, weights: np.nda
 
 
 def _nearest_per_group(groups: np.ndarray, d2: np.ndarray) -> np.ndarray:
-    """Sorted indices of each group's least ``d2``, ties to the lowest index."""
-    order = np.lexsort((d2, groups))
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = groups[order[1:]] != groups[order[:-1]]
-    return np.sort(order[first])
+    """Sorted indices of each group's least ``d2``, ties to the lowest index; groups are 0..n-1."""
+    n = groups.max() + 1
+    least = np.full(n, np.inf)
+    np.minimum.at(least, groups, d2)
+    (at_least,) = np.nonzero(d2 == least[groups])
+    nearest = np.full(n, len(groups))
+    np.minimum.at(nearest, groups[at_least], at_least)
+    return np.sort(nearest)
 
 
 def cluster_supervoxels(frame: PointCloudFrame, config: SupervoxelConfig, reach: int = 1) -> Supervoxels:
@@ -157,7 +219,8 @@ def cluster_supervoxels(frame: PointCloudFrame, config: SupervoxelConfig, reach:
     then moves every seed to the member voxel nearest its cluster's point
     centroid.  Voxel ties go to the smallest key.  Passes stop when no seed
     moves, since the next pass would repeat the claims, or after
-    max_iterations passes.  Ids follow each supervoxel's smallest voxel key.
+    max_iterations passes; the record keeps the pass count and whether the
+    last pass moved no seed.  Ids follow each supervoxel's smallest voxel key.
     Contacts are the supervoxel pairs that own the two ends of a voxel link.
     """
     config.validate()
@@ -172,31 +235,38 @@ def cluster_supervoxels(frame: PointCloudFrame, config: SupervoxelConfig, reach:
     pairs = voxel_neighbour_pairs(keys, reach)
     a, b = pairs.T
     cost = _growth_metric(vox_centroid[a], vox_lab[a], vox_centroid[b], vox_lab[b], config)
-    links = csr_matrix((cost, (a, b)), shape=(n_vox, n_vox))
+    # symmetric, so every pass runs a directed Dijkstra with no transpose;
+    # CSR built from coordinates has sorted indices
+    both = (np.concatenate([a, b]), np.concatenate([b, a]))
+    links = csr_matrix((np.concatenate([cost, cost]), both), shape=(n_vox, n_vox))
 
     cell_keys = np.floor(vox_centroid / config.seed_resolution).astype(np.int64)
-    _, cell_of = np.unique(cell_keys, axis=0, return_inverse=True)
     centers = (cell_keys + 0.5) * config.seed_resolution
-    seeds = _nearest_per_group(cell_of.reshape(-1), np.sum((vox_centroid - centers) ** 2, axis=1))
-    _, component = connected_components(links, directed=False)
+    seeds = _nearest_per_group(_lex_rank(cell_keys), np.sum((vox_centroid - centers) ** 2, axis=1))
+    # links is symmetric, so its strong components are its components
+    _, component = connected_components(links, directed=True, connection="strong")
     _, first_voxel = np.unique(component, return_index=True)
     seedless = np.setdiff1d(np.arange(len(first_voxel)), component[seeds])
     seeds = np.sort(np.concatenate([seeds, first_voxel[seedless]]))
 
-    for _ in range(config.max_iterations):
-        _, _, claim = dijkstra(links, directed=False, indices=seeds, min_only=True, return_predecessors=True)
-        _, cluster = np.unique(claim, return_inverse=True)
-        cluster = cluster.reshape(-1)
-        centroid = _group_means(vox_centroid, cluster, cluster.max() + 1, counts)
+    # every seed claims itself, so slot[claim] numbers the clusters in seed order
+    slot = np.empty(n_vox, dtype=np.int64)
+    passes, converged = 0, False
+    while passes < config.max_iterations and not converged:
+        passes += 1
+        _, _, claim = dijkstra(links, directed=True, indices=seeds, min_only=True, return_predecessors=True)
+        slot[seeds] = np.arange(len(seeds))
+        cluster = slot[claim]
+        centroid = _group_means(vox_centroid, cluster, len(seeds), counts)
         moved = _nearest_per_group(cluster, np.sum((vox_centroid - centroid[cluster]) ** 2, axis=1))
-        if np.array_equal(moved, seeds):
-            break
+        converged = np.array_equal(moved, seeds)
         seeds = moved
 
-    # a cluster's smallest voxel index is also its smallest key
-    _, first_member, cluster = np.unique(claim, return_index=True, return_inverse=True)
+    # number the clusters by their smallest voxel index, which is also their smallest key
+    first_member = np.full(len(seeds), n_vox)
+    np.minimum.at(first_member, cluster, np.arange(n_vox))
     n_sv = len(first_member)
-    sv_of_voxel = np.argsort(np.argsort(first_member))[cluster.reshape(-1)]
+    sv_of_voxel = np.argsort(np.argsort(first_member))[cluster]
     of_point = sv_of_voxel[point_voxel]
     touch = np.sort(sv_of_voxel[pairs], axis=1)
     touch = touch[touch[:, 0] != touch[:, 1]]
@@ -206,6 +276,8 @@ def cluster_supervoxels(frame: PointCloudFrame, config: SupervoxelConfig, reach:
         colors_lab=_group_means(lab_all, of_point, n_sv),
         point_counts=np.bincount(of_point, minlength=n_sv),
         contacts=np.column_stack(np.divmod(np.unique(touch[:, 0] * n_sv + touch[:, 1]), n_sv)),
+        passes=passes,
+        converged=converged,
     )
 
 

@@ -1,12 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from dynseg import cloud_io
 from dynseg.cloud_io import (
     InteractionRecord,
     LabeledFrame,
     ParseError,
     PointCloudFrame,
     SequenceManifest,
+    _check_frame_lines,
+    _frame_arrays,
     load_frame,
     load_ground_truth,
     load_sequence,
@@ -81,6 +87,81 @@ def test_load_frame_clamps_colors(tmp_path):
     with pytest.warns(UserWarning):
         frame = load_frame(path)
     np.testing.assert_array_equal(frame.colors[0], [255, 0, 90])
+
+
+_COORDS = ["0", "-1.25", "+3", "1_0", "1__0", "1e-3", "-2E+2", ".5", "5.", "nan", "-inf", "Infinity", "1e999",
+           "0x10", "abc", "\u0661\u0662"]
+_COLORS = ["0", "255", "+7", "-0", "0_9", "213.0", "2e2", "256", "300", "-5", "99999999999999999999", "\u0663", "x"]
+_LINES = ["# note", "  # 1 2 3 4 5 6", "", "   ", "1 2 3 4 5 6", "1 2 3 4 5", "1 2 3 4 5 6 7"]
+
+
+@st.composite
+def _frame_texts(draw):
+    """A valid frame file, mutated field by field and line by line; (text, mutated)."""
+    n = draw(st.integers(0, 5))
+    coord = st.floats(-10, 10).map(lambda v: f"{v:.9g}")
+    rows = [draw(st.lists(coord, min_size=3, max_size=3)) + [str(draw(st.integers(0, 255))) for _ in range(3)]
+            for _ in range(n)]
+    count = draw(st.sampled_from([str(n)] * 12 + [str(n + 1), str(max(n - 1, 0)), "-1", "x", "+" + str(n)]))
+    mutated = count != str(n)
+    for kind in draw(st.lists(st.sampled_from(["coord", "color", "color", "insert", "delete"]), max_size=2)):
+        full = [row for row in rows if len(row) == 6]
+        if kind in ("coord", "color") and full:
+            row = full[draw(st.integers(0, len(full) - 1))]
+            col = draw(st.integers(0, 2)) + (3 if kind == "color" else 0)
+            row[col] = draw(st.sampled_from(_COORDS if kind == "coord" else _COLORS))
+        elif kind == "insert":
+            rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(_LINES)).split(" "))
+        elif rows:
+            del rows[draw(st.integers(0, len(rows) - 1))]
+        mutated = True
+    lines = [f"ptseq v1 {count}"] + [" ".join(row) for row in rows]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    ending = draw(st.sampled_from([newline, ""]))
+    return newline.join(lines) + ending, mutated
+
+
+def _outcome(read):
+    """What a frame reader gives: its arrays and warnings, or its ParseError message."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            points, colors = read()[:2]
+        except ParseError as err:
+            return str(err)
+    return points.dtype, points.tobytes(), colors.dtype, colors.tobytes(), [str(w.message) for w in caught]
+
+
+def _line_checker(path):
+    points, colors, clamped = _check_frame_lines(path)
+    if clamped:
+        warnings.warn(f"{path}: color values outside [0, 255] were clamped")
+    return points, colors
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_frame_texts())
+@example(case=("ptseq v1 1\n1_0 0 0 1_0 0 0\n", True))  # underscores
+@example(case=("ptseq v1 1\n+1 -2 +0 +7 -0 9\n", True))  # signs
+@example(case=("ptseq v1 1\n1e-3 -2E+2 1e999 1 2 3\n", True))  # exponents
+@example(case=("ptseq v1 2\n0 0 0 1 2 3\nnan inf 0 1 2 3\n", True))
+@example(case=("ptseq v1 1\n0 0 0 213.0 2e2 3\n", True))  # float-looking colours
+@example(case=("ptseq v1 1\n0 0 0 300 -5 99999999999999999999\n", True))  # clamped colours
+@example(case=("# head\nptseq v1 1\n\n  # 1 2 3 4 5 6\n0 0 0 1 2 3\n", True))
+@example(case=("ptseq v1 1\r\n0.5 0 0 1 2 3\r\n", False))
+@example(case=("ptseq v1 1\n0 0 0 1 2 3\n0 0 0 1 2 3\n", True))  # an extra row
+@example(case=("ptseq v1 2\n0 0 0 1 2 3\n", True))  # a missing row
+@pytest.mark.parametrize("block_rows", [2, 512])
+def test_load_frame_matches_the_line_checker(tmp_path, monkeypatch, block_rows, case):
+    """numpy conversion gives the frame, message or warning the line checker gives."""
+    monkeypatch.setattr(cloud_io, "_BLOCK_ROWS", block_rows)
+    text, mutated = case
+    path = tmp_path / "frame.txt"
+    path.write_bytes(text.encode("utf-8"))
+    frame = lambda: (lambda f: (f.points, f.colors))(load_frame(path))  # noqa: E731
+    assert _outcome(frame) == _outcome(lambda: _line_checker(path))
+    if not mutated and text.count("\n") > 1:
+        assert _frame_arrays(path) is not None  # a clean file skips the line checker
 
 
 def test_labels_roundtrip(tmp_path):

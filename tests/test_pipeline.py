@@ -76,6 +76,7 @@ class TestStaticScenes:
         r = result.frames[0]
         assert r.supervoxel_count > 0
         assert r.blob_count == 2
+        assert r.growth_passes >= 1 and r.growth_converged
         for key in ("supervoxel", "graph", "assignment", "cut", "tree", "total"):
             assert key in r.timings_ms
         assert r.timings_ms["total"] > 0.0
@@ -130,6 +131,7 @@ class TestGaps:
         result = run_sequence(frames, _config())
         assert result.frames[1].point_labels.shape == (0,)
         assert result.frames[1].object_count == 0
+        assert (result.frames[1].growth_passes, result.frames[1].growth_converged) == (0, True)
         # the object comes back under its original id
         assert (result.frames[2].point_labels == 0).all()
         assert sorted(result.final_tree.births) == [0]

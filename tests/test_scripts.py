@@ -32,3 +32,12 @@ def test_output_digest_is_stable(capsys):
         outputs.append(capsys.readouterr().out)
     assert re.fullmatch(r"[0-9a-f]{64}  static-0\n", outputs[0])
     assert outputs[0] == outputs[1]
+
+
+def test_output_digest_matches_pinned_digests(capsys):
+    """One sequence at voxel 0.02 and one at the default voxel keep their outputs byte for byte."""
+    assert _load("output_digest").main(["crossing-0", "pair_contact_fine-0-seq0"]) == 0
+    assert capsys.readouterr().out == (
+        "5e6e8b65fc4f88352e794571ef99553c5fa78702d428eb35a3a8f13b9c1ac53d  pair_contact_fine-0-seq0\n"
+        "0cdd175222d3c1c28a2d788ac871d9496f18c9a032105c1d65fdb88bd081cf0c  crossing-0\n"
+    )

@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dynseg import supervoxel
 from dynseg.cloud_io import PointCloudFrame
 from dynseg.graph import connected_sets
 from dynseg.supervoxel import (
     SupervoxelConfig,
+    Supervoxels,
+    _nearest_per_group,
     cluster_supervoxels,
     growth_distance,
     rgb_to_lab,
@@ -69,6 +72,52 @@ def test_voxelize_empty():
     frame = PointCloudFrame(0, np.zeros((0, 3)), np.zeros((0, 3), dtype=np.uint8))
     keys, inverse, counts = voxelize(frame, 0.01)
     assert keys.shape == (0, 3) and len(inverse) == 0 and len(counts) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    keys=st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=1, max_size=60),
+    shift=st.sampled_from([0, 2**40, -(2**45)]),
+)
+@example(keys=[(0, 0, 0)], shift=2**45)
+@example(keys=[(3, -3, 0), (-3, 3, 0), (3, -3, 0), (0, 0, 0)], shift=-(2**45))
+def test_voxelize_matches_unique_rows(keys, shift):
+    """voxelize equals np.unique over the key rows, also at keys near +-2**45."""
+    rows = np.asarray([(x + shift, y, z - shift) for x, y, z in keys], dtype=np.int64)
+    frame = PointCloudFrame(0, rows + 0.5, np.zeros((len(rows), 3), dtype=np.uint8))
+    got = voxelize(frame, 1.0)
+    expected = np.unique(rows, axis=0, return_inverse=True, return_counts=True)
+    for a, b in zip(got, expected):
+        np.testing.assert_array_equal(a, b.reshape(a.shape))
+        assert a.dtype == np.int64
+
+
+def test_voxelize_far_from_the_origin():
+    """The 1e6 m offset probe at the default voxel groups like np.unique."""
+    points = 1e6 + np.random.default_rng(5).uniform(0.0, 0.2, size=(500, 3))
+    frame = PointCloudFrame(0, points, np.zeros((500, 3), dtype=np.uint8))
+    keys, inverse, counts = voxelize(frame, 0.008)
+    expected = np.unique(np.floor(points / 0.008).astype(np.int64), axis=0, return_inverse=True, return_counts=True)
+    for a, b in zip((keys, inverse, counts), expected):
+        np.testing.assert_array_equal(a, b.reshape(a.shape))
+
+
+def _nearest_by_lexsort(groups, d2):
+    """The sort form of _nearest_per_group: each group's least d2, ties to the lowest index."""
+    order = np.lexsort((d2, groups))
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = groups[order[1:]] != groups[order[:-1]]
+    return np.sort(order[first])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3)), min_size=1, max_size=40))
+def test_nearest_per_group_matches_lexsort(rows):
+    """Integer-valued distances in a small range force ties within groups."""
+    labels, d2 = np.asarray(rows).T
+    _, groups = np.unique(labels, return_inverse=True)
+    d2 = d2.astype(np.float64)
+    np.testing.assert_array_equal(_nearest_per_group(groups, d2), _nearest_by_lexsort(groups, d2))
 
 
 def test_voxelize_rejects_nonpositive_resolution():
@@ -206,6 +255,21 @@ def _offsets(reach: int) -> list[tuple[int, int, int]]:
     return [d for d in itertools.product(range(-reach, reach + 1), repeat=3) if d != (0, 0, 0)]
 
 
+_DENSE = set(itertools.product(range(-2, 2), range(-1, 2), range(2)))  # 24 keys filling their box
+_SPARSE = {(-3, -3, -3), (-2, -3, -3), (1, 0, 2), (3, 3, 3)}  # 4 keys in a box of 7**3
+
+
+@pytest.mark.parametrize("reach", [1, 2])
+@pytest.mark.parametrize("keys, tree_calls", [(_DENSE, 0), (_SPARSE, 1)])
+def test_voxel_neighbour_pairs_branch(monkeypatch, keys, tree_calls, reach):
+    """A padded box within TABLE_CELLS_PER_VOXEL cells per key takes the table, a sparser one the k-d tree."""
+    calls = []
+    tree = supervoxel.cKDTree
+    monkeypatch.setattr(supervoxel, "cKDTree", lambda data: calls.append(data) or tree(data))
+    supervoxel.voxel_neighbour_pairs(np.asarray(sorted(keys), dtype=np.int64), reach)
+    assert len(calls) == tree_calls
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     keys=st.sets(st.tuples(*[st.integers(-3, 3)] * 3), max_size=60),
@@ -215,6 +279,11 @@ def _offsets(reach: int) -> list[tuple[int, int, int]]:
 @example(keys=set(), shift=0, reach=1)
 @example(keys={(0, 0, 0)}, shift=0, reach=1)
 @example(keys={(0, 0, 0), (2, -2, 1), (3, 0, 0)}, shift=2**40, reach=2)
+# _DENSE and _SPARSE take the index table and the k-d tree at both reaches
+@example(keys=_DENSE, shift=0, reach=1)
+@example(keys=_DENSE, shift=-(2**45), reach=2)
+@example(keys=_SPARSE, shift=2**40, reach=1)
+@example(keys=_SPARSE, shift=0, reach=2)
 def test_voxel_neighbour_pairs_match_offset_lookup(keys, shift, reach):
     """The pair table equals the 26- or 124-offset dictionary lookup, also far from the origin."""
     rows = sorted((x + shift, y, z - shift) for x, y, z in keys)
@@ -343,3 +412,19 @@ def test_voxel_reach_ignores_point_order_and_translation(order_seed, shift, seed
     assert reach in (1, 2)
     assert voxel_reach(points[np.random.default_rng(order_seed).permutation(n)], voxel) == reach
     assert voxel_reach(points + shift, voxel) == reach
+
+
+def test_growth_counts_passes_until_no_seed_moves():
+    frame = _random_cloud(11, 400, 0.3)
+    cfg = _flat_cfg()
+    svs = cluster_supervoxels(frame, cfg)
+    assert 2 <= svs.passes <= cfg.max_iterations and svs.converged  # its seeds move in the first pass
+    cfg.max_iterations = 1
+    capped = cluster_supervoxels(frame, cfg)
+    assert (capped.passes, capped.converged) == (1, False)
+
+
+def test_growth_counters_on_one_point_and_no_points():
+    one = cluster_supervoxels(PointCloudFrame(0, [[0.1, 0.2, 0.3]], [[9, 9, 9]]), _flat_cfg())
+    assert (one.passes, one.converged) == (1, True)
+    assert Supervoxels.empty().passes == 0
