@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .cloud_io import InteractionRecord, LabeledFrame, PointCloudFrame
 
@@ -27,6 +26,8 @@ SCENARIO_KINDS = ("approach_merge_split", "occlusion_split", "static", "crossing
 
 def segmentation_error(labeled: LabeledFrame, truth: LabeledFrame) -> float:
     """1 - (points covered by the best one-to-one label matching) / total."""
+    from scipy.optimize import linear_sum_assignment  # here, so segmenting never loads scipy.optimize
+
     out = np.asarray(labeled.labels, dtype=np.int64)
     ref = np.asarray(truth.labels, dtype=np.int64)
     if out.shape != ref.shape:
@@ -47,6 +48,8 @@ def match_labels(
     found: dict[int, np.ndarray], truth: dict[int, np.ndarray]
 ) -> dict[int, int]:
     """Global output-label -> truth-label correspondence over all frames."""
+    from scipy.optimize import linear_sum_assignment  # here, so segmenting never loads scipy.optimize
+
     counts: dict[tuple[int, int], int] = {}
     for f, out in found.items():
         if f not in truth:
@@ -71,6 +74,8 @@ def match_labels(
 def _count_event_matches(
     found: list, truth: list, tolerance_frames: int, label_map: dict[int, int] | None
 ) -> int:
+    from scipy.optimize import linear_sum_assignment  # here, so segmenting never loads scipy.optimize
+
     if not found or not truth:
         return 0
 

@@ -12,11 +12,11 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components as _csgraph_components
 from scipy.spatial import cKDTree
 
-from .supervoxel import Supervoxels
+from .supervoxel import Supervoxels, squared_norms
 
 
 @dataclass
@@ -41,7 +41,7 @@ class AdjacencyGraph:
     each edge as (i, j) with i < j and sorts the edges lexicographically,
     carrying each weight along; every consumer relies on that order; edges
     that already come in it are kept as given.  A graph is not modified after
-    construction, so ``edge_index`` is computed once.
+    construction, so ``edge_index`` and ``pieces`` are computed once.
     """
 
     nodes: np.ndarray  # (N,) sorted distinct int64 supervoxel ids
@@ -102,14 +102,31 @@ class AdjacencyGraph:
             point_counts=self.point_counts[at],
         )
 
+    @cached_property
+    def pieces(self) -> list[frozenset[int]]:
+        """Connected pieces of the graph, ordered by smallest member."""
+        return _pieces(self.nodes, self.edge_index)
+
     def is_connected(self) -> bool:
-        return self.num_nodes == 0 or _components(self.num_nodes, self.edge_index)[0] == 1
+        return len(self.pieces) <= 1
 
 
-def _components(n: int, links: np.ndarray) -> tuple[int, np.ndarray]:
-    """Component count and per-node labels of n nodes linked by (E, 2) positions."""
-    adjacency = coo_matrix((np.ones(len(links)), (links[:, 0], links[:, 1])), shape=(n, n))
-    return _csgraph_components(adjacency, directed=False)
+def _pieces(order: np.ndarray, links: np.ndarray) -> list[frozenset[int]]:
+    """Connected pieces of the sorted ids ``order`` linked by (E, 2) positions, ordered by smallest member."""
+    n = len(order)
+    if not n:
+        return []
+    # CSR built directly (rows from a count, stable order by row), so csgraph
+    # converts nothing; links may repeat, which its strong components would not survive
+    tails = links[:, 0]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
+    adjacency = csr_matrix((np.ones(len(tails)), links[np.argsort(tails, kind="stable"), 1], indptr), shape=(n, n))
+    count, labels = _csgraph_components(adjacency, directed=False)
+    # each piece comes out sorted, so its first entry is its smallest member
+    sizes = np.bincount(labels, minlength=count)
+    pieces = np.split(order[np.argsort(labels, kind="stable")], np.cumsum(sizes)[:-1])
+    return [frozenset(p.tolist()) for p in sorted(pieces, key=lambda p: p[0])]
 
 
 @dataclass(frozen=True)
@@ -129,11 +146,11 @@ def build_graph(supervoxels: Supervoxels, config: GraphConfig, seed_resolution: 
     centroids, colors = supervoxels.centroids, supervoxels.colors_lab
     # centroid proximity, strictly inside the radius
     near = cKDTree(centroids).query_pairs(cfg.adjacency_radius, output_type="ndarray")
-    near = near[np.linalg.norm(centroids[near[:, 0]] - centroids[near[:, 1]], axis=1) < cfg.adjacency_radius]
+    near = near[np.sqrt(squared_norms(centroids[near[:, 0]] - centroids[near[:, 1]])) < cfg.adjacency_radius]
     both = np.concatenate([supervoxels.contacts, near])
     a, b = np.divmod(np.unique(both.min(axis=1) * n + both.max(axis=1)), n)
-    dc = np.linalg.norm(colors[a] - colors[b], axis=1)
-    d = np.linalg.norm(centroids[a] - centroids[b], axis=1)
+    dc = np.sqrt(squared_norms(colors[a] - colors[b]))
+    d = np.sqrt(squared_norms(centroids[a] - centroids[b]))
     weights = np.exp(-dc / cfg.sigma_color) * np.exp(-d / cfg.sigma_distance)
     return AdjacencyGraph(
         nodes=np.arange(n),
@@ -156,15 +173,9 @@ def connected_sets(nodes, pairs) -> list[frozenset[int]]:
         return []
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     pos = np.minimum(np.searchsorted(order, pairs), len(order) - 1)
-    links = pos[(order[pos] == pairs).all(axis=1)]
-    count, labels = _components(len(order), links)
-    # each piece comes out sorted, so its first entry is its smallest member
-    sizes = np.bincount(labels, minlength=count)
-    pieces = np.split(order[np.argsort(labels, kind="stable")], np.cumsum(sizes)[:-1])
-    return [frozenset(p.tolist()) for p in sorted(pieces, key=lambda p: p[0])]
+    return _pieces(order, pos[(order[pos] == pairs).all(axis=1)])
 
 
 def connected_components(graph: AdjacencyGraph) -> list[Blob]:
     """Blobs of the graph; ids ordered by each blob's smallest member id."""
-    pieces = connected_sets(graph.nodes, graph.edges)
-    return [Blob(blob_id=k, member_supervoxels=piece) for k, piece in enumerate(pieces)]
+    return [Blob(blob_id=k, member_supervoxels=piece) for k, piece in enumerate(graph.pieces)]

@@ -21,7 +21,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 from scipy.spatial import cKDTree
 
-from .graph import AdjacencyGraph, connected_sets
+from .graph import AdjacencyGraph
 
 INF = float("inf")
 COLOR_NORM = 100.0
@@ -264,7 +264,9 @@ def normalized_cut_bisect(graph: AdjacencyGraph) -> tuple[frozenset[int], frozen
     """Best threshold bisection along the second eigenvector.
 
     Threshold chosen among 32 evenly spaced candidates over the eigenvector
-    range; both sides are always non-empty.
+    range; both sides are always non-empty.  Thresholds that take in the same
+    nodes give the same mask, and a later equal cost never wins, so each
+    distinct mask is evaluated once, at its first threshold.
     """
     if graph.num_nodes < 2:
         raise ValueError("need at least two nodes to bisect")
@@ -275,14 +277,17 @@ def normalized_cut_bisect(graph: AdjacencyGraph) -> tuple[frozenset[int], frozen
     x = _second_eigenvector(graph)
     pos = graph.edge_index
     n = graph.num_nodes
+    thresholds = np.linspace(float(x.min()), float(x.max()), N_THRESHOLDS)
+    # nodes at or below each threshold; a mask is new where that count grows
+    taken = np.searchsorted(np.sort(x), thresholds, "right")
+    first = np.flatnonzero(np.diff(taken, prepend=0))
     best_cost = INF
     best_mask: np.ndarray | None = None
-    for t in np.linspace(float(x.min()), float(x.max()), N_THRESHOLDS):
+    for t in thresholds[first[taken[first] < n]]:
         mask = x <= t
-        if 0 < mask.sum() < n:
-            cost = _ncut(graph.weights, mask[pos])
-            if cost < best_cost:
-                best_cost, best_mask = cost, mask
+        cost = _ncut(graph.weights, mask[pos])
+        if cost < best_cost:
+            best_cost, best_mask = cost, mask
     if best_mask is None:
         # degenerate flat eigenvector: peel off the first node
         best_mask = np.arange(n) == 0
@@ -310,9 +315,8 @@ def oversegment(graph: AdjacencyGraph, config: OversegConfig = OversegConfig()) 
         if g.num_nodes == 1:
             out.append(frozenset(g.nodes.tolist()))
             return
-        comps = connected_sets(g.nodes, g.edges)
-        if len(comps) > 1:
-            for c in comps:
+        if len(g.pieces) > 1:
+            for c in g.pieces:
                 recurse(g.subgraph(c))
             return
         if g.num_nodes < 2 * config.min_segment_supervoxels:

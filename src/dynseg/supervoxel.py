@@ -179,9 +179,20 @@ def voxel_reach(points: np.ndarray, voxel_resolution: float) -> int:
     return 2 if spacing >= REACH_2_SPACING * voxel_resolution else 1
 
 
-def _growth_metric(centroid_a, lab_a, centroid_b, lab_b, config: SupervoxelConfig) -> np.ndarray:
-    ds = np.linalg.norm(np.asarray(centroid_a, float) - np.asarray(centroid_b, float), axis=-1)
-    dc = np.linalg.norm(np.asarray(lab_a, float) - np.asarray(lab_b, float), axis=-1)
+def squared_norms(d: np.ndarray) -> np.ndarray:
+    """Squared length of each (m, 3) row, summed as (x^2 + y^2) + z^2.
+
+    That is the order in which ``np.sum(d ** 2, axis=1)`` and
+    ``np.linalg.norm(d, axis=1)`` add up a row of three, so the results are
+    bit for bit theirs, without the reduction's per-call overhead.
+    """
+    return (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) + d[:, 2] * d[:, 2]
+
+
+def _link_costs(centroids: np.ndarray, labs: np.ndarray, a: np.ndarray, b: np.ndarray, config: SupervoxelConfig) -> np.ndarray:
+    """Growth metric D of each link between voxel rows ``a`` and ``b``."""
+    ds = np.sqrt(squared_norms(np.take(centroids, a, axis=0) - np.take(centroids, b, axis=0)))
+    dc = np.sqrt(squared_norms(np.take(labs, a, axis=0) - np.take(labs, b, axis=0)))
     return np.sqrt(
         config.weight_color * (dc / COLOR_NORM) ** 2
         + config.weight_spatial * (ds / config.seed_resolution) ** 2
@@ -234,7 +245,7 @@ def cluster_supervoxels(frame: PointCloudFrame, config: SupervoxelConfig, reach:
 
     pairs = voxel_neighbour_pairs(keys, reach)
     a, b = pairs.T
-    cost = _growth_metric(vox_centroid[a], vox_lab[a], vox_centroid[b], vox_lab[b], config)
+    cost = _link_costs(vox_centroid, vox_lab, a, b, config)
     # symmetric, so every pass runs a directed Dijkstra with no transpose;
     # CSR built from coordinates has sorted indices
     both = (np.concatenate([a, b]), np.concatenate([b, a]))
@@ -242,7 +253,7 @@ def cluster_supervoxels(frame: PointCloudFrame, config: SupervoxelConfig, reach:
 
     cell_keys = np.floor(vox_centroid / config.seed_resolution).astype(np.int64)
     centers = (cell_keys + 0.5) * config.seed_resolution
-    seeds = _nearest_per_group(_lex_rank(cell_keys), np.sum((vox_centroid - centers) ** 2, axis=1))
+    seeds = _nearest_per_group(_lex_rank(cell_keys), squared_norms(vox_centroid - centers))
     # links is symmetric, so its strong components are its components
     _, component = connected_components(links, directed=True, connection="strong")
     _, first_voxel = np.unique(component, return_index=True)
@@ -258,7 +269,7 @@ def cluster_supervoxels(frame: PointCloudFrame, config: SupervoxelConfig, reach:
         slot[seeds] = np.arange(len(seeds))
         cluster = slot[claim]
         centroid = _group_means(vox_centroid, cluster, len(seeds), counts)
-        moved = _nearest_per_group(cluster, np.sum((vox_centroid - centroid[cluster]) ** 2, axis=1))
+        moved = _nearest_per_group(cluster, squared_norms(vox_centroid - np.take(centroid, cluster, axis=0)))
         converged = np.array_equal(moved, seeds)
         seeds = moved
 
@@ -268,25 +279,18 @@ def cluster_supervoxels(frame: PointCloudFrame, config: SupervoxelConfig, reach:
     n_sv = len(first_member)
     sv_of_voxel = np.argsort(np.argsort(first_member))[cluster]
     of_point = sv_of_voxel[point_voxel]
-    touch = np.sort(sv_of_voxel[pairs], axis=1)
-    touch = touch[touch[:, 0] != touch[:, 1]]
+    # only links between two supervoxels make contacts; order the few that remain
+    sv_a, sv_b = np.take(sv_of_voxel, a), np.take(sv_of_voxel, b)
+    across = sv_a != sv_b
+    sv_a, sv_b = sv_a[across], sv_b[across]
+    touch = np.unique(np.minimum(sv_a, sv_b) * n_sv + np.maximum(sv_a, sv_b))
     return Supervoxels(
         of_point=of_point,
         centroids=_group_means(frame.points, of_point, n_sv),
         colors_lab=_group_means(lab_all, of_point, n_sv),
         point_counts=np.bincount(of_point, minlength=n_sv),
-        contacts=np.column_stack(np.divmod(np.unique(touch[:, 0] * n_sv + touch[:, 1]), n_sv)),
+        contacts=np.column_stack(np.divmod(touch, n_sv)),
         passes=passes,
         converged=converged,
     )
 
-
-def growth_distance(
-    sv_centroid: np.ndarray,
-    sv_color_lab: np.ndarray,
-    centroid: np.ndarray,
-    color_lab: np.ndarray,
-    config: SupervoxelConfig,
-) -> float:
-    """The growth metric D, exposed for direct checks."""
-    return float(_growth_metric(sv_centroid, sv_color_lab, centroid, color_lab, config))

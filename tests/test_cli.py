@@ -1,7 +1,13 @@
 """Command line driver: wiring, exit codes, and the synth/segment/eval loop."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import dynseg
 from dynseg import cloud_io
 from dynseg.cli import (
     ConfigError,
@@ -243,3 +249,23 @@ class TestInspect:
 
     def test_inspect_missing_file_is_data_error(self, tmp_path):
         assert main(["inspect", str(tmp_path / "missing.txt")]) == 2
+
+
+def test_importing_the_cli_leaves_scipy_optimize_unloaded():
+    """Only scoring needs linear_sum_assignment, so ``dynseg segment`` does not pay for scipy.optimize."""
+    src = str(Path(dynseg.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = (
+        "import sys, dynseg; print(any(m.startswith('dynseg.') for m in sys.modules)); "
+        "import dynseg.cli; print('scipy.optimize' in sys.modules, 'dynseg.evaluation' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["False", "False", "True"]
+
+
+def test_package_exports_resolve_to_their_modules():
+    for name in dynseg.__all__:
+        value = getattr(dynseg, name)
+        assert value.__module__.startswith("dynseg."), name
+    with pytest.raises(AttributeError):
+        dynseg.no_such_name

@@ -61,6 +61,8 @@ class TestConnectedSets:
     @example(nodes=set(), pairs=[(0, 1)])
     @example(nodes={0, 2}, pairs=[(0, 1), (1, 2)])
     @example(nodes={0, 1, 2}, pairs=[(0, 1), (1, 2)])
+    # repeated, reversed and self pairs
+    @example(nodes={0, 1, 2, 3}, pairs=[(0, 1), (1, 0), (0, 1), (2, 2)])
     def test_matches_union_find_reference(self, nodes, pairs):
         assert connected_sets(nodes, pairs) == _union_find_pieces(nodes, pairs)
 

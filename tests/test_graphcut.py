@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,10 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
+from dynseg import graph as graph_module
+from dynseg import graphcut
 from dynseg.graphcut import (
+    N_THRESHOLDS,
     CutParams,
     CutProblem,
     OversegConfig,
@@ -680,6 +684,78 @@ class TestBisect:
         )
         with pytest.raises(ValueError):
             normalized_cut_bisect(disconnected)
+
+
+def _bisect_loop(graph):
+    """The plain threshold scan: every threshold's mask evaluated, the first strictly cheapest kept."""
+    x = graphcut._second_eigenvector(graph)
+    n = graph.num_nodes
+    best = None
+    for t in np.linspace(float(x.min()), float(x.max()), N_THRESHOLDS):
+        mask = x <= t
+        if 0 < mask.sum() < n:
+            cost = ncut_value(graph, graph.nodes[mask].tolist())
+            if best is None or cost < best[0]:
+                best = (cost, mask)
+    if best is None:
+        # flat eigenvector: peel off the first node
+        mask = np.arange(n) == 0
+        best = (ncut_value(graph, graph.nodes[mask].tolist()), mask)
+    cost, mask = best
+    a, b = frozenset(graph.nodes[mask].tolist()), frozenset(graph.nodes[~mask].tolist())
+    return (b, a, cost) if min(b) < min(a) else (a, b, cost)
+
+
+@st.composite
+def _bisect_graphs(draw):
+    """Connected graphs on sparse ids; stars, cliques and few weight values give tied eigenvector entries."""
+    n = draw(st.integers(2, 24))
+    shape = draw(st.sampled_from(["tree", "star", "clique", "cycle"]))
+    weight = st.sampled_from([0.25, 1.0]) if draw(st.booleans()) else st.floats(0.05, 1.0)
+    if shape == "star":
+        pairs = [(0, k) for k in range(1, n)]
+    elif shape == "clique":
+        pairs = list(itertools.combinations(range(min(n, 9)), 2))
+    elif shape == "cycle":
+        pairs = [(k, k + 1) for k in range(n - 1)] + ([(0, n - 1)] if n > 2 else [])
+    else:
+        pairs = [(draw(st.integers(0, k - 1)), k) for k in range(1, n)]
+        pairs += [p for p in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n)) if p[0] < p[1]]
+    ids = sorted(draw(st.sets(st.integers(0, 200), min_size=n, max_size=n)))
+    return graph_from_edges({(ids[i], ids[j]): draw(weight) for i, j in sorted(set(pairs))})
+
+
+class TestBisectMatchesThresholdLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(graph=_bisect_graphs(), levels=st.sampled_from([None, 0, 1, 2, 3, 5]))
+    def test_same_sides_and_cost(self, graph, levels):
+        """``levels`` rounds the eigenvector to that many steps per unit, 0 makes it flat: repeated masks."""
+        real = graphcut._second_eigenvector
+        if levels is None:
+            eigenvector = real
+        else:
+            def eigenvector(g):
+                x = real(g)
+                return np.round(x / np.abs(x).max() * levels) if levels else np.zeros_like(x)
+
+        with mock.patch.object(graphcut, "_second_eigenvector", eigenvector):
+            assert normalized_cut_bisect(graph) == _bisect_loop(graph)
+
+    def test_flat_eigenvector_peels_the_first_node(self):
+        g = _two_cliques()
+        with mock.patch.object(graphcut, "_second_eigenvector", lambda g: np.ones(g.num_nodes)):
+            a, b, cost = normalized_cut_bisect(g)
+        assert (a, b) == (frozenset({0}), frozenset({1, 2, 3, 4, 5}))
+        assert cost == ncut_value(g, {0})
+
+    def test_connectivity_is_computed_once_per_graph(self):
+        g = _two_cliques(size=4)
+        with mock.patch.object(graph_module, "_pieces", wraps=graph_module._pieces) as pieces:
+            assert g.is_connected()
+            normalized_cut_bisect(g)
+            assert len(oversegment(g)) == 2
+        # the root's pieces are computed once; each half of its split once more
+        assert pieces.call_count == 3
 
 
 class TestOversegment:

@@ -9,12 +9,14 @@ from dynseg import supervoxel
 from dynseg.cloud_io import PointCloudFrame
 from dynseg.graph import connected_sets
 from dynseg.supervoxel import (
+    COLOR_NORM,
     SupervoxelConfig,
     Supervoxels,
+    _link_costs,
     _nearest_per_group,
     cluster_supervoxels,
-    growth_distance,
     rgb_to_lab,
+    squared_norms,
     voxel_neighbour_pairs,
     voxel_reach,
     voxelize,
@@ -42,6 +44,46 @@ def test_lab_srgb_red():
 def test_lab_batch_shape():
     lab = rgb_to_lab(np.zeros((7, 3)))
     assert lab.shape == (7, 3)
+
+
+def _norm_form_costs(centroids, labs, a, b, config):
+    """The growth metric of each link, written with np.linalg.norm over gathered rows."""
+    ds = np.linalg.norm(centroids[a] - centroids[b], axis=-1)
+    dc = np.linalg.norm(labs[a] - labs[b], axis=-1)
+    return np.sqrt(
+        config.weight_color * (dc / COLOR_NORM) ** 2 + config.weight_spatial * (ds / config.seed_resolution) ** 2
+    )
+
+
+def growth_distance(centroid_a, lab_a, centroid_b, lab_b, config) -> float:
+    """The growth metric D between two voxels: the scalar reference."""
+    rows = np.array([centroid_a, centroid_b], dtype=np.float64), np.array([lab_a, lab_b], dtype=np.float64)
+    return float(_norm_form_costs(*rows, [0], [1], config)[0])
+
+
+_COORD = st.floats(-2.0, 2.0, allow_nan=False)
+_ROWS = st.lists(st.tuples(*[_COORD] * 6), min_size=1, max_size=25)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=_ROWS,
+    links=st.lists(st.tuples(st.integers(0, 24), st.integers(0, 24)), max_size=40),
+    offset=st.sampled_from([0.0, 1e6, -3.7e7, 2.0**40]),
+    weights=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+)
+# a link from a row to itself and one between equal rows: zero differences
+@example(rows=[(0.1, 0.2, 0.3, 50.0, 1.0, -2.0)] * 2, links=[(0, 0), (0, 1)], offset=1e6, weights=(0.2, 0.4))
+def test_link_costs_equal_the_norm_form_bit_for_bit(rows, links, offset, weights):
+    """The vectorized link costs and the row helper give np.linalg.norm's bytes, also far from the origin."""
+    table = np.asarray(rows, dtype=np.float64)
+    centroids, labs = table[:, :3] + offset, table[:, 3:] * 50.0
+    a, b = (np.asarray(side, dtype=np.int64) % len(table) for side in zip(*links)) if links else (np.zeros(0, int),) * 2
+    config = SupervoxelConfig(weight_color=weights[0], weight_spatial=weights[1])
+    assert _link_costs(centroids, labs, a, b, config).tobytes() == _norm_form_costs(centroids, labs, a, b, config).tobytes()
+    for d in (centroids[a] - centroids[b], labs[a] - labs[b], centroids):
+        assert squared_norms(d).tobytes() == np.sum(d**2, axis=1).tobytes()
+        assert np.sqrt(squared_norms(d)).tobytes() == np.linalg.norm(d, axis=1).tobytes()
 
 
 def test_growth_distance_symmetry():
