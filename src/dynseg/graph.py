@@ -117,7 +117,8 @@ def _pieces(order: np.ndarray, links: np.ndarray) -> list[frozenset[int]]:
     if not n:
         return []
     # CSR built directly (rows from a count, stable order by row), so csgraph
-    # converts nothing; links may repeat, which its strong components would not survive
+    # converts nothing.  Undirected, since connected_sets' links may repeat and
+    # csgraph's strong-component search does not end on repeated entries.
     tails = links[:, 0]
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
