@@ -12,70 +12,22 @@ import importlib
 
 __version__ = "0.1.0"
 
+# module -> the names it exports
 _EXPORTS = {
-    "cloud_io": (
-        "PointCloudFrame",
-        "LabeledFrame",
-        "SequenceManifest",
-        "InteractionRecord",
-        "ParseError",
-        "load_frame",
-        "write_frame",
-        "load_sequence",
-    ),
-    "supervoxel": ("Supervoxels", "SupervoxelConfig", "cluster_supervoxels", "voxelize"),
-    "graph": ("AdjacencyGraph", "GraphConfig", "Blob", "build_graph", "connected_components"),
-    "assignment": (
-        "AssignmentProblem",
-        "Assignment",
-        "EnergyParams",
-        "GAConfig",
-        "energy_of",
-        "solve_ga",
-        "solve_exhaustive",
-    ),
-    "graphcut": (
-        "CutProblem",
-        "CutParams",
-        "OversegConfig",
-        "restricted_cut",
-        "cut_energy",
-        "normalized_cut_bisect",
-        "ncut_value",
-        "oversegment",
-    ),
-    "tree": (
-        "SegTree",
-        "InteractionEvent",
-        "TreeParams",
-        "init_tree",
-        "update_tree",
-        "compute_similarity",
-        "accumulate_similarities",
-        "confirm_splits_merges",
-        "detect_interactions",
-    ),
-    "pipeline": (
-        "PipelineConfig",
-        "PipelineState",
-        "FrameResult",
-        "PipelineError",
-        "init_state",
-        "process_frame",
-        "run_sequence",
-    ),
-    "evaluation": (
-        "SynthScenario",
-        "ShapeSpec",
-        "MetricsReport",
-        "segmentation_error",
-        "interaction_score",
-        "evaluate_run",
-        "generate_scenario",
-        "make_scenario",
-    ),
+    "cloud_io": "PointCloudFrame LabeledFrame SequenceManifest InteractionRecord ParseError"
+    " load_frame write_frame load_sequence",
+    "supervoxel": "Supervoxels SupervoxelConfig cluster_supervoxels voxelize",
+    "graph": "AdjacencyGraph GraphConfig Blob build_graph connected_components",
+    "assignment": "AssignmentProblem Assignment EnergyParams GAConfig energy_of solve_ga solve_exhaustive",
+    "graphcut": "CutProblem CutParams OversegConfig restricted_cut cut_energy normalized_cut_bisect"
+    " ncut_value oversegment",
+    "tree": "SegTree InteractionEvent TreeParams init_tree update_tree compute_similarity"
+    " accumulate_similarities confirm_splits_merges detect_interactions",
+    "pipeline": "PipelineConfig PipelineState FrameResult PipelineError init_state process_frame run_sequence",
+    "evaluation": "SynthScenario ShapeSpec MetricsReport segmentation_error interaction_score evaluate_run"
+    " generate_scenario make_scenario",
 }
-_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = list(_MODULE_OF)
 
 

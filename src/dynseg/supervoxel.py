@@ -13,8 +13,9 @@ no seed moves or after max_iterations.
 The bookkeeping around the Dijkstra sorts as little as it can: voxel and
 seed-cell keys are grouped through 1-D codes built from per-axis ranks, the
 voxel links are read from an index table over the keys' bounding box, the
-symmetric link matrix is built once per frame, and each pass renumbers its
-claims through a seed -> slot array.
+symmetric link matrix is built once per frame, each pass renumbers its
+claims through a seed -> slot array, and row lengths are summed by
+``squared_norms`` rather than ``np.linalg.norm``, with the same bytes.
 """
 
 from __future__ import annotations
