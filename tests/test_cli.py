@@ -254,7 +254,7 @@ class TestInspect:
 def test_importing_the_cli_leaves_scipy_optimize_unloaded():
     """Only scoring needs linear_sum_assignment, so ``dynseg segment`` does not pay for scipy.optimize."""
     src = str(Path(dynseg.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = (
         "import sys, dynseg; print(any(m.startswith('dynseg.') for m in sys.modules)); "
         "import dynseg.cli; print('scipy.optimize' in sys.modules, 'dynseg.evaluation' in sys.modules)"

@@ -78,7 +78,7 @@ def test_link_costs_equal_the_norm_form_bit_for_bit(rows, links, offset, weights
     """The vectorized link costs and the row helper give np.linalg.norm's bytes, also far from the origin."""
     table = np.asarray(rows, dtype=np.float64)
     centroids, labs = table[:, :3] + offset, table[:, 3:] * 50.0
-    a, b = (np.asarray(side, dtype=np.int64) % len(table) for side in zip(*links)) if links else (np.zeros(0, int),) * 2
+    a, b = (np.asarray(links, dtype=np.int64).reshape(-1, 2) % len(table)).T
     config = SupervoxelConfig(weight_color=weights[0], weight_spatial=weights[1])
     assert _link_costs(centroids, labs, a, b, config).tobytes() == _norm_form_costs(centroids, labs, a, b, config).tobytes()
     for d in (centroids[a] - centroids[b], labs[a] - labs[b], centroids):
