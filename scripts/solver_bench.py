@@ -113,7 +113,8 @@ def random_cut_problem(rng, n, num_labels):
         subgraph=graph,
         label_seeds={int(s): k for k, s in enumerate(seeds)},
         previous_boundary=rng.uniform(0.0, 0.3, (int(rng.integers(0, 3)), 3)),
-        params=CutParams(seed_resolution=0.08),
+        params=CutParams().resolve(0.08),
+        seed_resolution=0.08,
     )
 
 
@@ -142,7 +143,7 @@ def bench_assignment(instances, seed):
         t0 = time.perf_counter()
         optima.append(solve_exhaustive(problem).energy)
         t1 = time.perf_counter()
-        solve_ga(problem, GAConfig(rng_seed=i))
+        solve_ga(problem, ga, rng_seed=i)
         t2 = time.perf_counter()
         ms, mb = problem.num_segments, problem.num_blobs
         print(f"{i:>8} {ms:>8} {mb:>5} {(mb + 1) ** ms:>9} {(t1 - t0) * 1e3:>9.2f} {(t2 - t1) * 1e3:>8.2f}")
@@ -152,7 +153,7 @@ def bench_assignment(instances, seed):
         gaps = []
         t0 = time.perf_counter()
         for i, (problem, opt) in enumerate(zip(problems, optima)):
-            got = solve_ga(problem, GAConfig(generations=generations, rng_seed=i)).energy
+            got = solve_ga(problem, GAConfig(generations=generations), rng_seed=i).energy
             hits += abs(got - opt) < 1e-9
             gaps.append((got - opt) / opt if opt > 0 else 0.0)
         elapsed = time.perf_counter() - t0

@@ -23,7 +23,7 @@ _EXPORTS = {
     " ncut_value oversegment",
     "tree": "SegTree InteractionEvent TreeParams init_tree update_tree compute_similarity"
     " accumulate_similarities confirm_splits_merges detect_interactions",
-    "pipeline": "PipelineConfig PipelineState FrameResult PipelineError init_state process_frame run_sequence",
+    "pipeline": "PipelineConfig PipelineState FrameResult init_state process_frame run_sequence",
     "evaluation": "SynthScenario ShapeSpec MetricsReport segmentation_error interaction_score evaluate_run"
     " generate_scenario make_scenario",
 }

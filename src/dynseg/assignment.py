@@ -41,7 +41,6 @@ class GAConfig:
     mutation_rate: float | None = None  # default 1 / num_segments
     elitism: int = 2
     stagnation_stop: int = 25
-    rng_seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -70,12 +69,8 @@ class BlobFeature:
 class AssignmentProblem:
     segments: list[SegmentFeature]
     blobs: list[BlobFeature]
-    params: EnergyParams
+    params: EnergyParams  # resolved
     _pre: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.params.beta is None:
-            raise ValueError("params must be resolved (beta unset)")
 
     @property
     def num_segments(self) -> int:
@@ -202,9 +197,9 @@ def _canonical_blob_order(problem: AssignmentProblem) -> list[int]:
     return sorted(range(problem.num_blobs), key=lambda b: (key(b), b))
 
 
-def _ga_core(problem: AssignmentProblem, config: GAConfig, trace: list | None) -> np.ndarray:
+def _ga_core(problem: AssignmentProblem, config: GAConfig, rng_seed: int, trace: list | None) -> np.ndarray:
     ms, mb = problem.num_segments, problem.num_blobs
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(config.rng_seed)))
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(rng_seed)))
     pop_size = config.population
     mut = config.mutation_rate if config.mutation_rate is not None else 1.0 / ms
 
@@ -256,7 +251,7 @@ def _ga_core(problem: AssignmentProblem, config: GAConfig, trace: list | None) -
     return best_v
 
 
-def solve_ga(problem: AssignmentProblem, config: GAConfig, trace: list | None = None) -> Assignment:
+def solve_ga(problem: AssignmentProblem, config: GAConfig, rng_seed: int = 0, trace: list | None = None) -> Assignment:
     """Genetic search over label vectors; deterministic for a fixed rng_seed."""
     ms, mb = problem.num_segments, problem.num_blobs
     if ms == 0:
@@ -267,6 +262,6 @@ def solve_ga(problem: AssignmentProblem, config: GAConfig, trace: list | None = 
         blobs=[problem.blobs[b] for b in order],
         params=problem.params,
     )
-    labels_canon = _ga_core(canon, config, trace)
+    labels_canon = _ga_core(canon, config, rng_seed, trace)
     labels = np.asarray([order[v] if v >= 0 else NONE_LABEL for v in labels_canon], dtype=np.int64)
     return Assignment(labels=labels, energy=energy_of(problem, labels))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 import traceback
@@ -43,8 +44,6 @@ _SECTIONS: dict[str, type] = {
     "tree": TreeParams,
 }
 _TOP_LEVEL: dict[str, type] = {"seed": int, "retention_frames": int}
-# stamped internally per run/frame; configuring them would be silently ignored
-_HIDDEN = {"ga.rng_seed", "cut.seed_resolution"}
 
 
 def _config_keys() -> dict[str, type]:
@@ -53,12 +52,7 @@ def _config_keys() -> dict[str, type]:
     for section, cls in _SECTIONS.items():
         hints = typing.get_type_hints(cls)
         for f in dataclasses.fields(cls):
-            if f.name.startswith("_"):
-                continue
-            key = f"{section}.{f.name}"
-            if key in _HIDDEN:
-                continue
-            keys[key] = hints[f.name]
+            keys[f"{section}.{f.name}"] = hints[f.name]
     return keys
 
 
@@ -71,8 +65,8 @@ def _parse_value(key: str, text: str, hint) -> object:
     try:
         if base is int:
             return int(text)
-        if base is float:
-            return float(text)
+        if base is float and math.isfinite(value := float(text)):
+            return value
     except ValueError:
         pass
     raise ConfigError(f"bad value for {key!r}: {text!r}")
@@ -112,7 +106,7 @@ def build_config(pairs: dict[str, str]) -> PipelineConfig:
 
 
 def format_resolved_config(config: PipelineConfig) -> str:
-    resolved = config.resolved()
+    resolved = config.resolved()  # a no-op on a resolved config
     lines = []
     for key in sorted(_config_keys()):
         if "." in key:
@@ -132,18 +126,14 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _collect_overrides(ns: argparse.Namespace) -> dict[str, str]:
     values = vars(ns)
-    pairs = {k: v for k, v in values.items() if "." in k and v is not None}
-    if values.get("seed") is not None:
-        pairs["seed"] = str(values["seed"])
-    return pairs
+    return {k: str(values[k]) for k in _config_keys() if values[k] is not None}
 
 
 def cmd_segment(ns: argparse.Namespace) -> int:
     pairs = read_config_file(ns.config) if ns.config else {}
     pairs.update(_collect_overrides(ns))
-    config = build_config(pairs)
     try:
-        resolved_text = format_resolved_config(config)
+        config = build_config(pairs).resolved()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     out_dir = ns.out or "."
@@ -151,7 +141,7 @@ def cmd_segment(ns: argparse.Namespace) -> int:
     frames = [cloud_io.load_frame(p, frame_index=i) for i, p in enumerate(manifest.frame_paths)]
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config_resolved.txt"), "w", encoding="utf-8") as fh:
-        fh.write(resolved_text)
+        fh.write(format_resolved_config(config))
     result = run_sequence(frames, config)
     for r in result.frames:
         if len(r.point_labels) == 0:
@@ -295,7 +285,7 @@ def main(argv=None) -> int:
     except (ParseError, FileNotFoundError, UnicodeDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # PipelineError or any other internal failure
+    except Exception as exc:  # any internal failure
         traceback.print_exc()
         print(f"pipeline error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -140,19 +140,18 @@ class Blob:
         return sorted(self.member_supervoxels)
 
 
-def build_graph(supervoxels: Supervoxels, config: GraphConfig, seed_resolution: float) -> AdjacencyGraph:
-    """Link supervoxels that touch (their ``contacts``) or whose centroids are near."""
-    cfg = config.resolve(seed_resolution)
+def build_graph(supervoxels: Supervoxels, config: GraphConfig) -> AdjacencyGraph:
+    """Link supervoxels that touch (their ``contacts``) or whose centroids are near; ``config`` is resolved."""
     n = len(supervoxels)
     centroids, colors = supervoxels.centroids, supervoxels.colors_lab
     # centroid proximity, strictly inside the radius
-    near = cKDTree(centroids).query_pairs(cfg.adjacency_radius, output_type="ndarray")
-    near = near[np.sqrt(squared_norms(centroids[near[:, 0]] - centroids[near[:, 1]])) < cfg.adjacency_radius]
+    near = cKDTree(centroids).query_pairs(config.adjacency_radius, output_type="ndarray")
+    near = near[np.sqrt(squared_norms(centroids[near[:, 0]] - centroids[near[:, 1]])) < config.adjacency_radius]
     both = np.concatenate([supervoxels.contacts, near])
     a, b = np.divmod(np.unique(both.min(axis=1) * n + both.max(axis=1)), n)
     dc = np.sqrt(squared_norms(colors[a] - colors[b]))
     d = np.sqrt(squared_norms(centroids[a] - centroids[b]))
-    weights = np.exp(-dc / cfg.sigma_color) * np.exp(-d / cfg.sigma_distance)
+    weights = np.exp(-dc / config.sigma_color) * np.exp(-d / config.sigma_distance)
     return AdjacencyGraph(
         nodes=np.arange(n),
         edges=np.column_stack([a, b]),

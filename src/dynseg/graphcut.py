@@ -32,13 +32,9 @@ class CutParams:
     lambda_smooth: float = 1.0
     mu_coherence: float = 0.5
     sigma_boundary: float | None = None  # default seed_resolution
-    seed_resolution: float = 0.08
 
-    def resolve(self) -> "CutParams":
-        return replace(
-            self,
-            sigma_boundary=self.seed_resolution if self.sigma_boundary is None else self.sigma_boundary,
-        )
+    def resolve(self, seed_resolution: float) -> "CutParams":
+        return replace(self, sigma_boundary=seed_resolution if self.sigma_boundary is None else self.sigma_boundary)
 
 
 @dataclass
@@ -52,7 +48,8 @@ class CutProblem:
     subgraph: AdjacencyGraph
     label_seeds: dict[int, int]  # supervoxel id -> object id
     previous_boundary: np.ndarray  # (B, 3) positions of the prior cut boundary, may be empty
-    params: CutParams
+    params: CutParams  # resolved
+    seed_resolution: float  # the unary's distance scale
 
     def __post_init__(self) -> None:
         self.previous_boundary = np.asarray(self.previous_boundary, dtype=np.float64).reshape(-1, 3)
@@ -66,7 +63,6 @@ class CutProblem:
     @cached_property
     def unary(self) -> np.ndarray:
         """(N, L) cost of each node taking each label, columns in labels() order."""
-        p = self.params.resolve()
         g = self.subgraph
         labels = self.labels()
         centroids, colors = g.centroids, g.colors_lab
@@ -74,7 +70,7 @@ class CutProblem:
         seed_label = np.searchsorted(labels, list(self.label_seeds.values()))
         ds = np.linalg.norm(centroids[:, None, :] - centroids[None, seeds, :], axis=2)
         dc = np.linalg.norm(colors[:, None, :] - colors[None, seeds, :], axis=2)
-        to_seed = ds / p.seed_resolution + dc / COLOR_NORM  # (N, seeds)
+        to_seed = ds / self.seed_resolution + dc / COLOR_NORM  # (N, seeds)
         out = np.column_stack([to_seed[:, seed_label == l].min(axis=1) for l in range(len(labels))])
         out[seeds] = INF
         out[seeds, seed_label] = 0.0
@@ -83,7 +79,7 @@ class CutProblem:
     @cached_property
     def pairwise(self) -> np.ndarray:
         """(E,) cost of cutting each subgraph edge, in edge order."""
-        p = self.params.resolve()
+        p = self.params
         g = self.subgraph
         cost = p.lambda_smooth * g.weights
         if len(self.previous_boundary):

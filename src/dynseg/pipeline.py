@@ -41,10 +41,8 @@ from .tree import (
 )
 
 _MASK64 = (1 << 64) - 1
-
-
-class PipelineError(RuntimeError):
-    pass
+# config values the pipeline divides by
+_DIVISORS = "graph.sigma_color graph.sigma_distance cut.sigma_boundary tree.sigma_color tree.sigma_distance".split()
 
 
 @dataclass
@@ -60,17 +58,25 @@ class PipelineConfig:
     retention_frames: int = 10  # frames a vanished object stays claimable
 
     def resolved(self) -> "PipelineConfig":
+        """Fill in the seed-resolution defaults and check the values; a resolved config resolves to itself."""
         self.supervoxel.validate()
         if self.retention_frames < 0:
             raise ValueError("retention_frames must be >= 0")
+        if self.ga.population < 1:
+            raise ValueError("ga.population must be >= 1")
         sr = self.supervoxel.seed_resolution
-        return replace(
+        out = replace(
             self,
             graph=self.graph.resolve(sr),
             energy=self.energy.resolve(sr),
-            cut=replace(self.cut, seed_resolution=sr).resolve(),
+            cut=self.cut.resolve(sr),
             tree=self.tree.resolve(sr),
         )
+        for key in _DIVISORS:
+            section, _, name = key.partition(".")
+            if not getattr(getattr(out, section), name) > 0:
+                raise ValueError(f"{key} must be > 0")
+        return out
 
 
 @dataclass
@@ -81,7 +87,7 @@ class _Ghost:
 
 @dataclass
 class PipelineState:
-    config: PipelineConfig
+    config: PipelineConfig  # resolved
     alloc: IdAllocator = field(default_factory=IdAllocator)
     tree: SegTree | None = None
     boundary: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
@@ -123,8 +129,6 @@ def init_state(config: PipelineConfig) -> PipelineState:
 
 def process_frame(state: PipelineState, frame: PointCloudFrame) -> FrameResult:
     cfg = state.config
-    if cfg.energy.beta is None or cfg.tree.candidate_gap is None:
-        raise PipelineError("pipeline config is not resolved; use init_state")
     fidx = frame.frame_index
     timings = {"supervoxel": 0.0, "graph": 0.0, "assignment": 0.0, "cut": 0.0, "tree": 0.0}
     t_total = time.perf_counter()
@@ -136,7 +140,7 @@ def process_frame(state: PipelineState, frame: PointCloudFrame) -> FrameResult:
     timings["supervoxel"] = (time.perf_counter() - t) * 1e3
 
     t = time.perf_counter()
-    graph = build_graph(supervoxels, cfg.graph, cfg.supervoxel.seed_resolution)
+    graph = build_graph(supervoxels, cfg.graph)
     blobs = connected_components(graph)
     timings["graph"] = (time.perf_counter() - t) * 1e3
 
@@ -163,7 +167,7 @@ def process_frame(state: PipelineState, frame: PointCloudFrame) -> FrameResult:
         if (len(blob_feats) + 1) ** len(segments) <= cfg.ga.population * (cfg.ga.stagnation_stop + 1):
             path, assignment = "exact", solve_exhaustive(problem)
         else:
-            path, assignment = "ga", solve_ga(problem, replace(cfg.ga, rng_seed=(cfg.seed ^ fidx) & _MASK64))
+            path, assignment = "ga", solve_ga(problem, cfg.ga, rng_seed=(cfg.seed ^ fidx) & _MASK64)
         timings["assignment"] = (time.perf_counter() - ta) * 1e3
 
         sr = cfg.supervoxel.seed_resolution
@@ -177,6 +181,7 @@ def process_frame(state: PipelineState, frame: PointCloudFrame) -> FrameResult:
                     label_seeds=seeds[blob.blob_id],
                     previous_boundary=state.boundary,
                     params=cfg.cut,
+                    seed_resolution=sr,
                 )
                 cuts[blob.blob_id] = restricted_cut(cut_problem)
         timings["cut"] = (time.perf_counter() - tc) * 1e3

@@ -145,8 +145,6 @@ def compute_similarity(a_svs, b_svs, graph: AdjacencyGraph, params: TreeParams) 
     The gap is the smallest centroid distance between the sets; dE_lab
     compares their point-weighted mean colours.
     """
-    if params.sigma_distance is None:
-        raise ValueError("params must be resolved")
     a, b = (np.searchsorted(graph.nodes, sorted(svs)) for svs in (a_svs, b_svs))
     if not (len(a) and len(b)):
         raise ValueError("similarity of an empty supervoxel set is undefined")
@@ -361,8 +359,6 @@ def accumulate_similarities(
 
 def _candidates(tree: SegTree, graph: AdjacencyGraph, params: TreeParams, tracked) -> list[tuple[int, int]]:
     """Live object pairs that share a blob, are already tracked, or lie closer than candidate_gap."""
-    if params.candidate_gap is None:
-        raise ValueError("params must be resolved")
     object_of = tree.object_of()
     pairs: set[tuple[int, int]] = set()
     for oids in _grouped((bid, oid) for oid, bid in tree.components.values()).values():

@@ -99,7 +99,7 @@ def test_criterion_1_ga_matches_exhaustive_oracle():
         num_blobs = int(rng.integers(1, 4))
         problem = _random_assignment(rng, num_segments, num_blobs, params)
         opt = solve_exhaustive(problem)
-        got = solve_ga(problem, GAConfig(rng_seed=1000 + i))
+        got = solve_ga(problem, GAConfig(), rng_seed=1000 + i)
         assert got.energy <= opt.energy * 1.05 + 1e-9
         if abs(got.energy - opt.energy) < 1e-9:
             exact += 1
@@ -130,7 +130,7 @@ def _random_cut_problem(rng, n, with_boundary):
     graph = graph_from_edges(edges, positions=positions, colors=colors)
     seed_a, seed_b = (int(v) for v in rng.choice(n, 2, replace=False))
     boundary = rng.uniform(0.0, 0.12, (3, 3)) if with_boundary else np.zeros((0, 3))
-    return CutProblem(graph, {seed_a: 10, seed_b: 20}, boundary, CutParams())
+    return CutProblem(graph, {seed_a: 10, seed_b: 20}, boundary, CutParams().resolve(0.08), 0.08)
 
 
 def _cut_brute_force(problem):

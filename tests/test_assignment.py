@@ -155,10 +155,6 @@ class TestEnergy:
         with pytest.raises(ValueError):
             energy_of(prob, [0, -2])  # below NONE
 
-    def test_unresolved_params_rejected(self):
-        with pytest.raises(ValueError):
-            AssignmentProblem(segments=[], blobs=[], params=EnergyParams())
-
     def test_blob_feature_validation(self):
         with pytest.raises(ValueError):
             BlobFeature(sv_centroids=np.empty((0, 3)), sv_colors_lab=np.empty((0, 3)))
@@ -237,7 +233,7 @@ class TestGA:
             mb = int(rng.integers(1, 4))
             prob = _random_problem(rng, ms, mb)
             ex = solve_exhaustive(prob)
-            ga = solve_ga(prob, GAConfig(rng_seed=i))
+            ga = solve_ga(prob, GAConfig(), rng_seed=i)
             assert ga.energy >= ex.energy - 1e-9
             if ga.energy <= ex.energy + 1e-9:
                 hits += 1
@@ -247,14 +243,14 @@ class TestGA:
         rng = np.random.default_rng(8)
         for i in range(5):
             prob = _random_problem(rng, ms=6, mb=3)
-            ga = solve_ga(prob, GAConfig(rng_seed=i, generations=20))
+            ga = solve_ga(prob, GAConfig(generations=20), rng_seed=i)
             assert ga.energy <= energy_of(prob, greedy_labels(prob)) + 1e-12
 
     def test_deterministic_for_fixed_seed(self):
         rng = np.random.default_rng(13)
         prob = _random_problem(rng, ms=5, mb=3)
-        a = solve_ga(prob, GAConfig(rng_seed=42))
-        b = solve_ga(prob, GAConfig(rng_seed=42))
+        a = solve_ga(prob, GAConfig(), rng_seed=42)
+        b = solve_ga(prob, GAConfig(), rng_seed=42)
         assert a.labels.tolist() == b.labels.tolist()
         assert a.energy == b.energy
 
@@ -268,8 +264,8 @@ class TestGA:
             blobs=[prob.blobs[b] for b in perm],
             params=prob.params,
         )
-        a = solve_ga(prob, GAConfig(rng_seed=9))
-        b = solve_ga(shuffled, GAConfig(rng_seed=9))
+        a = solve_ga(prob, GAConfig(), rng_seed=9)
+        b = solve_ga(shuffled, GAConfig(), rng_seed=9)
         assert b.energy == pytest.approx(a.energy, rel=1e-12)
         mapped = [inv[v] if v >= 0 else NONE_LABEL for v in a.labels]
         assert b.labels.tolist() == mapped
@@ -278,13 +274,13 @@ class TestGA:
         rng = np.random.default_rng(3)
         prob = _random_problem(rng, ms=6, mb=3)
         trace = []
-        solve_ga(prob, GAConfig(rng_seed=0), trace=trace)
+        solve_ga(prob, GAConfig(), rng_seed=0, trace=trace)
         assert trace
         bests = [t[1] for t in trace]
         assert all(b2 <= b1 + 1e-12 for b1, b2 in zip(bests, bests[1:]))
 
     def test_empty_segments(self):
         prob = AssignmentProblem(segments=[], blobs=[], params=_params())
-        sol = solve_ga(prob, GAConfig(rng_seed=0))
+        sol = solve_ga(prob, GAConfig(), rng_seed=0)
         assert sol.labels.shape == (0,)
         assert sol.energy == 0.0

@@ -11,12 +11,49 @@ import dynseg
 from dynseg import cloud_io
 from dynseg.cli import (
     ConfigError,
+    _config_keys,
     build_config,
     format_resolved_config,
     main,
     read_config_file,
 )
 from dynseg.cloud_io import SequenceManifest
+
+# format_resolved_config(build_config({})): every key, every default filled in
+DEFAULT_RESOLVED = """\
+cut.lambda_smooth=1.0
+cut.mu_coherence=0.5
+cut.sigma_boundary=0.08
+energy.alpha=0.01
+energy.beta=12.5
+energy.delta=1.0
+energy.gamma=2.0
+energy.rho=1.5
+ga.crossover_rate=0.7
+ga.elitism=2
+ga.generations=150
+ga.mutation_rate=None
+ga.population=50
+ga.stagnation_stop=25
+ga.tournament_size=3
+graph.adjacency_radius=0.12
+graph.sigma_color=30.0
+graph.sigma_distance=0.08
+overseg.min_segment_supervoxels=4
+overseg.ncut_threshold=0.2
+retention_frames=10
+seed=0
+supervoxel.max_iterations=10
+supervoxel.seed_resolution=0.08
+supervoxel.voxel_resolution=0.008
+supervoxel.weight_color=0.2
+supervoxel.weight_spatial=0.4
+tree.candidate_gap=0.24
+tree.merge_threshold=0.7
+tree.sigma_color=30.0
+tree.sigma_distance=0.16
+tree.split_threshold=0.3
+"""
 
 
 class TestConfigPlumbing:
@@ -47,11 +84,13 @@ class TestConfigPlumbing:
             build_config({"cut.seed_resolution": "0.1"})
 
     def test_resolved_dump_lists_defaults(self):
-        text = format_resolved_config(build_config({}))
-        assert "supervoxel.seed_resolution=0.08" in text
-        assert "energy.beta=12.5" in text  # resolved from seed_resolution
-        assert "ga.rng_seed" not in text
-        assert "cut.seed_resolution" not in text
+        assert format_resolved_config(build_config({})) == DEFAULT_RESOLVED
+        assert sorted(_config_keys()) == [line.partition("=")[0] for line in DEFAULT_RESOLVED.splitlines()]
+
+    def test_resolving_a_resolved_config_changes_nothing(self):
+        cfg = build_config({"graph.adjacency_radius": "0.3"}).resolved()
+        assert cfg.resolved() == cfg
+        assert format_resolved_config(cfg) == format_resolved_config(build_config({"graph.adjacency_radius": "0.3"}))
 
     def test_read_config_file(self, tmp_path):
         p = tmp_path / "run.cfg"
@@ -107,6 +146,17 @@ class TestEndToEnd:
         assert "interactions_truth=0" in out
         assert "recall=1.000000" in out
 
+    def test_top_level_flags_reach_the_resolved_config(self, tmp_path):
+        spec = tmp_path / "scene.txt"
+        spec.write_text("kind = static\nframes = 1\npoints_per_object = 60\n")
+        assert main(["synth", str(spec), "--out", str(tmp_path / "data")]) == 0
+        run = tmp_path / "run"
+        args = ["--out", str(run), "--retention_frames", "3", "--seed", "5", "--supervoxel.voxel_resolution", "0.02"]
+        assert main(["segment", str(tmp_path / "data" / "manifest.txt"), *args]) == 0
+        lines = (run / "config_resolved.txt").read_text().splitlines()
+        assert "retention_frames=3" in lines
+        assert "seed=5" in lines
+
     def test_synth_seed_override_is_deterministic(self, tmp_path):
         spec = tmp_path / "scene.txt"
         spec.write_text("kind = static\nframes = 1\npoints_per_object = 60\n")
@@ -129,6 +179,34 @@ class TestExitCodes:
 
     def test_bad_flag_value_is_config_error(self, tmp_path):
         assert main(["segment", "unused.txt", "--tree.merge_threshold", "warm"]) == 1
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("supervoxel.voxel_resolution", "nan"),
+            ("supervoxel.seed_resolution", "inf"),
+            ("energy.beta", "nan"),
+            ("graph.adjacency_radius", "-inf"),
+        ],
+    )
+    def test_non_finite_value_is_config_error(self, tmp_path, capsys, key, value):
+        assert main(["segment", str(tmp_path / "nope.txt"), f"--{key}={value}"]) == 1
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "tree.sigma_distance",
+            "tree.sigma_color",
+            "graph.sigma_color",
+            "graph.sigma_distance",
+            "cut.sigma_boundary",
+            "ga.population",
+        ],
+    )
+    def test_zero_scale_is_config_error(self, tmp_path, capsys, key):
+        assert main(["segment", str(tmp_path / "nope.txt"), f"--{key}", "0"]) == 1
+        assert key in capsys.readouterr().err
 
     def test_missing_manifest_is_data_error(self, tmp_path):
         assert main(["segment", str(tmp_path / "nope.txt")]) == 2

@@ -67,9 +67,8 @@ class TestConnectedSets:
         assert connected_sets(nodes, pairs) == _union_find_pieces(nodes, pairs)
 
 
-def _build_graph_loop(feet, centroids, colors, config, seed_resolution, reach=1):
+def _build_graph_loop(feet, centroids, colors, cfg, reach=1):
     """Reference: the 26- or 124-offset walk over the footprints ``feet`` plus the strict centroid-radius test."""
-    cfg = config.resolve(seed_resolution)
     owner = {tuple(int(v) for v in k): sv for sv, keys in enumerate(feet) for k in keys}
     pairs = set()
     steps = range(-reach, reach + 1)
@@ -133,7 +132,8 @@ def _cell_frame(keys, voxel=0.01):
 # seed cells as small as the voxel give every voxel of _cell_frame its own
 # supervoxel; a radius this small leaves footprint contact as the only link
 _ONE_PER_VOXEL = SupervoxelConfig(voxel_resolution=0.01, seed_resolution=0.01)
-_NO_RADIUS = GraphConfig(adjacency_radius=1e-9)
+_NO_RADIUS = GraphConfig(adjacency_radius=1e-9).resolve(0.08)
+_DEFAULT = GraphConfig().resolve(0.08)
 
 
 class TestBuildGraph:
@@ -141,46 +141,46 @@ class TestBuildGraph:
         # dLab = 15, d = 0.04, sigma_c = 30, sigma_d = 0.08
         # w = exp(-15/30) * exp(-0.04/0.08) = exp(-1)
         svs = make_supervoxels([(0.0, 0.0, 0.0), (0.04, 0.0, 0.0)], colors_lab=[(50.0, 10.0, 0.0), (50.0, -5.0, 0.0)])
-        g = build_graph(svs, GraphConfig(), seed_resolution=0.08)
+        g = build_graph(svs, _DEFAULT)
         assert g.edges.tolist() == [[0, 1]]
         assert g.weights[0] == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_adjacency_radius_is_strict(self):
         # centroids exactly at the radius must not link
-        g = build_graph(make_supervoxels([(0.0, 0.0, 0.0), (0.12, 0.0, 0.0)]), GraphConfig(), seed_resolution=0.08)
+        g = build_graph(make_supervoxels([(0.0, 0.0, 0.0), (0.12, 0.0, 0.0)]), _DEFAULT)
         assert g.edges.tolist() == []
 
-        g2 = build_graph(make_supervoxels([(0.0, 0.0, 0.0), (0.119, 0.0, 0.0)]), GraphConfig(), seed_resolution=0.08)
+        g2 = build_graph(make_supervoxels([(0.0, 0.0, 0.0), (0.119, 0.0, 0.0)]), _DEFAULT)
         assert g2.edges.tolist() == [[0, 1]]
 
     def test_footprint_adjacency_overrides_distance(self):
         # diagonal voxel neighbors link even with centroids far apart
         svs = cluster_supervoxels(_cell_frame([(0, 0, 0), (1, 1, 1)]), _ONE_PER_VOXEL)
         assert svs.contacts.tolist() == [[0, 1]]
-        g = build_graph(svs, _NO_RADIUS, seed_resolution=0.08)
+        g = build_graph(svs, _NO_RADIUS)
         assert g.edges.tolist() == [[0, 1]]
         assert 0.0 < g.weights[0] <= 1.0
         far = make_supervoxels([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)], contacts=[(0, 1)])
-        assert build_graph(far, GraphConfig(), seed_resolution=0.08).edges.tolist() == [[0, 1]]
+        assert build_graph(far, _DEFAULT).edges.tolist() == [[0, 1]]
 
     def test_gap_in_footprints_and_distance_gives_no_edge(self):
         svs = cluster_supervoxels(_cell_frame([(0, 0, 0), (2, 0, 0)]), _ONE_PER_VOXEL)
         assert len(svs) == 2 and svs.contacts.shape == (0, 2)
-        g = build_graph(svs, _NO_RADIUS, seed_resolution=0.08)
+        g = build_graph(svs, _NO_RADIUS)
         assert g.edges.shape == (0, 2)
         assert g.weights.shape == (0,)
 
     def test_reach_two_bridges_a_one_voxel_gap(self):
         frame = _cell_frame([(0, 0, 0), (2, -2, 2), (5, 0, 0)])
         svs = cluster_supervoxels(frame, _ONE_PER_VOXEL, reach=2)
-        g = build_graph(svs, _NO_RADIUS, seed_resolution=0.08)
+        g = build_graph(svs, _NO_RADIUS)
         assert g.edges.tolist() == [[0, 1]]
         assert cluster_supervoxels(frame, _ONE_PER_VOXEL, reach=1).contacts.shape == (0, 2)
 
     def test_nodes_sorted_regardless_of_input_order(self):
         # contacts listed out of order, one of them also a centroid pair
         svs = make_supervoxels([(0.0, 0.0, 0.0), (0.05, 0.0, 0.0), (1.0, 0.0, 0.0)], contacts=[(1, 2), (0, 1)])
-        g = build_graph(svs, GraphConfig(), seed_resolution=0.08)
+        g = build_graph(svs, _DEFAULT)
         assert g.nodes.tolist() == [0, 1, 2]
         assert g.edges.tolist() == [[0, 1], [1, 2]]
 
@@ -190,7 +190,7 @@ class TestBuildGraph:
             rng.uniform(0, 0.3, size=(12, 3)),
             colors_lab=np.column_stack([rng.uniform(20, 80, 12), rng.uniform(-40, 40, 12), rng.uniform(-40, 40, 12)]),
         )
-        g = build_graph(svs, GraphConfig(), seed_resolution=0.08)
+        g = build_graph(svs, _DEFAULT)
         assert len(g.weights) > 0
         assert ((g.weights > 0.0) & (g.weights <= 1.0)).all()
 
@@ -210,11 +210,9 @@ class TestBuildGraph:
         order = rng.permutation(n)
         frame = PointCloudFrame(0, pts[order], cols[order])
         svs = cluster_supervoxels(frame, SupervoxelConfig(voxel_resolution=voxel, seed_resolution=0.08), reach)
-        config = GraphConfig(adjacency_radius=radius)
-        got = build_graph(svs, config, seed_resolution=0.08)
-        want_nodes, want_edges = _build_graph_loop(
-            footprints(frame, svs, voxel), svs.centroids, svs.colors_lab, config, seed_resolution=0.08, reach=reach
-        )
+        config = GraphConfig(adjacency_radius=radius).resolve(0.08)
+        got = build_graph(svs, config)
+        want_nodes, want_edges = _build_graph_loop(footprints(frame, svs, voxel), svs.centroids, svs.colors_lab, config, reach)
         assert got.nodes.tolist() == want_nodes
         assert list(map(tuple, got.edges.tolist())) == sorted(want_edges)
         np.testing.assert_allclose(got.weights, [want_edges[p] for p in sorted(want_edges)], rtol=1e-12)
@@ -222,8 +220,8 @@ class TestBuildGraph:
     def test_deterministic(self):
         rng = np.random.default_rng(4)
         svs = make_supervoxels(rng.uniform(0, 0.2, size=(10, 3)))
-        g1 = build_graph(svs, GraphConfig(), seed_resolution=0.08)
-        g2 = build_graph(svs, GraphConfig(), seed_resolution=0.08)
+        g1 = build_graph(svs, _DEFAULT)
+        g2 = build_graph(svs, _DEFAULT)
         assert np.array_equal(g1.nodes, g2.nodes)
         assert np.array_equal(g1.edges, g2.edges)
         assert np.array_equal(g1.weights, g2.weights)

@@ -42,7 +42,8 @@ def _path_problem(boundary=()):
         subgraph=g,
         label_seeds={0: 10, 2: 20},
         previous_boundary=np.asarray(boundary, dtype=np.float64).reshape(-1, 3),
-        params=CutParams(seed_resolution=0.08),
+        params=CutParams().resolve(0.08),
+        seed_resolution=0.08,
     )
 
 
@@ -66,7 +67,8 @@ def _random_problem(rng, n, n_labels, with_boundary=False):
         subgraph=g,
         label_seeds=seeds,
         previous_boundary=boundary,
-        params=CutParams(seed_resolution=0.08),
+        params=CutParams().resolve(0.08),
+        seed_resolution=0.08,
     )
 
 
@@ -114,7 +116,7 @@ def _color_of(graph):
 
 
 def _pairwise_costs_loop(problem):
-    p = problem.params.resolve()
+    p = problem.params
     out = {}
     boundary = problem.previous_boundary
     centroid = _centroid_of(problem.subgraph)
@@ -129,7 +131,6 @@ def _pairwise_costs_loop(problem):
 
 
 def _unaries_loop(problem):
-    p = problem.params.resolve()
     centroid, color = _centroid_of(problem.subgraph), _color_of(problem.subgraph)
     seeds_by_label = {}
     for n, l in problem.label_seeds.items():
@@ -146,7 +147,7 @@ def _unaries_loop(problem):
             for s in seeds:
                 ds = float(np.linalg.norm(centroid[n] - centroid[s]))
                 dc = float(np.linalg.norm(color[n] - color[s]))
-                best = min(best, ds / p.seed_resolution + dc / 100.0)
+                best = min(best, ds / problem.seed_resolution + dc / 100.0)
             row[l] = best
         out[n] = row
     return out
@@ -370,7 +371,8 @@ def _sparse_problems(draw):
         subgraph=graph_from_edges(edges, positions=positions, colors=colors),
         label_seeds={int(s): 100 + k % n_labels for k, s in enumerate(seed_nodes)},
         previous_boundary=boundary,
-        params=CutParams(seed_resolution=0.08),
+        params=CutParams().resolve(0.08),
+        seed_resolution=0.08,
     )
 
 
@@ -444,7 +446,8 @@ class TestCutEnergy:
                 subgraph=g,
                 label_seeds={0: 1, 7: 2},
                 previous_boundary=np.empty((0, 3)),
-                params=CutParams(),
+                params=CutParams().resolve(0.08),
+                seed_resolution=0.08,
             )
 
 
@@ -587,7 +590,8 @@ class TestRestrictedCut:
     def test_single_label_rejected(self):
         g = graph_from_edges({(0, 1): 0.5})
         prob = CutProblem(
-            subgraph=g, label_seeds={0: 1}, previous_boundary=np.empty((0, 3)), params=CutParams()
+            subgraph=g, label_seeds={0: 1}, previous_boundary=np.empty((0, 3)), params=CutParams().resolve(0.08),
+            seed_resolution=0.08,
         )
         with pytest.raises(ValueError):
             restricted_cut(prob)
@@ -599,7 +603,7 @@ class TestRestrictedCut:
             {(0, 1): 0.5, (1, 2): 0.5},
             positions={k: (0.04 * k, 0.0, 0.0) for k in range(3)},
         )
-        base = dict(subgraph=g, params=CutParams(seed_resolution=0.08))
+        base = dict(subgraph=g, params=CutParams().resolve(0.08), seed_resolution=0.08)
         near_01 = CutProblem(
             label_seeds={0: 1, 2: 2}, previous_boundary=[(0.02, 0.0, 0.0)], **base
         )

@@ -8,8 +8,6 @@ from dynseg.cloud_io import LabeledFrame, PointCloudFrame
 from dynseg.evaluation import ShapeSpec, SynthScenario, generate_scenario, make_scenario, segmentation_error
 from dynseg.pipeline import (
     PipelineConfig,
-    PipelineError,
-    PipelineState,
     format_run_report,
     init_state,
     process_frame,
@@ -279,16 +277,10 @@ class TestInvariants:
 
 
 class TestConfigAndReport:
-    def test_unresolved_state_rejected(self):
-        state = PipelineState(config=PipelineConfig())
-        with pytest.raises(PipelineError):
-            process_frame(state, _far_pair(0))
-
     def test_init_state_resolves(self):
         state = init_state(PipelineConfig())
         assert state.config.energy.beta is not None
         assert state.config.tree.candidate_gap is not None
-        assert state.config.cut.seed_resolution == state.config.supervoxel.seed_resolution
 
     def test_invalid_config_rejected(self):
         cfg = PipelineConfig(supervoxel=SupervoxelConfig(voxel_resolution=-1.0))

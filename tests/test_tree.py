@@ -127,11 +127,6 @@ class TestSimilarity:
         with pytest.raises(ValueError):
             compute_similarity(set(), {0}, g, PARAMS)
 
-    def test_unresolved_params_rejected(self):
-        g, _ = _two_singletons()
-        with pytest.raises(ValueError):
-            compute_similarity({0}, {1}, g, TreeParams())
-
 
 class TestInitTree:
     def test_one_object_per_blob(self):
@@ -173,11 +168,6 @@ class TestInitTree:
         assert tree.live_objects() == [] and tree.missing_objects() == [0, 1, 2, 3]
         assert tree.segment_features() == []
         _check(tree)
-
-    def test_unresolved_params_rejected(self):
-        g, blobs = _two_singletons()
-        with pytest.raises(ValueError):
-            init_tree(blobs, g, 0, IdAllocator(), OVERSEG, TreeParams())
 
 
 class TestDeriveBlobSeeds:
