@@ -97,10 +97,10 @@ def random_connected_graph(rng, n, random_features=False):
 
 
 def brute_force_ncut(graph):
-    nodes = list(graph.nodes)
+    nodes = graph.nodes
     best = float("inf")
     for mask in range(1, 2 ** (len(nodes) - 1)):
-        side = frozenset(nodes[i] for i in range(len(nodes)) if (mask >> i) & 1)
+        side = nodes[(mask >> np.arange(len(nodes))) & 1 == 1]
         best = min(best, ncut_value(graph, side))
     return best
 
@@ -119,11 +119,12 @@ def random_cut_problem(rng, n, num_labels):
 
 
 def brute_force_cut(problem):
-    free = [n for n in problem.subgraph.nodes.tolist() if n not in problem.label_seeds]
+    nodes = problem.subgraph.nodes.tolist()
+    labeling = np.asarray([problem.label_seeds.get(n, 0) for n in nodes])
+    free = [k for k, n in enumerate(nodes) if n not in problem.label_seeds]
     best = float("inf")
     for combo in itertools.product(problem.labels(), repeat=len(free)):
-        labeling = dict(problem.label_seeds)
-        labeling.update(zip(free, combo))
+        labeling[free] = combo
         best = min(best, cut_energy(problem, labeling))
     return best
 

@@ -17,7 +17,7 @@ _EXPORTS = {
     "cloud_io": "PointCloudFrame LabeledFrame SequenceManifest InteractionRecord ParseError"
     " load_frame write_frame load_sequence",
     "supervoxel": "Supervoxels SupervoxelConfig cluster_supervoxels voxelize",
-    "graph": "AdjacencyGraph GraphConfig Blob build_graph connected_components",
+    "graph": "AdjacencyGraph GraphConfig build_graph connected_components",
     "assignment": "AssignmentProblem Assignment EnergyParams GAConfig energy_of solve_ga solve_exhaustive",
     "graphcut": "CutProblem CutParams OversegConfig restricted_cut cut_energy normalized_cut_bisect"
     " ncut_value oversegment",

@@ -342,16 +342,12 @@ def read_labels_dir(labels_dir: str | os.PathLike) -> dict[int, np.ndarray]:
     return dense
 
 
-def write_interaction_log(events, path: str | os.PathLike) -> None:
+def write_interaction_log(events: list[InteractionRecord], path: str | os.PathLike) -> None:
     """One event per line: start end blob_hint and the sorted object ids."""
     records = []
     for ev in events:
         ids = tuple(sorted(int(i) for i in ev.object_ids))
-        hint = getattr(ev, "blob_hint", None)
-        if hint is None:
-            trace = getattr(ev, "blob_trace", None)
-            hint = int(trace[0]) if trace else -1
-        records.append((int(ev.start_frame), int(ev.end_frame), int(hint), ids))
+        records.append((int(ev.start_frame), int(ev.end_frame), int(ev.blob_hint), ids))
     records.sort(key=lambda r: (r[0], r[1], r[3]))
     # leading comment makes the file self-identifying; readers skip "#" lines
     lines = ["# interactions v1"]

@@ -4,6 +4,10 @@ Two supervoxels are linked when they touch, meaning the supervoxel growth
 linked a voxel of one to a voxel of the other (its contacts), or when their
 centroids are closer than the adjacency radius.
 Edge weight: w_ij = exp(-dE_lab / sigma_color) * exp(-d / sigma_distance).
+
+A set of supervoxels (a blob, a piece, a cut side, a segment) is a sorted
+int64 id array; lists of them are ordered by smallest member, so blob k is
+entry k of ``connected_components``.
 """
 
 from __future__ import annotations
@@ -87,8 +91,9 @@ class AdjacencyGraph:
         """(E, 2) positions in ``nodes`` of each edge's endpoints."""
         return np.searchsorted(self.nodes, self.edges)
 
-    def subgraph(self, node_subset) -> "AdjacencyGraph":
-        nodes = np.asarray(sorted(node_subset), dtype=np.int64)
+    def subgraph(self, nodes) -> "AdjacencyGraph":
+        """The graph induced on ``nodes``, a sorted id array."""
+        nodes = np.asarray(nodes, dtype=np.int64)
         if not np.isin(nodes, self.nodes).all():
             raise ValueError("subgraph nodes must be nodes of the graph")
         at = np.searchsorted(self.nodes, nodes)
@@ -103,7 +108,7 @@ class AdjacencyGraph:
         )
 
     @cached_property
-    def pieces(self) -> list[frozenset[int]]:
+    def pieces(self) -> list[np.ndarray]:
         """Connected pieces of the graph, ordered by smallest member."""
         return _pieces(self.nodes, self.edge_index)
 
@@ -111,7 +116,7 @@ class AdjacencyGraph:
         return len(self.pieces) <= 1
 
 
-def _pieces(order: np.ndarray, links: np.ndarray) -> list[frozenset[int]]:
+def _pieces(order: np.ndarray, links: np.ndarray) -> list[np.ndarray]:
     """Connected pieces of the sorted ids ``order`` linked by (E, 2) positions, ordered by smallest member."""
     n = len(order)
     if not n:
@@ -127,17 +132,7 @@ def _pieces(order: np.ndarray, links: np.ndarray) -> list[frozenset[int]]:
     # each piece comes out sorted, so its first entry is its smallest member
     sizes = np.bincount(labels, minlength=count)
     pieces = np.split(order[np.argsort(labels, kind="stable")], np.cumsum(sizes)[:-1])
-    return [frozenset(p.tolist()) for p in sorted(pieces, key=lambda p: p[0])]
-
-
-@dataclass(frozen=True)
-class Blob:
-    blob_id: int
-    member_supervoxels: frozenset[int]
-
-    @property
-    def members_sorted(self) -> list[int]:
-        return sorted(self.member_supervoxels)
+    return sorted(pieces, key=lambda p: p[0])
 
 
 def build_graph(supervoxels: Supervoxels, config: GraphConfig) -> AdjacencyGraph:
@@ -162,13 +157,13 @@ def build_graph(supervoxels: Supervoxels, config: GraphConfig) -> AdjacencyGraph
     )
 
 
-def connected_sets(nodes, pairs) -> list[frozenset[int]]:
+def connected_sets(nodes, pairs) -> list[np.ndarray]:
     """Connected pieces of ``nodes`` linked by ``pairs``, ordered by smallest member.
 
-    ``pairs`` is anything that converts to an (E, 2) integer array.  Pairs
-    with an endpoint outside ``nodes`` are ignored.
+    ``nodes`` and ``pairs`` are anything that converts to an integer array
+    and an (E, 2) one.  Pairs with an endpoint outside ``nodes`` are ignored.
     """
-    order = np.unique(np.fromiter(nodes, dtype=np.int64))
+    order = np.unique(np.asarray(nodes, dtype=np.int64))
     if not len(order):
         return []
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
@@ -176,6 +171,6 @@ def connected_sets(nodes, pairs) -> list[frozenset[int]]:
     return _pieces(order, pos[(order[pos] == pairs).all(axis=1)])
 
 
-def connected_components(graph: AdjacencyGraph) -> list[Blob]:
-    """Blobs of the graph; ids ordered by each blob's smallest member id."""
-    return [Blob(blob_id=k, member_supervoxels=piece) for k, piece in enumerate(graph.pieces)]
+def connected_components(graph: AdjacencyGraph) -> list[np.ndarray]:
+    """Blobs of the graph as sorted id arrays, ordered by smallest member."""
+    return list(graph.pieces)

@@ -100,16 +100,14 @@ def _energy(problem: CutProblem, lab: np.ndarray) -> float:
     return float(problem.unary[np.arange(len(lab)), lab].sum() + problem.pairwise[cut].sum())
 
 
-def cut_energy(problem: CutProblem, labeling: dict[int, int]) -> float:
-    """Energy of a full labeling of the subgraph; seed violations cost infinity."""
-    nodes = problem.subgraph.nodes.tolist()
-    missing = [n for n in nodes if n not in labeling]
-    if missing:
-        raise ValueError(f"labeling misses nodes {missing[:4]}")
-    lab = [labeling[n] for n in nodes]
+def cut_energy(problem: CutProblem, labeling) -> float:
+    """Energy of a full labeling, one object id per subgraph node; seed violations cost infinity."""
+    lab = np.asarray(labeling, dtype=np.int64)
+    if lab.shape != problem.subgraph.nodes.shape:
+        raise ValueError(f"{lab.size} labels for {problem.subgraph.num_nodes} nodes")
     labels = problem.labels()
-    unknown = sorted(set(lab) - set(labels))
-    if unknown:
+    unknown = np.setdiff1d(lab, labels)
+    if len(unknown):
         raise ValueError(f"label {unknown[0]} has no seed")
     return _energy(problem, np.searchsorted(labels, lab))
 
@@ -154,8 +152,8 @@ def _binary_cut(
     return sink_side[2:]
 
 
-def restricted_cut(problem: CutProblem) -> dict[int, int]:
-    """Label every node of the subgraph, honoring seeds.
+def restricted_cut(problem: CutProblem) -> np.ndarray:
+    """One object id per subgraph node, in node order, honoring seeds.
 
     Exact for two labels; expansion moves until no improvement otherwise.
     """
@@ -164,16 +162,14 @@ def restricted_cut(problem: CutProblem) -> dict[int, int]:
         raise ValueError("restricted cut needs seeds of at least two distinct objects")
     unary, cost = problem.unary, problem.pairwise
     pos = problem.subgraph.edge_index
-    nodes = problem.subgraph.nodes.tolist()
 
     if len(labels) == 2:
-        current = _binary_cut(unary[:, 0], unary[:, 1], pos, cost, cost).astype(np.intp)
-        return dict(zip(nodes, labels[current].tolist()))
+        return labels[_binary_cut(unary[:, 0], unary[:, 1], pos, cost, cost).astype(np.intp)]
 
     # alpha expansion over the same energy; seeds start on their own label
     current = unary.argmin(axis=1)
     current_e = _energy(problem, current)
-    rows = np.arange(len(nodes))
+    rows = np.arange(len(current))
     improved = True
     sweeps = 0
     while improved and sweeps < 50:
@@ -198,7 +194,7 @@ def restricted_cut(problem: CutProblem) -> dict[int, int]:
                 current = candidate
                 current_e = cand_e
                 improved = True
-    return dict(zip(nodes, labels[current].tolist()))
+    return labels[current]
 
 
 def boundary_midpoints(graph: AdjacencyGraph, labels: np.ndarray) -> np.ndarray:
@@ -225,12 +221,12 @@ def _ncut(weights: np.ndarray, side: np.ndarray) -> float:
 
 
 def ncut_value(graph: AdjacencyGraph, side_a) -> float:
-    """Normalized cut of a bipartition.
+    """Normalized cut of a bipartition; ``side_a`` is an id array.
 
     assoc(A, V) counts each intra-pair weight once plus the cut, so the
     two-clique case with a 0.01 bridge evaluates to 0.01/3.01 + 0.01/3.01.
     """
-    return _ncut(graph.weights, np.isin(graph.edges, list(side_a)))
+    return _ncut(graph.weights, np.isin(graph.edges, side_a))
 
 
 def _second_eigenvector(graph: AdjacencyGraph) -> np.ndarray:
@@ -256,13 +252,14 @@ def _second_eigenvector(graph: AdjacencyGraph) -> np.ndarray:
 N_THRESHOLDS = 32
 
 
-def normalized_cut_bisect(graph: AdjacencyGraph) -> tuple[frozenset[int], frozenset[int], float]:
-    """Best threshold bisection along the second eigenvector.
+def normalized_cut_bisect(graph: AdjacencyGraph) -> tuple[np.ndarray, np.ndarray, float]:
+    """Best threshold bisection along the second eigenvector, as two sorted id arrays.
 
     Threshold chosen among 32 evenly spaced candidates over the eigenvector
-    range; both sides are always non-empty.  Thresholds that take in the same
-    nodes give the same mask, and a later equal cost never wins, so each
-    distinct mask is evaluated once, at its first threshold.
+    range; both sides are always non-empty, and the first holds the smallest
+    node.  Thresholds that take in the same nodes give the same mask, and a
+    later equal cost never wins, so each distinct mask is evaluated once, at
+    its first threshold.
     """
     if graph.num_nodes < 2:
         raise ValueError("need at least two nodes to bisect")
@@ -288,15 +285,13 @@ def normalized_cut_bisect(graph: AdjacencyGraph) -> tuple[frozenset[int], frozen
         # degenerate flat eigenvector: peel off the first node
         best_mask = np.arange(n) == 0
         best_cost = _ncut(graph.weights, best_mask[pos])
-    side_a = frozenset(graph.nodes[best_mask].tolist())
-    side_b = frozenset(graph.nodes[~best_mask].tolist())
-    if min(side_b) < min(side_a):
-        side_a, side_b = side_b, side_a
-    return side_a, side_b, best_cost
+    if not best_mask[0]:
+        best_mask = ~best_mask
+    return graph.nodes[best_mask], graph.nodes[~best_mask], best_cost
 
 
-def oversegment(graph: AdjacencyGraph, config: OversegConfig = OversegConfig()) -> list[frozenset[int]]:
-    """Recursive bisection until the best cut costs more than the threshold.
+def oversegment(graph: AdjacencyGraph, config: OversegConfig = OversegConfig()) -> list[np.ndarray]:
+    """Recursive bisection until the best cut costs more than the threshold, as sorted id arrays.
 
     A part splits only if its best bisection costs at most ncut_threshold and
     both halves keep at least min_segment_supervoxels nodes.  Disconnected
@@ -305,26 +300,26 @@ def oversegment(graph: AdjacencyGraph, config: OversegConfig = OversegConfig()) 
     if graph.num_nodes == 0:
         return []
 
-    out: list[frozenset[int]] = []
+    out: list[np.ndarray] = []
 
     def recurse(g: AdjacencyGraph) -> None:
         if g.num_nodes == 1:
-            out.append(frozenset(g.nodes.tolist()))
+            out.append(g.nodes)
             return
         if len(g.pieces) > 1:
             for c in g.pieces:
                 recurse(g.subgraph(c))
             return
         if g.num_nodes < 2 * config.min_segment_supervoxels:
-            out.append(frozenset(g.nodes.tolist()))
+            out.append(g.nodes)
             return
         a, b, cost = normalized_cut_bisect(g)
         if cost <= config.ncut_threshold and len(a) >= config.min_segment_supervoxels and len(b) >= config.min_segment_supervoxels:
             recurse(g.subgraph(a))
             recurse(g.subgraph(b))
         else:
-            out.append(frozenset(g.nodes.tolist()))
+            out.append(g.nodes)
 
     recurse(graph)
-    out.sort(key=min)
+    out.sort(key=lambda seg: seg[0])
     return out

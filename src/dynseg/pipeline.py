@@ -64,6 +64,8 @@ class PipelineConfig:
             raise ValueError("retention_frames must be >= 0")
         if self.ga.population < 1:
             raise ValueError("ga.population must be >= 1")
+        if self.ga.tournament_size < 1:
+            raise ValueError("ga.tournament_size must be >= 1")
         sr = self.supervoxel.seed_resolution
         out = replace(
             self,
@@ -148,19 +150,14 @@ def process_frame(state: PipelineState, frame: PointCloudFrame) -> FrameResult:
     splits: list = []
     path = None
     t = time.perf_counter()
-    segments = state.tree.segment_features() if state.tree is not None else []
-    for oid in sorted(state.ghosts):
-        segments.extend(state.ghosts[oid].segments)
+    prev_feats = state.tree.segment_features() if state.tree is not None else []
+    segments = prev_feats + [f for oid in sorted(state.ghosts) for f in state.ghosts[oid].segments]
     if not blobs or not segments:
         # nothing to inherit: every blob founds an object, the rest go (or stay) missing
         tree = init_tree(blobs, graph, fidx, state.alloc, cfg.overseg, cfg.tree, prev=state.tree)
     else:
-        blob_list = sorted(blobs, key=lambda b: b.blob_id)
         # node k of the frame graph is supervoxel k, so ids index its rows
-        blob_feats = [
-            BlobFeature(sv_centroids=graph.centroids[b.members_sorted], sv_colors_lab=graph.colors_lab[b.members_sorted])
-            for b in blob_list
-        ]
+        blob_feats = [BlobFeature(sv_centroids=graph.centroids[b], sv_colors_lab=graph.colors_lab[b]) for b in blobs]
         problem = AssignmentProblem(segments=segments, blobs=blob_feats, params=cfg.energy)
         ta = time.perf_counter()
         # enumerate when that is no more label vectors than the GA's shortest run
@@ -172,18 +169,18 @@ def process_frame(state: PipelineState, frame: PointCloudFrame) -> FrameResult:
 
         sr = cfg.supervoxel.seed_resolution
         seeds, seg_site = derive_blob_seeds(problem, assignment, blobs, graph, sr)
-        cuts: dict[int, dict[int, int]] = {}
+        cuts: dict[int, np.ndarray] = {}
         tc = time.perf_counter()
-        for blob in blob_list:
-            if len(set(seeds[blob.blob_id].values())) >= 2:
+        for k, blob in enumerate(blobs):
+            if len(set(seeds[k].values())) >= 2:
                 cut_problem = CutProblem(
-                    subgraph=graph.subgraph(blob.member_supervoxels),
-                    label_seeds=seeds[blob.blob_id],
+                    subgraph=graph.subgraph(blob),
+                    label_seeds=seeds[k],
                     previous_boundary=state.boundary,
                     params=cfg.cut,
                     seed_resolution=sr,
                 )
-                cuts[blob.blob_id] = restricted_cut(cut_problem)
+                cuts[k] = restricted_cut(cut_problem)
         timings["cut"] = (time.perf_counter() - tc) * 1e3
 
         tree = update_tree(
@@ -194,7 +191,7 @@ def process_frame(state: PipelineState, frame: PointCloudFrame) -> FrameResult:
         merges, splits = audit["merges"], audit["splits"]
 
     state.open_events, closed = detect_interactions(tree, state.open_events)
-    _update_ghosts(state, tree, fidx)
+    _update_ghosts(state, tree, fidx, prev_feats)
     object_of = tree.object_of()
     state.boundary = boundary_midpoints(graph, object_of)
     labels = object_of[supervoxels.of_point]
@@ -219,12 +216,14 @@ def process_frame(state: PipelineState, frame: PointCloudFrame) -> FrameResult:
     )
 
 
-def _update_ghosts(state: PipelineState, tree: SegTree, frame_index: int) -> None:
-    """Track objects with no presence this frame; expire long-missing ones."""
+def _update_ghosts(state: PipelineState, tree: SegTree, frame_index: int, prev_feats: list[SegmentFeature]) -> None:
+    """Track objects with no presence this frame; expire long-missing ones.
+
+    ``prev_feats`` are the previous frame's segment features.
+    """
     retention = state.config.retention_frames
     for oid in tree.live_objects():
         state.ghosts.pop(oid, None)
-    prev_feats = state.tree.segment_features() if state.tree is not None else []
     unrecorded = []  # nothing recorded to revive them from
     for oid in tree.missing_objects():
         if oid in state.ghosts:

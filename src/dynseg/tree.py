@@ -18,7 +18,7 @@ import numpy as np
 
 from .assignment import Assignment, AssignmentProblem, SegmentFeature
 from .cloud_io import InteractionRecord
-from .graph import AdjacencyGraph, Blob, connected_sets
+from .graph import AdjacencyGraph, connected_sets
 from .graphcut import OversegConfig, oversegment
 from .supervoxel import _group_means
 
@@ -140,12 +140,12 @@ def _gap(centroids_a: np.ndarray, centroids_b: np.ndarray) -> float:
 
 
 def compute_similarity(a_svs, b_svs, graph: AdjacencyGraph, params: TreeParams) -> float:
-    """sim = exp(-gap / sigma_d) * exp(-dE_lab / sigma_c) over two supervoxel sets.
+    """sim = exp(-gap / sigma_d) * exp(-dE_lab / sigma_c) over two sorted supervoxel id arrays.
 
     The gap is the smallest centroid distance between the sets; dE_lab
     compares their point-weighted mean colours.
     """
-    a, b = (np.searchsorted(graph.nodes, sorted(svs)) for svs in (a_svs, b_svs))
+    a, b = np.searchsorted(graph.nodes, a_svs), np.searchsorted(graph.nodes, b_svs)
     if not (len(a) and len(b)):
         raise ValueError("similarity of an empty supervoxel set is undefined")
     _, color = _means(graph, np.concatenate([a, b]), np.repeat([0, 1], [len(a), len(b)]))
@@ -155,11 +155,11 @@ def compute_similarity(a_svs, b_svs, graph: AdjacencyGraph, params: TreeParams) 
 
 
 def _segment(graph: AdjacencyGraph, parts, segment_of: np.ndarray, overseg: OversegConfig):
-    """Over-segment each part in turn into the next free segment ids; return all segment means."""
+    """Over-segment each part (a sorted id array) in turn into the next free segment ids; return all segment means."""
     next_id = segment_of.max(initial=-1) + 1
     for part in parts:
         for seg in oversegment(graph.subgraph(part), overseg):
-            segment_of[np.searchsorted(graph.nodes, sorted(seg))] = next_id
+            segment_of[np.searchsorted(graph.nodes, seg)] = next_id
             next_id += 1
     return _means(graph, slice(None), segment_of)
 
@@ -175,7 +175,7 @@ def _means(graph: AdjacencyGraph, at, labels: np.ndarray) -> tuple[np.ndarray, n
 
 
 def init_tree(
-    blobs: list[Blob],
+    blobs: list[np.ndarray],
     graph: AdjacencyGraph,
     frame_index: int,
     alloc: IdAllocator,
@@ -189,7 +189,7 @@ def init_tree(
     objects closer than candidate_gap start accumulating their similarity
     from zero.
     """
-    tree = update_tree(prev, blobs, graph, None, {b.blob_id: {} for b in blobs}, {}, {}, frame_index, alloc, overseg)
+    tree = update_tree(prev, blobs, graph, None, [{} for _ in blobs], {}, {}, frame_index, alloc, overseg)
     tree.object_similarity = dict.fromkeys(_candidates(tree, graph, params, {}), 0.0)
     return tree
 
@@ -202,24 +202,22 @@ def _first_free(ranked: list[int], taken: dict[int, int]) -> int | None:
 def derive_blob_seeds(
     problem: AssignmentProblem,
     assignment: Assignment,
-    blobs: list[Blob],
+    blobs: list[np.ndarray],
     graph: AdjacencyGraph,
     seed_resolution: float,
-) -> tuple[dict[int, dict[int, int]], dict[int, tuple[int, int]]]:
+) -> tuple[list[dict[int, int]], dict[int, tuple[int, int]]]:
     """Choose seed supervoxels inside each blob for the objects assigned into it.
 
-    Returns (blob_id -> {sv_id -> object_id}, segment index -> (blob_id, sv_id)).
+    Returns ({sv_id -> object_id} per blob index, segment index -> (blob index, sv_id)).
     Every object assigned into a blob keeps at least one seed; remaining
     segments claim their nearest free supervoxel.
     """
-    blob_list = sorted(blobs, key=lambda b: b.blob_id)
-    seeds: dict[int, dict[int, int]] = {b.blob_id: {} for b in blob_list}
+    seeds: list[dict[int, int]] = [{} for _ in blobs]
     seg_site: dict[int, tuple[int, int]] = {}
-    for pos, blob in enumerate(blob_list):
-        members = blob.members_sorted
+    for k, members in enumerate(blobs):
         at = np.searchsorted(graph.nodes, members)
         cen, col = graph.centroids[at], graph.colors_lab[at]
-        assigned = [s for s in range(problem.num_segments) if assignment.labels[s] == pos]
+        assigned = [s for s in range(problem.num_segments) if assignment.labels[s] == k]
         if not assigned:
             continue
         # claim cost mirrors the cut unary: distance plus color difference
@@ -231,10 +229,10 @@ def derive_blob_seeds(
             dc = np.linalg.norm(col - np.asarray(seg.mean_color_lab), axis=1) / 100.0
             cost = d + dc
             order = np.argsort(cost, kind="stable")
-            ranked[s] = [members[k] for k in order]
+            ranked[s] = members[order].tolist()
             claims.append((float(cost[order[0]]), seg.parent_object_id, s))
         claims.sort()
-        taken = seeds[blob.blob_id]
+        taken = seeds[k]
         # round 1: one seed per object, cheapest first
         seeded_objects: set[int] = set()
         for _, oid, s in claims:
@@ -244,7 +242,7 @@ def derive_blob_seeds(
             if site is None:
                 continue  # blob smaller than its object count
             taken[site] = oid
-            seg_site[s] = (blob.blob_id, site)
+            seg_site[s] = (k, site)
             seeded_objects.add(oid)
         # round 2: remaining segments seed their nearest free supervoxel,
         # or share the nearest occupied one when none is free
@@ -253,21 +251,21 @@ def derive_blob_seeds(
                 continue
             site = _first_free(ranked[s], taken)
             if site is None:
-                seg_site[s] = (blob.blob_id, ranked[s][0])
+                seg_site[s] = (k, ranked[s][0])
                 continue
             taken[site] = oid
-            seg_site[s] = (blob.blob_id, site)
+            seg_site[s] = (k, site)
     return seeds, seg_site
 
 
 def update_tree(
     prev: SegTree | None,
-    blobs: list[Blob],
+    blobs: list[np.ndarray],
     graph: AdjacencyGraph,
     problem: AssignmentProblem | None,
-    seeds: dict[int, dict[int, int]],
+    seeds: list[dict[int, int]],
     seg_site: dict[int, tuple[int, int]],
-    cuts: dict[int, dict[int, int]],
+    cuts: dict[int, np.ndarray],
     frame_index: int,
     alloc: IdAllocator,
     overseg: OversegConfig,
@@ -275,35 +273,35 @@ def update_tree(
     """Carry object identity into the current frame's blob partition.
 
     seeds and seg_site are derive_blob_seeds' output for this frame's
-    assignment of ``problem``.  Single-label blobs go wholly to their object,
-    multi-label blobs use the supplied cut labelings, and unassigned blobs
+    assignment of ``problem``; cuts maps the index of each multi-label blob
+    to its restricted_cut labeling.  Single-label blobs go wholly to their
+    object, multi-label blobs take their cut's labels, and unassigned blobs
     found new objects.  The objects on file in ``prev`` stay on file.
     """
     nodes = graph.nodes
     owner = np.empty(len(nodes), dtype=np.int64)  # object per supervoxel
     blob_of = np.empty(len(nodes), dtype=np.int64)
     births = dict(prev.births) if prev is not None else {}
-    for blob in sorted(blobs, key=lambda b: b.blob_id):
-        at = np.searchsorted(nodes, blob.members_sorted)
-        blob_of[at] = blob.blob_id
-        labels = sorted(set(seeds[blob.blob_id].values()))
+    for k, members in enumerate(blobs):
+        at = np.searchsorted(nodes, members)
+        blob_of[at] = k
+        labels = sorted(set(seeds[k].values()))
         if not labels:
             labels = [alloc.new_object_id()]
             births[labels[0]] = frame_index
         if len(labels) == 1:
             owner[at] = labels[0]
         else:
-            cut = cuts.get(blob.blob_id, {})
-            if not blob.member_supervoxels <= cut.keys():
-                raise ValueError(f"multi-label blob {blob.blob_id} has no cut label for every supervoxel")
-            owner[at] = [cut[sv] for sv in nodes[at].tolist()]
+            cut = cuts.get(k)
+            if cut is None or len(cut) != len(members):
+                raise ValueError(f"multi-label blob {k} has no cut label for every supervoxel")
+            owner[at] = cut
 
     # components: connected pieces of each (object, blob) region, as node
     # positions ordered by (blob, object, smallest member); no edge joins two blobs
     pos = graph.edge_index
-    inside = graph.edges[owner[pos[:, 0]] == owner[pos[:, 1]]]
     pieces = sorted(
-        (np.searchsorted(nodes, sorted(p)) for p in connected_sets(nodes, inside)),
+        connected_sets(np.arange(len(nodes)), pos[owner[pos[:, 0]] == owner[pos[:, 1]]]),
         key=lambda at: (blob_of[at[0]], owner[at[0]], at[0]),
     )
     piece_of = np.empty(len(nodes), dtype=np.int64)
@@ -397,9 +395,9 @@ def confirm_splits_merges(
     """
     audit: dict = {"merges": [], "splits": []}
     merge_pairs = [k for k, v in tree.object_similarity.items() if v > params.merge_threshold]
-    for group in connected_sets({o for pair in merge_pairs for o in pair}, merge_pairs):
-        winner = min(group)
-        absorbed = sorted(group - {winner})
+    pairs = np.asarray(merge_pairs, dtype=np.int64).reshape(-1, 2)
+    for group in connected_sets(pairs, pairs):
+        winner, absorbed = int(group[0]), group[1:].tolist()
         audit["merges"].append((winner, absorbed))
         entries = dict(tree.component_similarity.get(winner, {}))
         for oid in absorbed:
@@ -427,13 +425,13 @@ def confirm_splits_merges(
         # the first cluster holds the oldest component and keeps the id
         for cluster in clusters[1:]:
             new_oid = alloc.new_object_id()
-            audit["splits"].append((oid, new_oid, sorted(cluster)))
+            audit["splits"].append((oid, new_oid, cluster.tolist()))
             tree.births[new_oid] = tree.frame_index
-            for cid in cluster:
+            for cid in cluster.tolist():
                 tree.components[cid] = (new_oid, tree.components[cid][1])
-            tree.component_similarity[new_oid] = {k: v for k, v in entries.items() if set(k) <= cluster}
+            tree.component_similarity[new_oid] = {k: v for k, v in entries.items() if np.isin(k, cluster).all()}
         if len(clusters) > 1:
-            tree.component_similarity[oid] = {k: v for k, v in entries.items() if set(k) <= clusters[0]}
+            tree.component_similarity[oid] = {k: v for k, v in entries.items() if np.isin(k, clusters[0]).all()}
     return tree, audit
 
 
@@ -451,7 +449,7 @@ def _fuse(tree: SegTree, graph: AdjacencyGraph, winner: int, overseg: OversegCon
         if len(pieces) == len(cids):
             continue  # nothing fused
         for piece in pieces:
-            at = np.searchsorted(tree.nodes, sorted(piece))
+            at = np.searchsorted(tree.nodes, piece)
             inside, count = np.unique(tree.component_of[at], return_counts=True)
             keep = inside[np.argmax(count)]
             for cid in inside[inside != keep].tolist():

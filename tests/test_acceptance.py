@@ -135,11 +135,12 @@ def _random_cut_problem(rng, n, with_boundary):
 
 def _cut_brute_force(problem):
     labels = problem.labels()
-    free = [n for n in problem.subgraph.nodes if n not in problem.label_seeds]
+    nodes = problem.subgraph.nodes.tolist()
+    lab = np.asarray([problem.label_seeds.get(n, labels[0]) for n in nodes])
+    free = [k for k, n in enumerate(nodes) if n not in problem.label_seeds]
     best = math.inf
     for combo in itertools.product(labels, repeat=len(free)):
-        lab = dict(problem.label_seeds)
-        lab.update(zip(free, combo))
+        lab[free] = combo
         best = min(best, cut_energy(problem, lab))
     return best
 
@@ -253,8 +254,7 @@ def test_criterion_4_connected_components_match_closure_oracle():
         positions = {i: (0.05 * i, 0.0, 0.0) for i in range(n)}
         graph = graph_from_edges(edges, positions=positions)
         blobs = connected_components(graph)
-        assert [b.blob_id for b in blobs] == list(range(len(blobs)))
-        assert [b.members_sorted for b in blobs] == _components_oracle(range(n), edges)
+        assert [b.tolist() for b in blobs] == _components_oracle(range(n), edges)
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
     print(f"\ncriterion 4 pass: 100/100 component decompositions match oracle ({elapsed:.1f}s)")
@@ -339,7 +339,7 @@ def test_criterion_7_accumulation_closed_form():
     g = graph_from_edges({}, positions={0: (0.0, 0.0, 0.0), 1: (0.1, 0.0, 0.0)})
     blobs = connected_components(g)
     prev = init_tree(blobs, g, 0, IdAllocator(), OversegConfig(), params)
-    s = compute_similarity({0}, {1}, g, params)
+    s = compute_similarity([0], [1], g, params)
     for k in range(1, 21):
         cur = replace(prev, frame_index=k, object_similarity={}, component_similarity={})
         accumulate_similarities(cur, prev, g, params)

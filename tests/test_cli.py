@@ -208,6 +208,11 @@ class TestExitCodes:
         assert main(["segment", str(tmp_path / "nope.txt"), f"--{key}", "0"]) == 1
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_tournament_below_one_is_config_error(self, tmp_path, capsys, value):
+        assert main(["segment", str(tmp_path / "nope.txt"), "--ga.tournament_size", value]) == 1
+        assert "ga.tournament_size" in capsys.readouterr().err
+
     def test_missing_manifest_is_data_error(self, tmp_path):
         assert main(["segment", str(tmp_path / "nope.txt")]) == 2
 

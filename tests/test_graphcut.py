@@ -73,12 +73,12 @@ def _random_problem(rng, n, n_labels, with_boundary=False):
 
 
 def _brute_force_cut(problem):
-    free = [n for n in problem.subgraph.nodes if n not in problem.label_seeds]
-    labels = problem.labels()
+    nodes = problem.subgraph.nodes.tolist()
+    lab = np.asarray([problem.label_seeds.get(n, 0) for n in nodes])
+    free = [k for k, n in enumerate(nodes) if n not in problem.label_seeds]
     best = math.inf
-    for combo in itertools.product(labels, repeat=len(free)):
-        lab = dict(problem.label_seeds)
-        lab.update(zip(free, combo))
+    for combo in itertools.product(problem.labels(), repeat=len(free)):
+        lab[free] = combo
         best = min(best, cut_energy(problem, lab))
     return best
 
@@ -88,7 +88,7 @@ def _brute_force_ncut(graph):
     n = len(nodes)
     best = math.inf
     for bits in range(1, 2 ** (n - 1)):
-        side = {nodes[i] for i in range(n) if (bits >> i) & 1}
+        side = [nodes[i] for i in range(n) if (bits >> i) & 1]
         best = min(best, ncut_value(graph, side))
     return best
 
@@ -396,7 +396,7 @@ class TestMatchesLoopReference:
     def test_ncut_value(self, problem, data):
         graph = problem.subgraph
         side = data.draw(st.sets(st.sampled_from(graph.nodes.tolist())))
-        assert ncut_value(graph, side) == pytest.approx(_ncut_value_loop(graph, side), rel=1e-12)
+        assert ncut_value(graph, sorted(side)) == pytest.approx(_ncut_value_loop(graph, side), rel=1e-12)
 
     @settings(max_examples=100, deadline=None)
     @given(problem=_sparse_problems(), data=st.data())
@@ -413,31 +413,31 @@ class TestCutEnergy:
     def test_hand_value_without_boundary(self):
         prob = _path_problem()
         # unary(1, either label) = 0.04/0.08 = 0.5
-        assert cut_energy(prob, {0: 10, 1: 10, 2: 20}) == pytest.approx(0.5 + 0.2, rel=1e-12)
-        assert cut_energy(prob, {0: 10, 1: 20, 2: 20}) == pytest.approx(0.5 + 0.8, rel=1e-12)
+        assert cut_energy(prob, [10, 10, 20]) == pytest.approx(0.5 + 0.2, rel=1e-12)
+        assert cut_energy(prob, [10, 20, 20]) == pytest.approx(0.5 + 0.8, rel=1e-12)
 
     def test_hand_value_with_boundary_bonus(self):
         # boundary point sits on the midpoint of edge (0, 1)
         prob = _path_problem(boundary=[(0.02, 0.0, 0.0)])
-        got = cut_energy(prob, {0: 10, 1: 20, 2: 20})
+        got = cut_energy(prob, [10, 20, 20])
         assert got == pytest.approx(0.5 + 0.8 + 0.5 * 1.0, rel=1e-12)
         # the other cut edge midpoint is 0.04 away
-        got2 = cut_energy(prob, {0: 10, 1: 10, 2: 20})
+        got2 = cut_energy(prob, [10, 10, 20])
         assert got2 == pytest.approx(0.5 + 0.2 + 0.5 * math.exp(-0.04 / 0.08), rel=1e-12)
 
     def test_seed_violation_is_infinite(self):
         prob = _path_problem()
-        assert cut_energy(prob, {0: 20, 1: 20, 2: 20}) == math.inf
+        assert cut_energy(prob, [20, 20, 20]) == math.inf
 
     def test_missing_node_rejected(self):
         prob = _path_problem()
         with pytest.raises(ValueError):
-            cut_energy(prob, {0: 10, 2: 20})
+            cut_energy(prob, [10, 20])
 
     def test_unknown_label_rejected(self):
         prob = _path_problem()
         with pytest.raises(ValueError):
-            cut_energy(prob, {0: 10, 1: 30, 2: 20})
+            cut_energy(prob, [10, 30, 20])
 
     def test_seed_outside_subgraph_rejected(self):
         g = graph_from_edges({(0, 1): 0.5})
@@ -557,25 +557,26 @@ class TestSecondEigenvector:
         assert np.array_equal(x, _second_eigenvector(cycle()))
         y = x / inv_sqrt
         np.testing.assert_allclose(lsym @ y, 0.5 * y, atol=1e-12)
-        a, b, cost = normalized_cut_bisect(cycle())
-        assert a and b and a | b == frozenset(range(6)) and not a & b
-        assert (a, b, cost) == normalized_cut_bisect(cycle())
+        a, b, cost = _listed(normalized_cut_bisect(cycle()))
+        assert a and b and sorted(a + b) == list(range(6))
+        assert (a, b, cost) == _listed(normalized_cut_bisect(cycle()))
 
 
 class TestRestrictedCut:
     def test_path_prefers_weak_edge(self):
         prob = _path_problem()
         lab = restricted_cut(prob)
-        assert lab == {0: 10, 1: 10, 2: 20}
+        assert lab.tolist() == [10, 10, 20]
 
     def test_two_label_matches_brute_force(self):
         rng = np.random.default_rng(17)
         for k in range(20):
             prob = _random_problem(rng, n=int(rng.integers(4, 11)), n_labels=2, with_boundary=(k % 4 == 0))
             lab = restricted_cut(prob)
-            assert set(lab) == set(prob.subgraph.nodes)
+            assert lab.shape == prob.subgraph.nodes.shape
+            labeled = dict(zip(prob.subgraph.nodes.tolist(), lab.tolist()))
             for n, l in prob.label_seeds.items():
-                assert lab[n] == l
+                assert labeled[n] == l
             assert cut_energy(prob, lab) == pytest.approx(_brute_force_cut(prob), rel=1e-9)
 
     def test_three_label_matches_brute_force(self):
@@ -583,8 +584,9 @@ class TestRestrictedCut:
         for _ in range(12):
             prob = _random_problem(rng, n=int(rng.integers(5, 9)), n_labels=3)
             lab = restricted_cut(prob)
+            labeled = dict(zip(prob.subgraph.nodes.tolist(), lab.tolist()))
             for n, l in prob.label_seeds.items():
-                assert lab[n] == l
+                assert labeled[n] == l
             assert cut_energy(prob, lab) == pytest.approx(_brute_force_cut(prob), rel=1e-9)
 
     def test_single_label_rejected(self):
@@ -640,25 +642,25 @@ class TestBoundaryMidpoints:
 class TestNcutValue:
     def test_two_clique_frozen_value(self):
         g = _two_cliques(bridge=0.01)
-        got = ncut_value(g, {0, 1, 2})
+        got = ncut_value(g, [0, 1, 2])
         assert got == pytest.approx(2 * 0.01 / 3.01, rel=1e-12)
         assert abs(got - 0.0066445183) < 1e-6
 
     def test_symmetric_in_sides(self):
         g = _two_cliques(bridge=0.3)
-        assert ncut_value(g, {0, 1, 2}) == pytest.approx(ncut_value(g, {3, 4, 5}), rel=1e-12)
+        assert ncut_value(g, [0, 1, 2]) == pytest.approx(ncut_value(g, [3, 4, 5]), rel=1e-12)
 
     def test_no_cut_is_zero(self):
         g = graph_from_edges({(0, 1): 0.5}, positions={k: (float(k), 0.0, 0.0) for k in range(3)})
-        assert ncut_value(g, {0, 1}) == 0.0
+        assert ncut_value(g, [0, 1]) == 0.0
 
 
 class TestBisect:
     def test_two_cliques_split_exactly(self):
         g = _two_cliques(bridge=0.01)
         a, b, cost = normalized_cut_bisect(g)
-        assert a == frozenset({0, 1, 2})
-        assert b == frozenset({3, 4, 5})
+        assert a.tolist() == [0, 1, 2]
+        assert b.tolist() == [3, 4, 5]
         assert cost == pytest.approx(2 * 0.01 / 3.01, rel=1e-9)
 
     def test_within_ten_percent_of_brute_force(self):
@@ -706,8 +708,15 @@ def _bisect_loop(graph):
         mask = np.arange(n) == 0
         best = (ncut_value(graph, graph.nodes[mask].tolist()), mask)
     cost, mask = best
-    a, b = frozenset(graph.nodes[mask].tolist()), frozenset(graph.nodes[~mask].tolist())
+    a, b = graph.nodes[mask].tolist(), graph.nodes[~mask].tolist()
     return (b, a, cost) if min(b) < min(a) else (a, b, cost)
+
+
+def _listed(bisection):
+    """A bisection's two sides as lists, and its cost."""
+    a, b, cost = bisection
+    assert a.dtype == b.dtype == np.int64
+    return a.tolist(), b.tolist(), cost
 
 
 @st.composite
@@ -743,14 +752,14 @@ class TestBisectMatchesThresholdLoop:
                 return np.round(x / np.abs(x).max() * levels) if levels else np.zeros_like(x)
 
         with mock.patch.object(graphcut, "_second_eigenvector", eigenvector):
-            assert normalized_cut_bisect(graph) == _bisect_loop(graph)
+            assert _listed(normalized_cut_bisect(graph)) == _bisect_loop(graph)
 
     def test_flat_eigenvector_peels_the_first_node(self):
         g = _two_cliques()
         with mock.patch.object(graphcut, "_second_eigenvector", lambda g: np.ones(g.num_nodes)):
-            a, b, cost = normalized_cut_bisect(g)
-        assert (a, b) == (frozenset({0}), frozenset({1, 2, 3, 4, 5}))
-        assert cost == ncut_value(g, {0})
+            a, b, cost = _listed(normalized_cut_bisect(g))
+        assert (a, b) == ([0], [1, 2, 3, 4, 5])
+        assert cost == ncut_value(g, [0])
 
     def test_connectivity_is_computed_once_per_graph(self):
         g = _two_cliques(size=4)
@@ -762,25 +771,31 @@ class TestBisectMatchesThresholdLoop:
         assert pieces.call_count == 3
 
 
+def _parts(parts):
+    """Sorted id arrays as lists."""
+    assert all(p.dtype == np.int64 and (np.diff(p) > 0).all() for p in parts)
+    return [p.tolist() for p in parts]
+
+
 class TestOversegment:
     def test_small_clique_stays_whole(self):
         edges = {e: 1.0 for e in itertools.combinations(range(4), 2)}
         g = graph_from_edges(edges)
-        assert oversegment(g) == [frozenset(range(4))]
+        assert _parts(oversegment(g)) == [list(range(4))]
 
     def test_weakly_bridged_cliques_split(self):
         g = _two_cliques(bridge=0.01, size=4)
         parts = oversegment(g)
-        assert parts == [frozenset(range(4)), frozenset(range(4, 8))]
+        assert _parts(parts) == [list(range(4)), list(range(4, 8))]
 
     def test_strongly_bridged_cliques_stay(self):
         g = _two_cliques(bridge=5.0, size=4)
-        assert oversegment(g) == [frozenset(range(8))]
+        assert _parts(oversegment(g)) == [list(range(8))]
 
     def test_min_segment_size_blocks_split(self):
         # 3+3 cliques: halves would fall under the 4-node floor
         g = _two_cliques(bridge=0.01, size=3)
-        assert oversegment(g) == [frozenset(range(6))]
+        assert _parts(oversegment(g)) == [list(range(6))]
 
     def test_disconnected_parts_always_separate(self):
         g = graph_from_edges(
@@ -788,7 +803,7 @@ class TestOversegment:
             positions={k: (float(k), 0.0, 0.0) for k in range(3)},
         )
         parts = oversegment(g)
-        assert parts == [frozenset({0, 1}), frozenset({2})]
+        assert _parts(parts) == [[0, 1], [2]]
 
     def test_partition_property(self):
         rng = np.random.default_rng(13)
@@ -809,9 +824,9 @@ class TestOversegment:
 
     def test_deterministic(self):
         g = _two_cliques(bridge=0.05, size=5)
-        assert oversegment(g) == oversegment(g)
+        assert _parts(oversegment(g)) == _parts(oversegment(g))
 
     def test_threshold_zero_never_splits_connected(self):
         g = _two_cliques(bridge=0.01, size=4)
         cfg = OversegConfig(ncut_threshold=0.0)
-        assert oversegment(g, cfg) == [frozenset(range(8))]
+        assert _parts(oversegment(g, cfg)) == [list(range(8))]

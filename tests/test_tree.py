@@ -76,8 +76,8 @@ def _check(tree):
 
 def _blob_features(graph, blobs):
     out = []
-    for b in sorted(blobs, key=lambda b: b.blob_id):
-        at = np.searchsorted(graph.nodes, b.members_sorted)
+    for b in blobs:
+        at = np.searchsorted(graph.nodes, b)
         out.append(BlobFeature(sv_centroids=graph.centroids[at], sv_colors_lab=graph.colors_lab[at]))
     return out
 
@@ -106,7 +106,7 @@ class TestSimilarity:
     def test_distance_decay(self):
         # gap equal to sigma_distance, identical colors
         g, _ = _two_singletons(0.0, 0.16)
-        s = compute_similarity({0}, {1}, g, PARAMS)
+        s = compute_similarity([0], [1], g, PARAMS)
         assert s == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_color_decay(self):
@@ -115,17 +115,17 @@ class TestSimilarity:
             positions={0: (0.0, 0.0, 0.0), 1: (0.0, 0.0, 0.0)},
             colors={0: (50.0, 0.0, 0.0), 1: (80.0, 0.0, 0.0)},
         )
-        s = compute_similarity({0}, {1}, g, PARAMS)
+        s = compute_similarity([0], [1], g, PARAMS)
         assert s == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_identical_sets_give_one(self):
         g, _ = _two_singletons()
-        assert compute_similarity({0}, {0}, g, PARAMS) == pytest.approx(1.0)
+        assert compute_similarity([0], [0], g, PARAMS) == pytest.approx(1.0)
 
     def test_empty_set_rejected(self):
         g, _ = _two_singletons()
         with pytest.raises(ValueError):
-            compute_similarity(set(), {0}, g, PARAMS)
+            compute_similarity([], [0], g, PARAMS)
 
 
 class TestInitTree:
@@ -300,7 +300,7 @@ class TestUpdateTree:
             params=EPARAMS,
         )
         assignment = Assignment(labels=np.asarray([0, 0]), energy=0.0)
-        cut = {0: 0, 1: 0, 2: 1, 3: 1}
+        cut = np.asarray([0, 0, 1, 1])
         tree = _update(prev, blobs1, g1, problem, assignment, {0: cut}, alloc)
         assert tree.object_of().tolist() == [0, 0, 1, 1]
         # ids inherited through the seed votes, both components in blob 0
@@ -353,7 +353,7 @@ class TestAccumulation:
         g, blobs = _two_singletons(0.0, 0.1)
         alloc = IdAllocator()
         prev = init_tree(blobs, g, 0, alloc, OVERSEG, PARAMS)
-        s = compute_similarity({0}, {1}, g, PARAMS)
+        s = compute_similarity([0], [1], g, PARAMS)
         for k in range(1, 21):
             cur = replace(prev, frame_index=k, object_similarity={}, component_similarity={})
             accumulate_similarities(cur, prev, g, PARAMS)
@@ -368,7 +368,7 @@ class TestAccumulation:
         g1, _ = _two_singletons(0.0, 0.1)  # now within reach
         cur = replace(prev, frame_index=1, object_similarity={}, component_similarity={})
         accumulate_similarities(cur, prev, g1, PARAMS)
-        s_now = compute_similarity({0}, {1}, g1, PARAMS)
+        s_now = compute_similarity([0], [1], g1, PARAMS)
         assert cur.object_similarity[(0, 1)] == pytest.approx(s_now, rel=1e-12)
 
     def test_vanished_object_drops_from_matrix(self):
@@ -387,7 +387,7 @@ class TestAccumulation:
         )
         cur = _tree(1, {0: (0, 0, {0, 1}), 1: (0, 1, {2})})
         accumulate_similarities(cur, None, g, PARAMS)
-        expected = compute_similarity({0, 1}, {2}, g, PARAMS)
+        expected = compute_similarity([0, 1], [2], g, PARAMS)
         assert cur.component_similarity[0][(0, 1)] == pytest.approx(expected, rel=1e-12)
 
 
@@ -637,4 +637,4 @@ class TestArrayFeaturesMatchLoops:
                 _, col_b = _weighted_features(b.tolist(), graph)
                 de = float(np.linalg.norm(col_a - col_b))
                 loop = math.exp(-gap / PARAMS.sigma_distance) * math.exp(-de / PARAMS.sigma_color)
-                assert compute_similarity(set(a.tolist()), set(b.tolist()), graph, PARAMS) == loop
+                assert compute_similarity(a, b, graph, PARAMS) == loop
