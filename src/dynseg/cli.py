@@ -21,7 +21,7 @@ import numpy as np
 
 from . import cloud_io
 from .assignment import EnergyParams, GAConfig
-from .cloud_io import LabeledFrame, ParseError, SequenceManifest
+from .cloud_io import LabeledFrame, ParseError, SequenceManifest, significant_lines
 from .evaluation import evaluate_run, format_metrics, generate_scenario, scenario_from_spec
 from .graph import GraphConfig
 from .graphcut import CutParams, OversegConfig
@@ -76,10 +76,7 @@ def read_config_file(path: str) -> dict[str, str]:
     pairs: dict[str, str] = {}
     try:
         with open(path, encoding="utf-8") as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
+            for line_no, line in significant_lines(fh):
                 if "=" not in line:
                     raise ConfigError(f"{path}:{line_no}: expected key=value, got {line!r}")
                 key, _, val = line.partition("=")
@@ -215,17 +212,20 @@ def cmd_inspect(ns: argparse.Namespace) -> int:
     path = ns.path
     try:
         with open(path, encoding="utf-8") as fh:
-            first = fh.readline().split()
+            first = fh.readline().split()  # an empty interaction log has only its "#" line
+            fh.seek(0)
+            _, line = next(significant_lines(fh), (0, ""))
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    if first[:2] == ["ptseq", "v1"]:
+    head = line.split()
+    if head[:2] == ["ptseq", "v1"]:
         frame = cloud_io.load_frame(path)
         lo = frame.points.min(axis=0) if frame.num_points else [0, 0, 0]
         hi = frame.points.max(axis=0) if frame.num_points else [0, 0, 0]
         print(f"frame file: {frame.num_points} points")
         print(f"bbox min {lo[0]:.4f} {lo[1]:.4f} {lo[2]:.4f}")
         print(f"bbox max {hi[0]:.4f} {hi[1]:.4f} {hi[2]:.4f}")
-    elif first[:2] == ["ptlab", "v1"]:
+    elif head[:2] == ["ptlab", "v1"]:
         labels = cloud_io.load_ground_truth(path)
         ids, counts = np.unique(labels, return_counts=True)
         print(f"label file: {len(labels)} entries, {len(ids)} ids")
@@ -235,7 +235,7 @@ def cmd_inspect(ns: argparse.Namespace) -> int:
         for rec in cloud_io.read_interaction_log(path):
             ids = " ".join(str(i) for i in rec.object_ids)
             print(f"interaction frames {rec.start_frame}-{rec.end_frame} objects {ids}")
-    elif len(first) == 3 and all(t.lstrip("-").isdigit() for t in first):
+    elif len(head) == 3 and all(t.lstrip("-").isdigit() for t in head):
         per_frame = cloud_io.read_label_file(path)
         total = sum(len(rows) for rows in per_frame.values())
         ids = {o for rows in per_frame.values() for o in rows.values()}

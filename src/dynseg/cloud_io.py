@@ -1,15 +1,19 @@
 """Text formats for point-cloud frames, label files, manifests, and interaction logs.
 
-All writers emit "\n" newlines, single-space separators, and no trailing
-whitespace so that repeated runs produce byte-identical files.  Frame files
-are converted with numpy; the line-by-line checker reads only files in doubt
-and names the faulty line.
+Every format follows the same rules.  Readers skip blank lines and lines
+starting with "#", and every parse error names the faulty line as
+"path:line".  Frame and ground-truth files open with a "<magic> v1 <N>"
+header.  Writers emit "\n" newlines, single-space separators, and no
+trailing whitespace, so repeated runs produce byte-identical files.  Frame
+files are converted with numpy; the line-by-line checker reads only files
+in doubt.
 """
 
 from __future__ import annotations
 
 import os
 import warnings
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -27,6 +31,37 @@ class ParseError(Exception):
 
 def _fail(path: str | os.PathLike, line_no: int, msg: str) -> None:
     raise ParseError(f"{path}:{line_no}: {msg}")
+
+
+def significant_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """(line number from 1, stripped line) for each line that is neither blank nor a "#" comment."""
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield line_no, line
+
+
+def _read_header(numbered: Iterator[tuple[int, str]], path: str | os.PathLike, magic: str, what: str) -> int:
+    """The count N of the "<magic> v1 <N>" header, taken from the first of the significant lines."""
+    first = next(numbered, None)
+    if first is None:
+        raise ParseError(f"{path}: missing '{magic} {FORMAT_VERSION}' header")
+    line_no, line = first
+    parts = line.split()
+    if len(parts) != 3 or parts[0] != magic or parts[1] != FORMAT_VERSION:
+        _fail(path, line_no, f"bad header {line!r}, expected '{magic} {FORMAT_VERSION} <N>'")
+    try:
+        count = int(parts[2])
+    except ValueError:
+        _fail(path, line_no, f"non-numeric {what} count {parts[2]!r}")
+    if count < 0:
+        _fail(path, line_no, f"negative {what} count")
+    return count
+
+
+def _write_lines(path: str | os.PathLike, lines: Iterable[str]) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 @dataclass
@@ -130,28 +165,13 @@ def _check_frame_lines(path: str | os.PathLike) -> tuple[np.ndarray, np.ndarray,
 
     Raises ParseError naming the first faulty line.
     """
-    header = None
     pts: list[tuple[float, float, float]] = []
     cols: list[tuple[int, int, int]] = []
-    expected = 0
     clamped = False
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                parts = line.split()
-                if len(parts) != 3 or parts[0] != FRAME_MAGIC or parts[1] != FORMAT_VERSION:
-                    _fail(path, line_no, f"bad header {line!r}, expected '{FRAME_MAGIC} {FORMAT_VERSION} <N>'")
-                try:
-                    expected = int(parts[2])
-                except ValueError:
-                    _fail(path, line_no, f"non-numeric point count {parts[2]!r}")
-                if expected < 0:
-                    _fail(path, line_no, "negative point count")
-                header = parts
-                continue
+        numbered = significant_lines(fh)
+        expected = _read_header(numbered, path, FRAME_MAGIC, "point")
+        for line_no, line in numbered:
             fields = line.split()
             if len(fields) != 6:
                 _fail(path, line_no, f"expected 6 fields, got {len(fields)}")
@@ -169,8 +189,6 @@ def _check_frame_lines(path: str | os.PathLike) -> tuple[np.ndarray, np.ndarray,
                 r, g, b = (min(max(c, 0), 255) for c in (r, g, b))
             pts.append((x, y, z))
             cols.append((r, g, b))
-    if header is None:
-        raise ParseError(f"{path}: missing '{FRAME_MAGIC} {FORMAT_VERSION}' header")
     if len(pts) != expected:
         raise ParseError(f"{path}: end of file: header declared {expected} points, found {len(pts)}")
     points = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
@@ -183,38 +201,22 @@ def write_frame(frame: PointCloudFrame, path: str | os.PathLike) -> None:
     lines = [f"{FRAME_MAGIC} {FORMAT_VERSION} {frame.num_points}"]
     for (x, y, z), (r, g, b) in zip(frame.points, frame.colors):
         lines.append(f"{x:.9g} {y:.9g} {z:.9g} {int(r)} {int(g)} {int(b)}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def load_ground_truth(path: str | os.PathLike) -> np.ndarray:
     """Read a "ptlab v1" file of per-point integer labels."""
-    header = None
     labels: list[int] = []
-    expected = 0
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                parts = line.split()
-                if len(parts) != 3 or parts[0] != LABEL_MAGIC or parts[1] != FORMAT_VERSION:
-                    _fail(path, line_no, f"bad header {line!r}, expected '{LABEL_MAGIC} {FORMAT_VERSION} <N>'")
-                try:
-                    expected = int(parts[2])
-                except ValueError:
-                    _fail(path, line_no, f"non-numeric label count {parts[2]!r}")
-                header = parts
-                continue
+        numbered = significant_lines(fh)
+        expected = _read_header(numbered, path, LABEL_MAGIC, "label")
+        for line_no, line in numbered:
             try:
                 labels.append(int(line))
             except ValueError:
                 _fail(path, line_no, f"non-integer label {line!r}")
             if len(labels) > expected:
                 _fail(path, line_no, f"more than the declared {expected} labels")
-    if header is None:
-        raise ParseError(f"{path}: missing '{LABEL_MAGIC} {FORMAT_VERSION}' header")
     if len(labels) != expected:
         raise ParseError(f"{path}: end of file: header declared {expected} labels, found {len(labels)}")
     return np.asarray(labels, dtype=np.int64)
@@ -224,24 +226,7 @@ def write_ground_truth(labels: np.ndarray, path: str | os.PathLike) -> None:
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     lines = [f"{LABEL_MAGIC} {FORMAT_VERSION} {len(labels)}"]
     lines.extend(str(int(v)) for v in labels)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _peek_count(path: str, magic: str) -> int:
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3 or parts[0] != magic or parts[1] != FORMAT_VERSION:
-                _fail(path, line_no, f"bad header {line!r}")
-            try:
-                return int(parts[2])
-            except ValueError:
-                _fail(path, line_no, f"non-numeric count {parts[2]!r}")
-    raise ParseError(f"{path}: missing header")
+    _write_lines(path, lines)
 
 
 def load_sequence(path: str | os.PathLike) -> SequenceManifest:
@@ -251,10 +236,7 @@ def load_sequence(path: str | os.PathLike) -> SequenceManifest:
     frames: list[str] = []
     gts: list[str] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for line_no, line in significant_lines(fh):
             parts = line.split(maxsplit=1)
             if len(parts) != 2:
                 _fail(path, line_no, f"malformed manifest line {line!r}")
@@ -276,8 +258,9 @@ def load_sequence(path: str | os.PathLike) -> SequenceManifest:
         raise ParseError(f"{path}: ground truth length mismatch: {len(frames)} frames, {len(gts)} gt files")
     # header-level point-count agreement between frames and ground truth
     for i, (fp, gp) in enumerate(zip(frames, gts)):
-        nf = _peek_count(fp, FRAME_MAGIC)
-        ng = _peek_count(gp, LABEL_MAGIC)
+        with open(fp, "r", encoding="utf-8") as ffh, open(gp, "r", encoding="utf-8") as gfh:
+            nf = _read_header(significant_lines(ffh), fp, FRAME_MAGIC, "point")
+            ng = _read_header(significant_lines(gfh), gp, LABEL_MAGIC, "label")
         if nf != ng:
             raise ParseError(f"{path}: frame {i}: {nf} points but {ng} ground-truth labels")
     return SequenceManifest(name=name, frame_paths=frames, gt_paths=gts)
@@ -289,8 +272,7 @@ def write_manifest(manifest: SequenceManifest, path: str | os.PathLike) -> None:
     lines = [f"name {manifest.name}"]
     lines.extend(f"frame {os.path.relpath(p, base)}" for p in manifest.frame_paths)
     lines.extend(f"gt {os.path.relpath(p, base)}" for p in manifest.gt_paths)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def write_labels(frame: LabeledFrame, path: str | os.PathLike) -> None:
@@ -301,18 +283,14 @@ def write_labels(frame: LabeledFrame, path: str | os.PathLike) -> None:
         raise ValueError("negative object id in labels")
     prefix = f"{frame.frame_index} "
     lines = [f"{prefix}{i} {v}" for i, v in enumerate(frame.labels.tolist())]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def read_label_file(path: str | os.PathLike) -> dict[int, dict[int, int]]:
     """Read label lines back into {frame_index: {point_index: object_id}}."""
     out: dict[int, dict[int, int]] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for line_no, line in significant_lines(fh):
             parts = line.split()
             if len(parts) != 3:
                 _fail(path, line_no, f"expected 3 fields, got {len(parts)}")
@@ -320,7 +298,10 @@ def read_label_file(path: str | os.PathLike) -> dict[int, dict[int, int]]:
                 f, p, o = int(parts[0]), int(parts[1]), int(parts[2])
             except ValueError:
                 _fail(path, line_no, f"non-integer field in {line!r}")
-            out.setdefault(f, {})[p] = o
+            rows = out.setdefault(f, {})
+            if p in rows:
+                _fail(path, line_no, f"repeated row for frame {f} point {p}")
+            rows[p] = o
     return out
 
 
@@ -331,8 +312,12 @@ def read_labels_dir(labels_dir: str | os.PathLike) -> dict[int, np.ndarray]:
     if not names:
         raise ParseError(f"{labels_dir}: no label files found")
     for n in names:
-        for f, rows in read_label_file(os.path.join(labels_dir, n)).items():
-            merged.setdefault(f, {}).update(rows)
+        path = os.path.join(labels_dir, n)
+        for f, rows in read_label_file(path).items():
+            seen = merged.setdefault(f, {})
+            if repeated := seen.keys() & rows.keys():
+                raise ParseError(f"{path}: frame {f}: point {min(repeated)} is also in an earlier label file")
+            seen.update(rows)
     dense: dict[int, np.ndarray] = {}
     for f, rows in sorted(merged.items()):
         n = len(rows)
@@ -352,17 +337,13 @@ def write_interaction_log(events: list[InteractionRecord], path: str | os.PathLi
     # leading comment makes the file self-identifying; readers skip "#" lines
     lines = ["# interactions v1"]
     lines.extend(f"{s} {e} {h} " + " ".join(str(i) for i in ids) for s, e, h, ids in records)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def read_interaction_log(path: str | os.PathLike) -> list[InteractionRecord]:
     out: list[InteractionRecord] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for line_no, line in significant_lines(fh):
             parts = line.split()
             if len(parts) < 5:
                 _fail(path, line_no, "expected 'start end blob_hint id id [...]'")

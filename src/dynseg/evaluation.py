@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cloud_io import InteractionRecord, LabeledFrame, PointCloudFrame
+from .cloud_io import InteractionRecord, LabeledFrame, PointCloudFrame, significant_lines
 
 SCENARIO_KINDS = ("approach_merge_split", "occlusion_split", "static", "crossing")
 
@@ -437,10 +437,7 @@ def scenario_from_spec(text: str) -> SynthScenario:
         "contact_threshold": float,
     }
     values: dict = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in significant_lines(text.splitlines()):
         if "=" not in line:
             raise ValueError(f"line {line_no}: expected key=value, got {line!r}")
         key, _, val = line.partition("=")

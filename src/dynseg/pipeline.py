@@ -95,7 +95,6 @@ class PipelineState:
     boundary: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
     ghosts: dict[int, _Ghost] = field(default_factory=dict)
     open_events: dict[frozenset[int], InteractionEvent] = field(default_factory=dict)
-    frames_seen: int = 0
     # voxel-neighbour reach, decided once on the first frame with points so
     # the partition rule does not flicker between frames
     reach: int | None = None
@@ -198,7 +197,6 @@ def process_frame(state: PipelineState, frame: PointCloudFrame) -> FrameResult:
     state.tree = tree
     timings["tree"] = (time.perf_counter() - t) * 1e3 - timings["assignment"] - timings["cut"]
     timings["total"] = (time.perf_counter() - t_total) * 1e3
-    state.frames_seen += 1
 
     return FrameResult(
         frame_index=fidx,

@@ -308,6 +308,16 @@ class TestInspect:
         out = capsys.readouterr().out
         assert "label file: 3 entries, 2 ids" in out
 
+        # the loaders skip leading comments, so inspect does too
+        commented_frame = tmp_path / "cf.txt"
+        commented_frame.write_text("# head\nptseq v1 1\n0 0 0 1 2 3\n")
+        assert main(["inspect", str(commented_frame)]) == 0
+        assert "frame file: 1 points" in capsys.readouterr().out
+        commented_gt = tmp_path / "cg.txt"
+        commented_gt.write_text("# note\nptlab v1 2\n0\n1\n")
+        assert main(["inspect", str(commented_gt)]) == 0
+        assert "label file: 2 entries, 2 ids" in capsys.readouterr().out
+
         log_path = tmp_path / "i.txt"
         cloud_io.write_interaction_log(
             [cloud_io.InteractionRecord(2, 5, 0, (0, 1))], str(log_path)

@@ -202,6 +202,20 @@ def test_read_labels_dir_rejects_gaps(tmp_path):
         read_labels_dir(tmp_path)
 
 
+def test_repeated_label_rows_are_rejected(tmp_path):
+    path = tmp_path / "labels_0000.txt"
+    path.write_text("0 0 1\n0 1 1\n0 0 2\n")
+    with pytest.raises(ParseError) as err:
+        read_label_file(path)
+    assert str(err.value) == f"{path}:3: repeated row for frame 0 point 0"
+    write_labels(LabeledFrame(0, np.array([1, 1])), path)
+    later = tmp_path / "labels_0001.txt"
+    write_labels(LabeledFrame(0, np.array([2])), later)
+    with pytest.raises(ParseError) as err:
+        read_labels_dir(tmp_path)
+    assert str(err.value) == f"{later}: frame 0: point 0 is also in an earlier label file"
+
+
 def test_manifest_roundtrip(tmp_path):
     f0 = tmp_path / "frames" / "f0.txt"
     f0.parent.mkdir()
@@ -261,9 +275,50 @@ def test_interaction_log_empty(tmp_path):
     assert read_interaction_log(path) == []
 
 
+_ONE_ROW = {"ptseq": "ptseq v1 1\n0 0 0 1 2 3\n", "ptlab": "ptlab v1 1\n0\n"}
+
+
+@pytest.mark.parametrize("header", ["nope v1 1", "{magic} v1 x", "{magic} v1 -1", None],
+                         ids=["bad_magic", "non_numeric", "negative", "comments_only"])
+@pytest.mark.parametrize("magic", ["ptseq", "ptlab"])
+@pytest.mark.parametrize("via_manifest", [False, True], ids=["file", "manifest"])
+def test_header_faults_name_the_line(tmp_path, via_manifest, magic, header):
+    """load_frame, load_ground_truth and load_sequence's count check report a header fault alike."""
+    bad = tmp_path / "bad.txt"
+    bad.write_text("# comment\n" + (header.format(magic=magic) + "\n" if header else "\n# only comments\n"))
+    if via_manifest:
+        (tmp_path / "good.txt").write_text(_ONE_ROW["ptlab" if magic == "ptseq" else "ptseq"])
+        frame, gt = ("bad.txt", "good.txt") if magic == "ptseq" else ("good.txt", "bad.txt")
+        (tmp_path / "m.txt").write_text(f"frame {frame}\ngt {gt}\n")
+        read, arg = load_sequence, tmp_path / "m.txt"
+    else:
+        read, arg = (load_frame if magic == "ptseq" else load_ground_truth), bad
+    expected = f"{bad}:2: " if header else f"{bad}: missing '{magic} v1' header"
+    with pytest.raises(ParseError) as err:
+        read(arg)
+    assert str(err.value).startswith(expected)
+
+
 def test_written_files_have_no_trailing_whitespace(tmp_path):
-    write_frame(_frame(3), tmp_path / "f.txt")
+    """Each writer's exact bytes: newline endings, single spaces, nothing trailing."""
+    frame = PointCloudFrame(0, [[0.5, -1.25, 3.0], [1 / 3, 0.0, 1e-10]], [[1, 2, 3], [255, 0, 7]])
+    write_frame(frame, tmp_path / "f.txt")
     write_ground_truth(np.array([0, 1, 2]), tmp_path / "g.txt")
-    for name in ("f.txt", "g.txt"):
-        for line in (tmp_path / name).read_text().splitlines():
-            assert line == line.rstrip()
+    write_manifest(
+        SequenceManifest(name="x", frame_paths=[str(tmp_path / "f.txt")], gt_paths=[str(tmp_path / "g.txt")]),
+        tmp_path / "m.txt",
+    )
+    write_labels(LabeledFrame(3, np.array([1, 1, 0])), tmp_path / "labels_0003.txt")
+    write_interaction_log(
+        [InteractionRecord(7, 9, 2, (4, 1)), InteractionRecord(2, 2, 0, (0, 3, 5))], tmp_path / "i.txt"
+    )
+    write_interaction_log([], tmp_path / "empty.txt")
+    expected = {
+        "f.txt": b"ptseq v1 2\n0.5 -1.25 3 1 2 3\n0.333333333 0 1e-10 255 0 7\n",
+        "g.txt": b"ptlab v1 3\n0\n1\n2\n",
+        "m.txt": b"name x\nframe f.txt\ngt g.txt\n",
+        "labels_0003.txt": b"3 0 1\n3 1 1\n3 2 0\n",
+        "i.txt": b"# interactions v1\n2 2 0 0 3 5\n7 9 2 1 4\n",
+        "empty.txt": b"# interactions v1\n",
+    }
+    assert {name: (tmp_path / name).read_bytes() for name in expected} == expected
