@@ -21,7 +21,7 @@ _EXPORTS = {
     "assignment": "AssignmentProblem Assignment EnergyParams GAConfig energy_of solve_ga solve_exhaustive",
     "graphcut": "CutProblem CutParams OversegConfig restricted_cut cut_energy normalized_cut_bisect"
     " ncut_value oversegment",
-    "tree": "SegTree InteractionEvent TreeParams init_tree update_tree compute_similarity"
+    "tree": "SegTree TreeParams init_tree update_tree compute_similarity"
     " accumulate_similarities confirm_splits_merges detect_interactions",
     "pipeline": "PipelineConfig PipelineState FrameResult init_state process_frame run_sequence",
     "evaluation": "SynthScenario ShapeSpec MetricsReport segmentation_error interaction_score evaluate_run"

@@ -161,7 +161,7 @@ def cmd_synth(ns: argparse.Namespace) -> int:
     except OSError as exc:
         raise ConfigError(f"cannot read scenario spec {ns.spec}: {exc}") from exc
     try:
-        scenario = scenario_from_spec(text)
+        scenario = scenario_from_spec(text, ns.spec)
         if ns.seed is not None:
             scenario = dataclasses.replace(scenario, rng_seed=ns.seed)
         generated = generate_scenario(scenario)

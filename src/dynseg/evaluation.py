@@ -426,8 +426,8 @@ def make_scenario(
     return scenario
 
 
-def scenario_from_spec(text: str) -> SynthScenario:
-    """Parse a key=value scenario spec (kind, frames, seed, points, noise, contact)."""
+def scenario_from_spec(text: str, path: str = "<spec>") -> SynthScenario:
+    """Parse a key=value scenario spec (kind, frames, seed, points, noise, contact); errors name ``path:line``."""
     keys = {
         "kind": str,
         "frames": int,
@@ -439,18 +439,18 @@ def scenario_from_spec(text: str) -> SynthScenario:
     values: dict = {}
     for line_no, line in significant_lines(text.splitlines()):
         if "=" not in line:
-            raise ValueError(f"line {line_no}: expected key=value, got {line!r}")
+            raise ValueError(f"{path}:{line_no}: expected key=value, got {line!r}")
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
         if key not in keys:
-            raise ValueError(f"line {line_no}: unknown scenario key {key!r}")
+            raise ValueError(f"{path}:{line_no}: unknown scenario key {key!r}")
         try:
             values[key] = keys[key](val)
         except ValueError:
-            raise ValueError(f"line {line_no}: bad value for {key!r}: {val!r}") from None
+            raise ValueError(f"{path}:{line_no}: bad value for {key!r}: {val!r}") from None
     if "kind" not in values:
-        raise ValueError("scenario spec needs a kind")
+        raise ValueError(f"{path}: scenario spec needs a kind")
     return make_scenario(
         kind=values["kind"],
         frame_count=values.get("frames"),

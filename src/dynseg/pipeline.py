@@ -29,7 +29,6 @@ from .graphcut import CutParams, CutProblem, OversegConfig, boundary_midpoints, 
 from .supervoxel import SupervoxelConfig, Supervoxels, cluster_supervoxels, voxel_reach
 from .tree import (
     IdAllocator,
-    InteractionEvent,
     SegTree,
     TreeParams,
     accumulate_similarities,
@@ -94,7 +93,7 @@ class PipelineState:
     tree: SegTree | None = None
     boundary: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
     ghosts: dict[int, _Ghost] = field(default_factory=dict)
-    open_events: dict[frozenset[int], InteractionEvent] = field(default_factory=dict)
+    open_events: dict[tuple[int, ...], InteractionRecord] = field(default_factory=dict)
     # voxel-neighbour reach, decided once on the first frame with points so
     # the partition rule does not flicker between frames
     reach: int | None = None
@@ -109,7 +108,7 @@ class FrameResult:
     object_count: int
     merges: list
     splits: list
-    interactions_closed: list[InteractionEvent]
+    interactions_closed: list[InteractionRecord]
     timings_ms: dict[str, float]
     assignment: str | None  # "exact", "ga", or None when no assignment ran
     growth_passes: int  # supervoxel growth passes run (0 for a frame with no points)
@@ -191,9 +190,8 @@ def process_frame(state: PipelineState, frame: PointCloudFrame) -> FrameResult:
 
     state.open_events, closed = detect_interactions(tree, state.open_events)
     _update_ghosts(state, tree, fidx, prev_feats)
-    object_of = tree.object_of()
-    state.boundary = boundary_midpoints(graph, object_of)
-    labels = object_of[supervoxels.of_point]
+    state.boundary = boundary_midpoints(graph, tree.object_of)
+    labels = tree.object_of[supervoxels.of_point]
     state.tree = tree
     timings["tree"] = (time.perf_counter() - t) * 1e3 - timings["assignment"] - timings["cut"]
     timings["total"] = (time.perf_counter() - t_total) * 1e3
@@ -245,12 +243,8 @@ def run_sequence(frames, config: PipelineConfig) -> SequenceResult:
     """Process frames in order and close any interactions still pending."""
     state = init_state(config)
     results = [process_frame(state, f) for f in frames]
-    trailing = sorted(state.open_events.values(), key=lambda e: (e.start_frame, sorted(e.object_ids)))
+    records = [ev for r in results for ev in r.interactions_closed] + list(state.open_events.values())
     state.open_events = {}
-    records: list[InteractionRecord] = []
-    for r in results:
-        records.extend(ev.to_record() for ev in r.interactions_closed)
-    records.extend(ev.to_record() for ev in trailing)
     records.sort(key=lambda r: (r.start_frame, r.end_frame, r.object_ids))
     return SequenceResult(frames=results, interactions=records, final_tree=state.tree, state=state)
 

@@ -40,49 +40,35 @@ class TreeParams:
 
 
 @dataclass
-class InteractionEvent:
-    start_frame: int
-    end_frame: int
-    object_ids: frozenset[int]
-    blob_trace: list[int]
-
-    def to_record(self) -> InteractionRecord:
-        return InteractionRecord(
-            start_frame=self.start_frame,
-            end_frame=self.end_frame,
-            blob_hint=self.blob_trace[0] if self.blob_trace else -1,
-            object_ids=tuple(sorted(self.object_ids)),
-        )
-
-
-@dataclass
 class SegTree:
-    """One frame's tree as labels over the frame graph's sorted supervoxel ids.
+    """One frame's tree as aligned labels over the frame graph's sorted supervoxel ids.
 
-    Objects on file include those with no component this frame.  Segment ids
-    run 0..S-1 in segment order.  Object membership, component lists and
-    supervoxel sets are derived from these fields when needed.
+    Objects on file include those with no supervoxels this frame.  Segment ids
+    run 0..S-1 in segment order.  Component ids are never reused, and each
+    component lies in one object and one blob.  Similarities are keyed by
+    ascending id pairs: live objects, and components of one object.
     """
 
     frame_index: int
     nodes: np.ndarray  # (N,) sorted supervoxel ids
+    object_of: np.ndarray  # (N,) object id per supervoxel
     component_of: np.ndarray  # (N,) component id per supervoxel
     segment_of: np.ndarray  # (N,) segment id per supervoxel
-    components: dict[int, tuple[int, int]]  # component id -> (object id, blob id)
+    blob_of: np.ndarray  # (N,) blob index per supervoxel
     births: dict[int, int]  # object id on file -> birth frame
     segment_centroids: np.ndarray  # (S, 3) point-weighted centroid per segment
     segment_colors: np.ndarray  # (S, 3) point-weighted mean Lab colour per segment
     object_similarity: dict[tuple[int, int], float] = field(default_factory=dict)
-    component_similarity: dict[int, dict[tuple[int, int], float]] = field(default_factory=dict)
+    component_similarity: dict[tuple[int, int], float] = field(default_factory=dict)
 
-    def object_of(self) -> np.ndarray:
-        """(N,) object id of each supervoxel."""
-        owner = {cid: oid for cid, (oid, _) in self.components.items()}
-        return np.asarray([owner[c] for c in self.component_of.tolist()], dtype=np.int64)
+    def component_table(self) -> dict[int, tuple[int, int]]:
+        """Component id -> (object id, blob index), by ascending component id."""
+        cids, first = np.unique(self.component_of, return_index=True)
+        return dict(zip(cids.tolist(), zip(self.object_of[first].tolist(), self.blob_of[first].tolist())))
 
     def live_objects(self) -> list[int]:
         """Ids of the objects with supervoxels this frame, ascending."""
-        return sorted({oid for oid, _ in self.components.values()})
+        return sorted(set(self.object_of.tolist()))
 
     def missing_objects(self) -> list[int]:
         """Ids of the objects on file with no supervoxels this frame, ascending."""
@@ -95,15 +81,13 @@ class SegTree:
 
     def segment_features(self) -> list[SegmentFeature]:
         """Segment centroid, colour and parents, in segment order."""
-        parents = self.component_of[np.unique(self.segment_of, return_index=True)[1]].tolist()
+        first = np.unique(self.segment_of, return_index=True)[1]
+        parents = zip(self.component_of[first].tolist(), self.object_of[first].tolist())
         return [
             SegmentFeature(
-                centroid=tuple(cen),
-                mean_color_lab=tuple(col),
-                parent_component_id=cid,
-                parent_object_id=self.components[cid][0],
+                centroid=tuple(cen), mean_color_lab=tuple(col), parent_component_id=cid, parent_object_id=oid
             )
-            for cen, col, cid in zip(self.segment_centroids, self.segment_colors, parents)
+            for cen, col, (cid, oid) in zip(self.segment_centroids, self.segment_colors, parents)
         ]
 
 
@@ -121,17 +105,12 @@ class IdAllocator:
         return next(self._components)
 
 
-def _grouped(pairs) -> dict[int, list[int]]:
-    """key -> its values, in order, of (key, value) pairs."""
+def _grouped(keys: np.ndarray, values: np.ndarray) -> dict[int, list[int]]:
+    """Each distinct key, ascending -> its distinct values, ascending, over two aligned label arrays."""
     out: dict[int, list[int]] = {}
-    for key, value in pairs:
+    for key, value in sorted(set(zip(keys.tolist(), values.tolist()))):
         out.setdefault(key, []).append(value)
     return out
-
-
-def _by_object(tree: SegTree) -> dict[int, list[int]]:
-    """Object id -> its component ids, in table order."""
-    return _grouped((oid, cid) for cid, (oid, _) in tree.components.items())
 
 
 def _gap(centroids_a: np.ndarray, centroids_b: np.ndarray) -> float:
@@ -279,7 +258,7 @@ def update_tree(
     found new objects.  The objects on file in ``prev`` stay on file.
     """
     nodes = graph.nodes
-    owner = np.empty(len(nodes), dtype=np.int64)  # object per supervoxel
+    object_of = np.empty(len(nodes), dtype=np.int64)
     blob_of = np.empty(len(nodes), dtype=np.int64)
     births = dict(prev.births) if prev is not None else {}
     for k, members in enumerate(blobs):
@@ -290,19 +269,19 @@ def update_tree(
             labels = [alloc.new_object_id()]
             births[labels[0]] = frame_index
         if len(labels) == 1:
-            owner[at] = labels[0]
+            object_of[at] = labels[0]
         else:
             cut = cuts.get(k)
             if cut is None or len(cut) != len(members):
                 raise ValueError(f"multi-label blob {k} has no cut label for every supervoxel")
-            owner[at] = cut
+            object_of[at] = cut
 
     # components: connected pieces of each (object, blob) region, as node
     # positions ordered by (blob, object, smallest member); no edge joins two blobs
     pos = graph.edge_index
     pieces = sorted(
-        connected_sets(np.arange(len(nodes)), pos[owner[pos[:, 0]] == owner[pos[:, 1]]]),
-        key=lambda at: (blob_of[at[0]], owner[at[0]], at[0]),
+        connected_sets(np.arange(len(nodes)), pos[object_of[pos[:, 0]] == object_of[pos[:, 1]]]),
+        key=lambda at: (blob_of[at[0]], object_of[at[0]], at[0]),
     )
     piece_of = np.empty(len(nodes), dtype=np.int64)
     for k, at in enumerate(pieces):
@@ -314,22 +293,21 @@ def update_tree(
     for s, (_, sv) in seg_site.items():
         seg = problem.segments[s]
         at = np.searchsorted(nodes, sv)
-        if owner[at] == seg.parent_object_id:  # else the piece went to another object in the cut
+        if object_of[at] == seg.parent_object_id:  # else the piece went to another object in the cut
             votes.setdefault(seg.parent_component_id, Counter())[int(piece_of[at])] += 1
-    prev_owner = {cid: oid for cid, (oid, _) in prev.components.items()} if prev is not None else {}
+    prev_owner = {cid: oid for cid, (oid, _) in prev.component_table().items()} if prev is not None else {}
     piece_cid: dict[int, int] = {}
     for cid in sorted(votes):
         tally = votes[cid]
         for k in sorted(tally, key=lambda k: (-tally[k], pieces[k][0])):
-            if k not in piece_cid and owner[pieces[k][0]] == prev_owner.get(cid):
+            if k not in piece_cid and object_of[pieces[k][0]] == prev_owner.get(cid):
                 piece_cid[k] = cid
                 break
     cids = [piece_cid[k] if k in piece_cid else alloc.new_component_id() for k in range(len(pieces))]
     component_of = np.asarray(cids, dtype=np.int64)[piece_of]
-    components = {cid: (int(owner[at[0]]), int(blob_of[at[0]])) for cid, at in zip(cids, pieces)}
     segment_of = np.full(len(nodes), -1, dtype=np.int64)
     features = _segment(graph, (nodes[at] for at in pieces), segment_of, overseg)
-    return SegTree(frame_index, nodes, component_of, segment_of, components, births, *features)
+    return SegTree(frame_index, nodes, object_of, component_of, segment_of, blob_of, births, *features)
 
 
 def accumulate_similarities(
@@ -339,32 +317,30 @@ def accumulate_similarities(
 
     Pairs without an established correspondence initialize at their current
     similarity.  Objects with no supervoxels this frame drop out of the
-    matrices until they reappear.
+    tables until they reappear.
     """
-    object_of = tree.object_of()
-    members = {oid: tree.nodes[object_of == oid] for oid in tree.live_objects()}
+    members = {oid: tree.nodes[tree.object_of == oid] for oid in tree.live_objects()}
     prev_obj = prev.object_similarity if prev is not None else {}
     tree.object_similarity = _accumulate(_candidates(tree, graph, params, prev_obj), members, prev_obj, graph, params)
 
-    members = {cid: tree.nodes[tree.component_of == cid] for cid in tree.components}
+    # an inherited component id stays with its object, so a tracked pair keeps its key
+    by_object = _grouped(tree.object_of, tree.component_of).values()
+    members = {cid: tree.nodes[tree.component_of == cid] for cids in by_object for cid in cids}
+    pairs = [key for cids in by_object for key in itertools.combinations(cids, 2)]
     prev_comp = prev.component_similarity if prev is not None else {}
-    tree.component_similarity = {
-        oid: _accumulate(itertools.combinations(sorted(cids), 2), members, prev_comp.get(oid, {}), graph, params)
-        for oid, cids in _by_object(tree).items()
-    }
+    tree.component_similarity = _accumulate(pairs, members, prev_comp, graph, params)
     return tree
 
 
 def _candidates(tree: SegTree, graph: AdjacencyGraph, params: TreeParams, tracked) -> list[tuple[int, int]]:
     """Live object pairs that share a blob, are already tracked, or lie closer than candidate_gap."""
-    object_of = tree.object_of()
     pairs: set[tuple[int, int]] = set()
-    for oids in _grouped((bid, oid) for oid, bid in tree.components.values()).values():
-        pairs.update(itertools.combinations(sorted(set(oids)), 2))
+    for oids in _grouped(tree.blob_of, tree.object_of).values():
+        pairs.update(itertools.combinations(oids, 2))
     for a, b in itertools.combinations(tree.live_objects(), 2):
         if (a, b) not in pairs and (
             (a, b) in tracked
-            or _gap(graph.centroids[object_of == a], graph.centroids[object_of == b]) < params.candidate_gap
+            or _gap(graph.centroids[tree.object_of == a], graph.centroids[tree.object_of == b]) < params.candidate_gap
         ):
             pairs.add((a, b))
     return sorted(pairs)
@@ -399,39 +375,37 @@ def confirm_splits_merges(
     for group in connected_sets(pairs, pairs):
         winner, absorbed = int(group[0]), group[1:].tolist()
         audit["merges"].append((winner, absorbed))
-        entries = dict(tree.component_similarity.get(winner, {}))
         for oid in absorbed:
-            entries.update(tree.component_similarity.pop(oid, {}))
             del tree.births[oid]
-        tree.components = {cid: (winner if o in absorbed else o, b) for cid, (o, b) in tree.components.items()}
+        tree.object_of[np.isin(tree.object_of, absorbed)] = winner
         _fuse(tree, graph, winner, overseg)
-        entries = {k: v for k, v in entries.items() if k[0] in tree.components and k[1] in tree.components}
+        live = set(tree.component_of.tolist())
+        entries = {k: v for k, v in tree.component_similarity.items() if k[0] in live and k[1] in live}
         # fresh pairs between the fused families start at the current similarity
-        for key in itertools.combinations(sorted(_by_object(tree)[winner]), 2):
+        for key in itertools.combinations(np.unique(tree.component_of[tree.object_of == winner]).tolist(), 2):
             if key not in entries:
                 a, b = (tree.nodes[tree.component_of == cid] for cid in key)
                 entries[key] = compute_similarity(a, b, graph, params)
-        tree.component_similarity[winner] = entries
+        tree.component_similarity = entries
         tree.object_similarity = {
             k: v for k, v in tree.object_similarity.items() if k[0] not in absorbed and k[1] not in absorbed
         }
 
-    for oid, cids in sorted(_by_object(tree).items()):
+    linked = [k for k, v in tree.component_similarity.items() if v > params.split_threshold]
+    for oid, cids in _grouped(tree.object_of, tree.component_of).items():
         if len(cids) < 2:
             continue
-        entries = tree.component_similarity.get(oid, {})
-        linked = [k for k, v in entries.items() if v > params.split_threshold]
-        clusters = connected_sets(cids, linked)
         # the first cluster holds the oldest component and keeps the id
-        for cluster in clusters[1:]:
+        for cluster in connected_sets(cids, linked)[1:]:
             new_oid = alloc.new_object_id()
             audit["splits"].append((oid, new_oid, cluster.tolist()))
             tree.births[new_oid] = tree.frame_index
-            for cid in cluster.tolist():
-                tree.components[cid] = (new_oid, tree.components[cid][1])
-            tree.component_similarity[new_oid] = {k: v for k, v in entries.items() if np.isin(k, cluster).all()}
-        if len(clusters) > 1:
-            tree.component_similarity[oid] = {k: v for k, v in entries.items() if np.isin(k, clusters[0]).all()}
+            tree.object_of[np.isin(tree.component_of, cluster)] = new_oid
+    if audit["splits"]:  # pairs now split between two objects stop accumulating
+        table = tree.component_table()
+        tree.component_similarity = {
+            k: v for k, v in tree.component_similarity.items() if table[k[0]][0] == table[k[1]][0]
+        }
     return tree, audit
 
 
@@ -442,8 +416,10 @@ def _fuse(tree: SegTree, graph: AdjacencyGraph, winner: int, overseg: OversegCon
     smallest id), and every piece of such a blob is over-segmented again,
     after all other segments.
     """
-    by_blob = _grouped((bid, cid) for cid, (oid, bid) in tree.components.items() if oid == winner)
-    for cids in (cids for _, cids in sorted(by_blob.items()) if len(cids) > 1):
+    mine = tree.object_of == winner
+    for cids in _grouped(tree.blob_of[mine], tree.component_of[mine]).values():
+        if len(cids) < 2:
+            continue
         region = np.isin(tree.component_of, cids)
         pieces = connected_sets(tree.nodes[region], graph.edges)
         if len(pieces) == len(cids):
@@ -451,41 +427,37 @@ def _fuse(tree: SegTree, graph: AdjacencyGraph, winner: int, overseg: OversegCon
         for piece in pieces:
             at = np.searchsorted(tree.nodes, piece)
             inside, count = np.unique(tree.component_of[at], return_counts=True)
-            keep = inside[np.argmax(count)]
-            for cid in inside[inside != keep].tolist():
-                del tree.components[cid]
-            tree.component_of[at] = keep
+            tree.component_of[at] = inside[np.argmax(count)]
         _, tree.segment_of[~region] = np.unique(tree.segment_of[~region], return_inverse=True)
         tree.segment_of[region] = -1
         tree.segment_centroids, tree.segment_colors = _segment(graph, pieces, tree.segment_of, overseg)
 
 
 def detect_interactions(
-    tree: SegTree, open_events: dict[frozenset[int], InteractionEvent]
-) -> tuple[dict[frozenset[int], InteractionEvent], list[InteractionEvent]]:
+    tree: SegTree, open_events: dict[tuple[int, ...], InteractionRecord]
+) -> tuple[dict[tuple[int, ...], InteractionRecord], list[InteractionRecord]]:
     """A blob hosting components of two or more objects is an interaction.
 
-    Events keyed by the participating object-id set extend while the
+    Events keyed by the ascending participating object ids extend while the
     condition holds and close at the last frame it held; a one-frame
-    separation therefore yields two distinct events.
+    separation therefore yields two distinct events.  An event's blob hint is
+    the first blob that hosted it in its first frame.
     """
     frame = tree.frame_index
-    current: dict[frozenset[int], int] = {}  # object set -> first blob hosting it
-    for blob_id, oids in sorted(_grouped((bid, oid) for oid, bid in tree.components.values()).items()):
-        if len(set(oids)) >= 2:
-            current.setdefault(frozenset(oids), blob_id)
-    closed: list[InteractionEvent] = []
-    still_open: dict[frozenset[int], InteractionEvent] = {}
+    current: dict[tuple[int, ...], int] = {}  # object ids -> first blob hosting them
+    for blob, oids in _grouped(tree.blob_of, tree.object_of).items():
+        if len(oids) >= 2:
+            current.setdefault(tuple(oids), blob)
+    closed: list[InteractionRecord] = []
+    still_open: dict[tuple[int, ...], InteractionRecord] = {}
     for key, ev in open_events.items():
         if key in current:
-            ev.end_frame = frame
-            ev.blob_trace.append(current[key])
-            still_open[key] = ev
+            still_open[key] = replace(ev, end_frame=frame)
         else:
             closed.append(ev)
-    for key in sorted(current, key=sorted):
+    for key in sorted(current):
         if key not in still_open:
-            still_open[key] = InteractionEvent(
-                start_frame=frame, end_frame=frame, object_ids=key, blob_trace=[current[key]]
+            still_open[key] = InteractionRecord(
+                start_frame=frame, end_frame=frame, blob_hint=current[key], object_ids=key
             )
     return still_open, closed

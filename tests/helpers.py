@@ -85,29 +85,31 @@ def check_frame_invariants(tree, labels) -> set[int]:
     assert (labels >= 0).all()
     objects = set(tree.births)
     nodes = tree.nodes.tolist()
-    assert nodes == sorted(set(nodes)) and len(tree.component_of) == len(tree.segment_of) == len(nodes)
+    assert nodes == sorted(set(nodes))
+    assert len(tree.object_of) == len(tree.component_of) == len(tree.segment_of) == len(tree.blob_of) == len(nodes)
 
     def labelled(labels, key):
         return frozenset(n for n, k in zip(nodes, labels.tolist()) if k == key)
 
-    components = {c: (oid, bid, labelled(tree.component_of, c)) for c, (oid, bid) in tree.components.items()}
-    assert set(tree.component_of.tolist()) == set(components), "component ids repeat"
+    owners: dict[int, set[tuple[int, int]]] = {}  # component -> its (object, blob) pairs
+    for cid, oid, bid in zip(tree.component_of.tolist(), tree.object_of.tolist(), tree.blob_of.tolist()):
+        owners.setdefault(cid, set()).add((oid, bid))
+    for cid, pairs in owners.items():
+        assert len(pairs) == 1, f"component {cid} spans objects and blobs {sorted(pairs)}"
+    components = {cid: (*next(iter(pairs)), labelled(tree.component_of, cid)) for cid, pairs in owners.items()}
     num_segments = len(tree.segment_centroids)
     assert set(tree.segment_of.tolist()) == set(range(num_segments)) and len(tree.segment_colors) == num_segments
     segments = [(tree.component_of[tree.segment_of == s][0], labelled(tree.segment_of, s)) for s in range(num_segments)]
-    blobs = {}
-    for _, bid, svs in components.values():
-        blobs[bid] = blobs.get(bid, frozenset()) | svs
 
     live = {oid for oid, _, _ in components.values()}
     assert set(np.unique(labels).tolist()) == live, "point labels and live objects differ"
-    for cid, (oid, bid, svs) in components.items():
-        assert oid in objects and bid in blobs and svs, f"component {cid} has a dangling link"
-    for bid, members in blobs.items():
-        parts = [svs for _, b, svs in components.values() if b == bid]
-        assert sum(map(len, parts)) == len(members) and frozenset().union(*parts) == members, (
-            f"components do not partition blob {bid}"
+    for a, b in tree.object_similarity:
+        assert a < b and a in live and b in live, f"object similarity key {(a, b)} is not an ascending live pair"
+    for a, b in tree.component_similarity:
+        assert a < b and a in components and b in components and components[a][0] == components[b][0], (
+            f"component similarity key {(a, b)} is not an ascending pair of live components of one object"
         )
+    assert live <= objects, f"live objects {sorted(live - objects)} are not on file"
     for cid, (_, _, svs) in components.items():
         parts = [s for c, s in segments if c == cid]
         assert sum(map(len, parts)) == len(svs) and frozenset().union(*parts) == svs, (

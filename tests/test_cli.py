@@ -224,6 +224,12 @@ class TestExitCodes:
         spec.write_text("kind = wobble\n")
         assert main(["synth", str(spec)]) == 1
 
+    def test_spec_parse_error_names_the_file_and_line(self, tmp_path, capsys):
+        spec = tmp_path / "spec_bad.txt"
+        spec.write_text("kind = static\nframes: 3\n")
+        assert main(["synth", str(spec)]) == 1
+        assert f"{spec}:2: expected key=value, got 'frames: 3'" in capsys.readouterr().err
+
     def test_eval_without_gt_is_data_error(self, tmp_path):
         frame = tmp_path / "frame_0000.txt"
         cloud_io.write_frame(

@@ -280,13 +280,13 @@ class TestScenarioSpec:
 
     def test_parse_errors_carry_line_numbers(self):
         with pytest.raises(ValueError) as err:
-            scenario_from_spec("kind=static\nwhat = 4\n")
-        assert "line 2" in str(err.value)
+            scenario_from_spec("kind=static\nwhat = 4\n", "s.txt")
+        assert str(err.value).startswith("s.txt:2: ")
         with pytest.raises(ValueError) as err:
-            scenario_from_spec("kind=static\nframes = x\n")
-        assert "line 2" in str(err.value)
+            scenario_from_spec("kind=static\nframes = x\n", "s.txt")
+        assert str(err.value).startswith("s.txt:2: ")
         with pytest.raises(ValueError):
             scenario_from_spec("frames = 4\n")  # kind missing
         with pytest.raises(ValueError) as err:
-            scenario_from_spec("kind static\n")
-        assert "line 1" in str(err.value)
+            scenario_from_spec("kind static\n", "s.txt")
+        assert str(err.value).startswith("s.txt:1: ")

@@ -1,5 +1,7 @@
 """End-to-end frame processing on small synthetic clouds."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from dynseg.pipeline import (
     run_sequence,
 )
 from dynseg.supervoxel import SupervoxelConfig, cluster_supervoxels, voxel_reach
+from dynseg.tree import TreeParams
 
 from helpers import grid_cloud, run_checked
 
@@ -268,6 +271,21 @@ class TestInvariants:
         results = run_checked(frames, PipelineConfig(supervoxel=SupervoxelConfig(voxel_resolution=0.008)))
         assert sum(len(r.merges) for r in results) == 1
         assert sum(len(r.splits) for r in results) == 1
+
+    def test_low_thresholds_merge_and_split_every_few_frames(self):
+        # merging above 0.2 and splitting below 0.8 turns the occluded sphere's
+        # two halves into a merge and a split on most frames
+        frames = generate_scenario(make_scenario("occlusion_split", rng_seed=0)).frames
+        tree = TreeParams(merge_threshold=0.2, split_threshold=0.8)
+        results = run_checked(frames, _config(tree=tree))
+        assert sum(len(r.merges) for r in results) == 13
+        assert sum(len(r.splits) for r in results) == 13
+        h = hashlib.sha256()
+        for r in results:
+            events = [(e.start_frame, e.end_frame, e.blob_hint, e.object_ids) for e in r.interactions_closed]
+            h.update(np.asarray(r.point_labels, dtype=np.int64).tobytes())
+            h.update(repr((r.merges, r.splits, events)).encode())
+        assert h.hexdigest() == "61483b20d5a7ca575800b9f28707da0261ca40f61aa83d32465944885f2bd6bc"
 
     @pytest.mark.parametrize("rng_seed", [0, 1, 2])
     def test_fine_voxel_keeps_two_objects(self, rng_seed):

@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynseg.assignment import Assignment, AssignmentProblem, BlobFeature, EnergyParams, SegmentFeature
+from dynseg.cloud_io import InteractionRecord
 from dynseg.graph import AdjacencyGraph, connected_components
 from dynseg.graphcut import OversegConfig
 from dynseg.tree import (
     IdAllocator,
-    InteractionEvent,
     SegTree,
     TreeParams,
     _gap,
@@ -51,17 +51,17 @@ def _seg_feature(centroid, comp, obj, color=(50.0, 0.0, 0.0)):
 def _tree(frame, comps, births=None, **similarities):
     """A SegTree over comps {component id: (object id, blob id, supervoxels)}, one segment per component."""
     nodes = np.asarray(sorted(sv for _, _, svs in comps.values() for sv in svs), dtype=np.int64)
-    component_of = np.empty(len(nodes), dtype=np.int64)
-    segment_of = np.empty(len(nodes), dtype=np.int64)
-    for k, (cid, (_, _, svs)) in enumerate(comps.items()):
+    object_of, component_of, segment_of, blob_of = np.empty((4, len(nodes)), dtype=np.int64)
+    for k, (cid, (oid, bid, svs)) in enumerate(comps.items()):
         at = np.searchsorted(nodes, sorted(svs))
-        component_of[at], segment_of[at] = cid, k
+        object_of[at], component_of[at], segment_of[at], blob_of[at] = oid, cid, k, bid
     return SegTree(
         frame_index=frame,
         nodes=nodes,
+        object_of=object_of,
         component_of=component_of,
         segment_of=segment_of,
-        components={cid: (oid, bid) for cid, (oid, bid, _) in comps.items()},
+        blob_of=blob_of,
         births={oid: 0 for oid, _, _ in comps.values()} if births is None else births,
         segment_centroids=np.zeros((len(comps), 3)),
         segment_colors=np.zeros((len(comps), 3)),
@@ -71,7 +71,7 @@ def _tree(frame, comps, births=None, **similarities):
 
 def _check(tree):
     """The frame invariants, with one point per supervoxel."""
-    return check_frame_invariants(tree, tree.object_of())
+    return check_frame_invariants(tree, tree.object_of)
 
 
 def _blob_features(graph, blobs):
@@ -134,8 +134,8 @@ class TestInitTree:
         alloc = IdAllocator()
         tree = init_tree(blobs, g, 0, alloc, OVERSEG, PARAMS)
         assert tree.births == {0: 0, 1: 0}
-        assert tree.components == {0: (0, 0), 1: (1, 1)}
-        assert tree.object_of().tolist() == [0, 1]
+        assert tree.component_table() == {0: (0, 0), 1: (1, 1)}
+        assert tree.object_of.tolist() == [0, 1]
         # far apart: no candidate pair
         assert tree.object_similarity == {}
         _check(tree)
@@ -235,8 +235,8 @@ class TestUpdateTree:
         prev, g1, blobs1, problem, alloc = _tracked_pair()
         assignment = Assignment(labels=np.asarray([0, 1]), energy=0.0)
         tree = _update(prev, blobs1, g1, problem, assignment, {}, alloc)
-        assert tree.object_of().tolist() == [0, 1]
-        assert list(tree.components) == [0, 1]
+        assert tree.object_of.tolist() == [0, 1]
+        assert list(tree.component_table()) == [0, 1]
         assert tree.births == {0: 0, 1: 0}
         _check(tree)
 
@@ -244,7 +244,7 @@ class TestUpdateTree:
         prev, g1, blobs1, problem, alloc = _tracked_pair()
         assignment = Assignment(labels=np.asarray([1, 0]), energy=0.0)  # crossed
         tree = _update(prev, blobs1, g1, problem, assignment, {}, alloc)
-        assert tree.object_of().tolist() == [1, 0]
+        assert tree.object_of.tolist() == [1, 0]
 
     def test_uncovered_blob_founds_new_object(self):
         g0 = graph_from_edges({}, positions={0: (0.0, 0.0, 0.0)})
@@ -258,7 +258,7 @@ class TestUpdateTree:
         )
         assignment = Assignment(labels=np.asarray([0]), energy=0.0)
         tree = _update(prev, blobs1, g1, problem, assignment, {}, alloc)
-        assert tree.object_of().tolist() == [0, 1]
+        assert tree.object_of.tolist() == [0, 1]
         assert tree.births[1] == 1
 
     def test_vanished_object_keeps_empty_row(self):
@@ -279,7 +279,7 @@ class TestUpdateTree:
         tree = _update(prev, blobs1, g1, problem, assignment, {}, alloc)
         assert sorted(tree.births) == [0, 1]
         assert tree.missing_objects() == [1]
-        assert 1 not in tree.object_of()
+        assert 1 not in tree.object_of
 
     def test_multi_label_blob_uses_cut(self):
         g0, blobs0 = _two_singletons(0.0, 0.3)
@@ -302,9 +302,9 @@ class TestUpdateTree:
         assignment = Assignment(labels=np.asarray([0, 0]), energy=0.0)
         cut = np.asarray([0, 0, 1, 1])
         tree = _update(prev, blobs1, g1, problem, assignment, {0: cut}, alloc)
-        assert tree.object_of().tolist() == [0, 0, 1, 1]
+        assert tree.object_of.tolist() == [0, 0, 1, 1]
         # ids inherited through the seed votes, both components in blob 0
-        assert tree.components == {0: (0, 0), 1: (1, 0)}
+        assert tree.component_table() == {0: (0, 0), 1: (1, 0)}
         _check(tree)
 
     def test_multi_label_blob_without_cut_rejected(self):
@@ -344,7 +344,7 @@ class TestUpdateTree:
         # blob founds a new object while object 0 keeps one component
         assignment = Assignment(labels=np.asarray([0]), energy=0.0)
         tree = _update(prev, blobs1, g1, problem, assignment, {}, alloc)
-        assert [oid for oid, _ in tree.components.values()].count(0) == 1
+        assert [oid for oid, _ in tree.component_table().values()].count(0) == 1
         assert len(tree.births) == 2
 
 
@@ -388,7 +388,7 @@ class TestAccumulation:
         cur = _tree(1, {0: (0, 0, {0, 1}), 1: (0, 1, {2})})
         accumulate_similarities(cur, None, g, PARAMS)
         expected = compute_similarity([0, 1], [2], g, PARAMS)
-        assert cur.component_similarity[0][(0, 1)] == pytest.approx(expected, rel=1e-12)
+        assert cur.component_similarity[(0, 1)] == pytest.approx(expected, rel=1e-12)
 
 
 def _merge_candidate(sim):
@@ -404,7 +404,7 @@ def _merge_candidate(sim):
         {0: (0, 0, {0, 1}), 1: (1, 0, {2, 3})},
         births={0: 0, 1: 2},
         object_similarity={(0, 1): sim},
-        component_similarity={0: {}, 1: {}},
+        component_similarity={},
     )
     return tree, g, alloc
 
@@ -420,7 +420,7 @@ def _two_far_components(split_similarity):
     tree = _tree(
         7,
         {0: (0, 0, {0, 1}), 1: (0, 1, {2, 3})},
-        component_similarity={0: {(0, 1): split_similarity}},
+        component_similarity={(0, 1): split_similarity},
     )
     return tree, g, alloc
 
@@ -432,7 +432,7 @@ class TestConfirmMergesSplits:
         assert audit["merges"] == [(0, [1])]
         assert audit["splits"] == []
         assert tree.births == {0: 0}
-        assert tree.components == {0: (0, 0)}
+        assert tree.component_table() == {0: (0, 0)}
         assert tree.component_of.tolist() == [0, 0, 0, 0]
         assert tree.object_similarity == {}
         # the fused component is segmented afresh, with features for each segment
@@ -443,7 +443,7 @@ class TestConfirmMergesSplits:
         _, g, alloc = _merge_candidate(0.8)  # the same four-node chain
         tree = _tree(5, {0: (0, 0, {0}), 1: (1, 0, {1, 2, 3})}, object_similarity={(0, 1): 0.8})
         tree, _ = confirm_splits_merges(tree, g, PARAMS, alloc, OVERSEG)
-        assert tree.components == {1: (0, 0)}
+        assert tree.component_table() == {1: (0, 0)}
         assert tree.component_of.tolist() == [1, 1, 1, 1]
 
     def test_merge_threshold_is_strict(self):
@@ -464,14 +464,14 @@ class TestConfirmMergesSplits:
             3,
             {0: (0, 0, {0, 1}), 1: (1, 1, {2, 3})},
             object_similarity={(0, 1): 0.9},
-            component_similarity={0: {}, 1: {}},
+            component_similarity={},
         )
         tree, audit = confirm_splits_merges(tree, g, PARAMS, alloc, OVERSEG)
         assert audit["merges"] == [(0, [1])]
         assert sorted(tree.births) == [0]
-        assert tree.components == {0: (0, 0), 1: (0, 1)}
+        assert tree.component_table() == {0: (0, 0), 1: (0, 1)}
         # the fused families get a fresh similarity entry to accumulate from
-        assert (0, 1) in tree.component_similarity[0]
+        assert (0, 1) in tree.component_similarity
 
     def test_merge_keeps_segment_order_and_appends_fused_segments(self):
         # object 2 sits in its own blob; objects 0 and 1 fuse in blob 0
@@ -485,7 +485,7 @@ class TestConfirmMergesSplits:
             object_similarity={(0, 1): 0.9},
         )
         tree, _ = confirm_splits_merges(tree, g, PARAMS, IdAllocator(), OVERSEG)
-        assert tree.components == {0: (0, 0), 1: (2, 1)}
+        assert tree.component_table() == {0: (0, 0), 1: (2, 1)}
         # the untouched segment moves up to id 0; the fused component's come last
         assert tree.segment_of.tolist() == [1, 1, 1, 1, 0, 0]
         assert tree.segment_features()[0].parent_object_id == 2
@@ -496,9 +496,9 @@ class TestConfirmMergesSplits:
         tree, g, alloc = _two_far_components(0.1)
         tree, audit = confirm_splits_merges(tree, g, PARAMS, alloc, OVERSEG)
         assert audit["splits"] == [(0, 1, [1])]
-        assert tree.components == {0: (0, 0), 1: (1, 1)}
+        assert tree.component_table() == {0: (0, 0), 1: (1, 1)}
         assert tree.births == {0: 0, 1: 7}
-        assert tree.component_similarity[1] == {}
+        assert tree.component_similarity == {}
         _check(tree)
 
     def test_no_split_above_threshold(self):
@@ -507,13 +507,54 @@ class TestConfirmMergesSplits:
         assert audit["splits"] == []
         assert sorted(tree.births) == [0]
 
+    def test_merge_and_split_in_one_call(self):
+        # objects 0 and 1 fuse in blob 0, and object 1's far component 5
+        # joins object 0; object 2's component 3 splits off
+        g = graph_from_edges(
+            {(0, 1): 1.0, (1, 2): 1.0, (2, 3): 1.0, (5, 6): 1.0},
+            positions={
+                **{k: (0.02 * k, 0.0, 0.0) for k in range(4)},
+                5: (1.0, 0.0, 0.0),
+                6: (1.02, 0.0, 0.0),
+                8: (2.0, 0.0, 0.0),
+                9: (3.0, 0.0, 0.0),
+                11: (0.16, 0.0, 0.0),
+            },
+        )
+        alloc = IdAllocator()
+        for _ in range(3):
+            alloc.new_object_id()
+        tree = _tree(
+            4,
+            {
+                0: (0, 0, {0, 1}),
+                1: (1, 0, {2, 3}),
+                2: (2, 1, {5, 6}),
+                3: (2, 2, {8}),
+                4: (2, 3, {9}),
+                5: (1, 4, {11}),
+            },
+            object_similarity={(0, 1): 0.9, (0, 2): 0.2, (1, 2): 0.2},
+            component_similarity={(1, 5): 0.9, (2, 3): 0.1, (2, 4): 0.5, (3, 4): 0.2},
+        )
+        tree, audit = confirm_splits_merges(tree, g, PARAMS, alloc, OVERSEG)
+        assert audit == {"merges": [(0, [1])], "splits": [(2, 3, [3])]}
+        assert tree.births == {0: 0, 2: 0, 3: 4}
+        # the fused pieces tie in size, so the smaller id stays
+        assert tree.component_table() == {0: (0, 0), 2: (2, 1), 3: (3, 2), 4: (2, 3), 5: (0, 4)}
+        assert tree.object_similarity == {(0, 2): 0.2}
+        fresh = compute_similarity([0, 1, 2, 3], [11], g, PARAMS)
+        assert fresh > PARAMS.split_threshold
+        assert tree.component_similarity == {(0, 5): fresh, (2, 4): 0.5}
+        _check(tree)
+
     def test_confirm_is_idempotent(self):
         tree, g, alloc = _merge_candidate(0.8)
         tree, first = confirm_splits_merges(tree, g, PARAMS, alloc, OVERSEG)
         assert first["merges"]
 
         def snapshot(t):
-            return dict(t.births), dict(t.components), t.component_of.tolist(), t.segment_of.tolist()
+            return dict(t.births), t.component_table(), t.object_of.tolist(), t.segment_of.tolist()
 
         before = snapshot(tree)
         tree, second = confirm_splits_merges(tree, g, PARAMS, alloc, OVERSEG)
@@ -530,15 +571,15 @@ class TestInteractions:
     def test_shared_blob_opens_event(self):
         open_events, closed = detect_interactions(_interaction_tree(4, [(0, 0), (1, 0)]), {})
         assert closed == []
-        ev = open_events[frozenset({0, 1})]
+        ev = open_events[(0, 1)]
         assert (ev.start_frame, ev.end_frame) == (4, 4)
-        assert ev.blob_trace == [0]
+        assert ev.blob_hint == 0 and ev.object_ids == (0, 1)
 
     def test_event_extends_then_closes(self):
         open_events, _ = detect_interactions(_interaction_tree(4, [(0, 0), (1, 0)]), {})
         open_events, closed = detect_interactions(_interaction_tree(5, [(0, 0), (1, 0)]), open_events)
         assert closed == []
-        assert open_events[frozenset({0, 1})].end_frame == 5
+        assert open_events[(0, 1)].end_frame == 5
         open_events, closed = detect_interactions(_interaction_tree(6, [(0, 0), (1, 1)]), open_events)
         assert open_events == {}
         assert len(closed) == 1
@@ -551,18 +592,21 @@ class TestInteractions:
         assert len(closed1) == 1
         assert (closed1[0].start_frame, closed1[0].end_frame) == (0, 0)
         assert closed2 == []
-        assert open_events[frozenset({0, 1})].start_frame == 2
+        assert open_events[(0, 1)].start_frame == 2
 
     def test_three_objects_one_event(self):
         open_events, _ = detect_interactions(_interaction_tree(0, [(0, 0), (1, 0), (2, 0)]), {})
-        assert set(open_events) == {frozenset({0, 1, 2})}
+        assert set(open_events) == {(0, 1, 2)}
 
-    def test_to_record(self):
-        ev = InteractionEvent(start_frame=2, end_frame=9, object_ids=frozenset({5, 2}), blob_trace=[3, 3])
-        rec = ev.to_record()
-        assert (rec.start_frame, rec.end_frame) == (2, 9)
-        assert rec.object_ids == (2, 5)
-        assert rec.blob_hint == 3
+    def test_event_keeps_its_first_blob_and_sorted_ids(self):
+        # objects 5 and 2 meet in blob 2, then in blob 0, then part
+        open_events, _ = detect_interactions(_interaction_tree(0, [(7, 0), (5, 2), (2, 2)]), {})
+        assert open_events[(2, 5)].blob_hint == 2
+        open_events, closed = detect_interactions(_interaction_tree(1, [(5, 0), (2, 0), (7, 1)]), open_events)
+        assert closed == [] and open_events[(2, 5)].blob_hint == 2
+        open_events, closed = detect_interactions(_interaction_tree(2, [(5, 0), (2, 1)]), open_events)
+        assert open_events == {}
+        assert closed == [InteractionRecord(start_frame=0, end_frame=1, blob_hint=2, object_ids=(2, 5))]
 
 
 # The loop forms the array code replaced, kept as references.
