@@ -1,33 +1,53 @@
 """Scoring against ground truth and synthetic ground-truthed sequences.
 
-The output labeler invents its own ids, so scoring first matches output
-labels to truth labels by maximum overlap (optimal one-to-one assignment),
-then counts mislabeled points.  Interaction events are matched one-to-one
-under the same label correspondence with a frame tolerance.
+The output labeler invents its own ids, so scoring first counts the points
+each (output id, truth id) pair shares in one overlap matrix (``_overlap``)
+and matches ids one-to-one by maximum total overlap: per frame for the
+segmentation error, over all frames at once for the label map.  One event
+scorer (``_score_events``) matches interaction events one-to-one under that
+label map with a frame tolerance.
 
 The generator builds small scripted scenes (approach/merge/split, occlusion
 splits, static controls, near-miss crossings) with analytic ground truth.
+``SynthScenario``'s field defaults are the one copy of the scenario defaults,
+and ``SCENARIO_FRAMES`` holds each kind's default frame count.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cloud_io import InteractionRecord, LabeledFrame, PointCloudFrame, significant_lines
 
-SCENARIO_KINDS = ("approach_merge_split", "occlusion_split", "static", "crossing")
+# scenario kind -> default frame count
+SCENARIO_FRAMES = {"approach_merge_split": 26, "occlusion_split": 24, "static": 8, "crossing": 20}
 
 
 # ---------------------------------------------------------------- metrics
 
 
-def segmentation_error(labeled: LabeledFrame, truth: LabeledFrame) -> float:
-    """1 - (points covered by the best one-to-one label matching) / total."""
+def _overlap(out: np.ndarray, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct output ids, distinct truth ids, and the points each (output, truth) pair shares."""
+    out_ids, out_inv = np.unique(out, return_inverse=True)
+    ref_ids, ref_inv = np.unique(ref, return_inverse=True)
+    shape = (len(out_ids), len(ref_ids))
+    counts = np.bincount(out_inv * shape[1] + ref_inv, minlength=shape[0] * shape[1])
+    return out_ids, ref_ids, counts.reshape(shape)
+
+
+def _best_pairs(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the one-to-one matching with the largest total weight."""
     from scipy.optimize import linear_sum_assignment  # here, so segmenting never loads scipy.optimize
 
+    return linear_sum_assignment(weights, maximize=True)
+
+
+def segmentation_error(labeled: LabeledFrame, truth: LabeledFrame) -> float:
+    """1 - (points covered by the best one-to-one label matching) / total."""
     out = np.asarray(labeled.labels, dtype=np.int64)
     ref = np.asarray(truth.labels, dtype=np.int64)
     if out.shape != ref.shape:
@@ -35,71 +55,44 @@ def segmentation_error(labeled: LabeledFrame, truth: LabeledFrame) -> float:
     n = out.shape[0]
     if n == 0:
         return 0.0
-    out_ids, out_inv = np.unique(out, return_inverse=True)
-    ref_ids, ref_inv = np.unique(ref, return_inverse=True)
-    overlap = np.zeros((len(out_ids), len(ref_ids)), dtype=np.int64)
-    np.add.at(overlap, (out_inv, ref_inv), 1)
-    rows, cols = linear_sum_assignment(overlap, maximize=True)
-    matched = int(overlap[rows, cols].sum())
-    return 1.0 - matched / n
+    overlap = _overlap(out, ref)[2]
+    return 1.0 - int(overlap[_best_pairs(overlap)].sum()) / n
 
 
 def match_labels(
     found: dict[int, np.ndarray], truth: dict[int, np.ndarray]
 ) -> dict[int, int]:
     """Global output-label -> truth-label correspondence over all frames."""
-    from scipy.optimize import linear_sum_assignment  # here, so segmenting never loads scipy.optimize
-
-    counts: dict[tuple[int, int], int] = {}
-    for f, out in found.items():
-        if f not in truth:
-            continue
-        ref = truth[f]
-        if len(out) != len(ref):
+    frames = [f for f in found if f in truth]
+    for f in frames:
+        if len(found[f]) != len(truth[f]):
             raise ValueError(f"frame {f}: label counts differ")
-        pairs, c = np.unique(np.stack([out, ref], axis=1), axis=0, return_counts=True)
-        for (a, b), k in zip(pairs, c):
-            counts[(int(a), int(b))] = counts.get((int(a), int(b)), 0) + int(k)
-    if not counts:
+    if not frames:
         return {}
-    out_ids = sorted({a for a, _ in counts})
-    ref_ids = sorted({b for _, b in counts})
-    mat = np.zeros((len(out_ids), len(ref_ids)), dtype=np.int64)
-    for (a, b), k in counts.items():
-        mat[out_ids.index(a), ref_ids.index(b)] = k
-    rows, cols = linear_sum_assignment(mat, maximize=True)
-    return {out_ids[r]: ref_ids[c] for r, c in zip(rows, cols) if mat[r, c] > 0}
+    out = np.concatenate([np.asarray(found[f], dtype=np.int64) for f in frames])
+    ref = np.concatenate([np.asarray(truth[f], dtype=np.int64) for f in frames])
+    out_ids, ref_ids, overlap = _overlap(out, ref)
+    rows, cols = _best_pairs(overlap)
+    return {int(out_ids[r]): int(ref_ids[c]) for r, c in zip(rows, cols) if overlap[r, c] > 0}
 
 
-def _count_event_matches(
-    found: list, truth: list, tolerance_frames: int, label_map: dict[int, int] | None
-) -> int:
-    from scipy.optimize import linear_sum_assignment  # here, so segmenting never loads scipy.optimize
-
-    if not found or not truth:
-        return 0
-
-    def mapped_ids(ev) -> frozenset[int] | None:
-        ids = ev.object_ids
-        if label_map is None:
-            return frozenset(int(i) for i in ids)
-        if any(int(i) not in label_map for i in ids):
-            return None
-        return frozenset(label_map[int(i)] for i in ids)
-
+def _score_events(
+    found: list, truth: list, tolerance: int, label_map: dict[int, int] | None
+) -> tuple[int, float, float]:
+    """(matched, precision, recall) under one-to-one event matching; see interaction_score."""
     ok = np.zeros((len(found), len(truth)), dtype=np.int64)
+    truth_ids = [frozenset(int(x) for x in t.object_ids) for t in truth]
     for i, f in enumerate(found):
-        fids = mapped_ids(f)
-        if fids is None:
-            continue
-        for j, t in enumerate(truth):
-            tids = frozenset(int(x) for x in t.object_ids)
-            if fids != tids:
+        ids = [int(x) for x in f.object_ids]
+        if label_map is not None:
+            if any(x not in label_map for x in ids):
                 continue
-            if f.start_frame - tolerance_frames <= t.end_frame and f.end_frame + tolerance_frames >= t.start_frame:
-                ok[i, j] = 1
-    rows, cols = linear_sum_assignment(ok, maximize=True)
-    return int(ok[rows, cols].sum())
+            ids = [label_map[x] for x in ids]
+        for j, t in enumerate(truth):
+            near = f.start_frame - tolerance <= t.end_frame and f.end_frame + tolerance >= t.start_frame
+            ok[i, j] = near and frozenset(ids) == truth_ids[j]
+    matched = int(ok[_best_pairs(ok)].sum())
+    return matched, matched / len(found) if found else 1.0, matched / len(truth) if truth else 1.0
 
 
 def interaction_score(
@@ -111,12 +104,7 @@ def interaction_score(
     (after mapping found ids through label_map, if given) and the frame
     intervals overlap once widened by the tolerance.
     """
-    found = list(found)
-    truth = list(truth)
-    matched = _count_event_matches(found, truth, tolerance_frames, label_map)
-    precision = matched / len(found) if found else 1.0
-    recall = matched / len(truth) if truth else 1.0
-    return precision, recall
+    return _score_events(list(found), list(truth), tolerance_frames, label_map)[1:]
 
 
 @dataclass
@@ -139,23 +127,17 @@ def evaluate_run(
 ) -> MetricsReport:
     truth_by_frame = {t.frame_index: np.asarray(t.labels, dtype=np.int64) for t in truth_frames}
     per_frame = []
-    for t in sorted(truth_by_frame):
+    for t, ref in sorted(truth_by_frame.items()):
         out = found_labels.get(t)
-        if out is None:
-            if len(truth_by_frame[t]) == 0:
-                per_frame.append(0.0)
-                continue
+        if out is None and len(ref):
             raise ValueError(f"no output labels for frame {t}")
-        per_frame.append(
-            segmentation_error(LabeledFrame(t, out), LabeledFrame(t, truth_by_frame[t]))
-        )
+        error = 0.0 if out is None else segmentation_error(LabeledFrame(t, out), LabeledFrame(t, ref))
+        per_frame.append(error)
     mean_error = float(np.mean(per_frame)) if per_frame else 0.0
-    label_map = match_labels(found_labels, truth_by_frame)
     found_events = list(found_events)
     truth_events = list(truth_events)
-    matched = _count_event_matches(found_events, truth_events, tolerance_frames, label_map)
-    precision = matched / len(found_events) if found_events else 1.0
-    recall = matched / len(truth_events) if truth_events else 1.0
+    label_map = match_labels(found_labels, truth_by_frame)
+    matched, precision, recall = _score_events(found_events, truth_events, tolerance_frames, label_map)
     return MetricsReport(
         per_frame_error=per_frame,
         mean_error=mean_error,
@@ -233,8 +215,12 @@ class SynthScenario:
             raise ValueError("trajectories must be (objects, frames, 3)")
         if self.points_per_object < 1:
             raise ValueError("points_per_object must be >= 1")
-        if self.kind not in SCENARIO_KINDS:
+        if self.kind not in SCENARIO_FRAMES:
             raise ValueError(f"unknown scenario kind: {self.kind}")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        if not (math.isfinite(self.contact_threshold) and self.contact_threshold > 0):
+            raise ValueError(f"contact_threshold must be finite and > 0, got {self.contact_threshold}")
         if self.occluder_width < 0:
             raise ValueError("occluder_width must be >= 0")
 
@@ -250,22 +236,24 @@ class SynthScenario:
 
 @dataclass
 class GeneratedSequence:
-    scenario: SynthScenario
     frames: list[PointCloudFrame]
     truth_labels: list[LabeledFrame]
     truth_interactions: list[InteractionRecord]
 
 
-def _surface_gap(a: ShapeSpec, ca: np.ndarray, b: ShapeSpec, cb: np.ndarray) -> float:
-    """Minimum surface distance between two shapes (axis-aligned, no rotation)."""
+def _surface_gap(a: ShapeSpec, ca: np.ndarray, b: ShapeSpec, cb: np.ndarray) -> np.ndarray:
+    """Minimum surface distance between two shapes (axis-aligned, no rotation).
+
+    Centers are (..., 3) arrays, so one call covers every frame of a trajectory.
+    """
     if a.kind == "sphere" and b.kind == "sphere":
-        return max(0.0, float(np.linalg.norm(ca - cb)) - a.size[0] - b.size[0])
+        return np.maximum(0.0, np.linalg.norm(ca - cb, axis=-1) - a.size[0] - b.size[0])
     half_a = np.asarray(a.size) / 2.0 if a.kind == "box" else np.full(3, a.size[0])
     half_b = np.asarray(b.size) / 2.0 if b.kind == "box" else np.full(3, b.size[0])
     # per-axis clearance; spheres handled as their bounding boxes is avoided
     # above for the sphere/sphere case, mixed pairs use a conservative box hull
     gaps = np.maximum(0.0, np.abs(ca - cb) - half_a - half_b)
-    return float(np.linalg.norm(gaps))
+    return np.linalg.norm(gaps, axis=-1)
 
 
 def _sample_shape(shape: ShapeSpec, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -281,28 +269,14 @@ def _sample_shape(shape: ShapeSpec, n: int, rng: np.random.Generator) -> np.ndar
 
 def _truth_events(scenario: SynthScenario) -> list[InteractionRecord]:
     """Contiguous frame runs where some object pair is in contact."""
-    if len(scenario.shapes) < 2:
-        return []
+    shapes, traj = scenario.shapes, scenario.trajectories
     events: list[InteractionRecord] = []
-    n = len(scenario.shapes)
-    for i in range(n):
-        for j in range(i + 1, n):
-            run_start = None
-            for t in range(scenario.frame_count):
-                gap = _surface_gap(
-                    scenario.shapes[i],
-                    scenario.trajectories[i, t],
-                    scenario.shapes[j],
-                    scenario.trajectories[j, t],
-                )
-                touching = gap < scenario.contact_threshold
-                if touching and run_start is None:
-                    run_start = t
-                elif not touching and run_start is not None:
-                    events.append(InteractionRecord(run_start, t - 1, -1, (i, j)))
-                    run_start = None
-            if run_start is not None:
-                events.append(InteractionRecord(run_start, scenario.frame_count - 1, -1, (i, j)))
+    for i, j in itertools.combinations(range(len(shapes)), 2):
+        touching = _surface_gap(shapes[i], traj[i], shapes[j], traj[j]) < scenario.contact_threshold
+        # +1 where a run starts, -1 one frame past where it ends
+        steps = np.diff(np.concatenate(([0], touching.astype(np.int8), [0])))
+        for start, stop in zip(np.flatnonzero(steps == 1), np.flatnonzero(steps == -1)):
+            events.append(InteractionRecord(int(start), int(stop) - 1, -1, (i, j)))
     events.sort(key=lambda e: (e.start_frame, e.end_frame, e.object_ids))
     return events
 
@@ -310,133 +284,87 @@ def _truth_events(scenario: SynthScenario) -> list[InteractionRecord]:
 def generate_scenario(scenario: SynthScenario) -> GeneratedSequence:
     """Deterministic point stream with per-point truth labels and truth events."""
     rng = np.random.Generator(np.random.Philox(scenario.rng_seed))
-    base = [_sample_shape(s, scenario.points_per_object, rng) for s in scenario.shapes]
-    jitter = [
-        rng.integers(-6, 7, size=(scenario.points_per_object, 3)) for _ in scenario.shapes
-    ]
+    n = scenario.points_per_object
+    base = [_sample_shape(s, n, rng) for s in scenario.shapes]
+    jitter = [rng.integers(-6, 7, size=(n, 3)) for _ in scenario.shapes]
+    # colours and labels do not change between frames; each frame gets its own copy
+    colors = np.concatenate(
+        [np.clip(np.asarray(s.color) + j, 0, 255).astype(np.uint8) for s, j in zip(scenario.shapes, jitter)]
+    )
+    labels = np.repeat(np.arange(len(scenario.shapes), dtype=np.int64), n)
     frames: list[PointCloudFrame] = []
     truths: list[LabeledFrame] = []
     for t in range(scenario.frame_count):
-        pts_parts = []
-        col_parts = []
-        lab_parts = []
-        for k, shape in enumerate(scenario.shapes):
-            p = base[k] + scenario.trajectories[k, t]
-            p = p + rng.normal(scale=scenario.noise_sigma, size=p.shape)
-            c = np.clip(np.asarray(shape.color) + jitter[k], 0, 255).astype(np.uint8)
-            pts_parts.append(p)
-            col_parts.append(c)
-            lab_parts.append(np.full(len(p), k, dtype=np.int64))
-        pts = np.concatenate(pts_parts)
-        cols = np.concatenate(col_parts)
-        labs = np.concatenate(lab_parts)
+        centers = scenario.trajectories[:, t]
+        pts = np.concatenate(
+            [b + c + rng.normal(scale=scenario.noise_sigma, size=b.shape) for b, c in zip(base, centers)]
+        )
         center = scenario.occluder_center(t)
-        if center is not None:
-            keep = np.abs(pts[:, 0] - center) >= scenario.occluder_width / 2.0
-            pts, cols, labs = pts[keep], cols[keep], labs[keep]
-        frames.append(PointCloudFrame(frame_index=t, points=pts, colors=cols))
-        truths.append(LabeledFrame(frame_index=t, labels=labs))
-    return GeneratedSequence(
-        scenario=scenario,
-        frames=frames,
-        truth_labels=truths,
-        truth_interactions=_truth_events(scenario),
-    )
+        keep = slice(None) if center is None else np.abs(pts[:, 0] - center) >= scenario.occluder_width / 2.0
+        frames.append(PointCloudFrame(frame_index=t, points=pts[keep], colors=colors[keep].copy()))
+        truths.append(LabeledFrame(frame_index=t, labels=labels[keep].copy()))
+    return GeneratedSequence(frames=frames, truth_labels=truths, truth_interactions=_truth_events(scenario))
 
 
 def _hold_profile(frame_count: int, start: float, floor: float, rate: float, hold: int) -> np.ndarray:
     """Half-gap profile: linear approach to the floor, hold, linear retreat."""
-    out = np.empty(frame_count)
-    t_reach = int(math.ceil((start - floor) / rate))
-    for t in range(frame_count):
-        if t < t_reach:
-            out[t] = max(floor, start - rate * t)
-        elif t < t_reach + hold:
-            out[t] = floor
-        else:
-            out[t] = floor + rate * (t - t_reach - hold + 1)
-    return out
+    t = np.arange(frame_count)
+    t_reach = math.ceil((start - floor) / rate)
+    retreat = np.maximum(t - t_reach - hold + 1, 0)  # 0 until the hold ends
+    return np.where(t < t_reach, np.maximum(floor, start - rate * t), floor + rate * retreat)
 
 
-def make_scenario(
-    kind: str,
-    frame_count: int | None = None,
-    rng_seed: int = 0,
-    points_per_object: int = 1500,
-    noise_sigma: float = 0.0015,
-    contact_threshold: float = 0.16,
-) -> SynthScenario:
-    """Scripted trajectories for the four built-in scenario kinds."""
+def make_scenario(kind: str, frame_count: int | None = None, **fields) -> SynthScenario:
+    """Scripted trajectories for the built-in scenario kinds.
+
+    ``frame_count`` defaults per kind (``SCENARIO_FRAMES``); ``fields`` sets
+    any other ``SynthScenario`` field, such as ``rng_seed``,
+    ``points_per_object``, ``noise_sigma`` or ``contact_threshold``.
+    """
+    if kind not in SCENARIO_FRAMES:
+        raise ValueError(f"unknown scenario kind: {kind}")
+    f = SCENARIO_FRAMES[kind] if frame_count is None else frame_count
+    t = np.arange(f)  # empty for f < 1, so SynthScenario's own check reports the frame count
+    radius = 0.12
+    spheres = [ShapeSpec("sphere", (radius,), color) for color in ((205, 60, 60), (60, 80, 205))]
+    traj = np.zeros((2, len(t), 3))
     if kind == "approach_merge_split":
-        f = 26 if frame_count is None else frame_count
-        radius = 0.12
-        shapes = [
-            ShapeSpec("sphere", (radius,), (205, 60, 60)),
-            ShapeSpec("sphere", (radius,), (60, 80, 205)),
-        ]
+        shapes = spheres
         # surface gap: fast approach, near-touch hold, fast retreat
-        gap = _hold_profile(f, start=0.42, floor=0.008, rate=0.10, hold=6)
-        half = (gap + 2 * radius) / 2.0
-        traj = np.zeros((2, f, 3))
+        half = (_hold_profile(f, start=0.42, floor=0.008, rate=0.10, hold=6) + 2 * radius) / 2.0
         traj[0, :, 0] = -half
         traj[1, :, 0] = half
     elif kind == "occlusion_split":
         # static box, a narrow mask drifts across its middle; both visible
         # pieces stay on previously-seen territory the whole time
-        f = 24 if frame_count is None else frame_count
         shapes = [ShapeSpec("box", (1.0, 0.16, 0.16), (80, 170, 90))]
-        traj = np.zeros((1, f, 3))
+        traj = np.zeros((1, len(t), 3))
+        fields.update(occluder_width=0.10, occluder_frames=(min(5, f - 1), min(17, f - 1)))
+        fields.update(occluder_x=-0.06, occluder_drift=0.01)
     elif kind == "static":
-        f = 8 if frame_count is None else frame_count
-        radius = 0.12
-        shapes = [
-            ShapeSpec("sphere", (radius,), (205, 60, 60)),
-            ShapeSpec("sphere", (radius,), (60, 80, 205)),
-        ]
-        traj = np.zeros((2, f, 3))
+        shapes = spheres
         traj[0, :, 0] = -0.5
         traj[1, :, 0] = 0.5
-    elif kind == "crossing":
-        f = 20 if frame_count is None else frame_count
-        shapes = [
-            ShapeSpec("box", (0.2, 0.15, 0.15), (210, 160, 60)),
-            ShapeSpec("box", (0.2, 0.15, 0.15), (90, 70, 190)),
-        ]
-        traj = np.zeros((2, f, 3))
-        traj[0, :, 0] = -0.5 + 0.05 * np.arange(f)
-        traj[1, :, 1] = -0.5 + 0.05 * np.arange(f)
+    else:  # crossing
+        shapes = [ShapeSpec("box", (0.2, 0.15, 0.15), color) for color in ((210, 160, 60), (90, 70, 190))]
+        traj[0, :, 0] = -0.5 + 0.05 * t
+        traj[1, :, 1] = -0.5 + 0.05 * t
         traj[1, :, 2] = 0.45  # clears the first path with margin
-    else:
-        raise ValueError(f"unknown scenario kind: {kind}")
-    scenario = SynthScenario(
-        kind=kind,
-        shapes=shapes,
-        trajectories=traj,
-        frame_count=f,
-        points_per_object=points_per_object,
-        noise_sigma=noise_sigma,
-        rng_seed=rng_seed,
-        contact_threshold=contact_threshold,
-    )
-    if kind == "occlusion_split":
-        scenario.occluder_width = 0.10
-        scenario.occluder_frames = (min(5, f - 1), min(17, f - 1))
-        scenario.occluder_x = -0.06
-        scenario.occluder_drift = 0.01
-    return scenario
+    return SynthScenario(kind=kind, shapes=shapes, trajectories=traj, frame_count=f, **fields)
 
 
 def scenario_from_spec(text: str, path: str = "<spec>") -> SynthScenario:
     """Parse a key=value scenario spec (kind, frames, seed, points, noise, contact); errors name ``path:line``."""
+    # spec key -> (make_scenario argument, value type)
     keys = {
-        "kind": str,
-        "frames": int,
-        "seed": int,
-        "points_per_object": int,
-        "noise_sigma": float,
-        "contact_threshold": float,
+        "kind": ("kind", str),
+        "frames": ("frame_count", int),
+        "seed": ("rng_seed", int),
+        "points_per_object": ("points_per_object", int),
+        "noise_sigma": ("noise_sigma", float),
+        "contact_threshold": ("contact_threshold", float),
     }
-    values: dict = {}
+    args: dict = {}
     for line_no, line in significant_lines(text.splitlines()):
         if "=" not in line:
             raise ValueError(f"{path}:{line_no}: expected key=value, got {line!r}")
@@ -445,17 +373,14 @@ def scenario_from_spec(text: str, path: str = "<spec>") -> SynthScenario:
         val = val.strip()
         if key not in keys:
             raise ValueError(f"{path}:{line_no}: unknown scenario key {key!r}")
+        arg, parse = keys[key]
         try:
-            values[key] = keys[key](val)
+            args[arg] = parse(val)
         except ValueError:
             raise ValueError(f"{path}:{line_no}: bad value for {key!r}: {val!r}") from None
-    if "kind" not in values:
+    if "kind" not in args:
         raise ValueError(f"{path}: scenario spec needs a kind")
-    return make_scenario(
-        kind=values["kind"],
-        frame_count=values.get("frames"),
-        rng_seed=values.get("seed", 0),
-        points_per_object=values.get("points_per_object", 1500),
-        noise_sigma=values.get("noise_sigma", 0.0015),
-        contact_threshold=values.get("contact_threshold", 0.16),
-    )
+    try:
+        return make_scenario(**args)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

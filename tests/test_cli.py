@@ -230,6 +230,28 @@ class TestExitCodes:
         assert main(["synth", str(spec)]) == 1
         assert f"{spec}:2: expected key=value, got 'frames: 3'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line, field",
+        [
+            ("contact_threshold = nan", "contact_threshold"),
+            ("contact_threshold = -1", "contact_threshold"),
+            ("contact_threshold = 0", "contact_threshold"),
+            ("noise_sigma = -1", "noise_sigma"),
+            ("noise_sigma = nan", "noise_sigma"),
+            ("noise_sigma = inf", "noise_sigma"),
+            ("frames = 0", "frame_count"),
+            ("frames = -1", "frame_count"),
+        ],
+    )
+    def test_invalid_spec_value_names_the_file_and_field(self, tmp_path, capsys, line, field):
+        spec = tmp_path / "spec_bad.txt"
+        spec.write_text(f"kind = approach_merge_split\n{line}\n")
+        out = tmp_path / "data"
+        assert main(["synth", str(spec), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{spec}: {field} must be" in err
+        assert not out.exists()
+
     def test_eval_without_gt_is_data_error(self, tmp_path):
         frame = tmp_path / "frame_0000.txt"
         cloud_io.write_frame(

@@ -1,5 +1,10 @@
 """Metrics and synthetic scenario generation."""
 
+import hashlib
+import itertools
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,10 +12,12 @@ from hypothesis import strategies as st
 
 from dynseg.cloud_io import InteractionRecord, LabeledFrame
 from dynseg.evaluation import (
+    SCENARIO_FRAMES,
     ShapeSpec,
     SynthScenario,
     _hold_profile,
     _surface_gap,
+    _truth_events,
     evaluate_run,
     format_metrics,
     generate_scenario,
@@ -28,6 +35,53 @@ def _lf(labels, frame=0):
 
 def _ev(start, end, ids):
     return InteractionRecord(start_frame=start, end_frame=end, blob_hint=-1, object_ids=tuple(ids))
+
+
+def _generated_digest(seq) -> str:
+    """sha256 over every frame's points, colours and truth labels, then the truth events."""
+    h = hashlib.sha256()
+    for frame, truth in zip(seq.frames, seq.truth_labels):
+        for a in (frame.points, frame.colors, truth.labels):
+            h.update(f"{a.dtype.str}{a.shape}".encode())
+            h.update(np.ascontiguousarray(a).tobytes())
+    events = [(e.start_frame, e.end_frame, e.blob_hint, e.object_ids) for e in seq.truth_interactions]
+    h.update(repr(events).encode())
+    return h.hexdigest()
+
+
+def _three_spheres() -> SynthScenario:
+    """Three spheres 120 degrees apart on approach_merge_split's gap profile, like the triple workload."""
+    gaps = _hold_profile(16, start=0.42, floor=0.008, rate=0.10, hold=6)
+    radial = (gaps + 2 * 0.12) / (2 * math.sin(math.pi / 3))
+    traj = np.zeros((3, 16, 3))
+    for k in range(3):
+        angle = math.pi / 2 + 2 * math.pi * k / 3
+        traj[k, :, 0] = radial * math.cos(angle)
+        traj[k, :, 1] = radial * math.sin(angle)
+    shapes = [ShapeSpec("sphere", (0.12,), c) for c in ((205, 60, 60), (60, 80, 205), (70, 180, 90))]
+    return SynthScenario(kind="approach_merge_split", shapes=shapes, trajectories=traj, frame_count=16)
+
+
+def _frame_loop_truth_events(scenario):
+    """Reference: the per-frame, per-pair loop over _surface_gap that finds truth contact runs."""
+    events = []
+    n = len(scenario.shapes)
+    for i in range(n):
+        for j in range(i + 1, n):
+            run_start = None
+            for t in range(scenario.frame_count):
+                traj = scenario.trajectories
+                gap = _surface_gap(scenario.shapes[i], traj[i, t], scenario.shapes[j], traj[j, t])
+                touching = gap < scenario.contact_threshold
+                if touching and run_start is None:
+                    run_start = t
+                elif not touching and run_start is not None:
+                    events.append(InteractionRecord(run_start, t - 1, -1, (i, j)))
+                    run_start = None
+            if run_start is not None:
+                events.append(InteractionRecord(run_start, scenario.frame_count - 1, -1, (i, j)))
+    events.sort(key=lambda e: (e.start_frame, e.end_frame, e.object_ids))
+    return events
 
 
 class TestSegmentationError:
@@ -96,6 +150,28 @@ class TestMatchLabels:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             match_labels({0: np.asarray([0, 1])}, {0: np.asarray([0])})
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        frames=st.lists(
+            st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=12), min_size=1, max_size=3
+        )
+    )
+    def test_reaches_the_brute_force_maximum_overlap(self, frames):
+        found = {f: np.asarray([a for a, _ in pairs], dtype=np.int64) for f, pairs in enumerate(frames)}
+        truth = {f: np.asarray([b for _, b in pairs], dtype=np.int64) for f, pairs in enumerate(frames)}
+        overlap = Counter(pair for pairs in frames for pair in pairs)
+        out_ids = sorted({a for a, _ in overlap})
+        ref_ids = sorted({b for _, b in overlap})
+        # every one-to-one map from output ids into truth ids, None leaving an id unmatched
+        best = max(
+            sum(overlap[(a, b)] for a, b in zip(out_ids, image) if b is not None)
+            for image in itertools.permutations(ref_ids + [None] * len(out_ids), len(out_ids))
+        )
+        mapping = match_labels(found, truth)
+        assert len(set(mapping.values())) == len(mapping)
+        assert all(overlap[pair] > 0 for pair in mapping.items())
+        assert sum(overlap[pair] for pair in mapping.items()) == best
 
 
 class TestInteractionScore:
@@ -191,6 +267,14 @@ class TestShapes:
             SynthScenario(kind="static", shapes=[shape], trajectories=np.zeros((2, 3, 3)), frame_count=3)
         with pytest.raises(ValueError):
             SynthScenario(kind="bogus", shapes=[shape], trajectories=np.zeros((1, 3, 3)), frame_count=3)
+        for field, value in (
+            ("noise_sigma", -1.0),
+            ("noise_sigma", math.nan),
+            ("contact_threshold", 0.0),
+            ("contact_threshold", math.inf),
+        ):
+            with pytest.raises(ValueError, match=f"^{field} must be finite"):
+                SynthScenario("static", [shape], np.zeros((1, 3, 3)), frame_count=3, **{field: value})
 
 
 class TestHoldProfile:
@@ -214,6 +298,24 @@ class TestGenerateScenario:
             assert np.array_equal(fa.points, fb.points)
             assert np.array_equal(fa.colors, fb.colors)
         assert not np.array_equal(a.frames[0].points, c.frames[0].points)
+
+    def test_generated_bytes_are_pinned(self):
+        """One digest per kind at seed 0 and default sizes, plus three spheres as in the triple workload."""
+        digests = {kind: _generated_digest(generate_scenario(make_scenario(kind))) for kind in SCENARIO_FRAMES}
+        digests["three_spheres"] = _generated_digest(generate_scenario(_three_spheres()))
+        assert digests == {
+            "approach_merge_split": "b4a0374aabef206da111dcfc71a8452e63ab8bc2c3d62c5f0366e4742562bbc6",
+            "occlusion_split": "e5b26e502a38ffcd16ec45003f465151efc1725240bb585fa79c2f04aae8a629",
+            "static": "21b7f67105e0a7a0cc42fb80e561be3197a28451d484660d6292b84a68f1b458",
+            "crossing": "ed0fbbcefdd093248d684725a6b32914d598ed9c2684e85f2b9f83cc9b2597c4",
+            "three_spheres": "36f668e5dea779e7d757eca19ed47ceb39627be56be380803f58a3a87f68723b",
+        }
+
+    def test_frames_own_their_arrays(self):
+        seq = generate_scenario(make_scenario("static", frame_count=3, points_per_object=20))
+        arrays = [a for f, t in zip(seq.frames, seq.truth_labels) for a in (f.points, f.colors, t.labels)]
+        for a, b in itertools.combinations(arrays, 2):
+            assert not np.shares_memory(a, b)
 
     def test_truth_labels_partition_points(self):
         seq = generate_scenario(make_scenario("static", points_per_object=120))
@@ -257,6 +359,40 @@ class TestGenerateScenario:
         center = scenario.occluder_center(t)
         xs = seq.frames[t].points[:, 0]
         assert (xs < center).any() and (xs > center).any()
+
+
+class TestTruthEvents:
+    def test_a_pair_that_touches_twice_gives_two_events(self):
+        shapes = [ShapeSpec("sphere", (0.1,), (0, 0, 0)), ShapeSpec("box", (0.2, 0.2, 0.2), (0, 0, 0))]
+        traj = np.zeros((2, 6, 3))
+        traj[1, :, 0] = [1.0, 0.25, 0.25, 1.0, 0.2, 0.2]
+        scenario = SynthScenario("static", shapes, traj, frame_count=6, contact_threshold=0.1)
+        assert [(e.start_frame, e.end_frame, e.object_ids) for e in _truth_events(scenario)] == [
+            (1, 2, (0, 1)),
+            (4, 5, (0, 1)),
+        ]
+        assert _truth_events(scenario) == _frame_loop_truth_events(scenario)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        objects=st.integers(2, 3),
+        frames=st.integers(1, 12),
+        contact=st.floats(0.01, 0.3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_frame_loop(self, objects, frames, contact, seed):
+        rng = np.random.default_rng(seed)
+        shapes = [
+            ShapeSpec("sphere", (rng.uniform(0.05, 0.15),), (0, 0, 0))
+            if rng.random() < 0.5
+            else ShapeSpec("box", tuple(rng.uniform(0.05, 0.3, 3)), (0, 0, 0))
+            for _ in range(objects)
+        ]
+        traj = rng.uniform(-0.4, 0.4, (objects, frames, 3)) * [1.0, 0.3, 0.3]
+        scenario = SynthScenario(
+            kind="static", shapes=shapes, trajectories=traj, frame_count=frames, contact_threshold=contact
+        )
+        assert _truth_events(scenario) == _frame_loop_truth_events(scenario)
 
 
 class TestScenarioSpec:

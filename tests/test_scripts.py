@@ -47,3 +47,12 @@ def test_output_digest_matches_pinned_digests(capsys):
         "0cdd175222d3c1c28a2d788ac871d9496f18c9a032105c1d65fdb88bd081cf0c  crossing-0\n"
         "ca0ccb94c0c41f0d7ae14e99bc6d3c7814f1d403adcc93a8e8e0b76f3cf73e38  triple_contact_fine-0\n"
     )
+
+
+def test_run_scenarios_tabulates_one_row_per_seed(capsys):
+    assert _load("run_scenarios").main(["--kinds", "static", "--seeds", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(r"kind +seed +frames +error +events +time", lines[0])
+    assert re.fullmatch(r"static +0 +8 +\d\.\d{4} +0/0f/0t +\d+\.\ds", lines[1])
+    assert re.fullmatch(r"static +mean error over 1 seeds: \d\.\d{4}", lines[2])
+    assert len(lines) == 3
