@@ -135,11 +135,12 @@ def cmd_segment(ns: argparse.Namespace) -> int:
         raise ConfigError(str(exc)) from exc
     out_dir = ns.out or "."
     manifest = cloud_io.load_sequence(ns.manifest)
-    frames = [cloud_io.load_frame(p, frame_index=i) for i, p in enumerate(manifest.frame_paths)]
+    # frames load one at a time as they are tracked; output starts once every frame is tracked
+    frames = (cloud_io.load_frame(p, frame_index=i) for i, p in enumerate(manifest.frame_paths))
+    result = run_sequence(frames, config)
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config_resolved.txt"), "w", encoding="utf-8") as fh:
         fh.write(format_resolved_config(config))
-    result = run_sequence(frames, config)
     for r in result.frames:
         if len(r.point_labels) == 0:
             continue

@@ -166,24 +166,22 @@ def process_frame(state: PipelineState, frame: PointCloudFrame) -> FrameResult:
         timings["assignment"] = (time.perf_counter() - ta) * 1e3
 
         sr = cfg.supervoxel.seed_resolution
-        seeds, seg_site = derive_blob_seeds(problem, assignment, blobs, graph, sr)
-        cuts: dict[int, np.ndarray] = {}
+        labels, seat = derive_blob_seeds(problem, assignment, blobs, graph, sr)
         tc = time.perf_counter()
-        for k, blob in enumerate(blobs):
-            if len(set(seeds[k].values())) >= 2:
+        for blob in blobs:
+            seeded = blob[labels[blob] >= 0]
+            if len(np.unique(labels[seeded])) >= 2:
                 cut_problem = CutProblem(
                     subgraph=graph.subgraph(blob),
-                    label_seeds=seeds[k],
+                    label_seeds=dict(zip(seeded.tolist(), labels[seeded].tolist())),
                     previous_boundary=state.boundary,
                     params=cfg.cut,
                     seed_resolution=sr,
                 )
-                cuts[k] = restricted_cut(cut_problem)
+                labels[blob] = restricted_cut(cut_problem)
         timings["cut"] = (time.perf_counter() - tc) * 1e3
 
-        tree = update_tree(
-            state.tree, blobs, graph, problem, seeds, seg_site, cuts, fidx, state.alloc, cfg.overseg
-        )
+        tree = update_tree(state.tree, blobs, graph, problem, labels, seat, fidx, state.alloc, cfg.overseg)
         tree = accumulate_similarities(tree, state.tree, graph, cfg.tree)
         tree, audit = confirm_splits_merges(tree, graph, cfg.tree, state.alloc, cfg.overseg)
         merges, splits = audit["merges"], audit["splits"]
@@ -191,14 +189,14 @@ def process_frame(state: PipelineState, frame: PointCloudFrame) -> FrameResult:
     state.open_events, closed = detect_interactions(tree, state.open_events)
     _update_ghosts(state, tree, fidx, prev_feats)
     state.boundary = boundary_midpoints(graph, tree.object_of)
-    labels = tree.object_of[supervoxels.of_point]
+    point_labels = tree.object_of[supervoxels.of_point]
     state.tree = tree
     timings["tree"] = (time.perf_counter() - t) * 1e3 - timings["assignment"] - timings["cut"]
     timings["total"] = (time.perf_counter() - t_total) * 1e3
 
     return FrameResult(
         frame_index=fidx,
-        point_labels=labels,
+        point_labels=point_labels,
         supervoxel_count=len(supervoxels),
         blob_count=len(blobs),
         object_count=len(tree.live_objects()),
@@ -213,30 +211,21 @@ def process_frame(state: PipelineState, frame: PointCloudFrame) -> FrameResult:
 
 
 def _update_ghosts(state: PipelineState, tree: SegTree, frame_index: int, prev_feats: list[SegmentFeature]) -> None:
-    """Track objects with no presence this frame; expire long-missing ones.
+    """Rebuild the ghosts from the tree's missing objects and take the rest off file.
 
-    ``prev_feats`` are the previous frame's segment features.
+    A missing object keeps its ghost, or gets one from ``prev_feats``, the
+    previous frame's segment features.  It stays on file while its ghost has
+    segments and it has been missing for fewer than retention_frames frames.
     """
-    retention = state.config.retention_frames
-    for oid in tree.live_objects():
-        state.ghosts.pop(oid, None)
-    unrecorded = []  # nothing recorded to revive them from
+    ghosts, gone = {}, []
     for oid in tree.missing_objects():
-        if oid in state.ghosts:
-            continue
-        feats = [f for f in prev_feats if f.parent_object_id == oid]
-        if feats:
-            state.ghosts[oid] = _Ghost(segments=feats, missing_since=frame_index)
+        ghost = state.ghosts.get(oid) or _Ghost([f for f in prev_feats if f.parent_object_id == oid], frame_index)
+        if ghost.segments and frame_index - ghost.missing_since < state.config.retention_frames:
+            ghosts[oid] = ghost
         else:
-            unrecorded.append(oid)
-    expired = [
-        oid
-        for oid, g in state.ghosts.items()
-        if frame_index - g.missing_since + 1 > retention
-    ]
-    for oid in expired:
-        del state.ghosts[oid]
-    tree.forget(unrecorded + expired)
+            gone.append(oid)
+    tree.forget(gone)
+    state.ghosts = ghosts
 
 
 def run_sequence(frames, config: PipelineConfig) -> SequenceResult:

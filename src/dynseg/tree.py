@@ -168,14 +168,10 @@ def init_tree(
     objects closer than candidate_gap start accumulating their similarity
     from zero.
     """
-    tree = update_tree(prev, blobs, graph, None, [{} for _ in blobs], {}, {}, frame_index, alloc, overseg)
+    unseeded = np.full(len(graph.nodes), -1, dtype=np.int64)
+    tree = update_tree(prev, blobs, graph, None, unseeded, np.empty(0, dtype=np.int64), frame_index, alloc, overseg)
     tree.object_similarity = dict.fromkeys(_candidates(tree, graph, params, {}), 0.0)
     return tree
-
-
-def _first_free(ranked: list[int], taken: dict[int, int]) -> int | None:
-    """The first supervoxel in ``ranked`` that no object has taken yet."""
-    return next((sv for sv in ranked if sv not in taken), None)
 
 
 def derive_blob_seeds(
@@ -184,57 +180,51 @@ def derive_blob_seeds(
     blobs: list[np.ndarray],
     graph: AdjacencyGraph,
     seed_resolution: float,
-) -> tuple[list[dict[int, int]], dict[int, tuple[int, int]]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Choose seed supervoxels inside each blob for the objects assigned into it.
 
-    Returns ({sv_id -> object_id} per blob index, segment index -> (blob index, sv_id)).
-    Every object assigned into a blob keeps at least one seed; remaining
-    segments claim their nearest free supervoxel.
+    Returns (seed_of, seat): seed_of holds the object seeded at each node
+    position of ``graph``, -1 for none; seat holds the node position each
+    segment sits at, -1 for an unassigned segment.  Every object assigned
+    into a blob keeps at least one seed; remaining segments claim their
+    nearest free supervoxel, or share the nearest seeded one when none is free.
     """
-    seeds: list[dict[int, int]] = [{} for _ in blobs]
-    seg_site: dict[int, tuple[int, int]] = {}
+    seed_of = np.full(len(graph.nodes), -1, dtype=np.int64)
+    seat = np.full(problem.num_segments, -1, dtype=np.int64)
     for k, members in enumerate(blobs):
-        at = np.searchsorted(graph.nodes, members)
-        cen, col = graph.centroids[at], graph.colors_lab[at]
         assigned = [s for s in range(problem.num_segments) if assignment.labels[s] == k]
         if not assigned:
             continue
+        at = np.searchsorted(graph.nodes, members)
+        cen, col = graph.centroids[at], graph.colors_lab[at]
         # claim cost mirrors the cut unary: distance plus color difference
         claims: list[tuple[float, int, int]] = []  # (cost, object, segment)
-        ranked: dict[int, list[int]] = {}  # segment -> members, cheapest first
+        ranked: dict[int, np.ndarray] = {}  # segment -> member positions, cheapest first
         for s in assigned:
             seg = problem.segments[s]
             d = np.linalg.norm(cen - np.asarray(seg.centroid), axis=1) / seed_resolution
             dc = np.linalg.norm(col - np.asarray(seg.mean_color_lab), axis=1) / 100.0
             cost = d + dc
             order = np.argsort(cost, kind="stable")
-            ranked[s] = members[order].tolist()
+            ranked[s] = at[order]
             claims.append((float(cost[order[0]]), seg.parent_object_id, s))
         claims.sort()
-        taken = seeds[k]
-        # round 1: one seed per object, cheapest first
+        # round 1 seeds one site per object, cheapest first, while free sites
+        # last; round 2 seeds each remaining segment's nearest free site, or
+        # seats it at its nearest site when none is free
         seeded_objects: set[int] = set()
-        for _, oid, s in claims:
-            if oid in seeded_objects:
-                continue
-            site = _first_free(ranked[s], taken)
-            if site is None:
-                continue  # blob smaller than its object count
-            taken[site] = oid
-            seg_site[s] = (k, site)
-            seeded_objects.add(oid)
-        # round 2: remaining segments seed their nearest free supervoxel,
-        # or share the nearest occupied one when none is free
-        for _, oid, s in claims:
-            if s in seg_site:
-                continue
-            site = _first_free(ranked[s], taken)
-            if site is None:
-                seg_site[s] = (k, ranked[s][0])
-                continue
-            taken[site] = oid
-            seg_site[s] = (k, site)
-    return seeds, seg_site
+        for first_round in (True, False):
+            for _, oid, s in claims:
+                if seat[s] >= 0 or (first_round and oid in seeded_objects):
+                    continue
+                free = ranked[s][seed_of[ranked[s]] < 0]
+                if len(free):
+                    seed_of[free[0]] = oid
+                    seat[s] = free[0]
+                    seeded_objects.add(oid)
+                elif not first_round:
+                    seat[s] = ranked[s][0]
+    return seed_of, seat
 
 
 def update_tree(
@@ -242,39 +232,37 @@ def update_tree(
     blobs: list[np.ndarray],
     graph: AdjacencyGraph,
     problem: AssignmentProblem | None,
-    seeds: list[dict[int, int]],
-    seg_site: dict[int, tuple[int, int]],
-    cuts: dict[int, np.ndarray],
+    labels: np.ndarray,
+    seat: np.ndarray,
     frame_index: int,
     alloc: IdAllocator,
     overseg: OversegConfig,
 ) -> SegTree:
     """Carry object identity into the current frame's blob partition.
 
-    seeds and seg_site are derive_blob_seeds' output for this frame's
-    assignment of ``problem``; cuts maps the index of each multi-label blob
-    to its restricted_cut labeling.  Single-label blobs go wholly to their
-    object, multi-label blobs take their cut's labels, and unassigned blobs
-    found new objects.  The objects on file in ``prev`` stay on file.
+    ``labels`` holds an object id or -1 per node position of ``graph``:
+    derive_blob_seeds' seeds, with each contested blob's restricted_cut
+    labels written over them.  ``seat`` is derive_blob_seeds' node position
+    per segment of ``problem``.  A blob with no id founds an object, a blob
+    with one id takes it everywhere, and a fully labelled blob keeps its
+    labels.  The objects on file in ``prev`` stay on file.
     """
     nodes = graph.nodes
-    object_of = np.empty(len(nodes), dtype=np.int64)
+    object_of = np.array(labels, dtype=np.int64)
     blob_of = np.empty(len(nodes), dtype=np.int64)
     births = dict(prev.births) if prev is not None else {}
     for k, members in enumerate(blobs):
         at = np.searchsorted(nodes, members)
         blob_of[at] = k
-        labels = sorted(set(seeds[k].values()))
-        if not labels:
-            labels = [alloc.new_object_id()]
-            births[labels[0]] = frame_index
-        if len(labels) == 1:
-            object_of[at] = labels[0]
-        else:
-            cut = cuts.get(k)
-            if cut is None or len(cut) != len(members):
-                raise ValueError(f"multi-label blob {k} has no cut label for every supervoxel")
-            object_of[at] = cut
+        ids = np.unique(object_of[at]).tolist()
+        if ids[0] >= 0:
+            continue  # fully labelled
+        if len(ids) == 1:  # unseeded
+            ids.append(alloc.new_object_id())
+            births[ids[1]] = frame_index
+        if len(ids) > 2:
+            raise ValueError(f"blob {k} seeds objects {ids[1:]} but has no cut label for every supervoxel")
+        object_of[at] = ids[1]
 
     # components: connected pieces of each (object, blob) region, as node
     # positions ordered by (blob, object, smallest member); no edge joins two blobs
@@ -290,9 +278,8 @@ def update_tree(
     # component id inheritance: each previous component passes its id to the
     # piece that received most of its assigned segments
     votes: dict[int, Counter] = {}
-    for s, (_, sv) in seg_site.items():
-        seg = problem.segments[s]
-        at = np.searchsorted(nodes, sv)
+    for s in np.flatnonzero(seat >= 0):
+        seg, at = problem.segments[s], seat[s]
         if object_of[at] == seg.parent_object_id:  # else the piece went to another object in the cut
             votes.setdefault(seg.parent_component_id, Counter())[int(piece_of[at])] += 1
     prev_owner = {cid: oid for cid, (oid, _) in prev.component_table().items()} if prev is not None else {}

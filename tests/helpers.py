@@ -120,7 +120,7 @@ def check_frame_invariants(tree, labels) -> set[int]:
 
 
 def run_checked(frames, config):
-    """Run frames through process_frame, checking the invariants after each one."""
+    """Run frames through process_frame, checking the invariants and that only missing objects have ghosts after each one."""
     state = init_state(config)
     results, on_file, dropped = [], set(), set()
     for frame in frames:
@@ -129,6 +129,7 @@ def run_checked(frames, config):
             assert len(results[-1].point_labels) == 0
             continue
         now = check_frame_invariants(state.tree, results[-1].point_labels)
+        assert set(state.ghosts) <= set(state.tree.missing_objects()), "a ghost outlives its object on file"
         assert not now & dropped, f"object ids {sorted(now & dropped)} came back"
         dropped |= on_file - now
         on_file = now

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import dynseg
-from dynseg import cloud_io
+from dynseg import cloud_io, pipeline
 from dynseg.cli import (
     ConfigError,
     _config_keys,
@@ -157,6 +157,27 @@ class TestEndToEnd:
         assert "retention_frames=3" in lines
         assert "seed=5" in lines
 
+    def test_segment_loads_each_frame_as_it_tracks_it(self, tmp_path, monkeypatch):
+        spec = tmp_path / "scene.txt"
+        spec.write_text("kind = static\nframes = 3\npoints_per_object = 60\n")
+        assert main(["synth", str(spec), "--out", str(tmp_path / "data")]) == 0
+        calls = []
+
+        def logged(module, name):
+            original = getattr(module, name)
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, call)
+
+        logged(cloud_io, "load_frame")
+        logged(pipeline, "process_frame")
+        args = ["--out", str(tmp_path / "run"), "--supervoxel.voxel_resolution", "0.02"]
+        assert main(["segment", str(tmp_path / "data" / "manifest.txt"), *args]) == 0
+        assert calls == ["load_frame", "process_frame"] * 3
+
     def test_synth_seed_override_is_deterministic(self, tmp_path):
         spec = tmp_path / "scene.txt"
         spec.write_text("kind = static\nframes = 1\npoints_per_object = 60\n")
@@ -283,6 +304,16 @@ class TestExitCodes:
         manifest.write_text("frame frame_0000.txt\n")
         assert main(["segment", str(manifest), "--out", str(tmp_path / "run")]) == 2
         assert "frame_0000.txt" in capsys.readouterr().err
+
+    def test_malformed_later_frame_is_data_error_with_no_output(self, tmp_path, capsys):
+        spec = tmp_path / "scene.txt"
+        spec.write_text("kind = static\nframes = 5\npoints_per_object = 60\n")
+        assert main(["synth", str(spec), "--out", str(tmp_path / "data")]) == 0
+        (tmp_path / "data" / "frame_0003.txt").write_text("ptseq v1\npoints 2\n0 0 0 1 2 3\n")
+        code = main(["segment", str(tmp_path / "data" / "manifest.txt"), "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "frame_0003.txt" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_stage_value_error_is_pipeline_error(self, tmp_path, capsys, monkeypatch):
         spec = tmp_path / "scene.txt"

@@ -5,8 +5,10 @@ import hashlib
 import numpy as np
 import pytest
 
+from dynseg import cloud_io
 from dynseg.assignment import EnergyParams, GAConfig
-from dynseg.cloud_io import LabeledFrame, PointCloudFrame
+from dynseg.cli import main
+from dynseg.cloud_io import LabeledFrame, PointCloudFrame, SequenceManifest
 from dynseg.evaluation import ShapeSpec, SynthScenario, generate_scenario, make_scenario, segmentation_error
 from dynseg.pipeline import (
     PipelineConfig,
@@ -122,7 +124,42 @@ class TestTracking:
         assert (result.interactions[0].start_frame, result.interactions[0].end_frame) == (1, 2)
 
 
+def _hide_and_return():
+    """Two same-coloured spheres; B hides for frames 3-5 and returns 4 cm from A.
+
+    At the default thresholds B's ghost is revived and merged into A at
+    frame 8, after which A stays the only object on file.
+    """
+    rng = np.random.default_rng(0)
+    frames = []
+    for idx in range(24):
+        centers = [(0.0, 0.0, 0.0)] + ([] if 3 <= idx <= 5 else [(0.5 if idx < 3 else 0.28, 0.0, 0.0)])
+        parts = []
+        for center in centers:  # sphere A first, then B
+            normals = rng.normal(size=(800, 3))
+            parts.append(np.asarray(center) + 0.12 * normals / np.linalg.norm(normals, axis=1, keepdims=True))
+        points = np.concatenate(parts)
+        frames.append(PointCloudFrame(idx, points, np.tile(np.array([200, 60, 60], dtype=np.uint8), (len(points), 1))))
+    return frames
+
+
 class TestGaps:
+    def test_object_merged_away_on_its_return_keeps_no_ghost(self):
+        results = run_checked(_hide_and_return(), _config())
+        assert [(r.frame_index, r.merges) for r in results if r.merges] == [(8, [(0, [1])])]
+        assert [r.object_count for r in results[8:]] == [1] * 16
+
+    def test_object_merged_away_on_its_return_segments_from_the_cli(self, tmp_path):
+        paths = []
+        for frame in _hide_and_return():
+            paths.append(str(tmp_path / f"frame_{frame.frame_index:04d}.txt"))
+            cloud_io.write_frame(frame, paths[-1])
+        manifest = tmp_path / "manifest.txt"
+        cloud_io.write_manifest(SequenceManifest(name="hide", frame_paths=paths, gt_paths=[]), str(manifest))
+        args = ["segment", str(manifest), "--out", str(tmp_path / "run"), "--supervoxel.voxel_resolution", "0.02"]
+        assert main(args) == 0
+        assert len(list((tmp_path / "run").glob("labels_*.txt"))) == 24
+
     def test_empty_frame_then_revival(self):
         frames = [
             _frame(0, [((0.0, 0.0, 0.0), RED)]),

@@ -186,9 +186,9 @@ class TestDeriveBlobSeeds:
             params=EPARAMS,
         )
         assignment = Assignment(labels=np.asarray([0, 0]), energy=0.0)
-        seeds, seg_site = derive_blob_seeds(problem, assignment, blobs, g, 0.08)
-        assert seeds[0] == {0: 0, 3: 1}
-        assert seg_site == {0: (0, 0), 1: (0, 3)}
+        seed_of, seat = derive_blob_seeds(problem, assignment, blobs, g, 0.08)
+        assert seed_of.tolist() == [0, -1, -1, 1]
+        assert seat.tolist() == [0, 3]
 
     def test_blob_smaller_than_object_count(self):
         g = graph_from_edges({}, positions={0: (0.0, 0.0, 0.0)})
@@ -202,9 +202,9 @@ class TestDeriveBlobSeeds:
             params=EPARAMS,
         )
         assignment = Assignment(labels=np.asarray([0, 0]), energy=0.0)
-        seeds, seg_site = derive_blob_seeds(problem, assignment, blobs, g, 0.08)
-        assert seeds[0] == {0: 0}  # only the closer object wins the lone site
-        assert set(seg_site) == {0, 1}
+        seed_of, seat = derive_blob_seeds(problem, assignment, blobs, g, 0.08)
+        assert seed_of.tolist() == [0]  # only the closer object wins the lone site
+        assert seat.tolist() == [0, 0]
 
 
 def _tracked_pair():
@@ -225,9 +225,11 @@ def _tracked_pair():
 
 
 def _update(prev, blobs, graph, problem, assignment, cuts, alloc):
-    """update_tree at frame 1, seeded the way process_frame seeds it."""
-    seeds, seg_site = derive_blob_seeds(problem, assignment, blobs, graph, 0.08)
-    return update_tree(prev, blobs, graph, problem, seeds, seg_site, cuts, 1, alloc, OVERSEG)
+    """update_tree at frame 1, seeded and cut the way process_frame does it; cuts maps blob index -> cut labels."""
+    labels, seat = derive_blob_seeds(problem, assignment, blobs, graph, 0.08)
+    for k, cut in cuts.items():
+        labels[np.searchsorted(graph.nodes, blobs[k])] = cut
+    return update_tree(prev, blobs, graph, problem, labels, seat, 1, alloc, OVERSEG)
 
 
 class TestUpdateTree:
@@ -327,6 +329,13 @@ class TestUpdateTree:
         assignment = Assignment(labels=np.asarray([0, 0]), energy=0.0)
         with pytest.raises(ValueError):
             _update(prev, blobs1, g1, problem, assignment, {}, alloc)
+
+    def test_blob_seeding_two_objects_without_cut_labels_is_named(self):
+        g = graph_from_edges({(1, 2): 1.0, (2, 3): 1.0}, positions={k: (0.08 * k, 0.0, 0.0) for k in range(4)})
+        blobs = connected_components(g)
+        labels = np.asarray([-1, 0, -1, 1])  # blob 1 seeds objects 0 and 1 and holds an unlabelled node
+        with pytest.raises(ValueError, match=r"blob 1 seeds objects \[0, 1\]"):
+            update_tree(None, blobs, g, None, labels, np.empty(0, dtype=np.int64), 0, IdAllocator(), OVERSEG)
 
     def test_disconnected_region_splits_into_components(self):
         # one object assigned into a blob pattern that leaves its svs split
