@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.spatial import cKDTree
+
+from .supervoxel import nearest
 
 NONE_LABEL = -1
 
@@ -98,15 +99,11 @@ def _precompute(problem: AssignmentProblem) -> dict:
         seg_c = np.asarray([s.centroid for s in problem.segments])
         seg_l = np.asarray([s.mean_color_lab for s in problem.segments])
         for b, blob in enumerate(problem.blobs):
-            tree = cKDTree(blob.sv_centroids)
-            k = min(3, len(blob.sv_centroids))
-            d1, i1 = tree.query(seg_c, k=1)
-            _, ik = tree.query(seg_c, k=k)
-            ik = np.atleast_2d(np.asarray(ik).reshape(ms, k))
-            near_color = blob.sv_colors_lab[ik].mean(axis=1)
+            dist, near = nearest(seg_c, blob.sv_centroids, min(3, len(blob.sv_centroids)))
+            near_color = blob.sv_colors_lab[near].mean(axis=1)
             appearance = np.linalg.norm(near_color - seg_l, axis=1)
-            cost[:, b] = p.alpha * appearance + p.beta * d1
-            disp[:, b] = blob.sv_centroids[np.asarray(i1).reshape(ms)] - seg_c
+            cost[:, b] = p.alpha * appearance + p.beta * dist[:, 0]
+            disp[:, b] = blob.sv_centroids[near[:, 0]] - seg_c
         cost[:, mb] = p.rho
     comp = np.asarray([seg.parent_component_id for seg in problem.segments], dtype=np.int64)
     comp_groups = [np.flatnonzero(comp == cid) for cid in np.unique(comp)]

@@ -5,8 +5,8 @@ starting with "#", and every parse error names the faulty line as
 "path:line".  Frame and ground-truth files open with a "<magic> v1 <N>"
 header.  Writers emit "\n" newlines, single-space separators, and no
 trailing whitespace, so repeated runs produce byte-identical files.  Frame
-files are converted with numpy; the line-by-line checker reads only files
-in doubt.
+and label files are converted with numpy; the line-by-line checkers read
+only files in doubt.
 """
 
 from __future__ import annotations
@@ -199,8 +199,9 @@ def _check_frame_lines(path: str | os.PathLike) -> tuple[np.ndarray, np.ndarray,
 def write_frame(frame: PointCloudFrame, path: str | os.PathLike) -> None:
     """Write a frame with 9-significant-digit coordinates (round-trip safe)."""
     lines = [f"{FRAME_MAGIC} {FORMAT_VERSION} {frame.num_points}"]
-    for (x, y, z), (r, g, b) in zip(frame.points, frame.colors):
-        lines.append(f"{x:.9g} {y:.9g} {z:.9g} {int(r)} {int(g)} {int(b)}")
+    # Python floats and ints format faster than numpy scalars, to the same text
+    for (x, y, z), (r, g, b) in zip(frame.points.tolist(), frame.colors.tolist()):
+        lines.append(f"{x:.9g} {y:.9g} {z:.9g} {r} {g} {b}")
     _write_lines(path, lines)
 
 
@@ -287,7 +288,46 @@ def write_labels(frame: LabeledFrame, path: str | os.PathLike) -> None:
 
 
 def read_label_file(path: str | os.PathLike) -> dict[int, dict[int, int]]:
-    """Read label lines back into {frame_index: {point_index: object_id}}."""
+    """Read label lines back into {frame_index: {point_index: object_id}}.
+
+    A file of three-field integer rows, no (frame, point) repeated, is
+    converted with numpy; on any doubt the line checker reads it again, so
+    every error names its line.  Frames and points keep their file order.
+    """
+    rows = _label_rows(path)
+    if rows is None:
+        return _check_label_lines(path)
+    out: dict[int, dict[int, int]] = {}
+    frames, first = np.unique(rows[:, 0], return_index=True)
+    for f in frames[np.argsort(first)]:
+        mine = rows[rows[:, 0] == f]
+        out[int(f)] = dict(zip(mine[:, 1].tolist(), mine[:, 2].tolist()))
+    return out
+
+
+def _label_rows(path: str | os.PathLike) -> np.ndarray | None:
+    """(n, 3) int64 rows of a label file the line checker would accept as is, or None.
+
+    ``np.loadtxt`` parses a subset of what int() accepts and skips blank lines
+    as the checker does; "#" lines, a field count other than 3, a field it
+    does not parse or a repeated (frame, point) row leave the file in doubt.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty file
+            rows = np.loadtxt(path, dtype=np.int64, comments=None, ndmin=2, encoding="utf-8")
+    except ValueError:  # the line checker names the fault
+        return None
+    if rows.shape[1] != 3:
+        return None
+    order = np.lexsort((rows[:, 1], rows[:, 0]))
+    if (np.diff(rows[order, :2], axis=0) == 0).all(axis=1).any():
+        return None
+    return rows
+
+
+def _check_label_lines(path: str | os.PathLike) -> dict[int, dict[int, int]]:
+    """Read a label file line by line; raises ParseError naming the first faulty line."""
     out: dict[int, dict[int, int]] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in significant_lines(fh):

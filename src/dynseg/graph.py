@@ -18,9 +18,8 @@ from functools import cached_property
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components as _csgraph_components
-from scipy.spatial import cKDTree
 
-from .supervoxel import Supervoxels, squared_norms
+from .supervoxel import Supervoxels, pairs_closer_than, squared_norms
 
 
 @dataclass
@@ -140,8 +139,7 @@ def build_graph(supervoxels: Supervoxels, config: GraphConfig) -> AdjacencyGraph
     n = len(supervoxels)
     centroids, colors = supervoxels.centroids, supervoxels.colors_lab
     # centroid proximity, strictly inside the radius
-    near = cKDTree(centroids).query_pairs(config.adjacency_radius, output_type="ndarray")
-    near = near[np.sqrt(squared_norms(centroids[near[:, 0]] - centroids[near[:, 1]])) < config.adjacency_radius]
+    near = pairs_closer_than(centroids, config.adjacency_radius)
     both = np.concatenate([supervoxels.contacts, near])
     a, b = np.divmod(np.unique(both.min(axis=1) * n + both.max(axis=1)), n)
     dc = np.sqrt(squared_norms(colors[a] - colors[b]))

@@ -19,9 +19,9 @@ import numpy as np
 from scipy.linalg import eigh
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, maximum_flow
-from scipy.spatial import cKDTree
 
 from .graph import AdjacencyGraph
+from .supervoxel import nearest
 
 INF = float("inf")
 COLOR_NORM = 100.0
@@ -83,8 +83,8 @@ class CutProblem:
         g = self.subgraph
         cost = p.lambda_smooth * g.weights
         if len(self.previous_boundary):
-            d, _ = cKDTree(self.previous_boundary).query(_midpoints(g, g.edge_index))
-            cost = cost + p.mu_coherence * np.exp(-d / p.sigma_boundary)
+            d, _ = nearest(_midpoints(g, g.edge_index), self.previous_boundary)
+            cost = cost + p.mu_coherence * np.exp(-d[:, 0] / p.sigma_boundary)
         return cost
 
 

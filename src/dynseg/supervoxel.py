@@ -12,20 +12,29 @@ no seed moves or after max_iterations.
 
 The bookkeeping around the Dijkstra sorts as little as it can: voxel and
 seed-cell keys are grouped through 1-D codes built from per-axis ranks, the
-voxel links are read from an index table over the keys' bounding box, the
-symmetric link matrix is built once per frame, each pass renumbers its
-claims through a seed -> slot array, and row lengths are summed by
-``squared_norms`` rather than ``np.linalg.norm``, with the same bytes.
+voxel links are read from an index table over the keys' bounding box (with
+empty stretches between far-apart keys closed first, and binary search over
+sorted codes when the box is still too sparse), the symmetric link matrix is
+built once per frame, each pass renumbers its claims through a seed -> slot
+array, and row lengths are summed by ``squared_norms`` rather than
+``np.linalg.norm``, with the same bytes.
+
+The module also answers the method's point queries with numpy alone: the
+nearest rows of one small set to another (``nearest``) and the close pairs
+within one (``pairs_closer_than``) by brute force over blocks of distances,
+and the median nearest-neighbour spacing (``voxel_reach``) by a grid pass
+capped at a radius.  Their distances are sqrt(squared_norms(q - r)), the
+values a k-d tree query returns, bit for bit.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
-from scipy.spatial import cKDTree
 
 from .cloud_io import PointCloudFrame
 
@@ -36,6 +45,10 @@ REACH_2_SPACING = 0.875
 # the voxel-neighbour index table may hold this many int32 cells per voxel;
 # the benchmark workloads' padded bounding boxes read 4-45 cells per voxel
 TABLE_CELLS_PER_VOXEL = 64
+# entries of one block of the brute-force distance queries
+DISTANCE_BLOCK = 1 << 16
+# candidate point pairs voxel_reach expands at once, so dense clouds stay small
+REACH_BATCH = 1 << 13
 
 # sRGB (D65) to XYZ, then XYZ to CIELab with the D65 reference white.
 _RGB_TO_XYZ = np.array(
@@ -140,44 +153,153 @@ def _half_stencil(reach: int) -> np.ndarray:
     return offsets[len(offsets) // 2 + 1 :]
 
 
-def voxel_neighbour_pairs(keys: np.ndarray, reach: int = 1) -> np.ndarray:
-    """(m, 2) row pairs ``i < j`` of ``keys`` within Chebyshev distance ``reach`` (1: 26-adjacent).
+def _padded_box(keys: np.ndarray, reach: int) -> tuple[np.ndarray, list[int]]:
+    """Low corner and per-axis sizes of the keys' bounding box padded by ``reach``.
 
-    Each half-stencil offset is looked up in an index table over the keys'
-    bounding box, padded by the reach.  A box with more than
-    TABLE_CELLS_PER_VOXEL cells per key falls back to a k-d tree.
+    The sizes are Python ints: the extent of far-apart keys need not fit in int64.
     """
-    keys = np.asarray(keys, dtype=np.int64).reshape(-1, 3)
-    n = len(keys)
-    if n == 0:
-        return np.zeros((0, 2), dtype=np.int64)
     low = keys.min(axis=0)
-    # in Python ints: the extent of far-apart keys need not fit in int64
-    dims = [int(hi) - int(lo) + 1 + 2 * reach for lo, hi in zip(low, keys.max(axis=0))]
-    if dims[0] * dims[1] * dims[2] > TABLE_CELLS_PER_VOXEL * n:
-        return cKDTree(keys).query_pairs(reach, p=np.inf, output_type="ndarray")
+    return low, [int(hi) - int(lo) + 1 + 2 * reach for lo, hi in zip(low, keys.max(axis=0))]
+
+
+def _too_sparse(dims: list[int], n: int) -> bool:
+    return dims[0] * dims[1] * dims[2] > TABLE_CELLS_PER_VOXEL * n
+
+
+def _close_gaps(keys: np.ndarray, reach: int) -> np.ndarray:
+    """``keys`` with each gap wider than ``reach`` between successive values of an axis closed to ``reach + 1``.
+
+    Keys within Chebyshev ``reach`` of each other stay so, and no others come within it.
+    """
+    closed = np.empty_like(keys)
+    for axis in range(3):
+        values, rank = np.unique(keys[:, axis], return_inverse=True)
+        closed[:, axis] = np.concatenate([[0], np.cumsum(np.minimum(np.diff(values), reach + 1))])[rank]
+    return closed
+
+
+def _table_pairs(keys: np.ndarray, reach: int, low: np.ndarray, dims: list[int]) -> tuple[list, list]:
+    """Rows and partner rows of each half-stencil offset, looked up in an index table over the padded box."""
     strides = np.array([dims[1] * dims[2], dims[2], 1])
     cell = (keys - low + reach) @ strides
     table = np.full(dims[0] * dims[1] * dims[2], -1, dtype=np.int32)
-    table[cell] = np.arange(n)
+    table[cell] = np.arange(len(keys))
     rows, found = [], []
     for step in _half_stencil(reach) @ strides:
         hit = table[cell + step]
         (row,) = np.nonzero(hit >= 0)
         rows.append(row)
         found.append(hit[row])
+    return rows, found
+
+
+def _sorted_code_pairs(keys: np.ndarray, reach: int, low: np.ndarray, dims: list[int]) -> tuple[list, list]:
+    """Rows and partner rows of each half-stencil offset, found by binary search over sorted codes.
+
+    A key's code is the dense rank of its (x, y) pair times the padded depth,
+    plus its padded z, so no code exceeds n times the depth.  ``keys`` have
+    their gaps closed, so the (x, y) pair codes fit in int64 too.
+    """
+    n = len(keys)
+    padded = keys - low + reach
+    xy = padded[:, 0] * dims[1] + padded[:, 1]
+    xy_values, xy_rank = np.unique(xy, return_inverse=True)
+    code = xy_rank * dims[2] + padded[:, 2]
+    order = np.argsort(code)
+    sorted_code = code[order]
+    rows, found = [], []
+    for dx, dy, dz in _half_stencil(reach):
+        target = xy + (dx * dims[1] + dy)
+        at = np.minimum(np.searchsorted(xy_values, target), len(xy_values) - 1)
+        target_code = at * dims[2] + padded[:, 2] + dz
+        pos = np.minimum(np.searchsorted(sorted_code, target_code), n - 1)
+        (row,) = np.nonzero((xy_values[at] == target) & (sorted_code[pos] == target_code))
+        rows.append(row)
+        found.append(order[pos[row]])
+    return rows, found
+
+
+def voxel_neighbour_pairs(keys: np.ndarray, reach: int = 1) -> np.ndarray:
+    """(m, 2) row pairs ``i < j`` of ``keys`` within Chebyshev distance ``reach`` (1: 26-adjacent).
+
+    Each half-stencil offset is looked up in an index table over the keys'
+    bounding box, padded by the reach.  A box with more than
+    TABLE_CELLS_PER_VOXEL cells per key first has its gaps closed
+    (``_close_gaps``), which removes the empty space between keys that stand
+    apart; a box still too sparse is searched through sorted codes.
+    """
+    keys = np.asarray(keys, dtype=np.int64).reshape(-1, 3)
+    n = len(keys)
+    if n == 0:
+        return np.zeros((0, 2), dtype=np.int64)
+    low, dims = _padded_box(keys, reach)
+    lookup = _table_pairs
+    if _too_sparse(dims, n):
+        keys = _close_gaps(keys, reach)
+        low, dims = _padded_box(keys, reach)
+        if _too_sparse(dims, n):
+            lookup = _sorted_code_pairs
+    rows, found = lookup(keys, reach, low, dims)
     rows, found = np.concatenate(rows), np.concatenate(found)
     return np.column_stack([np.minimum(rows, found), np.maximum(rows, found)])
+
+
+def _capped_nearest(points: np.ndarray, cap: float) -> np.ndarray:
+    """Distance from each point to its nearest other point, or inf where that exceeds ``cap``.
+
+    Points are binned in cells a little wider than ``cap``, so every pair
+    within it lies in one cell or two 26-adjacent ones.  The candidate pairs
+    of those cells are expanded REACH_BATCH at a time.
+    """
+    near = np.full(len(points), np.inf)
+    if not len(points):
+        return near
+    cell_keys = np.floor(points / (cap * 1.001)).astype(np.int64)
+    cell = _lex_rank(cell_keys)
+    size = np.bincount(cell)
+    keys = np.empty((len(size), 3), dtype=np.int64)
+    keys[cell] = cell_keys
+    members = np.argsort(cell, kind="stable")
+    first = np.cumsum(size) - size
+    # each cell with itself, then each 26-adjacent pair of cells
+    links = voxel_neighbour_pairs(keys, 1)
+    a = np.concatenate([np.arange(len(size)), links[:, 0]])
+    b = np.concatenate([np.arange(len(size)), links[:, 1]])
+    count = size[a] * size[b]
+    end = np.cumsum(count)
+    for lo in range(0, int(end[-1]), REACH_BATCH):
+        candidate = np.arange(lo, min(lo + REACH_BATCH, int(end[-1])))
+        link = np.searchsorted(end, candidate, side="right")
+        u, v = np.divmod(candidate - (end[link] - count[link]), size[b[link]])
+        keep = (a[link] != b[link]) | (u < v)
+        i = members[first[a[link]] + u][keep]
+        j = members[first[b[link]] + v][keep]
+        d = np.sqrt(squared_norms(points[i] - points[j]))
+        close = d <= cap
+        np.minimum.at(near, i[close], d[close])
+        np.minimum.at(near, j[close], d[close])
+    return near
 
 
 def voxel_reach(points: np.ndarray, voxel_resolution: float) -> int:
     """Voxel-neighbour reach: 2 when the median nearest-neighbour spacing is
     at least REACH_2_SPACING voxels, else 1.  26-adjacency (reach 1) assumes a
     cloud as dense as the voxel grid and splits sparser ones into islands.
+
+    The spacings are capped at that threshold t.  When the lower middle one
+    is capped, the median exceeds t; else a finite capped median is the true
+    one.  An infinite one is taken again capped at 2t; if that too is
+    infinite, the upper middle spacing exceeds 2t, so the median exceeds t.
     """
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    spacing = np.median(cKDTree(points).query(points, k=2)[0][:, 1])
-    return 2 if spacing >= REACH_2_SPACING * voxel_resolution else 1
+    threshold = REACH_2_SPACING * voxel_resolution
+    near = _capped_nearest(points, threshold)
+    if np.count_nonzero(near <= threshold) <= (len(near) - 1) // 2:
+        return 2
+    spacing = np.median(near)
+    if np.isinf(spacing):
+        spacing = np.median(_capped_nearest(points, 2 * threshold))
+    return 2 if spacing >= threshold else 1
 
 
 def squared_norms(d: np.ndarray) -> np.ndarray:
@@ -188,6 +310,42 @@ def squared_norms(d: np.ndarray) -> np.ndarray:
     bit for bit theirs, without the reduction's per-call overhead.
     """
     return (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) + d[:, 2] * d[:, 2]
+
+
+def _distance_blocks(query: np.ndarray, ref: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    """Squared distances from runs of ``query`` rows to every ``ref`` row, about DISTANCE_BLOCK entries a block.
+
+    Yields (rows, d2) with d2[q, r] = squared_norms(query[rows][q] - ref[r]).
+    """
+    step = max(1, DISTANCE_BLOCK // max(len(ref), 1))
+    for start in range(0, len(query), step):
+        q = query[start : start + step]
+        d2 = squared_norms((q[:, None, :] - ref[None, :, :]).reshape(-1, 3))
+        yield slice(start, start + len(q)), d2.reshape(len(q), len(ref))
+
+
+def nearest(query: np.ndarray, ref: np.ndarray, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """(distances, rows), each (len(query), k): the ``k`` rows of ``ref`` nearest each query row.
+
+    Nearest first, ties to the lower row; ``k`` is at most len(ref).
+    """
+    dist = np.empty((len(query), k))
+    row = np.empty((len(query), k), dtype=np.int64)
+    for rows, d2 in _distance_blocks(query, ref):
+        order = d2.argmin(axis=1)[:, None] if k == 1 else np.argsort(d2, axis=1, kind="stable")[:, :k]
+        row[rows] = order
+        dist[rows] = np.sqrt(np.take_along_axis(d2, order, axis=1))
+    return dist, row
+
+
+def pairs_closer_than(points: np.ndarray, radius: float) -> np.ndarray:
+    """(m, 2) row pairs ``i < j`` of ``points`` whose distance is below ``radius``, in row order."""
+    pairs = [np.zeros((0, 2), dtype=np.int64)]
+    for rows, d2 in _distance_blocks(points, points):
+        i, j = np.nonzero(np.sqrt(d2) < radius)
+        i += rows.start
+        pairs.append(np.column_stack([i, j])[i < j])
+    return np.concatenate(pairs)
 
 
 def _link_costs(centroids: np.ndarray, labs: np.ndarray, a: np.ndarray, b: np.ndarray, config: SupervoxelConfig) -> np.ndarray:

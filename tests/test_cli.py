@@ -415,6 +415,22 @@ def test_importing_the_cli_leaves_scipy_optimize_unloaded():
     assert out.split() == ["False", "False", "True"]
 
 
+def test_segmenting_leaves_scipy_spatial_and_special_unloaded(tmp_path):
+    """Neighbour queries are numpy, so a whole ``dynseg segment`` run loads neither scipy.spatial nor scipy.special."""
+    spec = tmp_path / "scene.txt"
+    spec.write_text("kind = approach_merge_split\nframes = 6\npoints_per_object = 400\n")
+    assert main(["synth", str(spec), "--out", str(tmp_path / "data")]) == 0
+    src = str(Path(dynseg.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["segment", str(tmp_path / "data" / "manifest.txt"), "--out", str(tmp_path / "run")]
+    probe = (
+        f"import sys; from dynseg.cli import main; code = main({argv!r}); "
+        "print(code, 'scipy.spatial' in sys.modules, 'scipy.special' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.split()[-3:] == ["0", "False", "False"]
+
+
 def test_package_exports_resolve_to_their_modules():
     for name in dynseg.__all__:
         value = getattr(dynseg, name)

@@ -3,18 +3,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+from scipy.spatial import cKDTree  # a test oracle only: dynseg itself does not load scipy.spatial
 
 from dynseg import supervoxel
 from dynseg.cloud_io import PointCloudFrame
 from dynseg.graph import connected_sets
 from dynseg.supervoxel import (
     COLOR_NORM,
+    REACH_2_SPACING,
     SupervoxelConfig,
     Supervoxels,
     _link_costs,
     _nearest_per_group,
     cluster_supervoxels,
+    nearest,
+    pairs_closer_than,
     rgb_to_lab,
     squared_norms,
     voxel_neighbour_pairs,
@@ -299,17 +303,22 @@ def _offsets(reach: int) -> list[tuple[int, int, int]]:
 
 _DENSE = set(itertools.product(range(-2, 2), range(-1, 2), range(2)))  # 24 keys filling their box
 _SPARSE = {(-3, -3, -3), (-2, -3, -3), (1, 0, 2), (3, 3, 3)}  # 4 keys in a box of 7**3
+_APART = _DENSE | {(x + 40, y - 40, z + 40) for x, y, z in _DENSE}  # two dense blocks far apart
+# the helpers each branch calls: the table, the sorted codes, the gap-closed table
+_BRANCH_CALLS = ((), ("_close_gaps", "_sorted_code_pairs"), ("_close_gaps",))
 
 
 @pytest.mark.parametrize("reach", [1, 2])
-@pytest.mark.parametrize("keys, tree_calls", [(_DENSE, 0), (_SPARSE, 1)])
-def test_voxel_neighbour_pairs_branch(monkeypatch, keys, tree_calls, reach):
-    """A padded box within TABLE_CELLS_PER_VOXEL cells per key takes the table, a sparser one the k-d tree."""
+@pytest.mark.parametrize("keys, branch", [(_DENSE, 0), (_SPARSE, 1), (_APART, 2)])
+def test_voxel_neighbour_pairs_branch(monkeypatch, keys, branch, reach):
+    """A padded box within TABLE_CELLS_PER_VOXEL cells per key takes the table; a sparser one
+    has its gaps closed, then takes the table if it fits and the sorted codes if not."""
     calls = []
-    tree = supervoxel.cKDTree
-    monkeypatch.setattr(supervoxel, "cKDTree", lambda data: calls.append(data) or tree(data))
+    for name in ("_close_gaps", "_sorted_code_pairs"):
+        real = getattr(supervoxel, name)
+        monkeypatch.setattr(supervoxel, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
     supervoxel.voxel_neighbour_pairs(np.asarray(sorted(keys), dtype=np.int64), reach)
-    assert len(calls) == tree_calls
+    assert tuple(calls) == _BRANCH_CALLS[branch]
 
 
 @settings(max_examples=60, deadline=None)
@@ -321,11 +330,13 @@ def test_voxel_neighbour_pairs_branch(monkeypatch, keys, tree_calls, reach):
 @example(keys=set(), shift=0, reach=1)
 @example(keys={(0, 0, 0)}, shift=0, reach=1)
 @example(keys={(0, 0, 0), (2, -2, 1), (3, 0, 0)}, shift=2**40, reach=2)
-# _DENSE and _SPARSE take the index table and the k-d tree at both reaches
+# _DENSE, _SPARSE and _APART take each branch at both reaches
 @example(keys=_DENSE, shift=0, reach=1)
 @example(keys=_DENSE, shift=-(2**45), reach=2)
 @example(keys=_SPARSE, shift=2**40, reach=1)
 @example(keys=_SPARSE, shift=0, reach=2)
+@example(keys=_APART, shift=2**40, reach=1)
+@example(keys=_APART, shift=-(2**45), reach=2)
 def test_voxel_neighbour_pairs_match_offset_lookup(keys, shift, reach):
     """The pair table equals the 26- or 124-offset dictionary lookup, also far from the origin."""
     rows = sorted((x + shift, y, z - shift) for x, y, z in keys)
@@ -454,6 +465,80 @@ def test_voxel_reach_ignores_point_order_and_translation(order_seed, shift, seed
     assert reach in (1, 2)
     assert voxel_reach(points[np.random.default_rng(order_seed).permutation(n)], voxel) == reach
     assert voxel_reach(points + shift, voxel) == reach
+
+
+@st.composite
+def _grid_clouds(draw, max_n=40):
+    """(points, scale): integer-grid points times a scale, so duplicates and distance ties are common;
+    optionally jittered, optionally flattened to a plane."""
+    n = draw(st.integers(1, max_n))
+    rows = draw(st.lists(st.tuples(*[st.integers(-6, 6)] * 3), min_size=n, max_size=n))
+    scale = draw(st.sampled_from([0.01, 0.37, 5.0]))
+    points = np.asarray(rows, dtype=np.float64) * scale
+    if draw(st.booleans()):
+        points += np.random.default_rng(draw(st.integers(0, 2**16))).normal(scale=0.3 * scale, size=points.shape)
+    if draw(st.booleans()):
+        points[:, 2] = 0.0
+    return points, scale
+
+
+def _kd_tree_reach(points, voxel):
+    """The k-d tree form of voxel_reach's rule."""
+    return 2 if np.median(cKDTree(points).query(points, k=2)[0][:, 1]) >= REACH_2_SPACING * voxel else 1
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ref=_grid_clouds(), query=_grid_clouds(), k=st.integers(1, 3))
+@pytest.mark.parametrize("block", [1, 5, 1 << 16])
+def test_nearest_matches_the_kd_tree(monkeypatch, block, ref, query, k):
+    """Bit-equal distances to the k nearest rows, nearest first, ties to the lower row, in blocks of any size."""
+    monkeypatch.setattr(supervoxel, "DISTANCE_BLOCK", block)
+    (ref, _), (query, _) = ref, query
+    k = min(k, len(ref))
+    dist, rows = nearest(query, ref, k)
+    want, _ = cKDTree(ref).query(query, k=k)
+    assert dist.tobytes() == np.asarray(want).reshape(len(query), k).tobytes()
+    for q, row in zip(query, rows.tolist()):
+        d2 = squared_norms(q - ref)
+        assert row == sorted(range(len(ref)), key=lambda r: (d2[r], r))[:k]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cloud=_grid_clouds(), factor=st.sampled_from([0.0, 0.9, 1.3, 2.2, 4.7, 30.0]))
+@pytest.mark.parametrize("block", [1, 1 << 16])
+def test_pairs_closer_than_match_the_kd_tree(monkeypatch, block, cloud, factor):
+    """The k-d tree's pairs within the radius that lie strictly inside it, as i < j rows in row order."""
+    monkeypatch.setattr(supervoxel, "DISTANCE_BLOCK", block)
+    points, scale = cloud
+    radius = factor * scale
+    near = cKDTree(points).query_pairs(radius, output_type="ndarray")
+    want = near[np.sqrt(squared_norms(points[near[:, 0]] - points[near[:, 1]])) < radius]
+    got = pairs_closer_than(points, radius).tolist()
+    assert got == sorted(want.tolist()) == sorted(got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cloud=_grid_clouds(max_n=60), factor=st.sampled_from([0.3, 0.8, 1.1, 1.2, 2.5]))
+def test_voxel_reach_matches_the_kd_tree_rule(cloud, factor):
+    points, scale = cloud
+    assert voxel_reach(points, factor * scale) == _kd_tree_reach(points, factor * scale)
+
+
+@settings(max_examples=80, deadline=None)
+@given(pairs=st.integers(1, 6), a=st.floats(0.0, 0.87), b=st.floats(0.88, 3.0), shift=st.sampled_from([0.0, -7.3]))
+@example(pairs=2, a=0.5, b=1.2, shift=0.0)  # median 0.85: reach 1
+@example(pairs=2, a=0.5, b=1.3, shift=0.0)  # median 0.90: reach 2
+@example(pairs=3, a=0.0, b=1.74, shift=0.0)  # median 0.87 < t with b just inside 2t: reach 1
+@example(pairs=1, a=0.1, b=1.8, shift=0.0)  # b beyond 2t, so the median is above t: reach 2
+def test_voxel_reach_on_even_clouds_split_at_the_threshold(pairs, a, b, shift):
+    """Half the points have their neighbour at a < t, half at b > t, so the median (a + b) / 2 decides."""
+    centres = np.arange(2 * pairs)[:, None] * np.array([10.0, 0.0, 0.0]) + shift
+    gaps = np.repeat([a, b], pairs)[:, None] * np.array([0.0, 1.0, 0.0])
+    points = np.concatenate([centres, centres + gaps])
+    reach = voxel_reach(points, 1.0)
+    assert reach == _kd_tree_reach(points, 1.0)
+    if abs((a + b) / 2 - REACH_2_SPACING) > 1e-9:
+        assert reach == (2 if (a + b) / 2 >= REACH_2_SPACING else 1)
 
 
 def test_growth_counts_passes_until_no_seed_moves():
