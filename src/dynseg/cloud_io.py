@@ -4,9 +4,9 @@ Every format follows the same rules.  Readers skip blank lines and lines
 starting with "#", and every parse error names the faulty line as
 "path:line".  Frame and ground-truth files open with a "<magic> v1 <N>"
 header.  Writers emit "\n" newlines, single-space separators, and no
-trailing whitespace, so repeated runs produce byte-identical files.  Frame
-and label files are converted with numpy; the line-by-line checkers read
-only files in doubt.
+trailing whitespace, so repeated runs produce byte-identical files.  Frame,
+ground-truth and label files are parsed by one np.loadtxt path; the
+line-by-line checkers read only files in doubt.
 """
 
 from __future__ import annotations
@@ -15,14 +15,13 @@ import os
 import warnings
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
 FRAME_MAGIC = "ptseq"
 LABEL_MAGIC = "ptlab"
 FORMAT_VERSION = "v1"
-_BLOCK_ROWS = 512  # frame rows converted at once by the numpy reader
+_FRAME_ROW = np.dtype([("x", "f8"), ("y", "f8"), ("z", "f8"), ("r", "i8"), ("g", "i8"), ("b", "i8")])
 
 
 class ParseError(Exception):
@@ -59,9 +58,36 @@ def _read_header(numbered: Iterator[tuple[int, str]], path: str | os.PathLike, m
     return count
 
 
-def _write_lines(path: str | os.PathLike, lines: Iterable[str]) -> None:
+def _write_lines(path: str | os.PathLike, lines: Iterable[str], row: str = "", rows: np.ndarray = np.empty(0)) -> None:
+    """Write each line, then every row of the numeric table rows through the one %-format row."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(f"{line}\n" for line in lines) + row * len(rows) % tuple(rows.ravel().tolist()))
+
+
+def _numeric_rows(path: str | os.PathLike, dtype: type | np.dtype, magic: str | None = None) -> np.ndarray | None:
+    """The 2-D rows np.loadtxt parses as dtype, or None where it does not.
+
+    With a magic, the first line must be exactly "<magic> v1 <N>" and N rows
+    must follow.  loadtxt parses a subset of what float() and int() accept
+    and skips blank lines as the line checkers do; "#" lines are data to it,
+    so they leave the file in doubt.
+    """
+    skip = 0
+    if magic is not None:
+        with open(path, "r", encoding="utf-8") as fh:
+            head, _, count = fh.readline().rstrip("\n").rpartition(" ")
+        if head != f"{magic} {FORMAT_VERSION}" or not (count.isascii() and count.isdigit()):
+            return None
+        skip = 1
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no rows
+            rows = np.loadtxt(path, dtype=dtype, comments=None, skiprows=skip, ndmin=2, encoding="utf-8")
+    except ValueError:  # the line checker names the fault
+        return None
+    if magic is not None and len(rows) != int(count):
+        return None
+    return rows
 
 
 @dataclass
@@ -116,48 +142,21 @@ class InteractionRecord:
 def load_frame(path: str | os.PathLike, frame_index: int = 0) -> PointCloudFrame:
     """Read one "ptseq v1" frame file. "#" lines are ignored anywhere.
 
-    A file that is its header and then the declared number of six-field rows
-    is converted with numpy.  On any doubt (a field count, the point count, a
-    field that does not parse, a non-finite coordinate, a colour outside
-    0-255, a blank or "#" line) the line checker reads it again, so every
-    error names its line and out-of-range colours are clamped with a warning.
+    A file that is its header line and then the declared number of six-field
+    rows is parsed with numpy.  On any doubt (a field count, the point count,
+    a field that does not parse, a non-finite coordinate, a colour outside
+    0-255, a "#" line) the line checker reads it again, so every error names
+    its line and out-of-range colours are clamped with a warning.
     """
-    arrays = _frame_arrays(path)
-    if arrays is None:
-        points, colors, clamped = _check_frame_lines(path)
-        if clamped:
-            warnings.warn(f"{path}: color values outside [0, 255] were clamped", stacklevel=2)
-    else:
-        points, colors = arrays
+    rows = _numeric_rows(path, _FRAME_ROW, FRAME_MAGIC)
+    if rows is not None:  # (N, 1) rows of six 8-byte fields view as (N, 6)
+        points, colors = rows.view(np.float64)[:, :3], rows.view(np.int64)[:, 3:]
+        if np.isfinite(points).all() and ((colors >= 0) & (colors <= 255)).all():
+            return PointCloudFrame(frame_index=frame_index, points=points.copy(), colors=colors)
+    points, colors, clamped = _check_frame_lines(path)
+    if clamped:
+        warnings.warn(f"{path}: color values outside [0, 255] were clamped", stacklevel=2)
     return PointCloudFrame(frame_index=frame_index, points=points, colors=colors)
-
-
-def _frame_arrays(path: str | os.PathLike) -> tuple[np.ndarray, np.ndarray] | None:
-    """(points, colors) of a frame file the line checker would accept as is, or None.
-
-    Rows convert in blocks of _BLOCK_ROWS, so little parsed text is held at
-    once; fields convert as float() and int() convert them, as in the line
-    checker.
-    """
-    points, colors = [np.zeros((0, 3))], [np.zeros((0, 3), dtype=np.int64)]
-    with open(path, "r", encoding="utf-8") as fh:
-        parts = fh.readline().split()
-        if len(parts) != 3 or parts[0] != FRAME_MAGIC or parts[1] != FORMAT_VERSION:
-            return None
-        try:
-            count = int(parts[2])
-            while block := list(map(str.split, islice(fh, _BLOCK_ROWS))):
-                table = np.array(block, dtype=object)
-                if table.shape != (len(block), 6):
-                    return None
-                points.append(table[:, :3].astype(np.float64))
-                colors.append(table[:, 3:].astype(np.int64))
-        except (ValueError, OverflowError):  # the line checker names the fault
-            return None
-    points, colors = np.concatenate(points), np.concatenate(colors)
-    if len(points) != count or not np.isfinite(points).all() or ((colors < 0) | (colors > 255)).any():
-        return None
-    return points, colors.astype(np.uint8)
 
 
 def _check_frame_lines(path: str | os.PathLike) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -198,15 +197,16 @@ def _check_frame_lines(path: str | os.PathLike) -> tuple[np.ndarray, np.ndarray,
 
 def write_frame(frame: PointCloudFrame, path: str | os.PathLike) -> None:
     """Write a frame with 9-significant-digit coordinates (round-trip safe)."""
-    lines = [f"{FRAME_MAGIC} {FORMAT_VERSION} {frame.num_points}"]
-    # Python floats and ints format faster than numpy scalars, to the same text
-    for (x, y, z), (r, g, b) in zip(frame.points.tolist(), frame.colors.tolist()):
-        lines.append(f"{x:.9g} {y:.9g} {z:.9g} {r} {g} {b}")
-    _write_lines(path, lines)
+    header = f"{FRAME_MAGIC} {FORMAT_VERSION} {frame.num_points}"
+    # colours are exact in float64, so "%d" prints them as the uint8 values
+    _write_lines(path, [header], "%.9g %.9g %.9g %d %d %d\n", np.hstack([frame.points, frame.colors]))
 
 
 def load_ground_truth(path: str | os.PathLike) -> np.ndarray:
-    """Read a "ptlab v1" file of per-point integer labels."""
+    """Read a "ptlab v1" file of per-point integer labels; as in load_frame, only a file in doubt is read line by line."""
+    rows = _numeric_rows(path, np.int64, LABEL_MAGIC)
+    if rows is not None and rows.shape[1] == 1:
+        return rows[:, 0]
     labels: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
         numbered = significant_lines(fh)
@@ -225,9 +225,7 @@ def load_ground_truth(path: str | os.PathLike) -> np.ndarray:
 
 def write_ground_truth(labels: np.ndarray, path: str | os.PathLike) -> None:
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-    lines = [f"{LABEL_MAGIC} {FORMAT_VERSION} {len(labels)}"]
-    lines.extend(str(int(v)) for v in labels)
-    _write_lines(path, lines)
+    _write_lines(path, [f"{LABEL_MAGIC} {FORMAT_VERSION} {len(labels)}"], "%d\n", labels)
 
 
 def load_sequence(path: str | os.PathLike) -> SequenceManifest:
@@ -282,9 +280,8 @@ def write_labels(frame: LabeledFrame, path: str | os.PathLike) -> None:
         raise ValueError("refusing to write an empty label set")
     if np.any(frame.labels < 0):
         raise ValueError("negative object id in labels")
-    prefix = f"{frame.frame_index} "
-    lines = [f"{prefix}{i} {v}" for i, v in enumerate(frame.labels.tolist())]
-    _write_lines(path, lines)
+    rows = np.column_stack([np.arange(len(frame.labels)), frame.labels])
+    _write_lines(path, [], f"{frame.frame_index} %d %d\n", rows)
 
 
 def read_label_file(path: str | os.PathLike) -> dict[int, dict[int, int]]:
@@ -308,17 +305,11 @@ def read_label_file(path: str | os.PathLike) -> dict[int, dict[int, int]]:
 def _label_rows(path: str | os.PathLike) -> np.ndarray | None:
     """(n, 3) int64 rows of a label file the line checker would accept as is, or None.
 
-    ``np.loadtxt`` parses a subset of what int() accepts and skips blank lines
-    as the checker does; "#" lines, a field count other than 3, a field it
-    does not parse or a repeated (frame, point) row leave the file in doubt.
+    A field count other than 3 or a repeated (frame, point) row also leaves
+    the file in doubt.
     """
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # an empty file
-            rows = np.loadtxt(path, dtype=np.int64, comments=None, ndmin=2, encoding="utf-8")
-    except ValueError:  # the line checker names the fault
-        return None
-    if rows.shape[1] != 3:
+    rows = _numeric_rows(path, np.int64)
+    if rows is None or rows.shape[1] != 3:
         return None
     order = np.lexsort((rows[:, 1], rows[:, 0]))
     if (np.diff(rows[order, :2], axis=0) == 0).all(axis=1).any():

@@ -1,4 +1,6 @@
+import hashlib
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,8 +15,8 @@ from dynseg.cloud_io import (
     SequenceManifest,
     _check_frame_lines,
     _check_label_lines,
-    _frame_arrays,
     _label_rows,
+    _numeric_rows,
     load_frame,
     load_ground_truth,
     load_sequence,
@@ -27,6 +29,7 @@ from dynseg.cloud_io import (
     write_labels,
     write_manifest,
 )
+from dynseg.evaluation import generate_scenario, make_scenario
 
 
 def _frame(n=4, frame_index=0):
@@ -91,9 +94,10 @@ def test_load_frame_clamps_colors(tmp_path):
     np.testing.assert_array_equal(frame.colors[0], [255, 0, 90])
 
 
-_COORDS = ["0", "-1.25", "+3", "1_0", "1__0", "1e-3", "-2E+2", ".5", "5.", "nan", "-inf", "Infinity", "1e999",
-           "0x10", "abc", "\u0661\u0662"]
-_COLORS = ["0", "255", "+7", "-0", "0_9", "213.0", "2e2", "256", "300", "-5", "99999999999999999999", "\u0663", "x"]
+_COORDS = ["0", "-1.25", "+3", "1_0", "1__0", "1e-3", "-2E+2", ".5", "5.", "nan", "-inf", "Infinity", "infinity",
+           "-Infinity", "1e999", "0x10", "abc", "\u0661", "\u0661\u0662"]
+_COLORS = ["0", "255", "+7", "-0", "0_9", "1_2", "213.0", "2e2", "0x10", "256", "300", "-5", "99999999999999999999",
+           "\u0663", "x"]
 _LINES = ["# note", "  # 1 2 3 4 5 6", "", "   ", "1 2 3 4 5 6", "1 2 3 4 5", "1 2 3 4 5 6 7"]
 
 
@@ -154,16 +158,84 @@ def _line_checker(path):
 @example(case=("ptseq v1 1\r\n0.5 0 0 1 2 3\r\n", False))
 @example(case=("ptseq v1 1\n0 0 0 1 2 3\n0 0 0 1 2 3\n", True))  # an extra row
 @example(case=("ptseq v1 2\n0 0 0 1 2 3\n", True))  # a missing row
-@pytest.mark.parametrize("block_rows", [2, 512])
-def test_load_frame_matches_the_line_checker(tmp_path, monkeypatch, block_rows, case):
+@example(case=("ptlab v1 1\n0 0 0 1 2 3\n", True))  # another format's header
+@example(case=("  ptseq  v1 1\n0 0 0 1 2 3\n", True))  # a header only the checker takes
+# tokens float() and int() accept but loadtxt does not
+@example(case=("ptseq v1 1\n0 1_0 0 1 2 3\n", True))
+@example(case=("ptseq v1 1\n0 0 \u0661 1 2 3\n", True))
+@example(case=("ptseq v1 1\n0 0 0 1 1_2 3\n", True))
+# non-finite tokens loadtxt accepts
+@example(case=("ptseq v1 1\ninf 0 0 1 2 3\n", True))
+@example(case=("ptseq v1 1\n0 nan 0 1 2 3\n", True))
+@example(case=("ptseq v1 1\n0 0 infinity 1 2 3\n", True))
+@example(case=("ptseq v1 1\n-Infinity 0 0 1 2 3\n", True))
+# colours both parsers take, then colours both reject
+@example(case=("ptseq v1 1\n0 0 0  12 +12 3\n", False))
+@example(case=("ptseq v1 1\n0 0 0 12.0 2 3\n", True))
+@example(case=("ptseq v1 1\n0 0 0 1 0x10 3\n", True))
+@example(case=("ptseq v1 1\n0 0 0 1 2 1e1\n", True))
+def test_load_frame_matches_the_line_checker(tmp_path, case):
     """numpy conversion gives the frame, message or warning the line checker gives."""
-    monkeypatch.setattr(cloud_io, "_BLOCK_ROWS", block_rows)
     text, mutated = case
     path = tmp_path / "frame.txt"
     path.write_bytes(text.encode("utf-8"))
     assert _outcome(lambda: load_frame(path)) == _outcome(lambda: _line_checker(path))
-    if not mutated:
-        assert _frame_arrays(path) is not None  # a clean file skips the line checker
+    if not mutated:  # a clean file skips the line checker
+        with mock.patch.object(cloud_io, "_check_frame_lines", side_effect=AssertionError("line checker ran")):
+            load_frame(path)
+
+
+@st.composite
+def _ground_truth_texts(draw):
+    """A valid ground-truth file, mutated in its count, field by field and line by line; (text, clean)."""
+    n = draw(st.integers(0, 6))
+    lines = [str(draw(st.integers(-1, 4))) for _ in range(n)]
+    count = draw(st.sampled_from([str(n)] * 8 + [str(n + 1), str(max(n - 1, 0)), "-1", "x", "+" + str(n)]))
+    clean = count == str(n)
+    for kind in draw(st.lists(st.sampled_from(["field", "insert", "delete"]), max_size=2)):
+        if kind == "field" and lines:
+            lines[draw(st.integers(0, len(lines) - 1))] = draw(st.sampled_from(_LABEL_FIELDS))
+        elif kind == "insert":
+            lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_LABEL_LINES + ["0 1"])))
+        elif lines:
+            del lines[draw(st.integers(0, len(lines) - 1))]
+        clean = False
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join([f"ptlab v1 {count}"] + lines) + draw(st.sampled_from([newline, ""])), clean
+
+
+def _ground_truth_outcome(read):
+    """What a ground-truth reader gives: its labels, or the error it raises."""
+    try:
+        labels = read()
+    except (ParseError, OverflowError) as err:  # a label outside int64 overflows in either reader
+        return repr(err)
+    return labels.dtype, labels.shape, labels.tobytes()
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_ground_truth_texts())
+@example(case=("ptlab v1 3\n 12\n+12\n-4\n", True))  # both parsers take these
+@example(case=("ptlab v1 1\n1_2\n", False))  # int() accepts what loadtxt does not
+@example(case=("ptlab v1 1\n\u0663\n", False))
+@example(case=("ptlab v1 1\n12.0\n", False))  # both reject these
+@example(case=("ptlab v1 1\n0x10\n", False))
+@example(case=("ptlab v1 1\n1e1\n", False))
+@example(case=("ptlab v1 2\n0 1\n2 3\n", False))  # two columns
+@example(case=("ptseq v1 1\n0\n", False))  # another format's header
+@example(case=("ptlab v1 0\n", True))
+@example(case=("ptlab v1 0", True))
+@example(case=("# head\nptlab v1 1\n\n  # c\n0\n", False))
+def test_load_ground_truth_matches_the_line_checker(tmp_path, case):
+    """numpy conversion gives the labels or the message the line checker gives."""
+    text, clean = case
+    path = tmp_path / "gt.txt"
+    path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(cloud_io, "_numeric_rows", return_value=None):
+        checked = _ground_truth_outcome(lambda: load_ground_truth(path))
+    assert _ground_truth_outcome(lambda: load_ground_truth(path)) == checked
+    if clean:  # a clean file skips the line checker
+        assert _numeric_rows(path, np.int64, "ptlab").shape[1] == 1
 
 
 def test_labels_roundtrip(tmp_path):
@@ -372,3 +444,20 @@ def test_written_files_have_no_trailing_whitespace(tmp_path):
         "empty.txt": b"# interactions v1\n",
     }
     assert {name: (tmp_path / name).read_bytes() for name in expected} == expected
+
+
+def test_writers_pin_their_bytes(tmp_path):
+    """sha256 of every frame, ground-truth and label file written for one generated scenario."""
+    seq = generate_scenario(make_scenario("approach_merge_split", frame_count=6))
+    digests = {name: hashlib.sha256() for name in ("frame", "ground_truth", "labels")}
+    for frame, truth in zip(seq.frames, seq.truth_labels):
+        write_frame(frame, tmp_path / "f.txt")
+        write_ground_truth(truth.labels, tmp_path / "g.txt")
+        write_labels(truth, tmp_path / "l.txt")
+        for name, file in zip(digests, ("f.txt", "g.txt", "l.txt")):
+            digests[name].update((tmp_path / file).read_bytes())
+    assert {name: h.hexdigest() for name, h in digests.items()} == {
+        "frame": "98326cc8a8610afd123db513435c464b68f1043d2b33e5011c9f445ac0414289",
+        "ground_truth": "cdca821d38957a460c9c658c41a38d4f16645876a5052d9e7b43ba277d851fda",
+        "labels": "47e8fa4eee41b91d65370ccc86620b6df7da98d62551901c43ce01a1309fe395",
+    }
