@@ -146,6 +146,26 @@ def _line_checker(path):
     return PointCloudFrame(0, points, colors)
 
 
+def _lead_with_clean_rows(text, lead_rows):
+    """text with lead_rows clean rows after its first significant line, whose plain count rises by lead_rows.
+
+    A count that is not ascii digits (after an optional "+") is left as it is,
+    so a faulty header stays faulty and a clean file stays clean.
+    """
+    lines = text.splitlines(keepends=True)
+    first = next((i for i, line in enumerate(lines) if line.strip() and not line.strip().startswith("#")), None)
+    if first is None:
+        return text
+    body = lines[first].rstrip("\r\n")
+    ending = lines[first][len(body):] or "\n"
+    head, sep, count = body.rpartition(" ")
+    digits = count.removeprefix("+")
+    if digits.isascii() and digits.isdigit():
+        body = head + sep + count[:len(count) - len(digits)] + str(int(digits) + lead_rows)
+    rows = [f"{i * 0.25:.9g} -1 2 {i % 256} 128 255{ending}" for i in range(lead_rows)]
+    return "".join(lines[:first] + [body + ending] + rows + lines[first + 1:])
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=_frame_texts())
 @example(case=("ptseq v1 1\n1_0 0 0 1_0 0 0\n", True))  # underscores
@@ -174,11 +194,15 @@ def _line_checker(path):
 @example(case=("ptseq v1 1\n0 0 0 12.0 2 3\n", True))
 @example(case=("ptseq v1 1\n0 0 0 1 0x10 3\n", True))
 @example(case=("ptseq v1 1\n0 0 0 1 2 1e1\n", True))
-def test_load_frame_matches_the_line_checker(tmp_path, case):
-    """numpy conversion gives the frame, message or warning the line checker gives."""
+@pytest.mark.parametrize("lead_rows", [2, 512])
+def test_load_frame_matches_the_line_checker(tmp_path, lead_rows, case):
+    """numpy conversion gives the frame, message or warning the line checker gives.
+
+    The case's rows follow lead_rows clean rows, so faults also sit deep in a larger file.
+    """
     text, mutated = case
     path = tmp_path / "frame.txt"
-    path.write_bytes(text.encode("utf-8"))
+    path.write_bytes(_lead_with_clean_rows(text, lead_rows).encode("utf-8"))
     assert _outcome(lambda: load_frame(path)) == _outcome(lambda: _line_checker(path))
     if not mutated:  # a clean file skips the line checker
         with mock.patch.object(cloud_io, "_check_frame_lines", side_effect=AssertionError("line checker ran")):
