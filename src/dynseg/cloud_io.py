@@ -4,9 +4,9 @@ Every format follows the same rules.  Readers skip blank lines and lines
 starting with "#", and every parse error names the faulty line as
 "path:line".  Frame and ground-truth files open with a "<magic> v1 <N>"
 header.  Writers emit "\n" newlines, single-space separators, and no
-trailing whitespace, so repeated runs produce byte-identical files.  Frame,
-ground-truth and label files are parsed by one np.loadtxt path; the
-line-by-line checkers read only files in doubt.
+trailing whitespace, so repeated runs produce byte-identical files.  Frame
+and label files are parsed by one np.loadtxt path; the line-by-line
+checkers read only files in doubt.
 """
 
 from __future__ import annotations
@@ -70,7 +70,8 @@ def _numeric_rows(path: str | os.PathLike, dtype: type | np.dtype, magic: str | 
     With a magic, the first line must be exactly "<magic> v1 <N>" and N rows
     must follow.  loadtxt parses a subset of what float() and int() accept
     and skips blank lines as the line checkers do; "#" lines are data to it,
-    so they leave the file in doubt.
+    so they leave the file in doubt.  numpy releases that parse an integer
+    field such as "12.0" through float only warn, so the warning is an error.
     """
     skip = 0
     if magic is not None:
@@ -82,8 +83,9 @@ def _numeric_rows(path: str | os.PathLike, dtype: type | np.dtype, magic: str | 
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # no rows
+            warnings.simplefilter("error", DeprecationWarning)
             rows = np.loadtxt(path, dtype=dtype, comments=None, skiprows=skip, ndmin=2, encoding="utf-8")
-    except ValueError:  # the line checker names the fault
+    except (ValueError, DeprecationWarning):  # the line checker names the fault
         return None
     if magic is not None and len(rows) != int(count):
         return None
@@ -203,10 +205,7 @@ def write_frame(frame: PointCloudFrame, path: str | os.PathLike) -> None:
 
 
 def load_ground_truth(path: str | os.PathLike) -> np.ndarray:
-    """Read a "ptlab v1" file of per-point integer labels; as in load_frame, only a file in doubt is read line by line."""
-    rows = _numeric_rows(path, np.int64, LABEL_MAGIC)
-    if rows is not None and rows.shape[1] == 1:
-        return rows[:, 0]
+    """Read a "ptlab v1" file of per-point integer labels."""
     labels: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
         numbered = significant_lines(fh)

@@ -16,7 +16,6 @@ from dynseg.cloud_io import (
     _check_frame_lines,
     _check_label_lines,
     _label_rows,
-    _numeric_rows,
     load_frame,
     load_ground_truth,
     load_sequence,
@@ -207,59 +206,6 @@ def test_load_frame_matches_the_line_checker(tmp_path, lead_rows, case):
     if not mutated:  # a clean file skips the line checker
         with mock.patch.object(cloud_io, "_check_frame_lines", side_effect=AssertionError("line checker ran")):
             load_frame(path)
-
-
-@st.composite
-def _ground_truth_texts(draw):
-    """A valid ground-truth file, mutated in its count, field by field and line by line; (text, clean)."""
-    n = draw(st.integers(0, 6))
-    lines = [str(draw(st.integers(-1, 4))) for _ in range(n)]
-    count = draw(st.sampled_from([str(n)] * 8 + [str(n + 1), str(max(n - 1, 0)), "-1", "x", "+" + str(n)]))
-    clean = count == str(n)
-    for kind in draw(st.lists(st.sampled_from(["field", "insert", "delete"]), max_size=2)):
-        if kind == "field" and lines:
-            lines[draw(st.integers(0, len(lines) - 1))] = draw(st.sampled_from(_LABEL_FIELDS))
-        elif kind == "insert":
-            lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_LABEL_LINES + ["0 1"])))
-        elif lines:
-            del lines[draw(st.integers(0, len(lines) - 1))]
-        clean = False
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
-    return newline.join([f"ptlab v1 {count}"] + lines) + draw(st.sampled_from([newline, ""])), clean
-
-
-def _ground_truth_outcome(read):
-    """What a ground-truth reader gives: its labels, or the error it raises."""
-    try:
-        labels = read()
-    except (ParseError, OverflowError) as err:  # a label outside int64 overflows in either reader
-        return repr(err)
-    return labels.dtype, labels.shape, labels.tobytes()
-
-
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(case=_ground_truth_texts())
-@example(case=("ptlab v1 3\n 12\n+12\n-4\n", True))  # both parsers take these
-@example(case=("ptlab v1 1\n1_2\n", False))  # int() accepts what loadtxt does not
-@example(case=("ptlab v1 1\n\u0663\n", False))
-@example(case=("ptlab v1 1\n12.0\n", False))  # both reject these
-@example(case=("ptlab v1 1\n0x10\n", False))
-@example(case=("ptlab v1 1\n1e1\n", False))
-@example(case=("ptlab v1 2\n0 1\n2 3\n", False))  # two columns
-@example(case=("ptseq v1 1\n0\n", False))  # another format's header
-@example(case=("ptlab v1 0\n", True))
-@example(case=("ptlab v1 0", True))
-@example(case=("# head\nptlab v1 1\n\n  # c\n0\n", False))
-def test_load_ground_truth_matches_the_line_checker(tmp_path, case):
-    """numpy conversion gives the labels or the message the line checker gives."""
-    text, clean = case
-    path = tmp_path / "gt.txt"
-    path.write_bytes(text.encode("utf-8"))
-    with mock.patch.object(cloud_io, "_numeric_rows", return_value=None):
-        checked = _ground_truth_outcome(lambda: load_ground_truth(path))
-    assert _ground_truth_outcome(lambda: load_ground_truth(path)) == checked
-    if clean:  # a clean file skips the line checker
-        assert _numeric_rows(path, np.int64, "ptlab").shape[1] == 1
 
 
 def test_labels_roundtrip(tmp_path):

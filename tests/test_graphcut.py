@@ -754,21 +754,6 @@ class TestBisectMatchesThresholdLoop:
         with mock.patch.object(graphcut, "_second_eigenvector", eigenvector):
             assert _listed(normalized_cut_bisect(graph)) == _bisect_loop(graph)
 
-    @settings(max_examples=150, deadline=None)
-    @given(graph=_bisect_graphs())
-    def test_cost_is_at_least_lambda2(self, graph):
-        """Shi and Malik's bound: a cut's ncut is at least lambda2 of I - D^-1/2 W D^-1/2.
-
-        Their assoc(A, V) counts each intra-part weight twice, so the cost
-        here, which counts it once, is no lower than theirs.
-        """
-        n, pos = graph.num_nodes, graph.edge_index
-        w = np.zeros((n, n))
-        w[pos[:, 0], pos[:, 1]] = w[pos[:, 1], pos[:, 0]] = graph.weights
-        degree = w.sum(axis=1)
-        lambda2 = np.linalg.eigvalsh(np.eye(n) - w / np.sqrt(np.outer(degree, degree)))[1]
-        assert normalized_cut_bisect(graph)[2] >= lambda2 - 1e-12
-
     def test_flat_eigenvector_peels_the_first_node(self):
         g = _two_cliques()
         with mock.patch.object(graphcut, "_second_eigenvector", lambda g: np.ones(g.num_nodes)):
