@@ -208,6 +208,23 @@ def test_load_frame_matches_the_line_checker(tmp_path, lead_rows, case):
             load_frame(path)
 
 
+def test_an_integer_parsed_through_float_reaches_the_line_checker(tmp_path, monkeypatch):
+    """numpy releases that parse "12.0" as an int64 field only warn; the file is still in doubt."""
+    loadtxt = np.loadtxt
+
+    def warning_loadtxt(path, *args, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+        return loadtxt(path.read_text().replace("12.0", "12").splitlines(), *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+    (tmp_path / "frame.txt").write_text("ptseq v1 1\n0 0 0 12.0 2 3\n")
+    (tmp_path / "labels_0000.txt").write_text("0 0 12.0\n")
+    with pytest.raises(ParseError, match=r"frame.txt:2: non-numeric field"):
+        load_frame(tmp_path / "frame.txt")
+    with pytest.raises(ParseError, match=r"labels_0000.txt:1: non-integer field"):
+        read_label_file(tmp_path / "labels_0000.txt")
+
+
 def test_labels_roundtrip(tmp_path):
     labels = np.array([4, 4, 0, 2, 0])
     path = tmp_path / "gt.txt"
