@@ -108,10 +108,11 @@ def brute_force_ncut(graph):
 def random_cut_problem(rng, n, num_labels):
     """A connected graph with random centroids and colors, one seed per label."""
     graph = random_connected_graph(rng, n, random_features=True)
-    seeds = rng.choice(n, size=num_labels, replace=False)
+    seeds = np.full(n, -1)
+    seeds[rng.choice(n, size=num_labels, replace=False)] = np.arange(num_labels)
     return CutProblem(
         subgraph=graph,
-        label_seeds={int(s): k for k, s in enumerate(seeds)},
+        seeds=seeds,
         previous_boundary=rng.uniform(0.0, 0.3, (int(rng.integers(0, 3)), 3)),
         params=CutParams().resolve(0.08),
         seed_resolution=0.08,
@@ -119,9 +120,8 @@ def random_cut_problem(rng, n, num_labels):
 
 
 def brute_force_cut(problem):
-    nodes = problem.subgraph.nodes.tolist()
-    labeling = np.asarray([problem.label_seeds.get(n, 0) for n in nodes])
-    free = [k for k, n in enumerate(nodes) if n not in problem.label_seeds]
+    labeling = np.where(problem.seeds >= 0, problem.seeds, 0)
+    free = np.flatnonzero(problem.seeds < 0)
     best = float("inf")
     for combo in itertools.product(problem.labels(), repeat=len(free)):
         labeling[free] = combo

@@ -8,7 +8,8 @@ displacement vectors within each previous component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -71,7 +72,6 @@ class AssignmentProblem:
     segments: list[SegmentFeature]
     blobs: list[BlobFeature]
     params: EnergyParams  # resolved
-    _pre: dict = field(default_factory=dict, repr=False)
 
     @property
     def num_segments(self) -> int:
@@ -81,6 +81,27 @@ class AssignmentProblem:
     def num_blobs(self) -> int:
         return len(self.blobs)
 
+    @cached_property
+    def tables(self) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        """(M_s, M_b + 1) data cost per segment and label, NONE last; (M_s, M_b, 3) displacement to each
+        blob's nearest supervoxel; each previous component's segment positions, by ascending component id."""
+        ms, mb = self.num_segments, self.num_blobs
+        p = self.params
+        cost = np.empty((ms, mb + 1))
+        disp = np.zeros((ms, mb, 3))
+        if ms:
+            seg_c = np.asarray([s.centroid for s in self.segments])
+            seg_l = np.asarray([s.mean_color_lab for s in self.segments])
+            for b, blob in enumerate(self.blobs):
+                dist, near = nearest(seg_c, blob.sv_centroids, min(3, len(blob.sv_centroids)))
+                near_color = blob.sv_colors_lab[near].mean(axis=1)
+                appearance = np.linalg.norm(near_color - seg_l, axis=1)
+                cost[:, b] = p.alpha * appearance + p.beta * dist[:, 0]
+                disp[:, b] = blob.sv_centroids[near[:, 0]] - seg_c
+            cost[:, mb] = p.rho
+        comp = np.asarray([seg.parent_component_id for seg in self.segments], dtype=np.int64)
+        return cost, disp, [np.flatnonzero(comp == cid) for cid in np.unique(comp)]
+
 
 @dataclass
 class Assignment:
@@ -88,32 +109,9 @@ class Assignment:
     energy: float
 
 
-def _precompute(problem: AssignmentProblem) -> dict:
-    if problem._pre:
-        return problem._pre
-    ms, mb = problem.num_segments, problem.num_blobs
-    p = problem.params
-    cost = np.empty((ms, mb + 1))
-    disp = np.zeros((ms, mb, 3))
-    if ms:
-        seg_c = np.asarray([s.centroid for s in problem.segments])
-        seg_l = np.asarray([s.mean_color_lab for s in problem.segments])
-        for b, blob in enumerate(problem.blobs):
-            dist, near = nearest(seg_c, blob.sv_centroids, min(3, len(blob.sv_centroids)))
-            near_color = blob.sv_colors_lab[near].mean(axis=1)
-            appearance = np.linalg.norm(near_color - seg_l, axis=1)
-            cost[:, b] = p.alpha * appearance + p.beta * dist[:, 0]
-            disp[:, b] = blob.sv_centroids[near[:, 0]] - seg_c
-        cost[:, mb] = p.rho
-    comp = np.asarray([seg.parent_component_id for seg in problem.segments], dtype=np.int64)
-    comp_groups = [np.flatnonzero(comp == cid) for cid in np.unique(comp)]
-    problem._pre = {"cost": cost, "disp": disp, "groups": comp_groups}
-    return problem._pre
-
-
 def _energy_batch(problem: AssignmentProblem, labels: np.ndarray) -> np.ndarray:
     """Energies for a (P, M_s) batch of label vectors."""
-    pre = _precompute(problem)
+    cost, disp, groups = problem.tables
     labels = np.asarray(labels, dtype=np.int64)
     ms, mb = problem.num_segments, problem.num_blobs
     p = problem.params
@@ -121,7 +119,7 @@ def _energy_batch(problem: AssignmentProblem, labels: np.ndarray) -> np.ndarray:
     if ms == 0:
         return np.full(pop, p.gamma * mb)
     # NONE_LABEL = -1 indexes the trailing rho column
-    data = pre["cost"][np.arange(ms), labels].sum(axis=1)
+    data = cost[np.arange(ms), labels].sum(axis=1)
     if mb:
         covered = (labels[:, :, None] == np.arange(mb)).any(axis=1).sum(axis=1)
     else:
@@ -129,11 +127,11 @@ def _energy_batch(problem: AssignmentProblem, labels: np.ndarray) -> np.ndarray:
     coverage = p.gamma * (mb - covered)
     motion = np.zeros(pop)
     if p.delta != 0.0 and mb:
-        for idx in pre["groups"]:
+        for idx in groups:
             sub = labels[:, idx]
             mask = sub >= 0
             counts = mask.sum(axis=1)
-            vecs = pre["disp"][idx, np.clip(sub, 0, mb - 1)]  # (P, k, 3); masked rows ignored
+            vecs = disp[idx, np.clip(sub, 0, mb - 1)]  # (P, k, 3); masked rows ignored
             vecs = vecs * mask[:, :, None]
             safe = np.maximum(counts, 1)
             mean = vecs.sum(axis=1) / safe[:, None]
@@ -154,10 +152,9 @@ def energy_of(problem: AssignmentProblem, labels) -> float:
 
 def greedy_labels(problem: AssignmentProblem) -> np.ndarray:
     """Per-segment argmin of the data term (NONE when rho is cheapest)."""
-    pre = _precompute(problem)
     if problem.num_segments == 0:
         return np.empty(0, dtype=np.int64)
-    best = np.argmin(pre["cost"], axis=1)
+    best = np.argmin(problem.tables[0], axis=1)
     best[best == problem.num_blobs] = NONE_LABEL
     return best.astype(np.int64)
 

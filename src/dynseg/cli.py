@@ -20,40 +20,30 @@ import typing
 import numpy as np
 
 from . import cloud_io
-from .assignment import EnergyParams, GAConfig
 from .cloud_io import LabeledFrame, ParseError, SequenceManifest, significant_lines
 from .evaluation import evaluate_run, format_metrics, generate_scenario, scenario_from_spec
-from .graph import GraphConfig
-from .graphcut import CutParams, OversegConfig
 from .pipeline import PipelineConfig, format_run_report, run_sequence
-from .supervoxel import SupervoxelConfig
-from .tree import TreeParams
 
 
 class ConfigError(Exception):
     pass
 
 
-_SECTIONS: dict[str, type] = {
-    "supervoxel": SupervoxelConfig,
-    "graph": GraphConfig,
-    "energy": EnergyParams,
-    "ga": GAConfig,
-    "cut": CutParams,
-    "overseg": OversegConfig,
-    "tree": TreeParams,
-}
-_TOP_LEVEL: dict[str, type] = {"seed": int, "retention_frames": int}
-
-
 def _config_keys() -> dict[str, type]:
-    """Dotted key -> declared type for every tunable field."""
-    keys: dict[str, type] = dict(_TOP_LEVEL)
-    for section, cls in _SECTIONS.items():
-        hints = typing.get_type_hints(cls)
-        for f in dataclasses.fields(cls):
-            keys[f"{section}.{f.name}"] = hints[f.name]
+    """Dotted key -> declared type for every tunable field: PipelineConfig's own and its sections'."""
+    keys: dict[str, type] = {}
+    for name, hint in typing.get_type_hints(PipelineConfig).items():
+        if dataclasses.is_dataclass(hint):
+            keys.update({f"{name}.{field}": t for field, t in typing.get_type_hints(hint).items()})
+        else:
+            keys[name] = hint
     return keys
+
+
+def _holder(config: PipelineConfig, key: str) -> tuple[object, str]:
+    """The config or section that holds a dotted key's field, and the field's name."""
+    section, _, name = key.rpartition(".")
+    return (getattr(config, section) if section else config), name
 
 
 def _parse_value(key: str, text: str, hint) -> object:
@@ -93,12 +83,7 @@ def build_config(pairs: dict[str, str]) -> PipelineConfig:
         if key not in keys:
             raise ConfigError(f"unknown config key {key!r}")
     for key, text in pairs.items():
-        value = _parse_value(key, text, keys[key])
-        if "." in key:
-            section, _, name = key.partition(".")
-            setattr(getattr(config, section), name, value)
-        else:
-            setattr(config, key, value)
+        setattr(*_holder(config, key), _parse_value(key, text, keys[key]))
     return config
 
 
@@ -106,11 +91,7 @@ def format_resolved_config(config: PipelineConfig) -> str:
     resolved = config.resolved()  # a no-op on a resolved config
     lines = []
     for key in sorted(_config_keys()):
-        if "." in key:
-            section, _, name = key.partition(".")
-            value = getattr(getattr(resolved, section), name)
-        else:
-            value = getattr(resolved, key)
+        value = getattr(*_holder(resolved, key))
         lines.append(f"{key}={value!r}" if isinstance(value, float) else f"{key}={value}")
     return "\n".join(lines) + "\n"
 

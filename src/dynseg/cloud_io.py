@@ -32,6 +32,17 @@ def _fail(path: str | os.PathLike, line_no: int, msg: str) -> None:
     raise ParseError(f"{path}:{line_no}: {msg}")
 
 
+def _int64s(fields: list[str], path: str | os.PathLike, line_no: int, what: str) -> list[int]:
+    """The integer fields of one line; a field that is no integer, or lies outside int64, fails naming the line."""
+    try:
+        values = [int(f) for f in fields]
+    except ValueError:
+        _fail(path, line_no, f"non-integer {what} in {' '.join(fields)!r}")
+    if not all(-(2**63) <= v < 2**63 for v in values):
+        _fail(path, line_no, f"{what} outside int64 in {' '.join(fields)!r}")
+    return values
+
+
 def significant_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
     """(line number from 1, stripped line) for each line that is neither blank nor a "#" comment."""
     for line_no, raw in enumerate(lines, start=1):
@@ -211,10 +222,7 @@ def load_ground_truth(path: str | os.PathLike) -> np.ndarray:
         numbered = significant_lines(fh)
         expected = _read_header(numbered, path, LABEL_MAGIC, "label")
         for line_no, line in numbered:
-            try:
-                labels.append(int(line))
-            except ValueError:
-                _fail(path, line_no, f"non-integer label {line!r}")
+            labels += _int64s([line], path, line_no, "label")
             if len(labels) > expected:
                 _fail(path, line_no, f"more than the declared {expected} labels")
     if len(labels) != expected:
@@ -324,10 +332,7 @@ def _check_label_lines(path: str | os.PathLike) -> dict[int, dict[int, int]]:
             parts = line.split()
             if len(parts) != 3:
                 _fail(path, line_no, f"expected 3 fields, got {len(parts)}")
-            try:
-                f, p, o = int(parts[0]), int(parts[1]), int(parts[2])
-            except ValueError:
-                _fail(path, line_no, f"non-integer field in {line!r}")
+            f, p, o = _int64s(parts, path, line_no, "field")
             rows = out.setdefault(f, {})
             if p in rows:
                 _fail(path, line_no, f"repeated row for frame {f} point {p}")
@@ -377,10 +382,7 @@ def read_interaction_log(path: str | os.PathLike) -> list[InteractionRecord]:
             parts = line.split()
             if len(parts) < 5:
                 _fail(path, line_no, "expected 'start end blob_hint id id [...]'")
-            try:
-                vals = [int(p) for p in parts]
-            except ValueError:
-                _fail(path, line_no, f"non-integer field in {line!r}")
+            vals = _int64s(parts, path, line_no, "field")
             out.append(
                 InteractionRecord(
                     start_frame=vals[0],

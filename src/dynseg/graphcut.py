@@ -3,8 +3,8 @@
 Cut energy for a labeling l:
     E = sum_n U(n, l(n))
       + sum_{cut edges} (lambda * w_ij + mu * exp(-dist(midpoint_ij, boundary) / sigma_b))
-with U(n, l) = min over seeds of label l of
-    (|c_n - c_seed| / seed_resolution + dE_lab(n, seed) / 100).
+with U(n, l) = min over seeds of label l of claim_costs(n, seed):
+    |c_n - c_seed| / seed_resolution + dE_lab(n, seed) / 100.
 Seeded nodes keep their seed label (zero cost own label, infinite otherwise).
 Two labels are solved by max-flow on integer-rounded capacities (exact up to
 the rounding); three or more by expansion moves.
@@ -43,34 +43,38 @@ class OversegConfig:
     min_segment_supervoxels: int = 4
 
 
+def claim_costs(centroids, colors, ref_centroids, ref_colors, seed_resolution: float) -> np.ndarray:
+    """(N, R) cost of node n claiming reference r: |c_n - c_r| / seed_resolution + dE_lab(n, r) / COLOR_NORM."""
+    ds = np.linalg.norm(centroids[:, None, :] - ref_centroids[None, :, :], axis=2)
+    dc = np.linalg.norm(colors[:, None, :] - ref_colors[None, :, :], axis=2)
+    return ds / seed_resolution + dc / COLOR_NORM
+
+
 @dataclass
 class CutProblem:
     subgraph: AdjacencyGraph
-    label_seeds: dict[int, int]  # supervoxel id -> object id
+    seeds: np.ndarray  # (N,) object id seeded at each subgraph node, in node order, -1 for none
     previous_boundary: np.ndarray  # (B, 3) positions of the prior cut boundary, may be empty
     params: CutParams  # resolved
     seed_resolution: float  # the unary's distance scale
 
     def __post_init__(self) -> None:
+        self.seeds = np.asarray(self.seeds, dtype=np.int64)
         self.previous_boundary = np.asarray(self.previous_boundary, dtype=np.float64).reshape(-1, 3)
-        for n in self.label_seeds:
-            if n not in self.subgraph.nodes:
-                raise ValueError(f"seed node {n} not in subgraph")
+        if self.seeds.shape != self.subgraph.nodes.shape:
+            raise ValueError(f"{self.seeds.size} seeds for {self.subgraph.num_nodes} nodes")
 
     def labels(self) -> list[int]:
-        return sorted(set(self.label_seeds.values()))
+        return np.unique(self.seeds[self.seeds >= 0]).tolist()
 
     @cached_property
     def unary(self) -> np.ndarray:
         """(N, L) cost of each node taking each label, columns in labels() order."""
         g = self.subgraph
         labels = self.labels()
-        centroids, colors = g.centroids, g.colors_lab
-        seeds = np.searchsorted(g.nodes, list(self.label_seeds))
-        seed_label = np.searchsorted(labels, list(self.label_seeds.values()))
-        ds = np.linalg.norm(centroids[:, None, :] - centroids[None, seeds, :], axis=2)
-        dc = np.linalg.norm(colors[:, None, :] - colors[None, seeds, :], axis=2)
-        to_seed = ds / self.seed_resolution + dc / COLOR_NORM  # (N, seeds)
+        seeds = np.flatnonzero(self.seeds >= 0)
+        seed_label = np.searchsorted(labels, self.seeds[seeds])
+        to_seed = claim_costs(g.centroids, g.colors_lab, g.centroids[seeds], g.colors_lab[seeds], self.seed_resolution)
         out = np.column_stack([to_seed[:, seed_label == l].min(axis=1) for l in range(len(labels))])
         out[seeds] = INF
         out[seeds, seed_label] = 0.0

@@ -169,11 +169,11 @@ def process_frame(state: PipelineState, frame: PointCloudFrame) -> FrameResult:
         labels, seat = derive_blob_seeds(problem, assignment, blobs, graph, sr)
         tc = time.perf_counter()
         for blob in blobs:
-            seeded = blob[labels[blob] >= 0]
-            if len(np.unique(labels[seeded])) >= 2:
+            seeds = labels[blob]
+            if len(np.unique(seeds[seeds >= 0])) >= 2:
                 cut_problem = CutProblem(
                     subgraph=graph.subgraph(blob),
-                    label_seeds=dict(zip(seeded.tolist(), labels[seeded].tolist())),
+                    seeds=seeds,
                     previous_boundary=state.boundary,
                     params=cfg.cut,
                     seed_resolution=sr,

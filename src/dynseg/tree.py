@@ -19,7 +19,7 @@ import numpy as np
 from .assignment import Assignment, AssignmentProblem, SegmentFeature
 from .cloud_io import InteractionRecord
 from .graph import AdjacencyGraph, connected_sets
-from .graphcut import OversegConfig, oversegment
+from .graphcut import OversegConfig, claim_costs, oversegment
 from .supervoxel import _group_means
 
 
@@ -188,27 +188,21 @@ def derive_blob_seeds(
     segment sits at, -1 for an unassigned segment.  Every object assigned
     into a blob keeps at least one seed; remaining segments claim their
     nearest free supervoxel, or share the nearest seeded one when none is free.
+    Nearness is graphcut.claim_costs, the cost the cut unary also charges.
     """
     seed_of = np.full(len(graph.nodes), -1, dtype=np.int64)
     seat = np.full(problem.num_segments, -1, dtype=np.int64)
     for k, members in enumerate(blobs):
-        assigned = [s for s in range(problem.num_segments) if assignment.labels[s] == k]
-        if not assigned:
+        assigned = np.flatnonzero(assignment.labels == k)
+        if not len(assigned):
             continue
         at = np.searchsorted(graph.nodes, members)
-        cen, col = graph.centroids[at], graph.colors_lab[at]
-        # claim cost mirrors the cut unary: distance plus color difference
-        claims: list[tuple[float, int, int]] = []  # (cost, object, segment)
-        ranked: dict[int, np.ndarray] = {}  # segment -> member positions, cheapest first
-        for s in assigned:
-            seg = problem.segments[s]
-            d = np.linalg.norm(cen - np.asarray(seg.centroid), axis=1) / seed_resolution
-            dc = np.linalg.norm(col - np.asarray(seg.mean_color_lab), axis=1) / 100.0
-            cost = d + dc
-            order = np.argsort(cost, kind="stable")
-            ranked[s] = at[order]
-            claims.append((float(cost[order[0]]), seg.parent_object_id, s))
-        claims.sort()
+        segs = [problem.segments[s] for s in assigned]
+        ref_c, ref_l = np.array([seg.centroid for seg in segs]), np.array([seg.mean_color_lab for seg in segs])
+        cost = claim_costs(graph.centroids[at], graph.colors_lab[at], ref_c, ref_l, seed_resolution)
+        # segment -> member positions, cheapest first
+        ranked = dict(zip(assigned.tolist(), at[np.argsort(cost, axis=0, kind="stable")].T))
+        claims = sorted(zip(cost.min(axis=0).tolist(), [seg.parent_object_id for seg in segs], assigned.tolist()))
         # round 1 seeds one site per object, cheapest first, while free sites
         # last; round 2 seeds each remaining segment's nearest free site, or
         # seats it at its nearest site when none is free

@@ -128,16 +128,16 @@ def _random_cut_problem(rng, n, with_boundary):
         for i in range(n)
     }
     graph = graph_from_edges(edges, positions=positions, colors=colors)
-    seed_a, seed_b = (int(v) for v in rng.choice(n, 2, replace=False))
+    seeds = np.full(n, -1)
+    seeds[rng.choice(n, 2, replace=False)] = [10, 20]
     boundary = rng.uniform(0.0, 0.12, (3, 3)) if with_boundary else np.zeros((0, 3))
-    return CutProblem(graph, {seed_a: 10, seed_b: 20}, boundary, CutParams().resolve(0.08), 0.08)
+    return CutProblem(graph, seeds, boundary, CutParams().resolve(0.08), 0.08)
 
 
 def _cut_brute_force(problem):
     labels = problem.labels()
-    nodes = problem.subgraph.nodes.tolist()
-    lab = np.asarray([problem.label_seeds.get(n, labels[0]) for n in nodes])
-    free = [k for k, n in enumerate(nodes) if n not in problem.label_seeds]
+    lab = np.where(problem.seeds >= 0, problem.seeds, labels[0])
+    free = np.flatnonzero(problem.seeds < 0)
     best = math.inf
     for combo in itertools.product(labels, repeat=len(free)):
         lab[free] = combo

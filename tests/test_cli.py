@@ -344,6 +344,26 @@ class TestExitCodes:
         cloud_io.write_labels(cloud_io.LabeledFrame(0, [0, 0, 0]), str(run / "labels_0000.txt"))
         assert main(["eval", str(run), str(manifest)]) == 2
 
+    @pytest.mark.parametrize(
+        "gt_value, label_value",
+        [("99999999999999999999", "0"), ("-99999999999999999999", "0"), ("0", "99999999999999999999")],
+    )
+    def test_eval_label_outside_int64_is_data_error(self, tmp_path, capsys, gt_value, label_value):
+        frame = tmp_path / "frame_0000.txt"
+        cloud_io.write_frame(cloud_io.PointCloudFrame(0, [[0.0, 0.0, 0.0]], [[1, 2, 3]]), str(frame))
+        gt = tmp_path / "gt_0000.txt"
+        gt.write_text(f"ptlab v1 1\n{gt_value}\n")
+        manifest = tmp_path / "manifest.txt"
+        cloud_io.write_manifest(
+            SequenceManifest(name="x", frame_paths=[str(frame)], gt_paths=[str(gt)]), str(manifest)
+        )
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "labels_0000.txt").write_text(f"0 0 {label_value}\n")
+        assert main(["eval", str(run), str(manifest)]) == 2
+        bad = "gt_0000.txt:2: label" if gt_value != "0" else "labels_0000.txt:1: field"
+        assert f"{bad} outside int64" in capsys.readouterr().err
+
     def test_unknown_flag_exits_via_argparse(self):
         with pytest.raises(SystemExit):
             main(["segment", "m.txt", "--ga.rng_seed", "4"])
@@ -388,6 +408,13 @@ class TestInspect:
         cloud_io.write_labels(cloud_io.LabeledFrame(4, [0, 0, 7]), str(labels_path))
         assert main(["inspect", str(labels_path)]) == 0
         assert "point label file: 1 frames, 3 points, 2 objects" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["99999999999999999999", "-99999999999999999999"])
+    def test_inspect_label_outside_int64_is_data_error(self, tmp_path, capsys, value):
+        p = tmp_path / "gt.txt"
+        p.write_text(f"ptlab v1 1\n{value}\n")
+        assert main(["inspect", str(p)]) == 2
+        assert f"gt.txt:2: label outside int64 in '{value}'" in capsys.readouterr().err
 
     def test_inspect_garbage_is_data_error(self, tmp_path):
         p = tmp_path / "junk.txt"

@@ -232,6 +232,28 @@ def test_labels_roundtrip(tmp_path):
     np.testing.assert_array_equal(load_ground_truth(path), labels)
 
 
+@pytest.mark.parametrize("value", ["9223372036854775808", "-9223372036854775809", "99999999999999999999"])
+def test_labels_outside_int64_name_their_line(tmp_path, value):
+    gt = tmp_path / "gt.txt"
+    gt.write_text(f"ptlab v1 2\n0\n{value}\n")
+    with pytest.raises(ParseError, match=rf"gt.txt:3: label outside int64 in '{value}'"):
+        load_ground_truth(gt)
+    labels = tmp_path / "labels_0000.txt"
+    labels.write_text(f"0 0 1\n0 1 {value}\n")
+    with pytest.raises(ParseError, match=rf"labels_0000.txt:2: field outside int64 in '0 1 {value}'"):
+        read_label_file(labels)
+
+
+def test_int64_extremes_are_labels(tmp_path):
+    lo, hi = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+    gt = tmp_path / "gt.txt"
+    write_ground_truth(np.array([lo, hi]), gt)
+    assert load_ground_truth(gt).tolist() == [lo, hi]
+    labels = tmp_path / "labels_0000.txt"
+    labels.write_text(f"0 0 {lo}\n0 1 {hi}\n")
+    assert read_label_file(labels) == _check_label_lines(labels) == {0: {0: lo, 1: hi}}
+
+
 def test_label_file_roundtrip(tmp_path):
     frame = LabeledFrame(frame_index=3, labels=np.array([1, 1, 0]))
     path = tmp_path / "labels_0003.txt"

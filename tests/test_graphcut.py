@@ -40,7 +40,7 @@ def _path_problem(boundary=()):
     )
     return CutProblem(
         subgraph=g,
-        label_seeds={0: 10, 2: 20},
+        seeds=[10, -1, 20],
         previous_boundary=np.asarray(boundary, dtype=np.float64).reshape(-1, 3),
         params=CutParams().resolve(0.08),
         seed_resolution=0.08,
@@ -60,12 +60,12 @@ def _random_problem(rng, n, n_labels, with_boundary=False):
     positions = {k: tuple(rng.uniform(0.0, 0.3, 3)) for k in range(n)}
     colors = {k: (rng.uniform(20, 80), rng.uniform(-30, 30), rng.uniform(-30, 30)) for k in range(n)}
     g = graph_from_edges(edges, positions=positions, colors=colors)
-    seed_nodes = rng.choice(n, size=n_labels, replace=False)
-    seeds = {int(s): 100 + k for k, s in enumerate(seed_nodes)}
+    seeds = np.full(n, -1)
+    seeds[rng.choice(n, size=n_labels, replace=False)] = 100 + np.arange(n_labels)
     boundary = rng.uniform(0.0, 0.3, (3, 3)) if with_boundary else np.empty((0, 3))
     return CutProblem(
         subgraph=g,
-        label_seeds=seeds,
+        seeds=seeds,
         previous_boundary=boundary,
         params=CutParams().resolve(0.08),
         seed_resolution=0.08,
@@ -73,9 +73,8 @@ def _random_problem(rng, n, n_labels, with_boundary=False):
 
 
 def _brute_force_cut(problem):
-    nodes = problem.subgraph.nodes.tolist()
-    lab = np.asarray([problem.label_seeds.get(n, 0) for n in nodes])
-    free = [k for k, n in enumerate(nodes) if n not in problem.label_seeds]
+    lab = np.where(problem.seeds >= 0, problem.seeds, 0)
+    free = np.flatnonzero(problem.seeds < 0)
     best = math.inf
     for combo in itertools.product(problem.labels(), repeat=len(free)):
         lab[free] = combo
@@ -132,13 +131,14 @@ def _pairwise_costs_loop(problem):
 
 def _unaries_loop(problem):
     centroid, color = _centroid_of(problem.subgraph), _color_of(problem.subgraph)
+    own_label = {n: l for n, l in zip(problem.subgraph.nodes.tolist(), problem.seeds.tolist()) if l >= 0}
     seeds_by_label = {}
-    for n, l in problem.label_seeds.items():
+    for n, l in own_label.items():
         seeds_by_label.setdefault(l, []).append(n)
     out = {}
     for n in problem.subgraph.nodes.tolist():
-        if n in problem.label_seeds:
-            own = problem.label_seeds[n]
+        if n in own_label:
+            own = own_label[n]
             out[n] = {l: (0.0 if l == own else math.inf) for l in seeds_by_label}
             continue
         row = {}
@@ -365,11 +365,13 @@ def _sparse_problems(draw):
     positions = {k: tuple(rng.uniform(0.0, 0.3, 3)) for k in ids}
     colors = {k: (rng.uniform(20, 80), rng.uniform(-30, 30), rng.uniform(-30, 30)) for k in ids}
     n_labels = draw(st.integers(1, min(n, 4)))
-    seed_nodes = rng.choice(ids, size=draw(st.integers(n_labels, n)), replace=False)
+    seed_at = rng.choice(n, size=draw(st.integers(n_labels, n)), replace=False)
+    seeds = np.full(n, -1)
+    seeds[seed_at] = 100 + np.arange(len(seed_at)) % n_labels
     boundary = rng.uniform(0.0, 0.3, (draw(st.sampled_from([0, 1, 5])), 3))
     return CutProblem(
         subgraph=graph_from_edges(edges, positions=positions, colors=colors),
-        label_seeds={int(s): 100 + k % n_labels for k, s in enumerate(seed_nodes)},
+        seeds=seeds,
         previous_boundary=boundary,
         params=CutParams().resolve(0.08),
         seed_resolution=0.08,
@@ -439,12 +441,12 @@ class TestCutEnergy:
         with pytest.raises(ValueError):
             cut_energy(prob, [10, 30, 20])
 
-    def test_seed_outside_subgraph_rejected(self):
+    def test_seeds_of_another_length_rejected(self):
         g = graph_from_edges({(0, 1): 0.5})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^3 seeds for 2 nodes$"):
             CutProblem(
                 subgraph=g,
-                label_seeds={0: 1, 7: 2},
+                seeds=[1, -1, 2],
                 previous_boundary=np.empty((0, 3)),
                 params=CutParams().resolve(0.08),
                 seed_resolution=0.08,
@@ -574,9 +576,8 @@ class TestRestrictedCut:
             prob = _random_problem(rng, n=int(rng.integers(4, 11)), n_labels=2, with_boundary=(k % 4 == 0))
             lab = restricted_cut(prob)
             assert lab.shape == prob.subgraph.nodes.shape
-            labeled = dict(zip(prob.subgraph.nodes.tolist(), lab.tolist()))
-            for n, l in prob.label_seeds.items():
-                assert labeled[n] == l
+            seeded = prob.seeds >= 0
+            assert (lab[seeded] == prob.seeds[seeded]).all()
             assert cut_energy(prob, lab) == pytest.approx(_brute_force_cut(prob), rel=1e-9)
 
     def test_three_label_matches_brute_force(self):
@@ -584,15 +585,14 @@ class TestRestrictedCut:
         for _ in range(12):
             prob = _random_problem(rng, n=int(rng.integers(5, 9)), n_labels=3)
             lab = restricted_cut(prob)
-            labeled = dict(zip(prob.subgraph.nodes.tolist(), lab.tolist()))
-            for n, l in prob.label_seeds.items():
-                assert labeled[n] == l
+            seeded = prob.seeds >= 0
+            assert (lab[seeded] == prob.seeds[seeded]).all()
             assert cut_energy(prob, lab) == pytest.approx(_brute_force_cut(prob), rel=1e-9)
 
     def test_single_label_rejected(self):
         g = graph_from_edges({(0, 1): 0.5})
         prob = CutProblem(
-            subgraph=g, label_seeds={0: 1}, previous_boundary=np.empty((0, 3)), params=CutParams().resolve(0.08),
+            subgraph=g, seeds=[1, -1], previous_boundary=np.empty((0, 3)), params=CutParams().resolve(0.08),
             seed_resolution=0.08,
         )
         with pytest.raises(ValueError):
@@ -607,10 +607,10 @@ class TestRestrictedCut:
         )
         base = dict(subgraph=g, params=CutParams().resolve(0.08), seed_resolution=0.08)
         near_01 = CutProblem(
-            label_seeds={0: 1, 2: 2}, previous_boundary=[(0.02, 0.0, 0.0)], **base
+            seeds=[1, -1, 2], previous_boundary=[(0.02, 0.0, 0.0)], **base
         )
         near_12 = CutProblem(
-            label_seeds={0: 1, 2: 2}, previous_boundary=[(0.06, 0.0, 0.0)], **base
+            seeds=[1, -1, 2], previous_boundary=[(0.06, 0.0, 0.0)], **base
         )
         lab_01 = restricted_cut(near_01)
         lab_12 = restricted_cut(near_12)

@@ -691,3 +691,85 @@ class TestArrayFeaturesMatchLoops:
                 de = float(np.linalg.norm(col_a - col_b))
                 loop = math.exp(-gap / PARAMS.sigma_distance) * math.exp(-de / PARAMS.sigma_color)
                 assert compute_similarity(a, b, graph, PARAMS) == loop
+
+
+def _derive_blob_seeds_loop(problem, assignment, blobs, graph, seed_resolution):
+    """derive_blob_seeds with one claim-cost pass per assigned segment."""
+    seed_of = np.full(len(graph.nodes), -1, dtype=np.int64)
+    seat = np.full(problem.num_segments, -1, dtype=np.int64)
+    for k, members in enumerate(blobs):
+        assigned = [s for s in range(problem.num_segments) if assignment.labels[s] == k]
+        if not assigned:
+            continue
+        at = np.searchsorted(graph.nodes, members)
+        cen, col = graph.centroids[at], graph.colors_lab[at]
+        claims = []  # (cost, object, segment)
+        ranked = {}  # segment -> member positions, cheapest first
+        for s in assigned:
+            seg = problem.segments[s]
+            d = np.linalg.norm(cen - np.asarray(seg.centroid), axis=1) / seed_resolution
+            dc = np.linalg.norm(col - np.asarray(seg.mean_color_lab), axis=1) / 100.0
+            cost = d + dc
+            order = np.argsort(cost, kind="stable")
+            ranked[s] = at[order]
+            claims.append((float(cost[order[0]]), seg.parent_object_id, s))
+        claims.sort()
+        seeded_objects = set()
+        for first_round in (True, False):
+            for _, oid, s in claims:
+                if seat[s] >= 0 or (first_round and oid in seeded_objects):
+                    continue
+                free = ranked[s][seed_of[ranked[s]] < 0]
+                if len(free):
+                    seed_of[free[0]] = oid
+                    seat[s] = free[0]
+                    seeded_objects.add(oid)
+                elif not first_round:
+                    seat[s] = ranked[s][0]
+    return seed_of, seat
+
+
+@st.composite
+def _seeding_cases(draw):
+    """Blobs over sparse ids, segments of a few objects, and an assignment.
+
+    With ``tied``, centroids and colours come from a few grid values, so
+    claim costs tie across supervoxels and across segments.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tied = draw(st.booleans())
+    n = draw(st.integers(1, 40))
+    ids = np.sort(rng.choice(10_000, size=n, replace=False))
+
+    def features(count):
+        if tied:
+            return rng.integers(0, 3, (count, 3)) * 0.04, rng.integers(0, 2, (count, 3)) * 10.0 + [50.0, 0.0, 0.0]
+        return rng.uniform(0.0, 0.3, (count, 3)), rng.uniform([20.0, -30.0, -30.0], [80.0, 30.0, 30.0], (count, 3))
+
+    centroids, colors = features(n)
+    graph = AdjacencyGraph(
+        nodes=ids, edges=[], weights=[], centroids=centroids, colors_lab=colors, point_counts=np.ones(n)
+    )
+    k = draw(st.integers(1, n))
+    part = rng.permutation(np.arange(n) % k)
+    blobs = [ids[part == b] for b in range(k)]
+    m = draw(st.integers(1, 12))
+    seg_c, seg_l = features(m)
+    objects = rng.integers(0, draw(st.integers(1, m)), m)
+    segments = [
+        _seg_feature(c, comp=int(o), obj=int(o), color=tuple(col)) for c, col, o in zip(seg_c, seg_l, objects)
+    ]
+    problem = AssignmentProblem(segments=segments, blobs=_blob_features(graph, blobs), params=EPARAMS)
+    assignment = Assignment(labels=rng.integers(-1, k, m), energy=0.0)
+    return problem, assignment, blobs, graph
+
+
+class TestBlobSeedsMatchLoopReference:
+    @settings(max_examples=200, deadline=None)
+    @given(case=_seeding_cases())
+    def test_seeds_and_seats_equal_the_loop(self, case):
+        problem, assignment, blobs, graph = case
+        seed_of, seat = derive_blob_seeds(problem, assignment, blobs, graph, 0.08)
+        want_seed_of, want_seat = _derive_blob_seeds_loop(problem, assignment, blobs, graph, 0.08)
+        assert np.array_equal(seed_of, want_seed_of)
+        assert np.array_equal(seat, want_seat)
