@@ -9,10 +9,12 @@ the report's ``ms`` timings removed.  Run it once with PYTHONPATH naming one
 source tree and once naming another: equal digests mean byte-identical
 outputs.  NAMEs select a subset of the check set.
 
-The check set has 16 sequences: seed 0 of the benchmark's pair_contact_fine
+The check set has 17 sequences: seed 0 of the benchmark's pair_contact_fine
 and crossing_coarse workloads (4 sequences each), seed 0 of the four
-scenario kinds at voxel 0.02, and four contact sequences at voxel 0.008:
-triple_contact_fine seeds 0-1 and approach_merge_split seeds 1-2.
+scenario kinds at voxel 0.02, four contact sequences at voxel 0.008
+(triple_contact_fine seeds 0-1 and approach_merge_split seeds 1-2), and
+static-0-ghost at voxel 0.02: static seed 0 with a 0.4 m occluder over
+sphere B for frames 2-4, so B is a ghost for three frames and returns.
 """
 
 from __future__ import annotations
@@ -55,6 +57,8 @@ def check_set() -> list[tuple[str, object, float]]:
     out += [(f"triple_contact_fine-{s}", workloads.scenarios("triple_contact_fine", s)[0], 0.008) for s in (0, 1)]
     for s in (1, 2):
         out.append((f"approach_merge_split-{s}-fine", make_scenario("approach_merge_split", rng_seed=s), 0.008))
+    ghost = make_scenario("static", rng_seed=0, occluder_width=0.4, occluder_frames=(2, 4), occluder_x=0.5)
+    out.append(("static-0-ghost", ghost, 0.02))
     return out
 
 

@@ -25,7 +25,7 @@ from dynseg.assignment import (
     BlobFeature,
     EnergyParams,
     GAConfig,
-    SegmentFeature,
+    Segments,
     solve_exhaustive,
     solve_ga,
 )
@@ -34,19 +34,17 @@ from dynseg.graphcut import CutParams, CutProblem, cut_energy, ncut_value, norma
 
 
 def random_assignment(rng, num_segments, num_blobs, params):
-    segments = [
-        SegmentFeature(
-            centroid=tuple(rng.uniform(0.0, 0.4, 3)),
-            mean_color_lab=(
-                float(rng.uniform(20, 80)),
-                float(rng.uniform(-40, 40)),
-                float(rng.uniform(-40, 40)),
-            ),
-            parent_component_id=int(rng.integers(0, num_segments)),
-            parent_object_id=int(rng.integers(0, 3)),
+    # one row per segment, drawn in row order: centroid, Lab colour, parent component, parent object
+    rows = [
+        (
+            rng.uniform(0.0, 0.4, 3),
+            (rng.uniform(20, 80), rng.uniform(-40, 40), rng.uniform(-40, 40)),
+            rng.integers(0, num_segments),
+            rng.integers(0, 3),
         )
         for _ in range(num_segments)
     ]
+    segments = Segments(*(np.asarray(column) for column in zip(*rows)))
     blobs = []
     for _ in range(num_blobs):
         k = int(rng.integers(1, 6))

@@ -46,11 +46,28 @@ class GAConfig:
 
 
 @dataclass(frozen=True)
-class SegmentFeature:
-    centroid: tuple[float, float, float]
-    mean_color_lab: tuple[float, float, float]
-    parent_component_id: int
-    parent_object_id: int
+class Segments:
+    """Previous-frame segments as four aligned columns; row s is segment s."""
+
+    centroids: np.ndarray  # (M, 3) point-weighted centroid
+    colors_lab: np.ndarray  # (M, 3) point-weighted mean Lab colour
+    component_ids: np.ndarray  # (M,) parent component id
+    object_ids: np.ndarray  # (M,) parent object id
+
+    def __len__(self) -> int:
+        return len(self.centroids)
+
+    @classmethod
+    def empty(cls) -> "Segments":
+        return cls(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+
+    def take(self, rows) -> "Segments":
+        """The rows at ``rows``, in that order."""
+        return Segments(*(column[rows] for column in vars(self).values()))
+
+    def concat(self, other: "Segments") -> "Segments":
+        """These rows, then ``other``'s."""
+        return Segments(*map(np.concatenate, zip(vars(self).values(), vars(other).values())))
 
 
 @dataclass
@@ -69,7 +86,7 @@ class BlobFeature:
 
 @dataclass
 class AssignmentProblem:
-    segments: list[SegmentFeature]
+    segments: Segments
     blobs: list[BlobFeature]
     params: EnergyParams  # resolved
 
@@ -87,19 +104,15 @@ class AssignmentProblem:
         blob's nearest supervoxel; each previous component's segment positions, by ascending component id."""
         ms, mb = self.num_segments, self.num_blobs
         p = self.params
-        cost = np.empty((ms, mb + 1))
+        cost = np.full((ms, mb + 1), p.rho)
         disp = np.zeros((ms, mb, 3))
-        if ms:
-            seg_c = np.asarray([s.centroid for s in self.segments])
-            seg_l = np.asarray([s.mean_color_lab for s in self.segments])
-            for b, blob in enumerate(self.blobs):
-                dist, near = nearest(seg_c, blob.sv_centroids, min(3, len(blob.sv_centroids)))
-                near_color = blob.sv_colors_lab[near].mean(axis=1)
-                appearance = np.linalg.norm(near_color - seg_l, axis=1)
-                cost[:, b] = p.alpha * appearance + p.beta * dist[:, 0]
-                disp[:, b] = blob.sv_centroids[near[:, 0]] - seg_c
-            cost[:, mb] = p.rho
-        comp = np.asarray([seg.parent_component_id for seg in self.segments], dtype=np.int64)
+        seg_c, seg_l, comp = self.segments.centroids, self.segments.colors_lab, self.segments.component_ids
+        for b, blob in enumerate(self.blobs):
+            dist, near = nearest(seg_c, blob.sv_centroids, min(3, len(blob.sv_centroids)))
+            near_color = blob.sv_colors_lab[near].mean(axis=1)
+            appearance = np.linalg.norm(near_color - seg_l, axis=1)
+            cost[:, b] = p.alpha * appearance + p.beta * dist[:, 0]
+            disp[:, b] = blob.sv_centroids[near[:, 0]] - seg_c
         return cost, disp, [np.flatnonzero(comp == cid) for cid in np.unique(comp)]
 
 
@@ -251,11 +264,6 @@ def solve_ga(problem: AssignmentProblem, config: GAConfig, rng_seed: int = 0, tr
     if ms == 0:
         return Assignment(labels=np.empty(0, dtype=np.int64), energy=float(problem.params.gamma * mb))
     order = _canonical_blob_order(problem)
-    canon = AssignmentProblem(
-        segments=problem.segments,
-        blobs=[problem.blobs[b] for b in order],
-        params=problem.params,
-    )
-    labels_canon = _ga_core(canon, config, rng_seed, trace)
+    labels_canon = _ga_core(replace(problem, blobs=[problem.blobs[b] for b in order]), config, rng_seed, trace)
     labels = np.asarray([order[v] if v >= 0 else NONE_LABEL for v in labels_canon], dtype=np.int64)
     return Assignment(labels=labels, energy=energy_of(problem, labels))

@@ -19,7 +19,7 @@ from .assignment import (
     BlobFeature,
     EnergyParams,
     GAConfig,
-    SegmentFeature,
+    Segments,
     solve_exhaustive,
     solve_ga,
 )
@@ -65,6 +65,8 @@ class PipelineConfig:
             raise ValueError("ga.population must be >= 1")
         if self.ga.tournament_size < 1:
             raise ValueError("ga.tournament_size must be >= 1")
+        if self.ga.elitism < 0:
+            raise ValueError("ga.elitism must be >= 0")
         sr = self.supervoxel.seed_resolution
         out = replace(
             self,
@@ -81,18 +83,14 @@ class PipelineConfig:
 
 
 @dataclass
-class _Ghost:
-    segments: list[SegmentFeature]
-    missing_since: int
-
-
-@dataclass
 class PipelineState:
     config: PipelineConfig  # resolved
     alloc: IdAllocator = field(default_factory=IdAllocator)
     tree: SegTree | None = None
     boundary: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
-    ghosts: dict[int, _Ghost] = field(default_factory=dict)
+    # the segment rows of the missing objects on file by object id, and the frame each went missing
+    ghosts: Segments = field(default_factory=Segments.empty)
+    missing_since: dict[int, int] = field(default_factory=dict)
     open_events: dict[tuple[int, ...], InteractionRecord] = field(default_factory=dict)
     # voxel-neighbour reach, decided once on the first frame with points so
     # the partition rule does not flicker between frames
@@ -148,8 +146,7 @@ def process_frame(state: PipelineState, frame: PointCloudFrame) -> FrameResult:
     splits: list = []
     path = None
     t = time.perf_counter()
-    prev_feats = state.tree.segment_features() if state.tree is not None else []
-    segments = prev_feats + [f for oid in sorted(state.ghosts) for f in state.ghosts[oid].segments]
+    segments = state.ghosts if state.tree is None else state.tree.segments().concat(state.ghosts)
     if not blobs or not segments:
         # nothing to inherit: every blob founds an object, the rest go (or stay) missing
         tree = init_tree(blobs, graph, fidx, state.alloc, cfg.overseg, cfg.tree, prev=state.tree)
@@ -181,13 +178,13 @@ def process_frame(state: PipelineState, frame: PointCloudFrame) -> FrameResult:
                 labels[blob] = restricted_cut(cut_problem)
         timings["cut"] = (time.perf_counter() - tc) * 1e3
 
-        tree = update_tree(state.tree, blobs, graph, problem, labels, seat, fidx, state.alloc, cfg.overseg)
+        tree = update_tree(state.tree, blobs, graph, segments, labels, seat, fidx, state.alloc, cfg.overseg)
         tree = accumulate_similarities(tree, state.tree, graph, cfg.tree)
         tree, audit = confirm_splits_merges(tree, graph, cfg.tree, state.alloc, cfg.overseg)
         merges, splits = audit["merges"], audit["splits"]
 
     state.open_events, closed = detect_interactions(tree, state.open_events)
-    _update_ghosts(state, tree, fidx, prev_feats)
+    _update_ghosts(state, tree, fidx, segments)
     state.boundary = boundary_midpoints(graph, tree.object_of)
     point_labels = tree.object_of[supervoxels.of_point]
     state.tree = tree
@@ -210,22 +207,20 @@ def process_frame(state: PipelineState, frame: PointCloudFrame) -> FrameResult:
     )
 
 
-def _update_ghosts(state: PipelineState, tree: SegTree, frame_index: int, prev_feats: list[SegmentFeature]) -> None:
-    """Rebuild the ghosts from the tree's missing objects and take the rest off file.
+def _update_ghosts(state: PipelineState, tree: SegTree, frame_index: int, segments: Segments) -> None:
+    """Keep the missing objects' rows of this frame's assignment input as the ghosts; take the rest off file.
 
-    A missing object keeps its ghost, or gets one from ``prev_feats``, the
-    previous frame's segment features.  It stays on file while its ghost has
-    segments and it has been missing for fewer than retention_frames frames.
+    A missing object stays on file while it has rows in ``segments`` and it
+    has been missing for fewer than retention_frames frames.
     """
-    ghosts, gone = {}, []
-    for oid in tree.missing_objects():
-        ghost = state.ghosts.get(oid) or _Ghost([f for f in prev_feats if f.parent_object_id == oid], frame_index)
-        if ghost.segments and frame_index - ghost.missing_since < state.config.retention_frames:
-            ghosts[oid] = ghost
-        else:
-            gone.append(oid)
-    tree.forget(gone)
-    state.ghosts = ghosts
+    since = {oid: state.missing_since.get(oid, frame_index) for oid in tree.missing_objects()}
+    has_rows = set(segments.object_ids.tolist())
+    retention = state.config.retention_frames
+    state.missing_since = {oid: t for oid, t in since.items() if oid in has_rows and frame_index - t < retention}
+    tree.forget(since.keys() - state.missing_since.keys())
+    # by object id, each object's rows in input order
+    order = np.argsort(segments.object_ids, kind="stable")
+    state.ghosts = segments.take(order[np.isin(segments.object_ids[order], list(state.missing_since))])
 
 
 def run_sequence(frames, config: PipelineConfig) -> SequenceResult:

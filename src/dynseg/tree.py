@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .assignment import Assignment, AssignmentProblem, SegmentFeature
+from .assignment import Assignment, AssignmentProblem, Segments
 from .cloud_io import InteractionRecord
 from .graph import AdjacencyGraph, connected_sets
 from .graphcut import OversegConfig, claim_costs, oversegment
@@ -79,16 +79,10 @@ class SegTree:
         for oid in object_ids:
             del self.births[oid]
 
-    def segment_features(self) -> list[SegmentFeature]:
-        """Segment centroid, colour and parents, in segment order."""
+    def segments(self) -> Segments:
+        """Segment centroids, colours and parents, in segment order."""
         first = np.unique(self.segment_of, return_index=True)[1]
-        parents = zip(self.component_of[first].tolist(), self.object_of[first].tolist())
-        return [
-            SegmentFeature(
-                centroid=tuple(cen), mean_color_lab=tuple(col), parent_component_id=cid, parent_object_id=oid
-            )
-            for cen, col, (cid, oid) in zip(self.segment_centroids, self.segment_colors, parents)
-        ]
+        return Segments(self.segment_centroids, self.segment_colors, self.component_of[first], self.object_of[first])
 
 
 class IdAllocator:
@@ -169,7 +163,7 @@ def init_tree(
     from zero.
     """
     unseeded = np.full(len(graph.nodes), -1, dtype=np.int64)
-    tree = update_tree(prev, blobs, graph, None, unseeded, np.empty(0, dtype=np.int64), frame_index, alloc, overseg)
+    tree = update_tree(prev, blobs, graph, Segments.empty(), unseeded, unseeded[:0], frame_index, alloc, overseg)
     tree.object_similarity = dict.fromkeys(_candidates(tree, graph, params, {}), 0.0)
     return tree
 
@@ -197,12 +191,11 @@ def derive_blob_seeds(
         if not len(assigned):
             continue
         at = np.searchsorted(graph.nodes, members)
-        segs = [problem.segments[s] for s in assigned]
-        ref_c, ref_l = np.array([seg.centroid for seg in segs]), np.array([seg.mean_color_lab for seg in segs])
-        cost = claim_costs(graph.centroids[at], graph.colors_lab[at], ref_c, ref_l, seed_resolution)
+        segs = problem.segments.take(assigned)
+        cost = claim_costs(graph.centroids[at], graph.colors_lab[at], segs.centroids, segs.colors_lab, seed_resolution)
         # segment -> member positions, cheapest first
         ranked = dict(zip(assigned.tolist(), at[np.argsort(cost, axis=0, kind="stable")].T))
-        claims = sorted(zip(cost.min(axis=0).tolist(), [seg.parent_object_id for seg in segs], assigned.tolist()))
+        claims = sorted(zip(cost.min(axis=0).tolist(), segs.object_ids.tolist(), assigned.tolist()))
         # round 1 seeds one site per object, cheapest first, while free sites
         # last; round 2 seeds each remaining segment's nearest free site, or
         # seats it at its nearest site when none is free
@@ -225,7 +218,7 @@ def update_tree(
     prev: SegTree | None,
     blobs: list[np.ndarray],
     graph: AdjacencyGraph,
-    problem: AssignmentProblem | None,
+    segments: Segments,
     labels: np.ndarray,
     seat: np.ndarray,
     frame_index: int,
@@ -237,9 +230,10 @@ def update_tree(
     ``labels`` holds an object id or -1 per node position of ``graph``:
     derive_blob_seeds' seeds, with each contested blob's restricted_cut
     labels written over them.  ``seat`` is derive_blob_seeds' node position
-    per segment of ``problem``.  A blob with no id founds an object, a blob
-    with one id takes it everywhere, and a fully labelled blob keeps its
-    labels.  The objects on file in ``prev`` stay on file.
+    per row of ``segments``, the assignment's segments.  A blob with no id
+    founds an object, a blob with one id takes it everywhere, and a fully
+    labelled blob keeps its labels.  The objects on file in ``prev`` stay on
+    file.
     """
     nodes = graph.nodes
     object_of = np.array(labels, dtype=np.int64)
@@ -271,11 +265,11 @@ def update_tree(
 
     # component id inheritance: each previous component passes its id to the
     # piece that received most of its assigned segments
+    seated = np.flatnonzero(seat >= 0)
+    seated = seated[object_of[seat[seated]] == segments.object_ids[seated]]  # else its seat went to another object
     votes: dict[int, Counter] = {}
-    for s in np.flatnonzero(seat >= 0):
-        seg, at = problem.segments[s], seat[s]
-        if object_of[at] == seg.parent_object_id:  # else the piece went to another object in the cut
-            votes.setdefault(seg.parent_component_id, Counter())[int(piece_of[at])] += 1
+    for cid, k in zip(segments.component_ids[seated].tolist(), piece_of[seat[seated]].tolist()):
+        votes.setdefault(cid, Counter())[k] += 1
     prev_owner = {cid: oid for cid, (oid, _) in prev.component_table().items()} if prev is not None else {}
     piece_cid: dict[int, int] = {}
     for cid in sorted(votes):

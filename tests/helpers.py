@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from dynseg.assignment import Segments
 from dynseg.graph import AdjacencyGraph
 from dynseg.pipeline import init_state, process_frame
 from dynseg.supervoxel import Supervoxels, voxelize
@@ -20,6 +21,20 @@ def make_supervoxels(centroids, colors_lab=None, contacts=(), n_points: int = 5)
         colors_lab=np.asarray(colors, dtype=np.float64).reshape(-1, 3),
         point_counts=np.full(count, n_points),
         contacts=np.asarray(contacts, dtype=np.int64).reshape(-1, 2),
+    )
+
+
+def segment_table(rows) -> Segments:
+    """Segments from (centroid, Lab colour, parent component id, parent object id) rows, in row order."""
+    rows = list(rows)
+    if not rows:
+        return Segments.empty()
+    centroids, colors, components, objects = zip(*rows)
+    return Segments(
+        np.asarray(centroids, dtype=np.float64).reshape(-1, 3),
+        np.asarray(colors, dtype=np.float64).reshape(-1, 3),
+        np.asarray(components, dtype=np.int64),
+        np.asarray(objects, dtype=np.int64),
     )
 
 
@@ -120,7 +135,7 @@ def check_frame_invariants(tree, labels) -> set[int]:
 
 
 def run_checked(frames, config):
-    """Run frames through process_frame, checking the invariants and that only missing objects have ghosts after each one."""
+    """Run frames through process_frame, checking the invariants and that exactly the missing objects have ghosts after each one."""
     state = init_state(config)
     results, on_file, dropped = [], set(), set()
     for frame in frames:
@@ -129,7 +144,9 @@ def run_checked(frames, config):
             assert len(results[-1].point_labels) == 0
             continue
         now = check_frame_invariants(state.tree, results[-1].point_labels)
-        assert set(state.ghosts) <= set(state.tree.missing_objects()), "a ghost outlives its object on file"
+        missing = set(state.tree.missing_objects())
+        assert set(state.missing_since) == missing, "the ghosts and the missing objects on file differ"
+        assert set(state.ghosts.object_ids.tolist()) == missing, "a missing object on file has no ghost rows"
         assert not now & dropped, f"object ids {sorted(now & dropped)} came back"
         dropped |= on_file - now
         on_file = now

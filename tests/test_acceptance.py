@@ -18,7 +18,6 @@ from dynseg.assignment import (
     BlobFeature,
     EnergyParams,
     GAConfig,
-    SegmentFeature,
     solve_exhaustive,
     solve_ga,
 )
@@ -49,7 +48,7 @@ from dynseg.tree import (
     init_tree,
 )
 
-from helpers import graph_from_edges
+from helpers import graph_from_edges, segment_table
 
 
 def _scenario_config() -> PipelineConfig:
@@ -61,19 +60,15 @@ def _scenario_config() -> PipelineConfig:
 
 
 def _random_assignment(rng, num_segments, num_blobs, params):
-    segments = [
-        SegmentFeature(
-            centroid=tuple(rng.uniform(0.0, 0.4, 3)),
-            mean_color_lab=(
-                float(rng.uniform(20, 80)),
-                float(rng.uniform(-40, 40)),
-                float(rng.uniform(-40, 40)),
-            ),
-            parent_component_id=int(rng.integers(0, num_segments)),
-            parent_object_id=int(rng.integers(0, 3)),
+    segments = segment_table(
+        (
+            rng.uniform(0.0, 0.4, 3),
+            (rng.uniform(20, 80), rng.uniform(-40, 40), rng.uniform(-40, 40)),
+            rng.integers(0, num_segments),
+            rng.integers(0, 3),
         )
         for _ in range(num_segments)
-    ]
+    )
     blobs = []
     for _ in range(num_blobs):
         k = int(rng.integers(1, 6))

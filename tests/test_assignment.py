@@ -11,6 +11,7 @@ from dynseg.assignment import (
     BlobFeature,
     EnergyParams,
     GAConfig,
+    Segments,
     _energy_batch,
     energy_of,
     greedy_labels,
@@ -18,20 +19,16 @@ from dynseg.assignment import (
     solve_ga,
 )
 
+from helpers import segment_table
+
 
 def _params(**kw):
     return EnergyParams(**kw).resolve(0.08)
 
 
 def _seg(centroid, color=(50.0, 0.0, 0.0), comp=0, obj=0):
-    from dynseg.assignment import SegmentFeature
-
-    return SegmentFeature(
-        centroid=tuple(float(v) for v in centroid),
-        mean_color_lab=tuple(float(v) for v in color),
-        parent_component_id=comp,
-        parent_object_id=obj,
-    )
+    """One row for segment_table."""
+    return centroid, color, comp, obj
 
 
 def _energy_oracle(problem, labels):
@@ -40,22 +37,22 @@ def _energy_oracle(problem, labels):
     total = 0.0
     covered = set()
     disp_by_comp = {}
+    segs = problem.segments
     for s, lab in enumerate(labels):
-        seg = problem.segments[s]
         if lab == NONE_LABEL:
             total += p.rho
             continue
         blob = problem.blobs[lab]
-        d = np.linalg.norm(blob.sv_centroids - np.asarray(seg.centroid), axis=1)
+        d = np.linalg.norm(blob.sv_centroids - segs.centroids[s], axis=1)
         j = int(np.argmin(d))
         k = min(3, len(blob.sv_centroids))
         near = np.argsort(d, kind="stable")[:k]
         near_color = blob.sv_colors_lab[near].mean(axis=0)
-        appearance = float(np.linalg.norm(near_color - np.asarray(seg.mean_color_lab)))
+        appearance = float(np.linalg.norm(near_color - segs.colors_lab[s]))
         total += p.alpha * appearance + p.beta * float(d[j])
         covered.add(int(lab))
-        disp_by_comp.setdefault(seg.parent_component_id, []).append(
-            blob.sv_centroids[j] - np.asarray(seg.centroid)
+        disp_by_comp.setdefault(int(segs.component_ids[s]), []).append(
+            blob.sv_centroids[j] - segs.centroids[s]
         )
     total += p.gamma * (problem.num_blobs - len(covered))
     if p.delta != 0.0:
@@ -67,14 +64,14 @@ def _energy_oracle(problem, labels):
 
 
 def _random_problem(rng, ms, mb, delta=1.0):
-    segments = [
+    segments = segment_table(
         _seg(
             rng.uniform(0.0, 0.5, 3),
             color=(rng.uniform(20, 80), rng.uniform(-30, 30), rng.uniform(-30, 30)),
             comp=int(rng.integers(0, ms // 2 + 1)),
         )
         for _ in range(ms)
-    ]
+    )
     blobs = []
     for _ in range(mb):
         k = int(rng.integers(1, 5))
@@ -93,7 +90,7 @@ class TestEnergy:
     def test_single_segment_hand_value(self):
         # data = 0.01 * 5 + 12.5 * 0.04 = 0.55, everything else zero
         prob = AssignmentProblem(
-            segments=[_seg((0.0, 0.0, 0.0))],
+            segments=segment_table([_seg((0.0, 0.0, 0.0))]),
             blobs=[BlobFeature(sv_centroids=[[0.04, 0.0, 0.0]], sv_colors_lab=[[55.0, 0.0, 0.0]])],
             params=_params(),
         )
@@ -105,7 +102,7 @@ class TestEnergy:
         # displacements (0,0,0) and (0.04,0,0) in one component:
         # mean (0.02,0,0), per-vector dev 4e-4, term = 4e-4
         prob = AssignmentProblem(
-            segments=[_seg((0.0, 0.0, 0.0), comp=0), _seg((0.1, 0.0, 0.0), comp=0)],
+            segments=segment_table([_seg((0.0, 0.0, 0.0), comp=0), _seg((0.1, 0.0, 0.0), comp=0)]),
             blobs=[
                 BlobFeature(
                     sv_centroids=[[0.0, 0.0, 0.0], [0.14, 0.0, 0.0]],
@@ -118,7 +115,7 @@ class TestEnergy:
 
     def test_variance_term_off(self):
         prob = AssignmentProblem(
-            segments=[_seg((0.0, 0.0, 0.0), comp=0), _seg((0.1, 0.0, 0.0), comp=0)],
+            segments=segment_table([_seg((0.0, 0.0, 0.0), comp=0), _seg((0.1, 0.0, 0.0), comp=0)]),
             blobs=[
                 BlobFeature(
                     sv_centroids=[[0.0, 0.0, 0.0], [0.14, 0.0, 0.0]],
@@ -166,7 +163,7 @@ class TestGreedy:
     def test_prefers_none_when_rho_cheaper(self):
         # far segment: beta * 1.0 = 12.5 > rho = 1.5
         prob = AssignmentProblem(
-            segments=[_seg((0.0, 0.0, 0.0)), _seg((0.99, 0.0, 0.0))],
+            segments=segment_table([_seg((0.0, 0.0, 0.0)), _seg((0.99, 0.0, 0.0))]),
             blobs=[BlobFeature(sv_centroids=[[1.0, 0.0, 0.0]], sv_colors_lab=[[50.0, 0.0, 0.0]])],
             params=_params(),
         )
@@ -174,7 +171,7 @@ class TestGreedy:
         assert labels.tolist() == [NONE_LABEL, 0]
 
     def test_empty(self):
-        prob = AssignmentProblem(segments=[], blobs=[], params=_params())
+        prob = AssignmentProblem(segments=Segments.empty(), blobs=[], params=_params())
         assert greedy_labels(prob).shape == (0,)
 
 
@@ -212,7 +209,7 @@ class TestExhaustive:
                 assert (energies == energies.min()).sum() >= 2
 
     def test_empty_segments(self):
-        prob = AssignmentProblem(segments=[], blobs=[], params=_params())
+        prob = AssignmentProblem(segments=Segments.empty(), blobs=[], params=_params())
         sol = solve_exhaustive(prob)
         assert sol.labels.shape == (0,)
         assert sol.energy == 0.0
@@ -280,7 +277,7 @@ class TestGA:
         assert all(b2 <= b1 + 1e-12 for b1, b2 in zip(bests, bests[1:]))
 
     def test_empty_segments(self):
-        prob = AssignmentProblem(segments=[], blobs=[], params=_params())
+        prob = AssignmentProblem(segments=Segments.empty(), blobs=[], params=_params())
         sol = solve_ga(prob, GAConfig(), rng_seed=0)
         assert sol.labels.shape == (0,)
         assert sol.energy == 0.0

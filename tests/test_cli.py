@@ -234,6 +234,19 @@ class TestExitCodes:
         assert main(["segment", str(tmp_path / "nope.txt"), "--ga.tournament_size", value]) == 1
         assert "ga.tournament_size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["-5", "-1"])
+    def test_negative_elitism_is_config_error(self, tmp_path, capsys, value):
+        # a population of 3 that stops after one stale generation sends these frames to the GA
+        spec = tmp_path / "scene.txt"
+        spec.write_text("kind = approach_merge_split\nframes = 8\npoints_per_object = 300\n")
+        assert main(["synth", str(spec), "--out", str(tmp_path / "data")]) == 0
+        args = ["--out", str(tmp_path / "run"), "--supervoxel.voxel_resolution", "0.02"]
+        args += ["--ga.population", "3", "--ga.stagnation_stop", "1", "--ga.elitism", value]
+        capsys.readouterr()
+        assert main(["segment", str(tmp_path / "data" / "manifest.txt"), *args]) == 1
+        assert "ga.elitism" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_missing_manifest_is_data_error(self, tmp_path):
         assert main(["segment", str(tmp_path / "nope.txt")]) == 2
 

@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from dynseg import cloud_io
+from dynseg import cloud_io, pipeline
 from dynseg.assignment import EnergyParams, GAConfig
 from dynseg.cli import main
 from dynseg.cloud_io import LabeledFrame, PointCloudFrame, SequenceManifest
@@ -20,7 +20,7 @@ from dynseg.pipeline import (
 from dynseg.supervoxel import SupervoxelConfig, cluster_supervoxels, voxel_reach
 from dynseg.tree import TreeParams
 
-from helpers import grid_cloud, run_checked
+from helpers import grid_cloud, run_checked, segment_table
 
 RED = (200, 50, 50)
 BLUE = (50, 50, 200)
@@ -202,6 +202,121 @@ class TestGaps:
         ]
         result = run_sequence(frames, _config(retention_frames=3))
         assert (result.frames[3].point_labels == 0).all()
+
+
+def _three_hide_and_return():
+    """Spheres A, B and C, 0.5 m apart and still; B hides for frames 3-5 and C for frames 3-8.
+
+    Each sphere's upper half has its own colour and its lower half is grey,
+    so every object is two segments.
+    """
+    rng = np.random.default_rng(0)
+    spheres = [(-0.5, (200, 60, 60), ()), (0.0, (60, 200, 60), range(3, 6)), (0.5, (60, 60, 200), range(3, 9))]
+    frames = []
+    for idx in range(12):
+        points, colors = [], []
+        for x, color, hidden in spheres:
+            if idx not in hidden:
+                normals = rng.normal(size=(600, 3))
+                unit = normals / np.linalg.norm(normals, axis=1, keepdims=True)
+                points.append(np.array([x, 0.0, 0.0]) + 0.12 * unit)
+                colors.append(np.where(unit[:, 2:] > 0, [color], [(100, 100, 100)]))
+        frames.append(PointCloudFrame(idx, np.concatenate(points), np.concatenate(colors)))
+    return frames
+
+
+def _segment_rows(tree):
+    """(centroid, Lab colour, parent component, parent object) per segment of ``tree``, one segment at a time."""
+    rows = []
+    for s in range(len(tree.segment_centroids)):
+        first = np.flatnonzero(tree.segment_of == s)[0]
+        rows.append(
+            (
+                tuple(tree.segment_centroids[s]),
+                tuple(tree.segment_colors[s]),
+                int(tree.component_of[first]),
+                int(tree.object_of[first]),
+            )
+        )
+    return rows
+
+
+class _LoopGhosts:
+    """Ghost bookkeeping as a dict of per-object row lists, the reference for the pipeline's ghost record.
+
+    A missing object keeps its ghost, or gets one from the previous frame's
+    segment rows.  It stays on file while its ghost has rows and it has been
+    missing for fewer than ``retention`` frames.
+    """
+
+    def __init__(self, retention):
+        self.retention = retention
+        self.ghosts = {}  # object id -> (rows, frame it went missing)
+
+    def rows(self):
+        return [row for oid in sorted(self.ghosts) for row in self.ghosts[oid][0]]
+
+    def update(self, missing, prev_rows, frame_index):
+        ghosts = {}
+        for oid in missing:
+            ghost = self.ghosts.get(oid) or ([r for r in prev_rows if r[3] == oid], frame_index)
+            if ghost[0] and frame_index - ghost[1] < self.retention:
+                ghosts[oid] = ghost
+        self.ghosts = ghosts
+
+
+def _assert_same_bits(segments, rows):
+    want = segment_table(rows)
+    for name, column in vars(segments).items():
+        expected = getattr(want, name)
+        assert column.dtype == expected.dtype and column.shape == expected.shape, name
+        assert column.tobytes() == expected.tobytes(), name
+
+
+class TestGhostsMatchLoopReference:
+    @pytest.mark.parametrize(
+        "retention, ghost_ids, final_ids",
+        [
+            (10, [[]] * 3 + [[1, 2]] * 3 + [[2]] * 3 + [[]] * 3, [0, 1, 2]),
+            # C is missing for 4 frames at frame 7, so it goes off file and returns as a new object
+            (4, [[]] * 3 + [[1, 2]] * 3 + [[2], []] + [[]] * 4, [0, 1, 3]),
+        ],
+    )
+    def test_assignment_input_and_ghosts_equal_the_loop(self, monkeypatch, retention, ghost_ids, final_ids):
+        inputs = []
+
+        def recorded(solve):
+            def call(problem, *args, **kwargs):
+                inputs.append(problem.segments)
+                return solve(problem, *args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(pipeline, "solve_exhaustive", recorded(pipeline.solve_exhaustive))
+        monkeypatch.setattr(pipeline, "solve_ga", recorded(pipeline.solve_ga))
+        state = init_state(_config(retention_frames=retention))
+        reference = _LoopGhosts(retention)
+        seen, most_rows = [], 0
+        for frame in _three_hide_and_return():
+            prev = state.tree
+            prev_rows = _segment_rows(prev) if prev is not None else []
+            result = process_frame(state, frame)
+            if prev is not None:
+                assert len(inputs) == frame.frame_index, "every frame after the first runs an assignment"
+                _assert_same_bits(inputs[-1], prev_rows + reference.rows())
+                # missing before the ghost step: on file last frame, not live now and not merged away;
+                # objects born this frame are live
+                absorbed = {oid for _, ids in result.merges for oid in ids}
+                missing = sorted(prev.births.keys() - set(state.tree.live_objects()) - absorbed)
+                reference.update(missing, prev_rows, frame.frame_index)
+            _assert_same_bits(state.ghosts, reference.rows())
+            assert state.missing_since == {oid: since for oid, (_, since) in reference.ghosts.items()}
+            assert state.tree.missing_objects() == sorted(reference.ghosts)
+            seen.append(sorted(reference.ghosts))
+            most_rows = max([most_rows] + [len(rows) for rows, _ in reference.ghosts.values()])
+        assert seen == ghost_ids
+        assert most_rows >= 2, "no ghost holds more than one segment"
+        assert np.unique(result.point_labels).tolist() == final_ids
 
 
 class TestDeterminism:

@@ -35,15 +35,16 @@ def test_output_digest_is_stable(capsys):
 
 
 def test_output_digest_matches_pinned_digests(capsys):
-    """Three sequences at voxel 0.02 and two at the default voxel keep their outputs byte for byte.
+    """Four sequences at voxel 0.02 and two at the default voxel keep their outputs byte for byte.
 
     triple_contact_fine-0 puts the three-label expansion cut and the
     oversegmentation of several objects under the check;
-    approach_merge_split-0 adds contact cuts at voxel 0.02, and
-    occlusion_split-0 components of several segments.
+    approach_merge_split-0 adds contact cuts at voxel 0.02,
+    occlusion_split-0 components of several segments, and static-0-ghost
+    an object that is a ghost for three frames and comes back under its id.
     """
     names = ["crossing-0", "pair_contact_fine-0-seq0", "triple_contact_fine-0"]
-    names += ["approach_merge_split-0", "occlusion_split-0"]
+    names += ["approach_merge_split-0", "occlusion_split-0", "static-0-ghost"]
     assert _load("output_digest").main(names) == 0
     assert capsys.readouterr().out == (
         "5e6e8b65fc4f88352e794571ef99553c5fa78702d428eb35a3a8f13b9c1ac53d  pair_contact_fine-0-seq0\n"
@@ -51,6 +52,7 @@ def test_output_digest_matches_pinned_digests(capsys):
         "df81571c49ee43a75ee44b0395fa2fa9778f3659f37f8574f82b8e77ab9a9357  occlusion_split-0\n"
         "0cdd175222d3c1c28a2d788ac871d9496f18c9a032105c1d65fdb88bd081cf0c  crossing-0\n"
         "ca0ccb94c0c41f0d7ae14e99bc6d3c7814f1d403adcc93a8e8e0b76f3cf73e38  triple_contact_fine-0\n"
+        "d22280c8d4cdcf67e3aee19b5a91f9e2f63bcacc2102930632c867ca0b5a6053  static-0-ghost\n"
     )
 
 

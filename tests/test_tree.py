@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynseg.assignment import Assignment, AssignmentProblem, BlobFeature, EnergyParams, SegmentFeature
+from dynseg.assignment import Assignment, AssignmentProblem, BlobFeature, EnergyParams, Segments
 from dynseg.cloud_io import InteractionRecord
 from dynseg.graph import AdjacencyGraph, connected_components
 from dynseg.graphcut import OversegConfig
@@ -27,7 +27,7 @@ from dynseg.tree import (
     update_tree,
 )
 
-from helpers import check_frame_invariants, graph_from_edges
+from helpers import check_frame_invariants, graph_from_edges, segment_table
 
 PARAMS = TreeParams().resolve(0.08)
 OVERSEG = OversegConfig()
@@ -39,13 +39,9 @@ def _two_singletons(x0=0.0, x1=1.0):
     return g, connected_components(g)
 
 
-def _seg_feature(centroid, comp, obj, color=(50.0, 0.0, 0.0)):
-    return SegmentFeature(
-        centroid=tuple(float(v) for v in centroid),
-        mean_color_lab=tuple(float(v) for v in color),
-        parent_component_id=comp,
-        parent_object_id=obj,
-    )
+def _seg_row(centroid, comp, obj, color=(50.0, 0.0, 0.0)):
+    """One row for segment_table."""
+    return centroid, color, comp, obj
 
 
 def _tree(frame, comps, births=None, **similarities):
@@ -166,7 +162,7 @@ class TestInitTree:
         empty = graph_from_edges({})
         tree = init_tree([], empty, 4, alloc, OVERSEG, PARAMS, prev=tree)
         assert tree.live_objects() == [] and tree.missing_objects() == [0, 1, 2, 3]
-        assert tree.segment_features() == []
+        assert len(tree.segments()) == 0
         _check(tree)
 
 
@@ -178,10 +174,9 @@ class TestDeriveBlobSeeds:
         )
         blobs = connected_components(g)
         problem = AssignmentProblem(
-            segments=[
-                _seg_feature((0.0, 0.0, 0.0), comp=0, obj=0),
-                _seg_feature((0.3, 0.0, 0.0), comp=1, obj=1),
-            ],
+            segments=segment_table(
+                [_seg_row((0.0, 0.0, 0.0), comp=0, obj=0), _seg_row((0.3, 0.0, 0.0), comp=1, obj=1)]
+            ),
             blobs=_blob_features(g, blobs),
             params=EPARAMS,
         )
@@ -194,10 +189,9 @@ class TestDeriveBlobSeeds:
         g = graph_from_edges({}, positions={0: (0.0, 0.0, 0.0)})
         blobs = connected_components(g)
         problem = AssignmentProblem(
-            segments=[
-                _seg_feature((0.0, 0.0, 0.0), comp=0, obj=0),
-                _seg_feature((0.01, 0.0, 0.0), comp=1, obj=1),
-            ],
+            segments=segment_table(
+                [_seg_row((0.0, 0.0, 0.0), comp=0, obj=0), _seg_row((0.01, 0.0, 0.0), comp=1, obj=1)]
+            ),
             blobs=_blob_features(g, blobs),
             params=EPARAMS,
         )
@@ -214,10 +208,9 @@ def _tracked_pair():
     prev = init_tree(blobs0, g0, 0, alloc, OVERSEG, PARAMS)
     g1, blobs1 = _two_singletons(0.01, 1.01)
     problem = AssignmentProblem(
-        segments=[
-            _seg_feature((0.0, 0.0, 0.0), comp=0, obj=0),
-            _seg_feature((1.0, 0.0, 0.0), comp=1, obj=1),
-        ],
+        segments=segment_table(
+            [_seg_row((0.0, 0.0, 0.0), comp=0, obj=0), _seg_row((1.0, 0.0, 0.0), comp=1, obj=1)]
+        ),
         blobs=_blob_features(g1, blobs1),
         params=EPARAMS,
     )
@@ -229,7 +222,7 @@ def _update(prev, blobs, graph, problem, assignment, cuts, alloc):
     labels, seat = derive_blob_seeds(problem, assignment, blobs, graph, 0.08)
     for k, cut in cuts.items():
         labels[np.searchsorted(graph.nodes, blobs[k])] = cut
-    return update_tree(prev, blobs, graph, problem, labels, seat, 1, alloc, OVERSEG)
+    return update_tree(prev, blobs, graph, problem.segments, labels, seat, 1, alloc, OVERSEG)
 
 
 class TestUpdateTree:
@@ -254,7 +247,7 @@ class TestUpdateTree:
         prev = init_tree(connected_components(g0), g0, 0, alloc, OVERSEG, PARAMS)
         g1, blobs1 = _two_singletons(0.0, 2.0)
         problem = AssignmentProblem(
-            segments=[_seg_feature((0.0, 0.0, 0.0), comp=0, obj=0)],
+            segments=segment_table([_seg_row((0.0, 0.0, 0.0), comp=0, obj=0)]),
             blobs=_blob_features(g1, blobs1),
             params=EPARAMS,
         )
@@ -270,10 +263,9 @@ class TestUpdateTree:
         g1 = graph_from_edges({}, positions={0: (0.0, 0.0, 0.0)})
         blobs1 = connected_components(g1)
         problem = AssignmentProblem(
-            segments=[
-                _seg_feature((0.0, 0.0, 0.0), comp=0, obj=0),
-                _seg_feature((1.0, 0.0, 0.0), comp=1, obj=1),
-            ],
+            segments=segment_table(
+                [_seg_row((0.0, 0.0, 0.0), comp=0, obj=0), _seg_row((1.0, 0.0, 0.0), comp=1, obj=1)]
+            ),
             blobs=_blob_features(g1, blobs1),
             params=EPARAMS,
         )
@@ -294,10 +286,9 @@ class TestUpdateTree:
         )
         blobs1 = connected_components(g1)
         problem = AssignmentProblem(
-            segments=[
-                _seg_feature((0.0, 0.0, 0.0), comp=0, obj=0),
-                _seg_feature((0.3, 0.0, 0.0), comp=1, obj=1),
-            ],
+            segments=segment_table(
+                [_seg_row((0.0, 0.0, 0.0), comp=0, obj=0), _seg_row((0.3, 0.0, 0.0), comp=1, obj=1)]
+            ),
             blobs=_blob_features(g1, blobs1),
             params=EPARAMS,
         )
@@ -319,10 +310,9 @@ class TestUpdateTree:
         )
         blobs1 = connected_components(g1)
         problem = AssignmentProblem(
-            segments=[
-                _seg_feature((0.0, 0.0, 0.0), comp=0, obj=0),
-                _seg_feature((0.3, 0.0, 0.0), comp=1, obj=1),
-            ],
+            segments=segment_table(
+                [_seg_row((0.0, 0.0, 0.0), comp=0, obj=0), _seg_row((0.3, 0.0, 0.0), comp=1, obj=1)]
+            ),
             blobs=_blob_features(g1, blobs1),
             params=EPARAMS,
         )
@@ -335,7 +325,7 @@ class TestUpdateTree:
         blobs = connected_components(g)
         labels = np.asarray([-1, 0, -1, 1])  # blob 1 seeds objects 0 and 1 and holds an unlabelled node
         with pytest.raises(ValueError, match=r"blob 1 seeds objects \[0, 1\]"):
-            update_tree(None, blobs, g, None, labels, np.empty(0, dtype=np.int64), 0, IdAllocator(), OVERSEG)
+            update_tree(None, blobs, g, Segments.empty(), labels, np.empty(0, dtype=np.int64), 0, IdAllocator(), OVERSEG)
 
     def test_disconnected_region_splits_into_components(self):
         # one object assigned into a blob pattern that leaves its svs split
@@ -344,7 +334,7 @@ class TestUpdateTree:
         prev = init_tree(connected_components(g0), g0, 0, alloc, OVERSEG, PARAMS)
         g1, blobs1 = _two_singletons(0.0, 0.2)
         problem = AssignmentProblem(
-            segments=[_seg_feature((0.01, 0.0, 0.0), comp=0, obj=0)],
+            segments=segment_table([_seg_row((0.01, 0.0, 0.0), comp=0, obj=0)]),
             blobs=_blob_features(g1, blobs1),
             params=EPARAMS,
         )
@@ -497,8 +487,8 @@ class TestConfirmMergesSplits:
         assert tree.component_table() == {0: (0, 0), 1: (2, 1)}
         # the untouched segment moves up to id 0; the fused component's come last
         assert tree.segment_of.tolist() == [1, 1, 1, 1, 0, 0]
-        assert tree.segment_features()[0].parent_object_id == 2
-        assert tree.segment_features()[0].centroid == pytest.approx((1.01, 0.0, 0.0))
+        assert tree.segments().object_ids[0] == 2
+        assert tuple(tree.segments().centroids[0]) == pytest.approx((1.01, 0.0, 0.0))
         _check(tree)
 
     def test_split_moves_cluster_to_new_object(self):
@@ -705,14 +695,14 @@ def _derive_blob_seeds_loop(problem, assignment, blobs, graph, seed_resolution):
         cen, col = graph.centroids[at], graph.colors_lab[at]
         claims = []  # (cost, object, segment)
         ranked = {}  # segment -> member positions, cheapest first
+        segs = problem.segments
         for s in assigned:
-            seg = problem.segments[s]
-            d = np.linalg.norm(cen - np.asarray(seg.centroid), axis=1) / seed_resolution
-            dc = np.linalg.norm(col - np.asarray(seg.mean_color_lab), axis=1) / 100.0
+            d = np.linalg.norm(cen - segs.centroids[s], axis=1) / seed_resolution
+            dc = np.linalg.norm(col - segs.colors_lab[s], axis=1) / 100.0
             cost = d + dc
             order = np.argsort(cost, kind="stable")
             ranked[s] = at[order]
-            claims.append((float(cost[order[0]]), seg.parent_object_id, s))
+            claims.append((float(cost[order[0]]), int(segs.object_ids[s]), s))
         claims.sort()
         seeded_objects = set()
         for first_round in (True, False):
@@ -756,9 +746,9 @@ def _seeding_cases(draw):
     m = draw(st.integers(1, 12))
     seg_c, seg_l = features(m)
     objects = rng.integers(0, draw(st.integers(1, m)), m)
-    segments = [
-        _seg_feature(c, comp=int(o), obj=int(o), color=tuple(col)) for c, col, o in zip(seg_c, seg_l, objects)
-    ]
+    segments = segment_table(
+        _seg_row(c, comp=int(o), obj=int(o), color=tuple(col)) for c, col, o in zip(seg_c, seg_l, objects)
+    )
     problem = AssignmentProblem(segments=segments, blobs=_blob_features(graph, blobs), params=EPARAMS)
     assignment = Assignment(labels=rng.integers(-1, k, m), energy=0.0)
     return problem, assignment, blobs, graph
