@@ -1,6 +1,6 @@
 """Digest dynseg's segmentation outputs on a fixed check set of sequences.
 
-    PYTHONPATH=src python3 scripts/output_digest.py [NAME ...]
+    PYTHONPATH=src python3 scripts/output_digest.py [--records] [NAME ...]
 
 Each sequence is generated, written to a temporary directory and segmented
 in process by ``dynseg segment``.  One sha256 per sequence is printed over
@@ -8,6 +8,12 @@ its labels_*.txt, interactions.txt, config_resolved.txt and report.txt, with
 the report's ``ms`` timings removed.  Run it once with PYTHONPATH naming one
 source tree and once naming another: equal digests mean byte-identical
 outputs.  NAMEs select a subset of the check set.
+
+With ``--records`` the written frames are loaded back and tracked through
+``pipeline.process_frame`` instead, and the sha256 covers every frame's
+``Supervoxels`` arrays and its ``SegTree``: label arrays, births, segment
+means and similarity tables.  Equal record digests mean the intermediate
+records, not only the written labels, are bit for bit the same.
 
 The check set has 17 sequences: seed 0 of the benchmark's pair_contact_fine
 and crossing_coarse workloads (4 sequences each), seed 0 of the four
@@ -30,9 +36,12 @@ import sys
 import tempfile
 from pathlib import Path
 
-from dynseg import cloud_io
+import numpy as np
+
+from dynseg import cloud_io, pipeline
 from dynseg.cli import main as dynseg_main
 from dynseg.evaluation import generate_scenario, make_scenario
+from dynseg.supervoxel import SupervoxelConfig
 
 KINDS = ("static", "approach_merge_split", "occlusion_split", "crossing")
 WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
@@ -62,12 +71,18 @@ def check_set() -> list[tuple[str, object, float]]:
     return out
 
 
-def digest(scenario, voxel: float, work: str) -> str:
-    """sha256 of the outputs of ``dynseg segment`` on one generated sequence."""
+def _write_frames(scenario, work: str) -> list[str]:
+    """Write one generated sequence's frame files into ``work``; return their paths in frame order."""
     frame_paths = []
     for frame in generate_scenario(scenario).frames:
         frame_paths.append(os.path.join(work, f"frame_{frame.frame_index:04d}.txt"))
         cloud_io.write_frame(frame, frame_paths[-1])
+    return frame_paths
+
+
+def digest(scenario, voxel: float, work: str) -> str:
+    """sha256 of the outputs of ``dynseg segment`` on one generated sequence."""
+    frame_paths = _write_frames(scenario, work)
     manifest = os.path.join(work, "manifest.txt")
     cloud_io.write_manifest(cloud_io.SequenceManifest(name=scenario.kind, frame_paths=frame_paths), manifest)
     out = os.path.join(work, "out")
@@ -86,9 +101,54 @@ def digest(scenario, voxel: float, work: str) -> str:
     return h.hexdigest()
 
 
+def _update_array(h, name: str, a: np.ndarray) -> None:
+    a = np.ascontiguousarray(a)
+    h.update(f"{name} {a.dtype.str} {a.shape}\n".encode())
+    h.update(a.tobytes())
+
+
+def _update_table(h, name: str, table: dict) -> None:
+    rows = sorted((tuple(int(i) for i in np.atleast_1d(k)), float(v)) for k, v in table.items())
+    h.update(f"{name} {[(k, v.hex()) for k, v in rows]}\n".encode())
+
+
+def record_digest(scenario, voxel: float, work: str) -> str:
+    """sha256 of every frame's supervoxels and object tree when ``process_frame`` tracks one sequence."""
+    state = pipeline.init_state(pipeline.PipelineConfig(supervoxel=SupervoxelConfig(voxel_resolution=voxel)))
+    grow, grown = pipeline.cluster_supervoxels, []
+
+    def capture(*args, **kwargs):
+        grown.append(grow(*args, **kwargs))
+        return grown[-1]
+
+    h = hashlib.sha256()
+    pipeline.cluster_supervoxels = capture
+    try:
+        for i, path in enumerate(_write_frames(scenario, work)):
+            grown.clear()
+            pipeline.process_frame(state, cloud_io.load_frame(path, frame_index=i))
+            h.update(f"frame {i} grown {len(grown)}\n".encode())
+            for sv in grown:
+                for name in ("of_point", "centroids", "colors_lab", "point_counts", "contacts"):
+                    _update_array(h, name, getattr(sv, name))
+                h.update(f"passes {sv.passes} converged {sv.converged}\n".encode())
+            tree = state.tree
+            for name in ("nodes", "object_of", "component_of", "segment_of", "blob_of"):
+                _update_array(h, name, getattr(tree, name))
+            _update_array(h, "segment_centroids", tree.segment_centroids)
+            _update_array(h, "segment_colors", tree.segment_colors)
+            _update_table(h, "births", tree.births)
+            _update_table(h, "object_similarity", tree.object_similarity)
+            _update_table(h, "component_similarity", tree.component_similarity)
+    finally:
+        pipeline.cluster_supervoxels = grow
+    return h.hexdigest()
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("names", nargs="*", help="sequences to digest (default: all)")
+    ap.add_argument("--records", action="store_true", help="digest the in-process records, not the written outputs")
     ns = ap.parse_args(argv)
     sequences = check_set()
     unknown = set(ns.names) - {name for name, _, _ in sequences}
@@ -98,7 +158,8 @@ def main(argv=None) -> int:
         if ns.names and name not in ns.names:
             continue
         with tempfile.TemporaryDirectory() as work:
-            print(f"{digest(scenario, voxel, work)}  {name}", flush=True)
+            value = (record_digest if ns.records else digest)(scenario, voxel, work)
+            print(f"{value}  {name}", flush=True)
     return 0
 
 

@@ -90,14 +90,19 @@ class AdjacencyGraph:
         """(E, 2) positions in ``nodes`` of each edge's endpoints."""
         return np.searchsorted(self.nodes, self.edges)
 
-    def subgraph(self, nodes) -> "AdjacencyGraph":
-        """The graph induced on ``nodes``, a sorted id array."""
+    def subgraph(self, nodes, connected: bool = False) -> "AdjacencyGraph":
+        """The graph induced on ``nodes``, a sorted id array.
+
+        ``connected`` says the caller already knows ``nodes`` to be one
+        connected piece, such as an entry of ``pieces``; the subgraph then
+        holds that as its pieces and never searches them.
+        """
         nodes = np.asarray(nodes, dtype=np.int64)
         if not np.isin(nodes, self.nodes).all():
             raise ValueError("subgraph nodes must be nodes of the graph")
         at = np.searchsorted(self.nodes, nodes)
         inside = np.isin(self.edges, nodes).all(axis=1)
-        return AdjacencyGraph(
+        sub = AdjacencyGraph(
             nodes=nodes,
             edges=self.edges[inside],
             weights=self.weights[inside],
@@ -105,6 +110,9 @@ class AdjacencyGraph:
             colors_lab=self.colors_lab[at],
             point_counts=self.point_counts[at],
         )
+        if connected and len(nodes):
+            sub.pieces = [sub.nodes]  # fills the cached property
+        return sub
 
     @cached_property
     def pieces(self) -> list[np.ndarray]:

@@ -233,8 +233,8 @@ def ncut_value(graph: AdjacencyGraph, side_a) -> float:
     return _ncut(graph.weights, np.isin(graph.edges, side_a))
 
 
-def _second_eigenvector(graph: AdjacencyGraph) -> np.ndarray:
-    """Second-smallest generalized eigenvector of (D - W) x = t D x.
+def _second_eigenpair(graph: AdjacencyGraph) -> tuple[float, np.ndarray]:
+    """Second-smallest generalized eigenvalue and eigenvector of (D - W) x = t D x.
 
     Solved densely as the symmetrized problem D^-1/2 (D - W) D^-1/2 y = t y
     with x = D^-1/2 y.  The sign is fixed so that the largest-magnitude
@@ -248,15 +248,19 @@ def _second_eigenvector(graph: AdjacencyGraph) -> np.ndarray:
     inv_sqrt = 1.0 / np.sqrt(W.sum(axis=1))
     lsym = -W * inv_sqrt[:, None] * inv_sqrt[None, :]
     lsym[np.arange(n), np.arange(n)] += 1.0
-    _, y = eigh(lsym, subset_by_index=[1, 1])
+    value, y = eigh(lsym, subset_by_index=[1, 1])
     x = inv_sqrt * y[:, 0]
-    return -x if x[np.argmax(np.abs(x))] < 0 else x
+    return float(value[0]), -x if x[np.argmax(np.abs(x))] < 0 else x
 
 
 N_THRESHOLDS = 32
+# relative margin over eigh's rounding before lambda2 rejects a bisection unswept
+SPECTRAL_MARGIN = 1e-9
 
 
-def normalized_cut_bisect(graph: AdjacencyGraph) -> tuple[np.ndarray, np.ndarray, float]:
+def normalized_cut_bisect(
+    graph: AdjacencyGraph, bound: float | None = None
+) -> tuple[np.ndarray, np.ndarray, float] | None:
     """Best threshold bisection along the second eigenvector, as two sorted id arrays.
 
     Threshold chosen among 32 evenly spaced candidates over the eigenvector
@@ -264,6 +268,12 @@ def normalized_cut_bisect(graph: AdjacencyGraph) -> tuple[np.ndarray, np.ndarray
     node.  Thresholds that take in the same nodes give the same mask, and a
     later equal cost never wins, so each distinct mask is evaluated once, at
     its first threshold.
+
+    No bipartition's normalized cut is below the second eigenvalue lambda2
+    (Shi and Malik, TPAMI 2000), and _ncut's assoc counts each intra-side
+    weight once, so its cost is at least theirs.  Given a ``bound``, a
+    graph whose lambda2 exceeds it by more than SPECTRAL_MARGIN therefore
+    has no bisection within it, and the result is None, without the sweep.
     """
     if graph.num_nodes < 2:
         raise ValueError("need at least two nodes to bisect")
@@ -271,7 +281,9 @@ def normalized_cut_bisect(graph: AdjacencyGraph) -> tuple[np.ndarray, np.ndarray
         raise ValueError("need at least one edge to bisect")
     if not graph.is_connected():
         raise ValueError("subgraph is disconnected; bisect its components first")
-    x = _second_eigenvector(graph)
+    value, x = _second_eigenpair(graph)
+    if bound is not None and value > bound * (1.0 + SPECTRAL_MARGIN):
+        return None
     pos = graph.edge_index
     n = graph.num_nodes
     thresholds = np.linspace(float(x.min()), float(x.max()), N_THRESHOLDS)
@@ -298,8 +310,9 @@ def oversegment(graph: AdjacencyGraph, config: OversegConfig = OversegConfig()) 
     """Recursive bisection until the best cut costs more than the threshold, as sorted id arrays.
 
     A part splits only if its best bisection costs at most ncut_threshold and
-    both halves keep at least min_segment_supervoxels nodes.  Disconnected
-    parts always separate into their components.
+    both halves keep at least min_segment_supervoxels nodes; ncut_threshold
+    is each bisection's bound, so a part that lambda2 rejects is not swept.
+    Disconnected parts always separate into their components.
     """
     if graph.num_nodes == 0:
         return []
@@ -312,17 +325,19 @@ def oversegment(graph: AdjacencyGraph, config: OversegConfig = OversegConfig()) 
             return
         if len(g.pieces) > 1:
             for c in g.pieces:
-                recurse(g.subgraph(c))
+                recurse(g.subgraph(c, connected=True))
             return
         if g.num_nodes < 2 * config.min_segment_supervoxels:
             out.append(g.nodes)
             return
-        a, b, cost = normalized_cut_bisect(g)
-        if cost <= config.ncut_threshold and len(a) >= config.min_segment_supervoxels and len(b) >= config.min_segment_supervoxels:
-            recurse(g.subgraph(a))
-            recurse(g.subgraph(b))
-        else:
-            out.append(g.nodes)
+        bisection = normalized_cut_bisect(g, config.ncut_threshold)
+        if bisection is not None:
+            a, b, cost = bisection
+            if cost <= config.ncut_threshold and min(len(a), len(b)) >= config.min_segment_supervoxels:
+                recurse(g.subgraph(a))
+                recurse(g.subgraph(b))
+                return
+        out.append(g.nodes)
 
     recurse(graph)
     out.sort(key=lambda seg: seg[0])

@@ -29,6 +29,7 @@ values a k-d tree query returns, bit for bit.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -84,14 +85,17 @@ class SupervoxelConfig:
     max_iterations: int = 10
 
     def validate(self) -> None:
-        if self.voxel_resolution <= 0 or self.seed_resolution <= 0:
-            raise ValueError("resolutions must be positive")
+        """Raise ValueError naming the first ``supervoxel.*`` key whose value is out of range."""
+        for name in ("voxel_resolution", "seed_resolution"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"supervoxel.{name} must be > 0")
         if self.seed_resolution < self.voxel_resolution:
-            raise ValueError("seed_resolution must be >= voxel_resolution")
-        if self.weight_color < 0 or self.weight_spatial < 0:
-            raise ValueError("weights must be non-negative")
+            raise ValueError("supervoxel.seed_resolution must be >= supervoxel.voxel_resolution")
+        for name in ("weight_color", "weight_spatial"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"supervoxel.{name} must be >= 0")
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+            raise ValueError("supervoxel.max_iterations must be >= 1")
 
 
 @dataclass
@@ -119,9 +123,21 @@ class Supervoxels:
 def _lex_rank(rows: np.ndarray) -> np.ndarray:
     """Dense rank of each (n, k) integer row in lexicographic row order.
 
-    The rank of the leading columns and the next column's rank combine into
-    one code below n**2, so no key value can overflow int64.
+    When the rows' bounding box has at most 2**63 cells, each row's offset
+    into it, read in row-major order, is one int64 code that sorts like the
+    row, and one ``np.unique`` ranks the codes.  A larger box is ranked a
+    column at a time: the rank of the leading columns and the next column's
+    rank combine into one code below n**2, so no key value can overflow
+    int64.
     """
+    if not len(rows):
+        return np.zeros(0, dtype=np.int64)
+    low, sizes = _padded_box(rows, 0)
+    if math.prod(sizes) <= 2**63:
+        code = np.zeros(len(rows), dtype=np.int64)
+        for column, lo, size in zip(rows.T, low, sizes):
+            code = code * size + (column - lo)
+        return np.unique(code, return_inverse=True)[1]
     rank = np.zeros(len(rows), dtype=np.int64)
     for column in rows.T:
         values, column_rank = np.unique(column, return_inverse=True)
@@ -158,8 +174,10 @@ def _padded_box(keys: np.ndarray, reach: int) -> tuple[np.ndarray, list[int]]:
 
     The sizes are Python ints: the extent of far-apart keys need not fit in int64.
     """
-    low = keys.min(axis=0)
-    return low, [int(hi) - int(lo) + 1 + 2 * reach for lo, hi in zip(low, keys.max(axis=0))]
+    # reducing each contiguous column is several times faster than reducing over axis 0
+    columns = np.ascontiguousarray(keys.T)
+    low = columns.min(axis=1)
+    return low, [int(hi) - int(lo) + 1 + 2 * reach for lo, hi in zip(low, columns.max(axis=1))]
 
 
 def _too_sparse(dims: list[int], n: int) -> bool:

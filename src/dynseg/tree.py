@@ -128,10 +128,13 @@ def compute_similarity(a_svs, b_svs, graph: AdjacencyGraph, params: TreeParams) 
 
 
 def _segment(graph: AdjacencyGraph, parts, segment_of: np.ndarray, overseg: OversegConfig):
-    """Over-segment each part (a sorted id array) in turn into the next free segment ids; return all segment means."""
+    """Over-segment each connected part (a sorted id array) in turn into the next free segment ids.
+
+    Returns all segment means.
+    """
     next_id = segment_of.max(initial=-1) + 1
     for part in parts:
-        for seg in oversegment(graph.subgraph(part), overseg):
+        for seg in oversegment(graph.subgraph(part, connected=True), overseg):
             segment_of[np.searchsorted(graph.nodes, seg)] = next_id
             next_id += 1
     return _means(graph, slice(None), segment_of)
@@ -227,9 +230,10 @@ def update_tree(
 ) -> SegTree:
     """Carry object identity into the current frame's blob partition.
 
-    ``labels`` holds an object id or -1 per node position of ``graph``:
-    derive_blob_seeds' seeds, with each contested blob's restricted_cut
-    labels written over them.  ``seat`` is derive_blob_seeds' node position
+    ``blobs`` are the graph's connected pieces, as connected_components
+    gives them.  ``labels`` holds an object id or -1 per node position of
+    ``graph``: derive_blob_seeds' seeds, with each contested blob's
+    restricted_cut labels written over them.  ``seat`` is derive_blob_seeds' node position
     per row of ``segments``, the assignment's segments.  A blob with no id
     founds an object, a blob with one id takes it everywhere, and a fully
     labelled blob keeps its labels.  The objects on file in ``prev`` stay on
@@ -239,12 +243,14 @@ def update_tree(
     object_of = np.array(labels, dtype=np.int64)
     blob_of = np.empty(len(nodes), dtype=np.int64)
     births = dict(prev.births) if prev is not None else {}
-    for k, members in enumerate(blobs):
-        at = np.searchsorted(nodes, members)
+    blob_at = [np.searchsorted(nodes, members) for members in blobs]
+    shared = False  # some blob holds two or more objects
+    for k, at in enumerate(blob_at):
         blob_of[at] = k
         ids = np.unique(object_of[at]).tolist()
-        if ids[0] >= 0:
-            continue  # fully labelled
+        if ids[0] >= 0:  # fully labelled
+            shared |= len(ids) > 1
+            continue
         if len(ids) == 1:  # unseeded
             ids.append(alloc.new_object_id())
             births[ids[1]] = frame_index
@@ -253,12 +259,15 @@ def update_tree(
         object_of[at] = ids[1]
 
     # components: connected pieces of each (object, blob) region, as node
-    # positions ordered by (blob, object, smallest member); no edge joins two blobs
-    pos = graph.edge_index
-    pieces = sorted(
-        connected_sets(np.arange(len(nodes)), pos[object_of[pos[:, 0]] == object_of[pos[:, 1]]]),
-        key=lambda at: (blob_of[at[0]], object_of[at[0]], at[0]),
-    )
+    # positions ordered by (blob, object, smallest member); no edge joins two
+    # blobs, so where each blob holds one object its pieces are the blobs
+    pieces = blob_at
+    if shared:
+        pos = graph.edge_index
+        pieces = sorted(
+            connected_sets(np.arange(len(nodes)), pos[object_of[pos[:, 0]] == object_of[pos[:, 1]]]),
+            key=lambda at: (blob_of[at[0]], object_of[at[0]], at[0]),
+        )
     piece_of = np.empty(len(nodes), dtype=np.int64)
     for k, at in enumerate(pieces):
         piece_of[at] = k

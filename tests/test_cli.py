@@ -229,6 +229,21 @@ class TestExitCodes:
         assert main(["segment", str(tmp_path / "nope.txt"), f"--{key}", "0"]) == 1
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("supervoxel.voxel_resolution", "0"),
+            ("supervoxel.seed_resolution", "0"),
+            ("supervoxel.seed_resolution", "0.001"),  # below the default voxel, 0.008
+            ("supervoxel.weight_color", "-1"),
+            ("supervoxel.weight_spatial", "-1"),
+            ("supervoxel.max_iterations", "0"),
+        ],
+    )
+    def test_supervoxel_check_names_its_key(self, tmp_path, capsys, key, value):
+        assert main(["segment", str(tmp_path / "nope.txt"), f"--{key}", value]) == 1
+        assert f"config error: {key} must be" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_tournament_below_one_is_config_error(self, tmp_path, capsys, value):
         assert main(["segment", str(tmp_path / "nope.txt"), "--ga.tournament_size", value]) == 1

@@ -20,7 +20,7 @@ from dynseg.graphcut import (
     OversegConfig,
     _FLOW_BUDGET,
     _binary_cut,
-    _second_eigenvector,
+    _second_eigenpair,
     boundary_midpoints,
     cut_energy,
     ncut_value,
@@ -540,7 +540,8 @@ class TestSecondEigenvector:
         lsym, inv_sqrt = _normalized_laplacian(graph)
         vals, vecs = np.linalg.eigh(lsym)
         assume(n == 2 or vals[2] - vals[1] > 1e-4)
-        x = _second_eigenvector(graph)
+        value, x = _second_eigenpair(graph)
+        assert value == pytest.approx(vals[1], abs=1e-10)
         ref = inv_sqrt * vecs[:, 1]
         cos = abs(x @ ref) / (np.linalg.norm(x) * np.linalg.norm(ref))
         assert cos == pytest.approx(1.0, abs=1e-8)
@@ -555,8 +556,9 @@ class TestSecondEigenvector:
 
         lsym, inv_sqrt = _normalized_laplacian(cycle())
         assert np.linalg.eigvalsh(lsym)[1:3] == pytest.approx([0.5, 0.5])
-        x = _second_eigenvector(cycle())
-        assert np.array_equal(x, _second_eigenvector(cycle()))
+        value, x = _second_eigenpair(cycle())
+        assert value == pytest.approx(0.5)
+        assert np.array_equal(x, _second_eigenpair(cycle())[1])
         y = x / inv_sqrt
         np.testing.assert_allclose(lsym @ y, 0.5 * y, atol=1e-12)
         a, b, cost = _listed(normalized_cut_bisect(cycle()))
@@ -694,7 +696,7 @@ class TestBisect:
 
 def _bisect_loop(graph):
     """The plain threshold scan: every threshold's mask evaluated, the first strictly cheapest kept."""
-    x = graphcut._second_eigenvector(graph)
+    x = graphcut._second_eigenpair(graph)[1]
     n = graph.num_nodes
     best = None
     for t in np.linspace(float(x.min()), float(x.max()), N_THRESHOLDS):
@@ -743,20 +745,20 @@ class TestBisectMatchesThresholdLoop:
     @given(graph=_bisect_graphs(), levels=st.sampled_from([None, 0, 1, 2, 3, 5]))
     def test_same_sides_and_cost(self, graph, levels):
         """``levels`` rounds the eigenvector to that many steps per unit, 0 makes it flat: repeated masks."""
-        real = graphcut._second_eigenvector
+        real = graphcut._second_eigenpair
         if levels is None:
-            eigenvector = real
+            eigenpair = real
         else:
-            def eigenvector(g):
-                x = real(g)
-                return np.round(x / np.abs(x).max() * levels) if levels else np.zeros_like(x)
+            def eigenpair(g):
+                value, x = real(g)
+                return value, np.round(x / np.abs(x).max() * levels) if levels else np.zeros_like(x)
 
-        with mock.patch.object(graphcut, "_second_eigenvector", eigenvector):
+        with mock.patch.object(graphcut, "_second_eigenpair", eigenpair):
             assert _listed(normalized_cut_bisect(graph)) == _bisect_loop(graph)
 
     def test_flat_eigenvector_peels_the_first_node(self):
         g = _two_cliques()
-        with mock.patch.object(graphcut, "_second_eigenvector", lambda g: np.ones(g.num_nodes)):
+        with mock.patch.object(graphcut, "_second_eigenpair", lambda g: (0.0, np.ones(g.num_nodes))):
             a, b, cost = _listed(normalized_cut_bisect(g))
         assert (a, b) == ([0], [1, 2, 3, 4, 5])
         assert cost == ncut_value(g, [0])
@@ -769,6 +771,39 @@ class TestBisectMatchesThresholdLoop:
             assert len(oversegment(g)) == 2
         # the root's pieces are computed once; each half of its split once more
         assert pieces.call_count == 3
+
+
+class TestSpectralBound:
+    @settings(max_examples=150, deadline=None)
+    @given(graph=_bisect_graphs(), position=st.floats(-1.0, 2.0))
+    def test_cost_is_at_least_lambda2_and_the_bound_rejects_only_costlier_cuts(self, graph, position):
+        """``position`` places the bound on the line from lambda2 (0) to the unbounded cost (1)."""
+        value, _ = graphcut._second_eigenpair(graph)
+        unbounded = _listed(normalized_cut_bisect(graph))
+        cost = unbounded[2]
+        assert cost >= value * (1 - 1e-9)
+        bound = value + position * (cost - value)
+        bounded = normalized_cut_bisect(graph, bound)
+        if bounded is None:
+            assert cost > bound
+        else:
+            assert _listed(bounded) == unbounded
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        graph=_bisect_graphs(),
+        threshold=st.sampled_from([0.0, 0.05, 0.2, 0.5, 1.0, None]),
+        min_size=st.integers(1, 4),
+    )
+    def test_oversegment_matches_the_unbounded_bisection(self, graph, threshold, min_size):
+        """A threshold of None is the whole graph's bisection cost, so its split sits on the bound."""
+        if threshold is None:
+            threshold = normalized_cut_bisect(graph)[2]
+        config = OversegConfig(ncut_threshold=threshold, min_segment_supervoxels=min_size)
+        real = graphcut.normalized_cut_bisect
+        with mock.patch.object(graphcut, "normalized_cut_bisect", lambda g, bound=None: real(g)):
+            unbounded = _parts(oversegment(graph, config))
+        assert _parts(oversegment(graph, config)) == unbounded
 
 
 def _parts(parts):

@@ -42,6 +42,9 @@ def test_output_digest_matches_pinned_digests(capsys):
     approach_merge_split-0 adds contact cuts at voxel 0.02,
     occlusion_split-0 components of several segments, and static-0-ghost
     an object that is a ghost for three frames and comes back under its id.
+    The spectral bound rejects 1 of occlusion_split-0's 61 bisections unswept
+    and every bisection of the other five, so occlusion_split-0 keeps the
+    threshold sweep under the check.
     """
     names = ["crossing-0", "pair_contact_fine-0-seq0", "triple_contact_fine-0"]
     names += ["approach_merge_split-0", "occlusion_split-0", "static-0-ghost"]
@@ -54,6 +57,12 @@ def test_output_digest_matches_pinned_digests(capsys):
         "ca0ccb94c0c41f0d7ae14e99bc6d3c7814f1d403adcc93a8e8e0b76f3cf73e38  triple_contact_fine-0\n"
         "d22280c8d4cdcf67e3aee19b5a91f9e2f63bcacc2102930632c867ca0b5a6053  static-0-ghost\n"
     )
+
+
+def test_record_digest_matches_pinned_digest(capsys):
+    """crossing-0's supervoxels, tree labels, segment means and similarity tables keep their bytes in process."""
+    assert _load("output_digest").main(["--records", "crossing-0"]) == 0
+    assert capsys.readouterr().out == "26828caf1f1d30afcff01d907b4d109482947ae19ff9d74457dcd35776b54d31  crossing-0\n"
 
 
 def test_run_scenarios_tabulates_one_row_per_seed(capsys):

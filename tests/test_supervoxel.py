@@ -124,12 +124,19 @@ def test_voxelize_empty():
 @given(
     keys=st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=1, max_size=60),
     shift=st.sampled_from([0, 2**40, -(2**45)]),
+    step=st.sampled_from([1, 2**61]),
 )
-@example(keys=[(0, 0, 0)], shift=2**45)
-@example(keys=[(3, -3, 0), (-3, 3, 0), (3, -3, 0), (0, 0, 0)], shift=-(2**45))
-def test_voxelize_matches_unique_rows(keys, shift):
-    """voxelize equals np.unique over the key rows, also at keys near +-2**45."""
-    rows = np.asarray([(x + shift, y, z - shift) for x, y, z in keys], dtype=np.int64)
+@example(keys=[(0, 0, 0)], shift=2**45, step=1)
+@example(keys=[(3, -3, 0), (-3, 3, 0), (3, -3, 0), (0, 0, 0)], shift=-(2**45), step=1)
+@example(keys=[(2, -2, 2), (-2, 2, -2), (2, -2, 2), (0, 1, -1)], shift=0, step=2**61)
+def test_voxelize_matches_unique_rows(keys, shift, step):
+    """voxelize equals np.unique over the key rows, also at keys near +-2**45.
+
+    With ``step`` 2**61 the keys reach +-1.5 * 2**62, and keys spread over
+    the axes span a box of more than 2**63 cells, which _lex_rank ranks a
+    column at a time; smaller boxes take one packed int64 code.
+    """
+    rows = np.asarray([(x * step + shift, y * step, z * step - shift) for x, y, z in keys], dtype=np.int64)
     frame = PointCloudFrame(0, rows + 0.5, np.zeros((len(rows), 3), dtype=np.uint8))
     got = voxelize(frame, 1.0)
     expected = np.unique(rows, axis=0, return_inverse=True, return_counts=True)

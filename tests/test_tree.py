@@ -347,6 +347,48 @@ class TestUpdateTree:
         assert len(tree.births) == 2
 
 
+# object 0's two pieces (a, b), the graph's edges and the labels per node
+_VOTE_LAYOUTS = {
+    # object 0 in two blobs
+    "two_blobs": ([0, 1, 2], [3, 4, 5], {(0, 1): 1.0, (1, 2): 1.0, (3, 4): 1.0, (4, 5): 1.0}, [0] * 6),
+    # object 0 in one blob, parted by object 1's cut label at node 3
+    "one_blob": ([0, 1, 2], [4, 5, 6], {(k, k + 1): 1.0 for k in range(6)}, [0, 0, 0, 1, 0, 0, 0]),
+}
+
+
+class TestComponentVote:
+    @pytest.mark.parametrize("layout", sorted(_VOTE_LAYOUTS))
+    @pytest.mark.parametrize(
+        "voters, winner",
+        [
+            ("abb", "b"),  # most votes win, though b's first member is the larger
+            ("ba", "a"),  # a tie goes to the smaller first member, though b voted first
+        ],
+    )
+    def test_id_goes_to_one_piece_by_votes_then_first_member(self, layout, voters, winner):
+        """One previous component's seated segments land on two pieces of its object."""
+        a, b, edges, labels = _VOTE_LAYOUTS[layout]
+        pieces = {"a": a, "b": b}
+        g = graph_from_edges(edges)
+        comps = {0: (0, 0, a + b)}
+        if layout == "one_blob":
+            comps[1] = (1, 0, [3])
+        prev = _tree(0, comps)
+        alloc = IdAllocator()
+        for _ in comps:
+            alloc.new_object_id(), alloc.new_component_id()
+        # each voter's segment sits on the next free node of its piece
+        seat = [pieces[v][voters[:k].count(v)] for k, v in enumerate(voters)]
+        segments = segment_table([_seg_row((0.0, 0.0, 0.0), comp=0, obj=0)] * len(voters))
+        blobs = connected_components(g)
+        tree = update_tree(prev, blobs, g, segments, np.asarray(labels), np.asarray(seat), 1, alloc, OVERSEG)
+        loser = pieces["a" if winner == "b" else "b"]
+        assert tree.nodes[tree.component_of == 0].tolist() == pieces[winner]
+        (loser_cid,) = set(tree.component_of[np.searchsorted(tree.nodes, loser)].tolist())
+        assert loser_cid not in comps
+        _check(tree)
+
+
 class TestAccumulation:
     def test_closed_form_halving(self):
         g, blobs = _two_singletons(0.0, 0.1)
