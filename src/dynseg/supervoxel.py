@@ -11,13 +11,16 @@ moves to the member voxel nearest its cluster's centroid; passes stop once
 no seed moves or after max_iterations.
 
 The bookkeeping around the Dijkstra sorts as little as it can: voxel and
-seed-cell keys are grouped through 1-D codes built from per-axis ranks, the
-voxel links are read from an index table over the keys' bounding box (with
-empty stretches between far-apart keys closed first, and binary search over
-sorted codes when the box is still too sparse), the symmetric link matrix is
-built once per frame, each pass renumbers its claims through a seed -> slot
-array, and row lengths are summed by ``squared_norms`` rather than
-``np.linalg.norm``, with the same bytes.
+seed-cell keys are grouped through one packed int64 code per key (a column
+loop over per-axis ranks when the keys' box exceeds int64), the voxel links
+are read from an index table over the keys' bounding box (with empty
+stretches between far-apart keys closed first, and binary search over
+sorted codes when the box is still too sparse), the symmetric link matrix
+is built once per frame from links listed in an order that needs no sort,
+the voxel components are searched only when the first pass leaves a voxel
+unclaimed, each pass renumbers its claims through a seed -> slot array, and
+row lengths are summed by ``squared_norms`` rather than ``np.linalg.norm``,
+with the same bytes.
 
 The module also answers the method's point queries with numpy alone: the
 nearest rows of one small set to another (``nearest``) and the close pairs
@@ -240,6 +243,10 @@ def _sorted_code_pairs(keys: np.ndarray, reach: int, low: np.ndarray, dims: list
 def voxel_neighbour_pairs(keys: np.ndarray, reach: int = 1) -> np.ndarray:
     """(m, 2) row pairs ``i < j`` of ``keys`` within Chebyshev distance ``reach`` (1: 26-adjacent).
 
+    The pairs come one half-stencil offset at a time, in lexicographic
+    offset order, and by ascending row within an offset; for keys in
+    lexicographic order each pair is (row, partner).
+
     Each half-stencil offset is looked up in an index table over the keys'
     bounding box, padded by the reach.  A box with more than
     TABLE_CELLS_PER_VOXEL cells per key first has its gaps closed
@@ -423,19 +430,17 @@ def cluster_supervoxels(frame: PointCloudFrame, config: SupervoxelConfig, reach:
     pairs = voxel_neighbour_pairs(keys, reach)
     a, b = pairs.T
     cost = _link_costs(vox_centroid, vox_lab, a, b, config)
-    # symmetric, so every pass runs a directed Dijkstra with no transpose;
-    # CSR built from coordinates has sorted indices
-    both = (np.concatenate([a, b]), np.concatenate([b, a]))
-    links = csr_matrix((np.concatenate([cost, cost]), both), shape=(n_vox, n_vox))
+    # symmetric, so every pass runs a directed Dijkstra with no transpose.
+    # The pairs come one half-stencil offset at a time, in offset order, rows
+    # ascending, each partner after its row; so with every link's upper end
+    # listed first, in reverse pair order, scipy's stable bucketing by row
+    # leaves each row's columns ascending, and the CSR needs no sort
+    both = (np.concatenate([b[::-1], a]), np.concatenate([a[::-1], b]))
+    links = csr_matrix((np.concatenate([cost[::-1], cost]), both), shape=(n_vox, n_vox))
 
     cell_keys = np.floor(vox_centroid / config.seed_resolution).astype(np.int64)
     centers = (cell_keys + 0.5) * config.seed_resolution
     seeds = _nearest_per_group(_lex_rank(cell_keys), squared_norms(vox_centroid - centers))
-    # links is symmetric, so its strong components are its components
-    _, component = connected_components(links, directed=True, connection="strong")
-    _, first_voxel = np.unique(component, return_index=True)
-    seedless = np.setdiff1d(np.arange(len(first_voxel)), component[seeds])
-    seeds = np.sort(np.concatenate([seeds, first_voxel[seedless]]))
 
     # every seed claims itself, so slot[claim] numbers the clusters in seed order
     slot = np.empty(n_vox, dtype=np.int64)
@@ -443,6 +448,16 @@ def cluster_supervoxels(frame: PointCloudFrame, config: SupervoxelConfig, reach:
     while passes < config.max_iterations and not converged:
         passes += 1
         _, _, claim = dijkstra(links, directed=True, indices=seeds, min_only=True, return_predecessors=True)
+        unclaimed = claim < 0
+        if unclaimed.any():
+            # a voxel component holds no grid seed, which only the first pass
+            # can find: its smallest voxel becomes its one seed and claims all
+            # of it.  links is symmetric, so its strong components are its
+            # components.
+            _, component = connected_components(links, directed=True, connection="strong")
+            _, first_voxel = np.unique(component, return_index=True)
+            claim[unclaimed] = first_voxel[component[unclaimed]]
+            seeds = np.union1d(seeds, claim[unclaimed])
         slot[seeds] = np.arange(len(seeds))
         cluster = slot[claim]
         centroid = _group_means(vox_centroid, cluster, len(seeds), counts)

@@ -345,7 +345,11 @@ def test_voxel_neighbour_pairs_branch(monkeypatch, keys, branch, reach):
 @example(keys=_APART, shift=2**40, reach=1)
 @example(keys=_APART, shift=-(2**45), reach=2)
 def test_voxel_neighbour_pairs_match_offset_lookup(keys, shift, reach):
-    """The pair table equals the 26- or 124-offset dictionary lookup, also far from the origin."""
+    """The pair table equals the 26- or 124-offset dictionary lookup, also far from the origin.
+
+    The pairs come one half-stencil offset at a time, in offset order, rows
+    ascending, which lets cluster_supervoxels build its link matrix unsorted.
+    """
     rows = sorted((x + shift, y, z - shift) for x, y, z in keys)
     index = {k: i for i, k in enumerate(rows)}
     expected = {
@@ -357,6 +361,9 @@ def test_voxel_neighbour_pairs_match_offset_lookup(keys, shift, reach):
     got = voxel_neighbour_pairs(np.asarray(rows, dtype=np.int64).reshape(-1, 3), reach)
     assert {(int(a), int(b)) for a, b in got} == expected
     assert len(got) == len(expected)
+    offset_rank = {d: k for k, d in enumerate(sorted(d for d in _offsets(reach) if d > (0, 0, 0)))}
+    listed = [(offset_rank[tuple(q - p for p, q in zip(rows[i], rows[j]))], i) for i, j in got.tolist()]
+    assert listed == sorted(listed)
 
 
 def _random_cloud(seed: int, n: int, extent: float):
