@@ -23,6 +23,7 @@ from . import cloud_io
 from .cloud_io import LabeledFrame, ParseError, SequenceManifest, significant_lines
 from .evaluation import evaluate_run, format_metrics, generate_scenario, scenario_from_spec
 from .pipeline import PipelineConfig, format_run_report, run_sequence
+from .supervoxel import grid_keys
 
 
 class ConfigError(Exception):
@@ -116,9 +117,19 @@ def cmd_segment(ns: argparse.Namespace) -> int:
         raise ConfigError(str(exc)) from exc
     out_dir = ns.out or "."
     manifest = cloud_io.load_sequence(ns.manifest)
-    # frames load one at a time as they are tracked; output starts once every frame is tracked
-    frames = (cloud_io.load_frame(p, frame_index=i) for i, p in enumerate(manifest.frame_paths))
-    result = run_sequence(frames, config)
+    voxel = config.supervoxel.voxel_resolution
+
+    def frames():
+        # frames load one at a time as they are tracked; output starts once every frame is tracked
+        for i, path in enumerate(manifest.frame_paths):
+            frame = cloud_io.load_frame(path, frame_index=i)
+            try:
+                grid_keys(frame.points, voxel, voxel)
+            except ValueError as exc:  # a coordinate the voxel grid cannot key
+                raise ParseError(f"{path}: {exc}") from exc
+            yield frame
+
+    result = run_sequence(frames(), config)
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config_resolved.txt"), "w", encoding="utf-8") as fh:
         fh.write(format_resolved_config(config))

@@ -5,8 +5,9 @@ starting with "#", and every parse error names the faulty line as
 "path:line".  Frame and ground-truth files open with a "<magic> v1 <N>"
 header.  Writers emit "\n" newlines, single-space separators, and no
 trailing whitespace, so repeated runs produce byte-identical files.  Frame
-and label files are parsed by one np.loadtxt path; the line-by-line
-checkers read only files in doubt.
+files, which segmenting reads on its timed path, are parsed by numpy and
+read line by line only when in doubt; every other format is read line by
+line.
 """
 
 from __future__ import annotations
@@ -75,32 +76,27 @@ def _write_lines(path: str | os.PathLike, lines: Iterable[str], row: str = "", r
         fh.write("".join(f"{line}\n" for line in lines) + row * len(rows) % tuple(rows.ravel().tolist()))
 
 
-def _numeric_rows(path: str | os.PathLike, dtype: type | np.dtype, magic: str | None = None) -> np.ndarray | None:
-    """The 2-D rows np.loadtxt parses as dtype, or None where it does not.
+def _numeric_rows(path: str | os.PathLike) -> np.ndarray | None:
+    """The frame rows np.loadtxt parses, or None where it does not.
 
-    With a magic, the first line must be exactly "<magic> v1 <N>" and N rows
-    must follow.  loadtxt parses a subset of what float() and int() accept
-    and skips blank lines as the line checkers do; "#" lines are data to it,
-    so they leave the file in doubt.  numpy releases that parse an integer
-    field such as "12.0" through float only warn, so the warning is an error.
+    The first line must be exactly "ptseq v1 <N>" and N rows must follow.
+    loadtxt parses a subset of what float() and int() accept and skips blank
+    lines as the line checker does; "#" lines are data to it, so they leave
+    the file in doubt.  numpy releases that parse an integer field such as
+    "12.0" through float only warn, so the warning is an error.
     """
-    skip = 0
-    if magic is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            head, _, count = fh.readline().rstrip("\n").rpartition(" ")
-        if head != f"{magic} {FORMAT_VERSION}" or not (count.isascii() and count.isdigit()):
-            return None
-        skip = 1
+    with open(path, "r", encoding="utf-8") as fh:
+        head, _, count = fh.readline().rstrip("\n").rpartition(" ")
+    if head != f"{FRAME_MAGIC} {FORMAT_VERSION}" or not (count.isascii() and count.isdigit()):
+        return None
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # no rows
             warnings.simplefilter("error", DeprecationWarning)
-            rows = np.loadtxt(path, dtype=dtype, comments=None, skiprows=skip, ndmin=2, encoding="utf-8")
+            rows = np.loadtxt(path, dtype=_FRAME_ROW, comments=None, skiprows=1, ndmin=2, encoding="utf-8")
     except (ValueError, DeprecationWarning):  # the line checker names the fault
         return None
-    if magic is not None and len(rows) != int(count):
-        return None
-    return rows
+    return rows if len(rows) == int(count) else None
 
 
 @dataclass
@@ -161,7 +157,7 @@ def load_frame(path: str | os.PathLike, frame_index: int = 0) -> PointCloudFrame
     0-255, a "#" line) the line checker reads it again, so every error names
     its line and out-of-range colours are clamped with a warning.
     """
-    rows = _numeric_rows(path, _FRAME_ROW, FRAME_MAGIC)
+    rows = _numeric_rows(path)
     if rows is not None:  # (N, 1) rows of six 8-byte fields view as (N, 6)
         points, colors = rows.view(np.float64)[:, :3], rows.view(np.int64)[:, 3:]
         if np.isfinite(points).all() and ((colors >= 0) & (colors <= 255)).all():
@@ -294,38 +290,9 @@ def write_labels(frame: LabeledFrame, path: str | os.PathLike) -> None:
 def read_label_file(path: str | os.PathLike) -> dict[int, dict[int, int]]:
     """Read label lines back into {frame_index: {point_index: object_id}}.
 
-    A file of three-field integer rows, no (frame, point) repeated, is
-    converted with numpy; on any doubt the line checker reads it again, so
-    every error names its line.  Frames and points keep their file order.
+    Frames and points keep their file order.  Raises ParseError naming the
+    first faulty line.
     """
-    rows = _label_rows(path)
-    if rows is None:
-        return _check_label_lines(path)
-    out: dict[int, dict[int, int]] = {}
-    frames, first = np.unique(rows[:, 0], return_index=True)
-    for f in frames[np.argsort(first)]:
-        mine = rows[rows[:, 0] == f]
-        out[int(f)] = dict(zip(mine[:, 1].tolist(), mine[:, 2].tolist()))
-    return out
-
-
-def _label_rows(path: str | os.PathLike) -> np.ndarray | None:
-    """(n, 3) int64 rows of a label file the line checker would accept as is, or None.
-
-    A field count other than 3 or a repeated (frame, point) row also leaves
-    the file in doubt.
-    """
-    rows = _numeric_rows(path, np.int64)
-    if rows is None or rows.shape[1] != 3:
-        return None
-    order = np.lexsort((rows[:, 1], rows[:, 0]))
-    if (np.diff(rows[order, :2], axis=0) == 0).all(axis=1).any():
-        return None
-    return rows
-
-
-def _check_label_lines(path: str | os.PathLike) -> dict[int, dict[int, int]]:
-    """Read a label file line by line; raises ParseError naming the first faulty line."""
     out: dict[int, dict[int, int]] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in significant_lines(fh):

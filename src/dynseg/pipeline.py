@@ -42,6 +42,9 @@ from .tree import (
 _MASK64 = (1 << 64) - 1
 # config values the pipeline divides by
 _DIVISORS = "graph.sigma_color graph.sigma_distance cut.sigma_boundary tree.sigma_color tree.sigma_distance".split()
+# config values that break a solver below 0: the GA's elitism and stagnation
+# stop, and the cut weights, whose negative capacities max-flow would drop
+_NON_NEGATIVE = "ga.elitism ga.stagnation_stop cut.lambda_smooth cut.mu_coherence".split()
 
 
 @dataclass
@@ -65,8 +68,10 @@ class PipelineConfig:
             raise ValueError("ga.population must be >= 1")
         if self.ga.tournament_size < 1:
             raise ValueError("ga.tournament_size must be >= 1")
-        if self.ga.elitism < 0:
-            raise ValueError("ga.elitism must be >= 0")
+        for key in _NON_NEGATIVE:
+            section, _, name = key.partition(".")
+            if not getattr(getattr(self, section), name) >= 0:
+                raise ValueError(f"{key} must be >= 0")
         sr = self.supervoxel.seed_resolution
         out = replace(
             self,

@@ -20,7 +20,8 @@ is built once per frame from links listed in an order that needs no sort,
 the voxel components are searched only when the first pass leaves a voxel
 unclaimed, each pass renumbers its claims through a seed -> slot array, and
 row lengths are summed by ``squared_norms`` rather than ``np.linalg.norm``,
-with the same bytes.
+with the same bytes.  Every grid key comes from ``grid_keys``, which rejects
+a coordinate too far from the origin for int64 keys.
 
 The module also answers the method's point queries with numpy alone: the
 nearest rows of one small set to another (``nearest``) and the close pairs
@@ -53,6 +54,10 @@ TABLE_CELLS_PER_VOXEL = 64
 DISTANCE_BLOCK = 1 << 16
 # candidate point pairs voxel_reach expands at once, so dense clouds stay small
 REACH_BATCH = 1 << 13
+# the grids key coordinates below this many voxels from the origin: the
+# finest grid, voxel_reach's, has cells a little wider than REACH_2_SPACING
+# voxels, so every key fits in int64
+KEY_RANGE_VOXELS = 2.0**63 * REACH_2_SPACING
 
 # sRGB (D65) to XYZ, then XYZ to CIELab with the D65 reference white.
 _RGB_TO_XYZ = np.array(
@@ -123,6 +128,21 @@ class Supervoxels:
         return cls(none, np.zeros((0, 3)), np.zeros((0, 3)), none, np.zeros((0, 2), dtype=np.int64))
 
 
+def grid_keys(points: np.ndarray, cell: float, voxel: float) -> np.ndarray:
+    """floor(points / cell) as int64 keys of a grid whose voxels are ``voxel`` wide.
+
+    Raises ValueError naming the first coordinate KEY_RANGE_VOXELS voxels or
+    more from the origin, which the grids cannot key.
+    """
+    far = ~(np.abs(points) < KEY_RANGE_VOXELS * voxel)
+    if far.any():
+        raise ValueError(
+            f"coordinate {float(points[far][0])!r} lies {KEY_RANGE_VOXELS:.3g} voxels of {voxel!r} or more"
+            " from the origin, beyond what the voxel grid can key"
+        )
+    return np.floor(points / cell).astype(np.int64)
+
+
 def _lex_rank(rows: np.ndarray) -> np.ndarray:
     """Dense rank of each (n, k) integer row in lexicographic row order.
 
@@ -157,7 +177,7 @@ def voxelize(frame: PointCloudFrame, resolution: float) -> tuple[np.ndarray, np.
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
-    keys = np.floor(frame.points / resolution).astype(np.int64)
+    keys = grid_keys(frame.points, resolution, resolution)
     inverse = _lex_rank(keys)
     counts = np.bincount(inverse)
     uniq = np.empty((len(counts), 3), dtype=np.int64)
@@ -195,7 +215,9 @@ def _close_gaps(keys: np.ndarray, reach: int) -> np.ndarray:
     closed = np.empty_like(keys)
     for axis in range(3):
         values, rank = np.unique(keys[:, axis], return_inverse=True)
-        closed[:, axis] = np.concatenate([[0], np.cumsum(np.minimum(np.diff(values), reach + 1))])[rank]
+        # a gap between keys of opposite sign may exceed int64; it is exact as uint64
+        gaps = np.minimum(np.diff(values).view(np.uint64), reach + 1).astype(np.int64)
+        closed[:, axis] = np.concatenate([[0], np.cumsum(gaps)])[rank]
     return closed
 
 
@@ -269,7 +291,7 @@ def voxel_neighbour_pairs(keys: np.ndarray, reach: int = 1) -> np.ndarray:
     return np.column_stack([np.minimum(rows, found), np.maximum(rows, found)])
 
 
-def _capped_nearest(points: np.ndarray, cap: float) -> np.ndarray:
+def _capped_nearest(points: np.ndarray, cap: float, voxel: float) -> np.ndarray:
     """Distance from each point to its nearest other point, or inf where that exceeds ``cap``.
 
     Points are binned in cells a little wider than ``cap``, so every pair
@@ -279,7 +301,7 @@ def _capped_nearest(points: np.ndarray, cap: float) -> np.ndarray:
     near = np.full(len(points), np.inf)
     if not len(points):
         return near
-    cell_keys = np.floor(points / (cap * 1.001)).astype(np.int64)
+    cell_keys = grid_keys(points, cap * 1.001, voxel)
     cell = _lex_rank(cell_keys)
     size = np.bincount(cell)
     keys = np.empty((len(size), 3), dtype=np.int64)
@@ -318,12 +340,12 @@ def voxel_reach(points: np.ndarray, voxel_resolution: float) -> int:
     """
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     threshold = REACH_2_SPACING * voxel_resolution
-    near = _capped_nearest(points, threshold)
+    near = _capped_nearest(points, threshold, voxel_resolution)
     if np.count_nonzero(near <= threshold) <= (len(near) - 1) // 2:
         return 2
     spacing = np.median(near)
     if np.isinf(spacing):
-        spacing = np.median(_capped_nearest(points, 2 * threshold))
+        spacing = np.median(_capped_nearest(points, 2 * threshold, voxel_resolution))
     return 2 if spacing >= threshold else 1
 
 
@@ -438,7 +460,7 @@ def cluster_supervoxels(frame: PointCloudFrame, config: SupervoxelConfig, reach:
     both = (np.concatenate([b[::-1], a]), np.concatenate([a[::-1], b]))
     links = csr_matrix((np.concatenate([cost[::-1], cost]), both), shape=(n_vox, n_vox))
 
-    cell_keys = np.floor(vox_centroid / config.seed_resolution).astype(np.int64)
+    cell_keys = grid_keys(vox_centroid, config.seed_resolution, config.voxel_resolution)
     centers = (cell_keys + 0.5) * config.seed_resolution
     seeds = _nearest_per_group(_lex_rank(cell_keys), squared_norms(vox_centroid - centers))
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dynseg
@@ -18,6 +19,7 @@ from dynseg.cli import (
     read_config_file,
 )
 from dynseg.cloud_io import SequenceManifest
+from dynseg.supervoxel import KEY_RANGE_VOXELS
 
 # format_resolved_config(build_config({})): every key, every default filled in
 DEFAULT_RESOLVED = """\
@@ -53,6 +55,38 @@ tree.merge_threshold=0.7
 tree.sigma_color=30.0
 tree.sigma_distance=0.16
 tree.split_threshold=0.3
+"""
+
+# dynseg eval of a 12-frame approach_merge_split at 400 points per object, segmented at voxel 0.02
+APPROACH_MERGE_SPLIT_EVAL = """\
+ frame     error
+     0    0.0000
+     1    0.0000
+     2    0.0000
+     3    0.0000
+     4    0.0000
+     5    0.0000
+     6    0.0000
+     7    0.0000
+     8    0.0000
+     9    0.0012
+    10    0.0000
+    11    0.0000
+
+mean error             0.0001
+interactions found     1
+interactions truth     1
+interactions matched   1
+precision              1.0000
+recall                 1.0000
+
+metrics v1
+mean_error=0.000104
+interactions_found=1
+interactions_truth=1
+interactions_matched=1
+precision=1.000000
+recall=1.000000
 """
 
 
@@ -145,6 +179,18 @@ class TestEndToEnd:
         assert "mean_error=0.000000" in out
         assert "interactions_truth=0" in out
         assert "recall=1.000000" in out
+
+    def test_eval_scores_a_merge_and_split(self, tmp_path, capsys):
+        """synth, segment and eval of two spheres that touch and part: the whole report, as first recorded."""
+        spec = tmp_path / "scene.txt"
+        spec.write_text("kind = approach_merge_split\nframes = 12\npoints_per_object = 400\n")
+        data, run = tmp_path / "data", tmp_path / "run"
+        assert main(["synth", str(spec), "--out", str(data)]) == 0
+        args = ["--out", str(run), "--supervoxel.voxel_resolution", "0.02"]
+        assert main(["segment", str(data / "manifest.txt"), *args]) == 0
+        capsys.readouterr()
+        assert main(["eval", str(run), str(data / "manifest.txt")]) == 0
+        assert capsys.readouterr().out == APPROACH_MERGE_SPLIT_EVAL
 
     def test_top_level_flags_reach_the_resolved_config(self, tmp_path):
         spec = tmp_path / "scene.txt"
@@ -261,6 +307,37 @@ class TestExitCodes:
         assert main(["segment", str(tmp_path / "data" / "manifest.txt"), *args]) == 1
         assert "ga.elitism" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "key, value", [("cut.lambda_smooth", "-1"), ("cut.mu_coherence", "-0.5"), ("ga.stagnation_stop", "-2")]
+    )
+    def test_negative_solver_weight_is_config_error(self, tmp_path, capsys, key, value):
+        assert main(["segment", str(tmp_path / "nope.txt"), f"--{key}", value]) == 1
+        assert f"config error: {key} must be >= 0" in capsys.readouterr().err
+
+    def _frame_manifest(self, tmp_path, points):
+        rng = np.random.default_rng(3)
+        cloud = np.vstack([rng.uniform(0.0, 0.1, size=(60, 3)), points])
+        frame = tmp_path / "frame_0000.txt"
+        cloud_io.write_frame(cloud_io.PointCloudFrame(0, cloud, np.full((len(cloud), 3), 90)), str(frame))
+        manifest = tmp_path / "manifest.txt"
+        cloud_io.write_manifest(SequenceManifest(name="x", frame_paths=[str(frame)]), str(manifest))
+        return manifest
+
+    def test_coordinate_beyond_the_voxel_grid_is_data_error(self, tmp_path, capsys):
+        manifest = self._frame_manifest(tmp_path, [[3e17, 0.0, 0.0], [-3e17, 0.0, 0.0]])
+        args = ["--out", str(tmp_path / "run"), "--supervoxel.voxel_resolution", "0.02"]
+        assert main(["segment", str(manifest), *args]) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {tmp_path / 'frame_0000.txt'}: coordinate 3e+17 lies" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_coordinate_just_inside_the_voxel_grid_segments(self, tmp_path):
+        edge = 0.9999 * KEY_RANGE_VOXELS * 0.02
+        manifest = self._frame_manifest(tmp_path, [[edge, 0.0, 0.0], [-edge, 0.0, 0.0], [0.0, edge, -edge]])
+        args = ["--out", str(tmp_path / "run"), "--supervoxel.voxel_resolution", "0.02"]
+        assert main(["segment", str(manifest), *args]) == 0
+        assert len(cloud_io.read_label_file(tmp_path / "run" / "labels_0000.txt")[0]) == 63
 
     def test_missing_manifest_is_data_error(self, tmp_path):
         assert main(["segment", str(tmp_path / "nope.txt")]) == 2

@@ -14,8 +14,6 @@ from dynseg.cloud_io import (
     PointCloudFrame,
     SequenceManifest,
     _check_frame_lines,
-    _check_label_lines,
-    _label_rows,
     load_frame,
     load_ground_truth,
     load_sequence,
@@ -218,11 +216,8 @@ def test_an_integer_parsed_through_float_reaches_the_line_checker(tmp_path, monk
 
     monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
     (tmp_path / "frame.txt").write_text("ptseq v1 1\n0 0 0 12.0 2 3\n")
-    (tmp_path / "labels_0000.txt").write_text("0 0 12.0\n")
     with pytest.raises(ParseError, match=r"frame.txt:2: non-numeric field"):
         load_frame(tmp_path / "frame.txt")
-    with pytest.raises(ParseError, match=r"labels_0000.txt:1: non-integer field"):
-        read_label_file(tmp_path / "labels_0000.txt")
 
 
 def test_labels_roundtrip(tmp_path):
@@ -251,7 +246,7 @@ def test_int64_extremes_are_labels(tmp_path):
     assert load_ground_truth(gt).tolist() == [lo, hi]
     labels = tmp_path / "labels_0000.txt"
     labels.write_text(f"0 0 {lo}\n0 1 {hi}\n")
-    assert read_label_file(labels) == _check_label_lines(labels) == {0: {0: lo, 1: hi}}
+    assert read_label_file(labels) == {0: {0: lo, 1: hi}}
 
 
 def test_label_file_roundtrip(tmp_path):
@@ -299,52 +294,31 @@ def test_repeated_label_rows_are_rejected(tmp_path):
     assert str(err.value) == f"{later}: frame 0: point 0 is also in an earlier label file"
 
 
-_LABEL_FIELDS = ["0", "1", "7", "-2", "+3", "1_0", "1.0", "2e1", "x", "\u0663", "99999999999999999999"]
-_LABEL_LINES = ["# 0 0 0", "  # note", "", "   ", "0 0", "0 0 0 0", "0 0 0 # tail"]
-
-
-@st.composite
-def _label_texts(draw):
-    """A label file of valid rows, some repeated, mutated field by field and line by line; (text, clean)."""
-    rows = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 6), st.integers(0, 4)), max_size=12))
-    lines = [[str(v) for v in row] for row in rows]
-    clean = bool(rows) and len(set(row[:2] for row in rows)) == len(rows)
-    for kind in draw(st.lists(st.sampled_from(["field", "insert"]), max_size=2)):
-        full = [line for line in lines if len(line) == 3]
-        if kind == "field" and full:
-            line = full[draw(st.integers(0, len(full) - 1))]
-            line[draw(st.integers(0, 2))] = draw(st.sampled_from(_LABEL_FIELDS))
-        else:
-            lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_LABEL_LINES)).split(" "))
-        clean = False
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
-    return newline.join(" ".join(line) for line in lines) + draw(st.sampled_from([newline, ""])), clean
-
-
-def _label_outcome(read):
-    """What a label reader gives: frames and points in order with their ids, or its ParseError message."""
-    try:
-        return [(f, list(rows.items())) for f, rows in read().items()]
-    except ParseError as err:
-        return str(err)
-
-
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(case=_label_texts())
-@example(case=("0 0 1\n0 1 1\n0 0 2\n", False))  # a repeated row
-@example(case=("1 5 0\n0 2 1\n1 3 0\n", True))  # frames and points out of order
-@example(case=("0 0 1.0\n", False))  # a non-integer field
-@example(case=("0 0 +1_0\n", False))  # int() accepts what loadtxt does not
-@example(case=("0 0 1\n\n  # c\n0 1 1\n", False))
-@example(case=("", False))
-def test_read_label_file_matches_the_line_checker(tmp_path, case):
-    """numpy conversion gives the rows, in file order, or the message the line checker gives."""
-    text, clean = case
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("0 0 1\n0 1 1\n0 0 2\n", ":3: repeated row for frame 0 point 0"),
+        ("1 5 0\n0 2 1\n1 3 0\n", [(1, [(5, 0), (3, 0)]), (0, [(2, 1)])]),  # file order
+        ("0 0 1.0\n", ":1: non-integer field in '0 0 1.0'"),
+        ("0 0 +1_0\n", [(0, [(0, 10)])]),  # fields read as int() reads them
+        ("0 0 \u0663\n", [(0, [(0, 3)])]),
+        ("0 0 1\n\n  # c\n0 1 1\n", [(0, [(0, 1), (1, 1)])]),
+        ("", []),
+        ("0 0 1\r\n0 1 2\r\n", [(0, [(0, 1), (1, 2)])]),
+        ("0 0 1\n0 1 2", [(0, [(0, 1), (1, 2)])]),  # no final newline
+        ("0 0 0 # tail\n", ":1: expected 3 fields, got 5"),
+        ("0 0\n", ":1: expected 3 fields, got 2"),
+    ],
+)
+def test_read_label_file_rows_and_messages(tmp_path, text, expected):
+    """Frames and points in file order with their ids, or the ParseError naming the faulty line."""
     path = tmp_path / "labels_0000.txt"
     path.write_bytes(text.encode("utf-8"))
-    assert _label_outcome(lambda: read_label_file(path)) == _label_outcome(lambda: _check_label_lines(path))
-    if clean:
-        assert _label_rows(path) is not None  # a clean file skips the line checker
+    try:
+        outcome = [(f, list(rows.items())) for f, rows in read_label_file(path).items()]
+    except ParseError as err:
+        outcome = str(err)
+    assert outcome == (f"{path}{expected}" if isinstance(expected, str) else expected)
 
 
 def test_manifest_roundtrip(tmp_path):

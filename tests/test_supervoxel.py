@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from dynseg.cloud_io import PointCloudFrame
 from dynseg.graph import connected_sets
 from dynseg.supervoxel import (
     COLOR_NORM,
+    KEY_RANGE_VOXELS,
     REACH_2_SPACING,
     SupervoxelConfig,
     Supervoxels,
@@ -171,6 +173,25 @@ def test_nearest_per_group_matches_lexsort(rows):
     _, groups = np.unique(labels, return_inverse=True)
     d2 = d2.astype(np.float64)
     np.testing.assert_array_equal(_nearest_per_group(groups, d2), _nearest_by_lexsort(groups, d2))
+
+
+def test_coordinates_the_grid_cannot_key_are_rejected():
+    """At voxel 0.02, +-3e17 m lie beyond int64 keys; each is rejected naming its coordinate and the cell."""
+    for x in (3e17, -3e17):
+        points = np.array([[x, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        frame = PointCloudFrame(0, points, np.zeros((2, 3), dtype=np.uint8))
+        message = re.escape(f"coordinate {x!r} lies ") + r".* voxels of 0\.02 or more from the origin"
+        with pytest.raises(ValueError, match=message):
+            voxelize(frame, 0.02)
+        with pytest.raises(ValueError, match=message):
+            voxel_reach(points, 0.02)
+
+
+def test_gaps_wider_than_int64_close():
+    """Keys of opposite sign more than 2**63 apart still close to reach + 1."""
+    far = int(0.99 * KEY_RANGE_VOXELS)
+    keys = np.array([[-far, 0, 0], [far, 0, 0]], dtype=np.int64)
+    np.testing.assert_array_equal(supervoxel._close_gaps(keys, 2), [[0, 0, 0], [3, 0, 0]])
 
 
 def test_voxelize_rejects_nonpositive_resolution():
