@@ -84,10 +84,11 @@ def random_connected_graph(rng, n, random_features=False):
     else:
         centroids = np.column_stack([0.05 * np.arange(n), np.zeros((n, 2))])
         colors = np.tile([50.0, 0.0, 0.0], (n, 1))
+    pairs = sorted(edges)
     return AdjacencyGraph(
         nodes=np.arange(n),
-        edges=list(edges),
-        weights=list(edges.values()),
+        edges=pairs,
+        weights=[edges[p] for p in pairs],
         centroids=centroids,
         colors_lab=colors,
         point_counts=np.ones(n),

@@ -201,6 +201,15 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     return 0
 
 
+def _parse_as_ints(tokens: list[str]) -> bool:
+    """Whether int() parses every token, as read_label_file reads its fields."""
+    try:
+        list(map(int, tokens))
+    except ValueError:
+        return False
+    return True
+
+
 def cmd_inspect(ns: argparse.Namespace) -> int:
     path = ns.path
     try:
@@ -228,7 +237,7 @@ def cmd_inspect(ns: argparse.Namespace) -> int:
         for rec in cloud_io.read_interaction_log(path):
             ids = " ".join(str(i) for i in rec.object_ids)
             print(f"interaction frames {rec.start_frame}-{rec.end_frame} objects {ids}")
-    elif len(head) == 3 and all(t.lstrip("-").isdigit() for t in head):
+    elif len(head) == 3 and _parse_as_ints(head):
         per_frame = cloud_io.read_label_file(path)
         total = sum(len(rows) for rows in per_frame.values())
         ids = {o for rows in per_frame.values() for o in rows.values()}

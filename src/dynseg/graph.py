@@ -40,75 +40,60 @@ class GraphConfig:
 class AdjacencyGraph:
     """Supervoxel adjacency graph in array form.
 
-    The constructor sorts the nodes, carrying each node's rows along, puts
-    each edge as (i, j) with i < j and sorts the edges lexicographically,
-    carrying each weight along; every consumer relies on that order; edges
-    that already come in it are kept as given.  A graph is not modified after
-    construction, so ``edge_index`` and ``pieces`` are computed once.
+    Every consumer relies on the node and edge order noted below, which the
+    constructor checks rather than restores.  A graph is not modified after
+    construction, so ``pieces`` is computed once.
     """
 
     nodes: np.ndarray  # (N,) sorted distinct int64 supervoxel ids
-    edges: np.ndarray  # (E, 2) int64 id pairs, i < j, unique, lexicographic
+    edges: np.ndarray  # (E, 2) int64 node positions, i < j, unique, lexicographic
     weights: np.ndarray  # (E,) build_graph's weights lie in (0, 1]
     centroids: np.ndarray  # (N, 3) supervoxel centroids, in node order
     colors_lab: np.ndarray  # (N, 3) supervoxel mean Lab colours, in node order
     point_counts: np.ndarray  # (N,) float point count of each supervoxel, in node order
 
     def __post_init__(self) -> None:
-        nodes = np.asarray(self.nodes, dtype=np.int64).reshape(-1)
-        centroids = np.asarray(self.centroids, dtype=np.float64).reshape(-1, 3)
-        colors = np.asarray(self.colors_lab, dtype=np.float64).reshape(-1, 3)
-        counts = np.asarray(self.point_counts, dtype=np.float64).reshape(-1)
-        if not len(nodes) == len(centroids) == len(colors) == len(counts):
+        self.nodes = np.asarray(self.nodes, dtype=np.int64).reshape(-1)
+        self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        self.weights = np.asarray(self.weights, dtype=np.float64).reshape(-1)
+        self.centroids = np.asarray(self.centroids, dtype=np.float64).reshape(-1, 3)
+        self.colors_lab = np.asarray(self.colors_lab, dtype=np.float64).reshape(-1, 3)
+        self.point_counts = np.asarray(self.point_counts, dtype=np.float64).reshape(-1)
+        n = len(self.nodes)
+        if not n == len(self.centroids) == len(self.colors_lab) == len(self.point_counts):
             raise ValueError("nodes, centroids, colours and point counts differ in length")
-        order = np.argsort(nodes, kind="stable")
-        self.nodes = nodes[order]
-        if (np.diff(self.nodes) == 0).any():
-            raise ValueError("duplicate node ids")
-        self.centroids, self.colors_lab, self.point_counts = centroids[order], colors[order], counts[order]
-        edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
-        weights = np.asarray(self.weights, dtype=np.float64).reshape(-1)
-        if len(weights) != len(edges):
-            raise ValueError(f"{len(edges)} edges but {len(weights)} weights")
-        # pairs with i < j in strictly rising order are sorted and distinct already
-        step = np.diff(edges, axis=0)
-        rising = (step[:, 0] > 0) | (step[:, 0] == 0) & (step[:, 1] > 0)
-        if not ((edges[:, 0] < edges[:, 1]).all() and rising.all()):
-            edges = np.sort(edges, axis=1)
-            order = np.lexsort((edges[:, 1], edges[:, 0]))
-            edges, weights = edges[order], weights[order]
-            if (edges[:, 0] == edges[:, 1]).any() or (np.diff(edges, axis=0) == 0).all(axis=1).any():
-                raise ValueError("edges must be distinct pairs of distinct nodes")
-        self.edges, self.weights = edges, weights
+        if len(self.weights) != len(self.edges):
+            raise ValueError(f"{len(self.edges)} edges but {len(self.weights)} weights")
+        if (np.diff(self.nodes) <= 0).any():
+            raise ValueError("node ids must be sorted and distinct")
+        # pairs 0 <= i < j < n in lexicographic order have rising codes i * n + j
+        i, j = self.edges.T
+        if not ((0 <= i) & (i < j) & (j < n)).all() or (np.diff(i * n + j) <= 0).any():
+            raise ValueError(f"edges must be distinct position pairs 0 <= i < j < {n} in lexicographic order")
 
     @property
     def num_nodes(self) -> int:
         return len(self.nodes)
 
-    @cached_property
-    def edge_index(self) -> np.ndarray:
-        """(E, 2) positions in ``nodes`` of each edge's endpoints."""
-        return np.searchsorted(self.nodes, self.edges)
-
     def subgraph(self, nodes, connected: bool = False) -> "AdjacencyGraph":
         """The graph induced on ``nodes``, a sorted id array.
 
-        ``connected`` says the caller already knows ``nodes`` to be one
-        connected piece, such as an entry of ``pieces``; the subgraph then
-        holds that as its pieces and never searches them.
+        The parent's edges with both ends in ``nodes`` are renumbered to
+        positions in it, which keeps their order.  ``connected`` says the
+        caller already knows ``nodes`` to be one connected piece, such as an
+        entry of ``pieces``; the subgraph then holds that as its pieces and
+        never searches them.
         """
         nodes = np.asarray(nodes, dtype=np.int64)
-        if not np.isin(nodes, self.nodes).all():
-            raise ValueError("subgraph nodes must be nodes of the graph")
         at = np.searchsorted(self.nodes, nodes)
-        inside = np.isin(self.edges, nodes).all(axis=1)
+        if not (at < self.num_nodes).all() or not np.array_equal(self.nodes[at], nodes):
+            raise ValueError("subgraph nodes must be nodes of the graph")
+        where = np.full(self.num_nodes, -1, dtype=np.int64)  # -1 for nodes left out
+        where[at] = np.arange(len(at))
+        ends = where[self.edges]
+        inside = (ends[:, 0] >= 0) & (ends[:, 1] >= 0)
         sub = AdjacencyGraph(
-            nodes=nodes,
-            edges=self.edges[inside],
-            weights=self.weights[inside],
-            centroids=self.centroids[at],
-            colors_lab=self.colors_lab[at],
-            point_counts=self.point_counts[at],
+            nodes, ends[inside], self.weights[inside], self.centroids[at], self.colors_lab[at], self.point_counts[at]
         )
         if connected and len(nodes):
             sub.pieces = [sub.nodes]  # fills the cached property
@@ -117,7 +102,7 @@ class AdjacencyGraph:
     @cached_property
     def pieces(self) -> list[np.ndarray]:
         """Connected pieces of the graph, ordered by smallest member."""
-        return _pieces(self.nodes, self.edge_index)
+        return _pieces(self.nodes, self.edges)
 
     def is_connected(self) -> bool:
         return len(self.pieces) <= 1

@@ -63,6 +63,9 @@ class CutProblem:
         self.previous_boundary = np.asarray(self.previous_boundary, dtype=np.float64).reshape(-1, 3)
         if self.seeds.shape != self.subgraph.nodes.shape:
             raise ValueError(f"{self.seeds.size} seeds for {self.subgraph.num_nodes} nodes")
+        for name in ("lambda_smooth", "mu_coherence"):  # max-flow would drop negative capacities
+            if not getattr(self.params, name) >= 0:
+                raise ValueError(f"{name} must be >= 0")
 
     def labels(self) -> list[int]:
         return np.unique(self.seeds[self.seeds >= 0]).tolist()
@@ -87,7 +90,7 @@ class CutProblem:
         g = self.subgraph
         cost = p.lambda_smooth * g.weights
         if len(self.previous_boundary):
-            d, _ = nearest(_midpoints(g, g.edge_index), self.previous_boundary)
+            d, _ = nearest(_midpoints(g, g.edges), self.previous_boundary)
             cost = cost + p.mu_coherence * np.exp(-d[:, 0] / p.sigma_boundary)
         return cost
 
@@ -99,7 +102,7 @@ def _midpoints(graph: AdjacencyGraph, pos: np.ndarray) -> np.ndarray:
 
 def _energy(problem: CutProblem, lab: np.ndarray) -> float:
     """Energy of a labeling given as one label position per node."""
-    pos = problem.subgraph.edge_index
+    pos = problem.subgraph.edges
     cut = lab[pos[:, 0]] != lab[pos[:, 1]]
     return float(problem.unary[np.arange(len(lab)), lab].sum() + problem.pairwise[cut].sum())
 
@@ -165,7 +168,7 @@ def restricted_cut(problem: CutProblem) -> np.ndarray:
     if len(labels) < 2:
         raise ValueError("restricted cut needs seeds of at least two distinct objects")
     unary, cost = problem.unary, problem.pairwise
-    pos = problem.subgraph.edge_index
+    pos = problem.subgraph.edges
 
     if len(labels) == 2:
         return labels[_binary_cut(unary[:, 0], unary[:, 1], pos, cost, cost).astype(np.intp)]
@@ -209,7 +212,7 @@ def boundary_midpoints(graph: AdjacencyGraph, labels: np.ndarray) -> np.ndarray:
     lab = np.asarray(labels)
     if len(lab) != graph.num_nodes:
         raise ValueError(f"{len(lab)} labels for {graph.num_nodes} nodes")
-    pos = graph.edge_index
+    pos = graph.edges
     return _midpoints(graph, pos[lab[pos[:, 0]] != lab[pos[:, 1]]])
 
 
@@ -230,7 +233,7 @@ def ncut_value(graph: AdjacencyGraph, side_a) -> float:
     assoc(A, V) counts each intra-pair weight once plus the cut, so the
     two-clique case with a 0.01 bridge evaluates to 0.01/3.01 + 0.01/3.01.
     """
-    return _ncut(graph.weights, np.isin(graph.edges, side_a))
+    return _ncut(graph.weights, np.isin(graph.nodes, side_a)[graph.edges])
 
 
 def _second_eigenpair(graph: AdjacencyGraph) -> tuple[float, np.ndarray]:
@@ -241,7 +244,7 @@ def _second_eigenpair(graph: AdjacencyGraph) -> tuple[float, np.ndarray]:
     entry of x (the first one on a tie) is positive.
     """
     n = graph.num_nodes
-    pos = graph.edge_index
+    pos = graph.edges
     W = np.zeros((n, n))
     W[pos[:, 0], pos[:, 1]] = graph.weights
     W[pos[:, 1], pos[:, 0]] = graph.weights
@@ -284,7 +287,6 @@ def normalized_cut_bisect(
     value, x = _second_eigenpair(graph)
     if bound is not None and value > bound * (1.0 + SPECTRAL_MARGIN):
         return None
-    pos = graph.edge_index
     n = graph.num_nodes
     thresholds = np.linspace(float(x.min()), float(x.max()), N_THRESHOLDS)
     # nodes at or below each threshold; a mask is new where that count grows
@@ -294,13 +296,13 @@ def normalized_cut_bisect(
     best_mask: np.ndarray | None = None
     for t in thresholds[first[taken[first] < n]]:
         mask = x <= t
-        cost = _ncut(graph.weights, mask[pos])
+        cost = _ncut(graph.weights, mask[graph.edges])
         if cost < best_cost:
             best_cost, best_mask = cost, mask
     if best_mask is None:
         # degenerate flat eigenvector: peel off the first node
         best_mask = np.arange(n) == 0
-        best_cost = _ncut(graph.weights, best_mask[pos])
+        best_cost = _ncut(graph.weights, best_mask[graph.edges])
     if not best_mask[0]:
         best_mask = ~best_mask
     return graph.nodes[best_mask], graph.nodes[~best_mask], best_cost

@@ -263,7 +263,7 @@ def update_tree(
     # blobs, so where each blob holds one object its pieces are the blobs
     pieces = blob_at
     if shared:
-        pos = graph.edge_index
+        pos = graph.edges
         pieces = sorted(
             connected_sets(np.arange(len(nodes)), pos[object_of[pos[:, 0]] == object_of[pos[:, 1]]]),
             key=lambda at: (blob_of[at[0]], object_of[at[0]], at[0]),
@@ -405,7 +405,7 @@ def _fuse(tree: SegTree, graph: AdjacencyGraph, winner: int, overseg: OversegCon
         if len(cids) < 2:
             continue
         region = np.isin(tree.component_of, cids)
-        pieces = connected_sets(tree.nodes[region], graph.edges)
+        pieces = graph.subgraph(tree.nodes[region]).pieces
         if len(pieces) == len(cids):
             continue  # nothing fused
         for piece in pieces:

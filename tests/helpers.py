@@ -50,7 +50,10 @@ def footprints(frame, supervoxels: Supervoxels, voxel_resolution: float) -> list
 
 
 def graph_from_edges(edges: dict, positions: dict | None = None, colors: dict | None = None) -> AdjacencyGraph:
-    """AdjacencyGraph over the nodes mentioned in edges (plus positions keys), 5 points per node."""
+    """AdjacencyGraph over the nodes mentioned in edges (plus positions keys), 5 points per node.
+
+    ``edges`` maps id pairs, in either orientation and any order, to weights.
+    """
     nodes = set()
     for i, j in edges:
         nodes.add(i)
@@ -59,10 +62,12 @@ def graph_from_edges(edges: dict, positions: dict | None = None, colors: dict | 
         nodes.update(positions)
     nodes = sorted(nodes)
     positions, colors = positions or {}, colors or {}
+    at = {n: k for k, n in enumerate(nodes)}
+    links = sorted((min(at[i], at[j]), max(at[i], at[j]), w) for (i, j), w in edges.items())
     return AdjacencyGraph(
         nodes=nodes,
-        edges=list(edges),
-        weights=list(edges.values()),
+        edges=[(i, j) for i, j, _ in links],
+        weights=[w for _, _, w in links],
         centroids=[positions.get(n, (float(n), 0.0, 0.0)) for n in nodes],
         colors_lab=[colors.get(n, (50.0, 0.0, 0.0)) for n in nodes],
         point_counts=np.full(len(nodes), 5),
@@ -70,8 +75,8 @@ def graph_from_edges(edges: dict, positions: dict | None = None, colors: dict | 
 
 
 def edge_dict(graph: AdjacencyGraph) -> dict[tuple[int, int], float]:
-    """The graph's edges as {(i, j): weight}, in edge order."""
-    return dict(zip(map(tuple, graph.edges.tolist()), graph.weights.tolist()))
+    """The graph's edges as {(i, j): weight} over node ids, in edge order."""
+    return dict(zip(map(tuple, graph.nodes[graph.edges].tolist()), graph.weights.tolist()))
 
 
 def grid_cloud(shape=(4, 4, 1), spacing=0.02, origin=(0.0, 0.0, 0.0), color=(128, 128, 128)):

@@ -514,6 +514,13 @@ class TestInspect:
         assert main(["inspect", str(labels_path)]) == 0
         assert "point label file: 1 frames, 3 points, 2 objects" in capsys.readouterr().out
 
+    def test_inspect_reads_label_fields_as_int_does(self, tmp_path, capsys):
+        # the fields read_label_file and dynseg eval accept, such as "+1", mark a point label file
+        p = tmp_path / "labels_0000.txt"
+        p.write_text("0 0 +1\n0 1 2\n")
+        assert main(["inspect", str(p)]) == 0
+        assert "point label file: 1 frames, 2 points, 2 objects" in capsys.readouterr().out
+
     @pytest.mark.parametrize("value", ["99999999999999999999", "-99999999999999999999"])
     def test_inspect_label_outside_int64_is_data_error(self, tmp_path, capsys, value):
         p = tmp_path / "gt.txt"

@@ -242,26 +242,14 @@ def _bare(nodes, edges, weights):
 
 
 class TestAdjacencyGraph:
-    def test_constructor_orients_and_sorts_edges(self):
-        g = AdjacencyGraph(
-            nodes=[5, 0, 2],
-            edges=[(5, 2), (0, 5), (2, 0)],
-            weights=[0.1, 0.2, 0.3],
-            centroids=[(5.0, 0.0, 0.0), (0.0, 0.0, 0.0), (2.0, 0.0, 0.0)],
-            colors_lab=[(55.0, 0.0, 0.0), (50.0, 0.0, 0.0), (52.0, 0.0, 0.0)],
-            point_counts=[6, 1, 3],
-        )
-        assert g.nodes.tolist() == [0, 2, 5]
-        assert g.edges.tolist() == [[0, 2], [0, 5], [2, 5]]
-        assert g.weights.tolist() == [0.3, 0.2, 0.1]
-        # node rows follow their nodes
-        assert g.centroids[:, 0].tolist() == [0.0, 2.0, 5.0]
-        assert g.colors_lab[:, 0].tolist() == [50.0, 52.0, 55.0]
-        assert g.point_counts.tolist() == [1.0, 3.0, 6.0]
-
     def test_duplicate_nodes_rejected(self):
         with pytest.raises(ValueError):
             _bare([3, 3], [], [])
+
+    def test_unsorted_nodes_rejected(self):
+        # the constructor checks the node order; it does not restore it
+        with pytest.raises(ValueError):
+            _bare([5, 0, 2], [(0, 1)], [0.5])
 
     @pytest.mark.parametrize(
         "edges, weights",
@@ -269,35 +257,43 @@ class TestAdjacencyGraph:
             ([(0, 1), (1, 0)], [0.5, 0.5]),
             ([(1, 1)], [0.5]),
             ([(0, 1)], [0.5, 0.5]),
-            # already sorted, so only the checks can reject them
             ([(0, 1), (0, 1)], [0.5, 0.5]),
             ([(0, 1), (1, 2)], [0.5]),
+            # the constructor checks the edge order; it does not restore it
+            ([(1, 0)], [0.5]),
+            ([(0, 2), (0, 1)], [0.5, 0.5]),
+            ([(0, 1), (1, 3)], [0.5, 0.5]),
+            ([(-1, 1)], [0.5]),
         ],
     )
     def test_constructor_rejects_malformed_edges(self, edges, weights):
         with pytest.raises(ValueError):
-            _bare([0, 1], edges, weights)
+            _bare([0, 1, 2], edges, weights)
 
     def test_subgraph_keeps_internal_edges_only(self):
         g = graph_from_edges({(0, 1): 0.5, (1, 2): 0.5, (2, 3): 0.5})
         sub = g.subgraph([1, 2, 3])
         assert sub.nodes.tolist() == [1, 2, 3]
-        assert sub.edges.tolist() == [[1, 2], [2, 3]]
+        assert sub.nodes[sub.edges].tolist() == [[1, 2], [2, 3]]
         with pytest.raises(ValueError):
             g.subgraph([1, 4])
 
     @settings(max_examples=100, deadline=None)
     @given(graph=_random_graphs(), data=st.data())
     def test_subgraph_matches_loop_reference(self, graph, data):
-        subset = data.draw(st.sets(st.sampled_from(graph.nodes.tolist()))) if graph.num_nodes else set()
-        sub = graph.subgraph(sorted(subset))
-        want_nodes, want_edges = _subgraph_loop(graph, subset)
-        assert sub.nodes.tolist() == want_nodes
-        assert edge_dict(sub) == want_edges
-        assert list(edge_dict(sub)) == sorted(want_edges)
-        kept = np.isin(graph.nodes, want_nodes)
-        for rows in ("centroids", "colors_lab", "point_counts"):
-            assert np.array_equal(getattr(sub, rows), getattr(graph, rows)[kept])
+        # a subgraph of a subgraph, so the renumbering is shown to compose
+        parent = graph
+        for _ in range(2):
+            subset = data.draw(st.sets(st.sampled_from(parent.nodes.tolist()))) if parent.num_nodes else set()
+            sub = parent.subgraph(sorted(subset))
+            want_nodes, want_edges = _subgraph_loop(graph, subset)
+            assert sub.nodes.tolist() == want_nodes
+            assert edge_dict(sub) == want_edges
+            assert list(edge_dict(sub)) == sorted(want_edges)
+            kept = np.isin(graph.nodes, want_nodes)
+            for rows in ("centroids", "colors_lab", "point_counts"):
+                assert np.array_equal(getattr(sub, rows), getattr(graph, rows)[kept])
+            parent = sub
 
     def test_is_connected(self):
         path = graph_from_edges({(0, 1): 0.5, (1, 2): 0.5})
@@ -309,26 +305,7 @@ class TestAdjacencyGraph:
     @settings(max_examples=100, deadline=None)
     @given(graph=_random_graphs())
     def test_is_connected_matches_oracle(self, graph):
-        assert graph.is_connected() == (len(_cc_oracle(graph.nodes.tolist(), graph.edges.tolist())) <= 1)
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        pairs=st.sets(st.tuples(st.integers(0, 40), st.integers(0, 40)).filter(lambda p: p[0] < p[1]), max_size=40),
-        data=st.data(),
-    )
-    def test_constructor_same_result_for_any_edge_order(self, pairs, data):
-        ordered = sorted(pairs)
-        weights = dict(zip(ordered, np.linspace(0.01, 1.0, len(ordered)).tolist()))
-        given_order = data.draw(st.permutations(ordered))
-        flips = data.draw(st.lists(st.booleans(), min_size=len(ordered), max_size=len(ordered)))
-        shuffled = [(j, i) if flip else (i, j) for (i, j), flip in zip(given_order, flips)]
-        nodes = sorted({n for p in ordered for n in p})
-        a = _bare(nodes, ordered, [weights[p] for p in ordered])
-        b = _bare(nodes, shuffled, [weights[p] for p in given_order])
-        for g in (a, b):
-            assert g.edges.dtype == np.int64 and g.edges.shape == (len(ordered), 2)
-            assert g.edges.tolist() == [list(p) for p in ordered]
-            assert g.weights.tolist() == [weights[p] for p in ordered]
+        assert graph.is_connected() == (len(_cc_oracle(graph.nodes.tolist(), graph.nodes[graph.edges].tolist())) <= 1)
 
 
 class TestConnectedComponents:

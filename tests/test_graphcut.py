@@ -383,7 +383,8 @@ class TestMatchesLoopReference:
     @given(problem=_sparse_problems())
     def test_pairwise_costs(self, problem):
         want = _pairwise_costs_loop(problem)
-        assert list(map(tuple, problem.subgraph.edges.tolist())) == list(want)
+        graph = problem.subgraph
+        assert list(map(tuple, graph.nodes[graph.edges].tolist())) == list(want)
         np.testing.assert_allclose(problem.pairwise, list(want.values()), rtol=1e-12)
 
     @settings(max_examples=100, deadline=None)
@@ -599,6 +600,20 @@ class TestRestrictedCut:
         )
         with pytest.raises(ValueError):
             restricted_cut(prob)
+
+    @pytest.mark.parametrize("name", ["lambda_smooth", "mu_coherence"])
+    def test_negative_weight_rejected(self, name):
+        # with lambda_smooth = -1 this chain's cut used to return [7, 7, 9, 9],
+        # though [7, 9, 7, 9] has the lower energy
+        g = graph_from_edges(
+            {(0, 1): 1.0, (1, 2): 1.0, (2, 3): 1.0},
+            positions={k: (0.02 * k, 0.0, 0.0) for k in range(4)},
+        )
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0$"):
+            CutProblem(
+                subgraph=g, seeds=[7, -1, -1, 9], previous_boundary=np.empty((0, 3)),
+                params=CutParams(**{name: -1.0}).resolve(0.08), seed_resolution=0.08,
+            )
 
     def test_boundary_term_breaks_ties(self):
         # symmetric 3-node path: both cut positions tie at 1.0 without the

@@ -4,6 +4,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynseg import cloud_io, pipeline
 from dynseg.assignment import EnergyParams, GAConfig
@@ -509,6 +511,78 @@ class TestDegenerateInputs:
     @pytest.mark.parametrize("name", sorted(DEGENERATE))
     def test_tree_invariants_hold_on_every_frame(self, name):
         run_checked(DEGENERATE[name], PipelineConfig())
+
+
+@st.composite
+def _random_runs(draw):
+    """A random short sequence of Gaussian clusters and a random config for it.
+
+    Frames hold 1-4 clusters of 1-120 points each, some planar, drifting
+    between frames and each missing from a frame one time in five.  Configs
+    vary the voxel, the seed resolution, the growth passes, the tree
+    thresholds, the retention and, in half the cases, a GA of 1-5
+    individuals.  Left out: seed resolutions under 5 voxels and larger
+    clouds, whose hundreds of supervoxels or live objects make the tree's
+    candidate search take seconds a frame; and a merge threshold at or below
+    the split threshold, which the tree may not be meant to take.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    clusters = draw(st.lists(st.tuples(st.integers(1, 120), st.booleans()), min_size=1, max_size=4))
+    centres = rng.uniform(0.0, 0.3, (len(clusters), 3))
+    drift = rng.normal(0.0, 0.01, (len(clusters), 3))
+    spread = rng.uniform(0.005, 0.04, len(clusters))
+    colours = rng.integers(0, 256, (len(clusters), 3), dtype=np.uint8)
+    frames = []
+    for t in range(draw(st.integers(1, 4))):
+        pts, cols = [np.zeros((0, 3))], [np.zeros((0, 3), dtype=np.uint8)]
+        for c, (n, planar) in enumerate(clusters):
+            if rng.random() < 0.2:
+                continue
+            p = centres[c] + t * drift[c] + rng.normal(0.0, spread[c], (n, 3))
+            if planar:
+                p[:, 2] = centres[c, 2]
+            pts.append(p)
+            cols.append(np.tile(colours[c], (n, 1)))
+        frames.append(PointCloudFrame(t, np.concatenate(pts), np.concatenate(cols)))
+    voxel = draw(st.floats(0.004, 0.05))
+    split = draw(st.floats(0.0, 0.9))
+    config = PipelineConfig(
+        supervoxel=SupervoxelConfig(
+            voxel_resolution=voxel,
+            seed_resolution=voxel * draw(st.integers(5, 10)),
+            max_iterations=draw(st.integers(1, 5)),
+        ),
+        tree=TreeParams(split_threshold=split, merge_threshold=draw(st.floats(split + 0.05, 1.0))),
+        retention_frames=draw(st.integers(0, 3)),
+        ga=GAConfig(population=draw(st.integers(1, 5))) if draw(st.booleans()) else GAConfig(),
+        seed=draw(st.integers(0, 3)),
+    )
+    return frames, config
+
+
+def _outcome(result):
+    """What a frame's result says, less its timings."""
+    events = [(e.start_frame, e.end_frame, e.blob_hint, e.object_ids) for e in result.interactions_closed]
+    return result.merges, result.splits, events, result.object_count, result.blob_count, result.assignment
+
+
+class TestRandomSequences:
+    @settings(max_examples=30, deadline=None)
+    @given(run=_random_runs(), order_seed=st.integers(0, 2**32 - 1))
+    def test_invariants_reruns_and_point_order(self, run, order_seed):
+        frames, config = run
+        first = run_checked(frames, config)
+        again = run_checked(frames, config)
+        rng = np.random.default_rng(order_seed)
+        perms = [rng.permutation(f.num_points) for f in frames]
+        shuffled = run_checked(
+            [PointCloudFrame(f.frame_index, f.points[p], f.colors[p]) for f, p in zip(frames, perms)], config
+        )
+        for a, b, c, p in zip(first, again, shuffled, perms):
+            assert np.array_equal(a.point_labels, b.point_labels)
+            assert _outcome(a) == _outcome(b)
+            assert np.array_equal(a.point_labels[p], c.point_labels)
+            assert _outcome(a) == _outcome(c)
 
 
 def _three_spheres(rng_seed):

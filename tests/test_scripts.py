@@ -60,9 +60,17 @@ def test_output_digest_matches_pinned_digests(capsys):
 
 
 def test_record_digest_matches_pinned_digest(capsys):
-    """crossing-0's supervoxels, tree labels, segment means and similarity tables keep their bytes in process."""
-    assert _load("output_digest").main(["--records", "crossing-0"]) == 0
-    assert capsys.readouterr().out == "26828caf1f1d30afcff01d907b4d109482947ae19ff9d74457dcd35776b54d31  crossing-0\n"
+    """Supervoxels, tree labels, segment means and similarity tables keep their bytes in process.
+
+    crossing-0 runs no cut; triple_contact_fine-0 runs the three-label
+    expansion cut on its contested blobs and over-segments each object
+    piece, both through blob subgraphs.
+    """
+    assert _load("output_digest").main(["--records", "crossing-0", "triple_contact_fine-0"]) == 0
+    assert capsys.readouterr().out == (
+        "26828caf1f1d30afcff01d907b4d109482947ae19ff9d74457dcd35776b54d31  crossing-0\n"
+        "4a986809d43ec652f84f9b8f26a65fe50ce99a2d01f6f625e72c9fd3bf51c6cc  triple_contact_fine-0\n"
+    )
 
 
 def test_run_scenarios_tabulates_one_row_per_seed(capsys):
