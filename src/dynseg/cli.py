@@ -21,7 +21,6 @@ import numpy as np
 
 from . import cloud_io
 from .cloud_io import LabeledFrame, ParseError, SequenceManifest, significant_lines
-from .evaluation import evaluate_run, format_metrics, generate_scenario, scenario_from_spec
 from .pipeline import PipelineConfig, format_run_report, run_sequence
 from .supervoxel import grid_keys
 
@@ -148,6 +147,8 @@ def cmd_segment(ns: argparse.Namespace) -> int:
 
 
 def cmd_synth(ns: argparse.Namespace) -> int:
+    from .evaluation import generate_scenario, scenario_from_spec  # here, so segmenting never loads it
+
     try:
         with open(ns.spec, encoding="utf-8") as fh:
             text = fh.read()
@@ -181,6 +182,8 @@ def cmd_synth(ns: argparse.Namespace) -> int:
 
 
 def cmd_eval(ns: argparse.Namespace) -> int:
+    from .evaluation import evaluate_run, format_metrics  # here, so segmenting never loads it
+
     manifest = cloud_io.load_sequence(ns.manifest)
     if not manifest.gt_paths:
         raise ParseError(f"{ns.manifest}: no ground-truth files listed")

@@ -20,7 +20,7 @@ from .assignment import Assignment, AssignmentProblem, Segments
 from .cloud_io import InteractionRecord
 from .graph import AdjacencyGraph, connected_sets
 from .graphcut import OversegConfig, claim_costs, oversegment
-from .supervoxel import _group_means
+from .supervoxel import _group_means, nearest, pairs_closer_than
 
 
 @dataclass
@@ -107,11 +107,6 @@ def _grouped(keys: np.ndarray, values: np.ndarray) -> dict[int, list[int]]:
     return out
 
 
-def _gap(centroids_a: np.ndarray, centroids_b: np.ndarray) -> float:
-    """Smallest distance between two sets of supervoxel centroids."""
-    return float(np.min(np.linalg.norm(centroids_a[:, None, :] - centroids_b[None, :, :], axis=2)))
-
-
 def compute_similarity(a_svs, b_svs, graph: AdjacencyGraph, params: TreeParams) -> float:
     """sim = exp(-gap / sigma_d) * exp(-dE_lab / sigma_c) over two sorted supervoxel id arrays.
 
@@ -122,7 +117,7 @@ def compute_similarity(a_svs, b_svs, graph: AdjacencyGraph, params: TreeParams) 
     if not (len(a) and len(b)):
         raise ValueError("similarity of an empty supervoxel set is undefined")
     _, color = _means(graph, np.concatenate([a, b]), np.repeat([0, 1], [len(a), len(b)]))
-    gap = _gap(graph.centroids[a], graph.centroids[b])
+    gap = float(nearest(graph.centroids[a], graph.centroids[b])[0].min())
     de = float(np.linalg.norm(color[0] - color[1]))
     return math.exp(-gap / params.sigma_distance) * math.exp(-de / params.sigma_color)
 
@@ -317,16 +312,16 @@ def accumulate_similarities(
 
 
 def _candidates(tree: SegTree, graph: AdjacencyGraph, params: TreeParams, tracked) -> list[tuple[int, int]]:
-    """Live object pairs that share a blob, are already tracked, or lie closer than candidate_gap."""
-    pairs: set[tuple[int, int]] = set()
+    """Live object pairs that share a blob, are already tracked, or lie closer than candidate_gap.
+
+    Two objects lie that close exactly when two of their supervoxel centroids do.
+    """
+    ends = np.sort(tree.object_of[pairs_closer_than(graph.centroids, params.candidate_gap)], axis=1)
+    pairs = set(map(tuple, ends[ends[:, 0] != ends[:, 1]].tolist()))
     for oids in _grouped(tree.blob_of, tree.object_of).values():
         pairs.update(itertools.combinations(oids, 2))
-    for a, b in itertools.combinations(tree.live_objects(), 2):
-        if (a, b) not in pairs and (
-            (a, b) in tracked
-            or _gap(graph.centroids[tree.object_of == a], graph.centroids[tree.object_of == b]) < params.candidate_gap
-        ):
-            pairs.add((a, b))
+    live = set(tree.live_objects())
+    pairs.update(key for key in tracked if key[0] in live and key[1] in live)
     return sorted(pairs)
 
 

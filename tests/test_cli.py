@@ -543,15 +543,19 @@ class TestInspect:
 
 
 def test_importing_the_cli_leaves_scipy_optimize_unloaded():
-    """Only scoring needs linear_sum_assignment, so ``dynseg segment`` does not pay for scipy.optimize."""
+    """Only synth and eval need the evaluator, and only scoring needs linear_sum_assignment.
+
+    So ``dynseg segment`` pays for neither dynseg.evaluation nor scipy.optimize.
+    """
     src = str(Path(dynseg.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = (
         "import sys, dynseg; print(any(m.startswith('dynseg.') for m in sys.modules)); "
-        "import dynseg.cli; print('scipy.optimize' in sys.modules, 'dynseg.evaluation' in sys.modules)"
+        "import dynseg.cli; print('scipy.optimize' in sys.modules, 'dynseg.evaluation' in sys.modules); "
+        "import dynseg.evaluation; print('scipy.optimize' in sys.modules)"
     )
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout
-    assert out.split() == ["False", "False", "True"]
+    assert out.split() == ["False", "False", "False", "False"]
 
 
 def test_segmenting_leaves_scipy_spatial_and_special_unloaded(tmp_path):

@@ -522,9 +522,9 @@ def _random_runs(draw):
     vary the voxel, the seed resolution, the growth passes, the tree
     thresholds, the retention and, in half the cases, a GA of 1-5
     individuals.  Left out: seed resolutions under 5 voxels and larger
-    clouds, whose hundreds of supervoxels or live objects make the tree's
-    candidate search take seconds a frame; and a merge threshold at or below
-    the split threshold, which the tree may not be meant to take.
+    clouds, whose hundreds of supervoxels or live objects can make a frame
+    take most of a second, most of it in the GA; and a merge threshold at or
+    below the split threshold, which the tree may not be meant to take.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     clusters = draw(st.lists(st.tuples(st.integers(1, 120), st.booleans()), min_size=1, max_size=4))

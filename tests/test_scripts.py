@@ -62,12 +62,15 @@ def test_output_digest_matches_pinned_digests(capsys):
 def test_record_digest_matches_pinned_digest(capsys):
     """Supervoxels, tree labels, segment means and similarity tables keep their bytes in process.
 
-    crossing-0 runs no cut; triple_contact_fine-0 runs the three-label
-    expansion cut on its contested blobs and over-segments each object
-    piece, both through blob subgraphs.
+    crossing-0 runs no cut; pair_contact_fine-0-seq0 runs the binary cut
+    on reach-2 frames; triple_contact_fine-0 runs the three-label expansion
+    cut on its contested blobs and over-segments each object piece, both
+    through blob subgraphs.
     """
-    assert _load("output_digest").main(["--records", "crossing-0", "triple_contact_fine-0"]) == 0
+    names = ["--records", "crossing-0", "pair_contact_fine-0-seq0", "triple_contact_fine-0"]
+    assert _load("output_digest").main(names) == 0
     assert capsys.readouterr().out == (
+        "bac4f826c017fbc5f872b02456cc6fb83c346d8769a75a9da7607169ceea93ba  pair_contact_fine-0-seq0\n"
         "26828caf1f1d30afcff01d907b4d109482947ae19ff9d74457dcd35776b54d31  crossing-0\n"
         "4a986809d43ec652f84f9b8f26a65fe50ce99a2d01f6f625e72c9fd3bf51c6cc  triple_contact_fine-0\n"
     )

@@ -590,3 +590,18 @@ def test_growth_counters_on_one_point_and_no_points():
     one = cluster_supervoxels(PointCloudFrame(0, [[0.1, 0.2, 0.3]], [[9, 9, 9]]), _flat_cfg())
     assert (one.passes, one.converged) == (1, True)
     assert Supervoxels.empty().passes == 0
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+def test_seedless_component_is_seeded_at_its_smallest_voxel(order):
+    # three points hold the grid seed at voxel (2, 2, 2); a line through
+    # voxels (0, 0, 0), (1, 0, 0) and (2, 0, 0) lies beyond reach 1 of it, so
+    # the first pass seeds the line at (0, 0, 0) and moves that seed to the
+    # middle voxel, whichever of the line's points comes first
+    line = np.asarray([[0.01, 0.01, 0.01], [0.03, 0.01, 0.01], [0.05, 0.01, 0.01]])
+    points = np.concatenate([line[list(order)], np.full((3, 3), 0.045)])
+    cfg = SupervoxelConfig(voxel_resolution=0.02, seed_resolution=0.08, max_iterations=1)
+    frame = PointCloudFrame(0, points, np.full((6, 3), 128))
+    assert _seedless_components(frame, cfg, 1) == [{(0, 0, 0), (1, 0, 0), (2, 0, 0)}]
+    svs = cluster_supervoxels(frame, cfg)
+    assert (svs.passes, svs.converged, len(svs)) == (1, False, 2)

@@ -1,5 +1,6 @@
 """Object tree bookkeeping: identity carry-over, similarities, splits, merges."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -12,11 +13,12 @@ from dynseg.assignment import Assignment, AssignmentProblem, BlobFeature, Energy
 from dynseg.cloud_io import InteractionRecord
 from dynseg.graph import AdjacencyGraph, connected_components
 from dynseg.graphcut import OversegConfig
+from dynseg.supervoxel import nearest
 from dynseg.tree import (
     IdAllocator,
     SegTree,
     TreeParams,
-    _gap,
+    _candidates,
     _means,
     accumulate_similarities,
     compute_similarity,
@@ -432,6 +434,29 @@ class TestAccumulation:
         assert cur.component_similarity[(0, 1)] == pytest.approx(expected, rel=1e-12)
 
 
+def _candidate_scene():
+    """Objects 0 and 1 share blob 0 far apart; objects 2 and 3 are alone in blobs 1 and 2, 0.25 apart."""
+    xs = {0: 0.0, 1: 5.0, 2: 10.0, 3: 10.25}
+    g = graph_from_edges({}, positions={k: (x, 0.0, 0.0) for k, x in xs.items()})
+    tree = _tree(0, {0: (0, 0, {0}), 1: (1, 0, {1}), 2: (2, 1, {2}), 3: (3, 2, {3})})
+    return tree, g
+
+
+class TestCandidates:
+    def test_shared_blob_pair_is_a_candidate_at_any_distance(self):
+        tree, g = _candidate_scene()
+        assert _candidates(tree, g, replace(PARAMS, candidate_gap=0.3), {}) == [(0, 1), (2, 3)]
+
+    def test_gap_equal_to_candidate_gap_is_excluded(self):
+        tree, g = _candidate_scene()
+        assert _candidates(tree, g, replace(PARAMS, candidate_gap=0.25), {}) == [(0, 1)]
+
+    def test_tracked_pairs_stay_while_both_objects_live(self):
+        tree, g = _candidate_scene()
+        tracked = {(0, 2): 0.5, (1, 9): 0.5}  # 0 and 2 far apart; object 9 has no supervoxels
+        assert _candidates(tree, g, replace(PARAMS, candidate_gap=0.25), tracked) == [(0, 1), (0, 2)]
+
+
 def _merge_candidate(sim):
     g = graph_from_edges(
         {(0, 1): 1.0, (1, 2): 1.0, (2, 3): 1.0},
@@ -717,12 +742,56 @@ class TestArrayFeaturesMatchLoops:
         for a in parts:
             for b in parts[:3]:
                 gap = _min_gap(a.tolist(), b.tolist(), graph)
-                assert _gap(graph.centroids[np.isin(graph.nodes, a)], graph.centroids[np.isin(graph.nodes, b)]) == gap
+                ca, cb = graph.centroids[np.isin(graph.nodes, a)], graph.centroids[np.isin(graph.nodes, b)]
+                assert float(nearest(ca, cb)[0].min()) == gap
                 _, col_a = _weighted_features(a.tolist(), graph)
                 _, col_b = _weighted_features(b.tolist(), graph)
                 de = float(np.linalg.norm(col_a - col_b))
                 loop = math.exp(-gap / PARAMS.sigma_distance) * math.exp(-de / PARAMS.sigma_color)
                 assert compute_similarity(a, b, graph, PARAMS) == loop
+
+
+def _candidates_loop(tree, graph, params, tracked):
+    """_candidates with one centroid-gap test per pair of live objects."""
+    pairs = set()
+    for blob in set(tree.blob_of.tolist()):
+        pairs.update(itertools.combinations(sorted(set(tree.object_of[tree.blob_of == blob].tolist())), 2))
+    for a, b in itertools.combinations(tree.live_objects(), 2):
+        ca, cb = graph.centroids[tree.object_of == a], graph.centroids[tree.object_of == b]
+        gap = float(np.min(np.linalg.norm(ca[:, None, :] - cb[None, :, :], axis=2)))
+        if (a, b) not in pairs and ((a, b) in tracked or gap < params.candidate_gap):
+            pairs.add((a, b))
+    return sorted(pairs)
+
+
+@st.composite
+def _candidate_cases(draw):
+    """A tree of up to 40 objects over grid centroids 0.25 m apart, a candidate gap, and tracked pairs.
+
+    Grid distances are exact, so many centroid gaps equal the candidate gap.
+    Tracked pairs may name objects on file with no supervoxels.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 120))
+    oids = rng.choice(100, size=draw(st.integers(1, 40)), replace=False)
+    object_of = oids[rng.integers(0, len(oids), n)]
+    blob_of = rng.integers(0, draw(st.integers(1, n)), n)
+    comps = {}
+    for k, key in enumerate(sorted(set(zip(object_of.tolist(), blob_of.tolist())))):
+        comps[k] = (*key, set(np.flatnonzero((object_of == key[0]) & (blob_of == key[1])).tolist()))
+    tree = _tree(0, comps, births={int(oid): 0 for oid in oids})
+    graph = graph_from_edges({}, positions=dict(enumerate(rng.integers(0, 6, (n, 3)) * 0.25)))
+    params = replace(PARAMS, candidate_gap=0.25 * draw(st.integers(1, 6)))
+    tracked = {tuple(sorted(pair)): 0.5 for pair in rng.choice(oids, (draw(st.integers(0, 20)), 2)).tolist()}
+    return tree, graph, params, {key: v for key, v in tracked.items() if key[0] != key[1]}
+
+
+class TestCandidatesMatchLoopReference:
+    @settings(max_examples=200, deadline=None)
+    @given(case=_candidate_cases())
+    def test_candidates_equal_the_loop(self, case):
+        tree, graph, params, tracked = case
+        assert _candidates(tree, graph, params, tracked) == _candidates_loop(tree, graph, params, tracked)
 
 
 def _derive_blob_seeds_loop(problem, assignment, blobs, graph, seed_resolution):
