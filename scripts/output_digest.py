@@ -11,9 +11,10 @@ outputs.  NAMEs select a subset of the check set.
 
 With ``--records`` the written frames are loaded back and tracked through
 ``pipeline.process_frame`` instead, and the sha256 covers every frame's
-``Supervoxels`` arrays and its ``SegTree``: label arrays, births, segment
-means and similarity tables.  Equal record digests mean the intermediate
-records, not only the written labels, are bit for bit the same.
+``Supervoxels`` arrays and its ``SegTree``: the node ids 0..N-1, label
+arrays, births, segment means and similarity tables.  Equal record digests
+mean the intermediate records, not only the written labels, are bit for bit
+the same.
 
 The check set has 17 sequences: seed 0 of the benchmark's pair_contact_fine
 and crossing_coarse workloads (4 sequences each), seed 0 of the four
@@ -133,7 +134,9 @@ def record_digest(scenario, voxel: float, work: str) -> str:
                     _update_array(h, name, getattr(sv, name))
                 h.update(f"passes {sv.passes} converged {sv.converged}\n".encode())
             tree = state.tree
-            for name in ("nodes", "object_of", "component_of", "segment_of", "blob_of"):
+            # the frame graph's node ids, which are its positions
+            _update_array(h, "nodes", np.arange(len(tree.object_of)))
+            for name in ("object_of", "component_of", "segment_of", "blob_of"):
                 _update_array(h, name, getattr(tree, name))
             _update_array(h, "segment_centroids", tree.segment_centroids)
             _update_array(h, "segment_colors", tree.segment_colors)

@@ -6,8 +6,9 @@ centroids are closer than the adjacency radius.
 Edge weight: w_ij = exp(-dE_lab / sigma_color) * exp(-d / sigma_distance).
 
 A set of supervoxels (a blob, a piece, a cut side, a segment) is a sorted
-int64 id array; lists of them are ordered by smallest member, so blob k is
-entry k of ``connected_components``.
+int64 id array, and lists of them are ordered by smallest member: blob k is
+entry k of ``connected_components``.  The frame graph's ids are its node
+positions 0..N-1; a subgraph's ``nodes`` map its positions back to frame ids.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ occlusion does not cost the object its identity.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field, replace
 
@@ -42,9 +43,17 @@ from .tree import (
 _MASK64 = (1 << 64) - 1
 # config values the pipeline divides by
 _DIVISORS = "graph.sigma_color graph.sigma_distance cut.sigma_boundary tree.sigma_color tree.sigma_distance".split()
-# config values that break a solver below 0: the GA's elitism and stagnation
-# stop, and the cut weights, whose negative capacities max-flow would drop
-_NON_NEGATIVE = "ga.elitism ga.stagnation_stop cut.lambda_smooth cut.mu_coherence".split()
+# the least valid value of each key a solver breaks below, in check order;
+# max-flow, for one, would drop the negative capacities of negative cut weights
+_LOWER_BOUNDS = {
+    "retention_frames": 0,
+    "ga.population": 1,
+    "ga.tournament_size": 1,
+    "ga.elitism": 0,
+    "ga.stagnation_stop": 0,
+    "cut.lambda_smooth": 0,
+    "cut.mu_coherence": 0,
+}
 
 
 @dataclass
@@ -62,16 +71,9 @@ class PipelineConfig:
     def resolved(self) -> "PipelineConfig":
         """Fill in the seed-resolution defaults and check the values; a resolved config resolves to itself."""
         self.supervoxel.validate()
-        if self.retention_frames < 0:
-            raise ValueError("retention_frames must be >= 0")
-        if self.ga.population < 1:
-            raise ValueError("ga.population must be >= 1")
-        if self.ga.tournament_size < 1:
-            raise ValueError("ga.tournament_size must be >= 1")
-        for key in _NON_NEGATIVE:
-            section, _, name = key.partition(".")
-            if not getattr(getattr(self, section), name) >= 0:
-                raise ValueError(f"{key} must be >= 0")
+        for key, bound in _LOWER_BOUNDS.items():
+            if not functools.reduce(getattr, key.split("."), self) >= bound:
+                raise ValueError(f"{key} must be >= {bound}")
         sr = self.supervoxel.seed_resolution
         out = replace(
             self,
@@ -81,8 +83,7 @@ class PipelineConfig:
             tree=self.tree.resolve(sr),
         )
         for key in _DIVISORS:
-            section, _, name = key.partition(".")
-            if not getattr(getattr(out, section), name) > 0:
+            if not functools.reduce(getattr, key.split("."), out) > 0:
                 raise ValueError(f"{key} must be > 0")
         return out
 
@@ -156,7 +157,6 @@ def process_frame(state: PipelineState, frame: PointCloudFrame) -> FrameResult:
         # nothing to inherit: every blob founds an object, the rest go (or stay) missing
         tree = init_tree(blobs, graph, fidx, state.alloc, cfg.overseg, cfg.tree, prev=state.tree)
     else:
-        # node k of the frame graph is supervoxel k, so ids index its rows
         blob_feats = [BlobFeature(sv_centroids=graph.centroids[b], sv_colors_lab=graph.colors_lab[b]) for b in blobs]
         problem = AssignmentProblem(segments=segments, blobs=blob_feats, params=cfg.energy)
         ta = time.perf_counter()

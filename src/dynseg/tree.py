@@ -41,7 +41,7 @@ class TreeParams:
 
 @dataclass
 class SegTree:
-    """One frame's tree as aligned labels over the frame graph's sorted supervoxel ids.
+    """One frame's tree as aligned labels over the frame graph's nodes, which are its supervoxels 0..N-1.
 
     Objects on file include those with no supervoxels this frame.  Segment ids
     run 0..S-1 in segment order.  Component ids are never reused, and each
@@ -50,7 +50,6 @@ class SegTree:
     """
 
     frame_index: int
-    nodes: np.ndarray  # (N,) sorted supervoxel ids
     object_of: np.ndarray  # (N,) object id per supervoxel
     component_of: np.ndarray  # (N,) component id per supervoxel
     segment_of: np.ndarray  # (N,) segment id per supervoxel
@@ -107,13 +106,12 @@ def _grouped(keys: np.ndarray, values: np.ndarray) -> dict[int, list[int]]:
     return out
 
 
-def compute_similarity(a_svs, b_svs, graph: AdjacencyGraph, params: TreeParams) -> float:
-    """sim = exp(-gap / sigma_d) * exp(-dE_lab / sigma_c) over two sorted supervoxel id arrays.
+def compute_similarity(a, b, graph: AdjacencyGraph, params: TreeParams) -> float:
+    """sim = exp(-gap / sigma_d) * exp(-dE_lab / sigma_c) over two sorted node position arrays.
 
     The gap is the smallest centroid distance between the sets; dE_lab
     compares their point-weighted mean colours.
     """
-    a, b = np.searchsorted(graph.nodes, a_svs), np.searchsorted(graph.nodes, b_svs)
     if not (len(a) and len(b)):
         raise ValueError("similarity of an empty supervoxel set is undefined")
     _, color = _means(graph, np.concatenate([a, b]), np.repeat([0, 1], [len(a), len(b)]))
@@ -123,14 +121,14 @@ def compute_similarity(a_svs, b_svs, graph: AdjacencyGraph, params: TreeParams) 
 
 
 def _segment(graph: AdjacencyGraph, parts, segment_of: np.ndarray, overseg: OversegConfig):
-    """Over-segment each connected part (a sorted id array) in turn into the next free segment ids.
+    """Over-segment each connected part of the frame graph in turn into the next free segment ids.
 
     Returns all segment means.
     """
     next_id = segment_of.max(initial=-1) + 1
     for part in parts:
         for seg in oversegment(graph.subgraph(part, connected=True), overseg):
-            segment_of[np.searchsorted(graph.nodes, seg)] = next_id
+            segment_of[seg] = next_id
             next_id += 1
     return _means(graph, slice(None), segment_of)
 
@@ -184,11 +182,10 @@ def derive_blob_seeds(
     """
     seed_of = np.full(len(graph.nodes), -1, dtype=np.int64)
     seat = np.full(problem.num_segments, -1, dtype=np.int64)
-    for k, members in enumerate(blobs):
+    for k, at in enumerate(blobs):
         assigned = np.flatnonzero(assignment.labels == k)
         if not len(assigned):
             continue
-        at = np.searchsorted(graph.nodes, members)
         segs = problem.segments.take(assigned)
         cost = claim_costs(graph.centroids[at], graph.colors_lab[at], segs.centroids, segs.colors_lab, seed_resolution)
         # segment -> member positions, cheapest first
@@ -234,13 +231,14 @@ def update_tree(
     labelled blob keeps its labels.  The objects on file in ``prev`` stay on
     file.
     """
-    nodes = graph.nodes
+    n = graph.num_nodes
+    if n and (graph.nodes[0] != 0 or graph.nodes[-1] != n - 1):  # the constructor checked the ids sorted and distinct
+        raise ValueError("the tree needs the frame graph, whose node ids are its positions 0..N-1")
     object_of = np.array(labels, dtype=np.int64)
-    blob_of = np.empty(len(nodes), dtype=np.int64)
+    blob_of = np.empty(n, dtype=np.int64)
     births = dict(prev.births) if prev is not None else {}
-    blob_at = [np.searchsorted(nodes, members) for members in blobs]
     shared = False  # some blob holds two or more objects
-    for k, at in enumerate(blob_at):
+    for k, at in enumerate(blobs):
         blob_of[at] = k
         ids = np.unique(object_of[at]).tolist()
         if ids[0] >= 0:  # fully labelled
@@ -256,14 +254,14 @@ def update_tree(
     # components: connected pieces of each (object, blob) region, as node
     # positions ordered by (blob, object, smallest member); no edge joins two
     # blobs, so where each blob holds one object its pieces are the blobs
-    pieces = blob_at
+    pieces = blobs
     if shared:
         pos = graph.edges
         pieces = sorted(
-            connected_sets(np.arange(len(nodes)), pos[object_of[pos[:, 0]] == object_of[pos[:, 1]]]),
+            connected_sets(np.arange(n), pos[object_of[pos[:, 0]] == object_of[pos[:, 1]]]),
             key=lambda at: (blob_of[at[0]], object_of[at[0]], at[0]),
         )
-    piece_of = np.empty(len(nodes), dtype=np.int64)
+    piece_of = np.empty(n, dtype=np.int64)
     for k, at in enumerate(pieces):
         piece_of[at] = k
 
@@ -284,9 +282,9 @@ def update_tree(
                 break
     cids = [piece_cid[k] if k in piece_cid else alloc.new_component_id() for k in range(len(pieces))]
     component_of = np.asarray(cids, dtype=np.int64)[piece_of]
-    segment_of = np.full(len(nodes), -1, dtype=np.int64)
-    features = _segment(graph, (nodes[at] for at in pieces), segment_of, overseg)
-    return SegTree(frame_index, nodes, object_of, component_of, segment_of, blob_of, births, *features)
+    segment_of = np.full(n, -1, dtype=np.int64)
+    features = _segment(graph, pieces, segment_of, overseg)
+    return SegTree(frame_index, object_of, component_of, segment_of, blob_of, births, *features)
 
 
 def accumulate_similarities(
@@ -298,13 +296,13 @@ def accumulate_similarities(
     similarity.  Objects with no supervoxels this frame drop out of the
     tables until they reappear.
     """
-    members = {oid: tree.nodes[tree.object_of == oid] for oid in tree.live_objects()}
+    members = {oid: np.flatnonzero(tree.object_of == oid) for oid in tree.live_objects()}
     prev_obj = prev.object_similarity if prev is not None else {}
     tree.object_similarity = _accumulate(_candidates(tree, graph, params, prev_obj), members, prev_obj, graph, params)
 
     # an inherited component id stays with its object, so a tracked pair keeps its key
     by_object = _grouped(tree.object_of, tree.component_of).values()
-    members = {cid: tree.nodes[tree.component_of == cid] for cids in by_object for cid in cids}
+    members = {cid: np.flatnonzero(tree.component_of == cid) for cids in by_object for cid in cids}
     pairs = [key for cids in by_object for key in itertools.combinations(cids, 2)]
     prev_comp = prev.component_similarity if prev is not None else {}
     tree.component_similarity = _accumulate(pairs, members, prev_comp, graph, params)
@@ -316,12 +314,13 @@ def _candidates(tree: SegTree, graph: AdjacencyGraph, params: TreeParams, tracke
 
     Two objects lie that close exactly when two of their supervoxel centroids do.
     """
-    ends = np.sort(tree.object_of[pairs_closer_than(graph.centroids, params.candidate_gap)], axis=1)
-    pairs = set(map(tuple, ends[ends[:, 0] != ends[:, 1]].tolist()))
+    live = set(tree.live_objects())
+    pairs = {key for key in tracked if key[0] in live and key[1] in live}
     for oids in _grouped(tree.blob_of, tree.object_of).values():
         pairs.update(itertools.combinations(oids, 2))
-    live = set(tree.live_objects())
-    pairs.update(key for key in tracked if key[0] in live and key[1] in live)
+    if len(pairs) < len(live) * (len(live) - 1) // 2:  # else every live pair is in: tracked keys are ascending
+        ends = np.sort(tree.object_of[pairs_closer_than(graph.centroids, params.candidate_gap)], axis=1)
+        pairs.update(map(tuple, ends[ends[:, 0] != ends[:, 1]].tolist()))
     return sorted(pairs)
 
 
@@ -363,7 +362,7 @@ def confirm_splits_merges(
         # fresh pairs between the fused families start at the current similarity
         for key in itertools.combinations(np.unique(tree.component_of[tree.object_of == winner]).tolist(), 2):
             if key not in entries:
-                a, b = (tree.nodes[tree.component_of == cid] for cid in key)
+                a, b = (np.flatnonzero(tree.component_of == cid) for cid in key)
                 entries[key] = compute_similarity(a, b, graph, params)
         tree.component_similarity = entries
         tree.object_similarity = {
@@ -400,11 +399,10 @@ def _fuse(tree: SegTree, graph: AdjacencyGraph, winner: int, overseg: OversegCon
         if len(cids) < 2:
             continue
         region = np.isin(tree.component_of, cids)
-        pieces = graph.subgraph(tree.nodes[region]).pieces
+        pieces = graph.subgraph(np.flatnonzero(region)).pieces
         if len(pieces) == len(cids):
             continue  # nothing fused
-        for piece in pieces:
-            at = np.searchsorted(tree.nodes, piece)
+        for at in pieces:
             inside, count = np.unique(tree.component_of[at], return_counts=True)
             tree.component_of[at] = inside[np.argmax(count)]
         _, tree.segment_of[~region] = np.unique(tree.segment_of[~region], return_inverse=True)

@@ -104,9 +104,8 @@ def check_frame_invariants(tree, labels) -> set[int]:
     labels = np.asarray(labels)
     assert (labels >= 0).all()
     objects = set(tree.births)
-    nodes = tree.nodes.tolist()
-    assert nodes == sorted(set(nodes))
-    assert len(tree.object_of) == len(tree.component_of) == len(tree.segment_of) == len(tree.blob_of) == len(nodes)
+    nodes = range(len(tree.object_of))  # frame graph node positions, which are the supervoxel ids
+    assert len(tree.object_of) == len(tree.component_of) == len(tree.segment_of) == len(tree.blob_of)
 
     def labelled(labels, key):
         return frozenset(n for n, k in zip(nodes, labels.tolist()) if k == key)

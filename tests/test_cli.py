@@ -290,6 +290,10 @@ class TestExitCodes:
         assert main(["segment", str(tmp_path / "nope.txt"), f"--{key}", value]) == 1
         assert f"config error: {key} must be" in capsys.readouterr().err
 
+    def test_negative_retention_is_config_error(self, tmp_path, capsys):
+        assert main(["segment", str(tmp_path / "nope.txt"), "--retention_frames", "-1"]) == 1
+        assert "config error: retention_frames must be >= 0\n" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_tournament_below_one_is_config_error(self, tmp_path, capsys, value):
         assert main(["segment", str(tmp_path / "nope.txt"), "--ga.tournament_size", value]) == 1

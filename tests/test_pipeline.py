@@ -448,6 +448,18 @@ class TestInvariants:
         assert [r.object_count for r in results] == [2] * len(frames)
 
 
+# (key, a value below its lower bound, the message), in the order resolved() checks them
+_BELOW_BOUND = [
+    ("retention_frames", -1, "retention_frames must be >= 0"),
+    ("ga.population", 0, "ga.population must be >= 1"),
+    ("ga.tournament_size", 0, "ga.tournament_size must be >= 1"),
+    ("ga.elitism", -1, "ga.elitism must be >= 0"),
+    ("ga.stagnation_stop", -1, "ga.stagnation_stop must be >= 0"),
+    ("cut.lambda_smooth", -0.5, "cut.lambda_smooth must be >= 0"),
+    ("cut.mu_coherence", -0.5, "cut.mu_coherence must be >= 0"),
+]
+
+
 class TestConfigAndReport:
     def test_init_state_resolves(self):
         state = init_state(PipelineConfig())
@@ -458,6 +470,17 @@ class TestConfigAndReport:
         cfg = PipelineConfig(supervoxel=SupervoxelConfig(voxel_resolution=-1.0))
         with pytest.raises(Exception):
             init_state(cfg)
+
+    @pytest.mark.parametrize("first", range(len(_BELOW_BOUND)))
+    def test_lower_bound_messages_in_check_order(self, first):
+        """Each key below its lower bound is named in full, and the first one checked is the one reported."""
+        cfg = PipelineConfig()
+        for key, value, _ in _BELOW_BOUND[first:]:
+            *section, name = key.split(".")
+            setattr(getattr(cfg, section[0]) if section else cfg, name, value)
+        with pytest.raises(ValueError) as err:
+            cfg.resolved()
+        assert str(err.value) == _BELOW_BOUND[first][2]
 
     def test_report_format(self):
         frames = [_pair_at(0, 0.20), _pair_at(1, 0.10), _pair_at(2, 0.20)]

@@ -47,15 +47,17 @@ def _seg_row(centroid, comp, obj, color=(50.0, 0.0, 0.0)):
 
 
 def _tree(frame, comps, births=None, **similarities):
-    """A SegTree over comps {component id: (object id, blob id, supervoxels)}, one segment per component."""
-    nodes = np.asarray(sorted(sv for _, _, svs in comps.values() for sv in svs), dtype=np.int64)
-    object_of, component_of, segment_of, blob_of = np.empty((4, len(nodes)), dtype=np.int64)
-    for k, (cid, (oid, bid, svs)) in enumerate(comps.items()):
-        at = np.searchsorted(nodes, sorted(svs))
-        object_of[at], component_of[at], segment_of[at], blob_of[at] = oid, cid, k, bid
+    """A SegTree over comps {component id: (object id, blob id, node positions)}, one segment per component.
+
+    The components' positions together are 0..N-1.
+    """
+    at = [sorted(svs) for _, _, svs in comps.values()]
+    assert sorted(sum(at, [])) == list(range(sum(map(len, at))))
+    object_of, component_of, segment_of, blob_of = np.empty((4, sum(map(len, at))), dtype=np.int64)
+    for k, (cid, (oid, bid, _)) in enumerate(comps.items()):
+        object_of[at[k]], component_of[at[k]], segment_of[at[k]], blob_of[at[k]] = oid, cid, k, bid
     return SegTree(
         frame_index=frame,
-        nodes=nodes,
         object_of=object_of,
         component_of=component_of,
         segment_of=segment_of,
@@ -73,11 +75,7 @@ def _check(tree):
 
 
 def _blob_features(graph, blobs):
-    out = []
-    for b in blobs:
-        at = np.searchsorted(graph.nodes, b)
-        out.append(BlobFeature(sv_centroids=graph.centroids[at], sv_colors_lab=graph.colors_lab[at]))
-    return out
+    return [BlobFeature(sv_centroids=graph.centroids[at], sv_colors_lab=graph.colors_lab[at]) for at in blobs]
 
 
 class TestParams:
@@ -149,7 +147,7 @@ class TestInitTree:
             positions={k: (0.02 * k, 0.0, 0.0) for k in range(3)},
         )
         tree = init_tree(connected_components(g), g, 0, IdAllocator(), OVERSEG, PARAMS)
-        assert tree.nodes.tolist() == [0, 1, 2]
+        assert tree.segment_of.shape == (3,)
         assert (tree.segment_of >= 0).all()
         _check(tree)
 
@@ -223,7 +221,7 @@ def _update(prev, blobs, graph, problem, assignment, cuts, alloc):
     """update_tree at frame 1, seeded and cut the way process_frame does it; cuts maps blob index -> cut labels."""
     labels, seat = derive_blob_seeds(problem, assignment, blobs, graph, 0.08)
     for k, cut in cuts.items():
-        labels[np.searchsorted(graph.nodes, blobs[k])] = cut
+        labels[blobs[k]] = cut
     return update_tree(prev, blobs, graph, problem.segments, labels, seat, 1, alloc, OVERSEG)
 
 
@@ -329,6 +327,13 @@ class TestUpdateTree:
         with pytest.raises(ValueError, match=r"blob 1 seeds objects \[0, 1\]"):
             update_tree(None, blobs, g, Segments.empty(), labels, np.empty(0, dtype=np.int64), 0, IdAllocator(), OVERSEG)
 
+    @pytest.mark.parametrize("kept", [[1, 2, 3], [0, 1, 3]])
+    def test_graph_whose_ids_are_not_its_positions_rejected(self, kept):
+        g = graph_from_edges({(0, 1): 1.0, (1, 2): 1.0, (2, 3): 1.0}).subgraph(kept)
+        blobs, labels = connected_components(g), np.full(3, -1)
+        with pytest.raises(ValueError, match=r"node ids are its positions 0\.\.N-1"):
+            update_tree(None, blobs, g, Segments.empty(), labels, labels[:0], 0, IdAllocator(), OVERSEG)
+
     def test_disconnected_region_splits_into_components(self):
         # one object assigned into a blob pattern that leaves its svs split
         g0 = graph_from_edges({(0, 1): 1.0}, positions={0: (0.0, 0.0, 0.0), 1: (0.02, 0.0, 0.0)})
@@ -385,8 +390,8 @@ class TestComponentVote:
         blobs = connected_components(g)
         tree = update_tree(prev, blobs, g, segments, np.asarray(labels), np.asarray(seat), 1, alloc, OVERSEG)
         loser = pieces["a" if winner == "b" else "b"]
-        assert tree.nodes[tree.component_of == 0].tolist() == pieces[winner]
-        (loser_cid,) = set(tree.component_of[np.searchsorted(tree.nodes, loser)].tolist())
+        assert np.flatnonzero(tree.component_of == 0).tolist() == pieces[winner]
+        (loser_cid,) = set(tree.component_of[loser].tolist())
         assert loser_cid not in comps
         _check(tree)
 
@@ -413,6 +418,19 @@ class TestAccumulation:
         accumulate_similarities(cur, prev, g1, PARAMS)
         s_now = compute_similarity([0], [1], g1, PARAMS)
         assert cur.object_similarity[(0, 1)] == pytest.approx(s_now, rel=1e-12)
+
+    def test_tracked_pair_of_the_only_two_objects_runs_no_close_pair_search(self, monkeypatch):
+        g, blobs = _two_singletons(0.0, 0.1)
+        prev = init_tree(blobs, g, 0, IdAllocator(), OVERSEG, PARAMS)
+        assert prev.object_similarity == {(0, 1): 0.0}
+
+        def search(*args):
+            raise AssertionError("every live pair is tracked, so no search is needed")
+
+        monkeypatch.setattr("dynseg.tree.pairs_closer_than", search)
+        cur = replace(prev, frame_index=1, object_similarity={}, component_similarity={})
+        accumulate_similarities(cur, prev, g, PARAMS)
+        assert cur.object_similarity == {(0, 1): compute_similarity([0], [1], g, PARAMS) / 2.0}
 
     def test_vanished_object_drops_from_matrix(self):
         g0, blobs0 = _two_singletons(0.0, 0.1)
@@ -542,12 +560,12 @@ class TestConfirmMergesSplits:
     def test_merge_keeps_segment_order_and_appends_fused_segments(self):
         # object 2 sits in its own blob; objects 0 and 1 fuse in blob 0
         g = graph_from_edges(
-            {(0, 1): 1.0, (1, 2): 1.0, (2, 3): 1.0, (5, 6): 1.0},
-            positions={**{k: (0.02 * k, 0.0, 0.0) for k in range(4)}, 5: (1.0, 0.0, 0.0), 6: (1.02, 0.0, 0.0)},
+            {(0, 1): 1.0, (1, 2): 1.0, (2, 3): 1.0, (4, 5): 1.0},
+            positions={**{k: (0.02 * k, 0.0, 0.0) for k in range(4)}, 4: (1.0, 0.0, 0.0), 5: (1.02, 0.0, 0.0)},
         )
         tree = _tree(
             1,
-            {0: (0, 0, {0, 1}), 2: (1, 0, {2, 3}), 1: (2, 1, {5, 6})},
+            {0: (0, 0, {0, 1}), 2: (1, 0, {2, 3}), 1: (2, 1, {4, 5})},
             object_similarity={(0, 1): 0.9},
         )
         tree, _ = confirm_splits_merges(tree, g, PARAMS, IdAllocator(), OVERSEG)
@@ -577,14 +595,14 @@ class TestConfirmMergesSplits:
         # objects 0 and 1 fuse in blob 0, and object 1's far component 5
         # joins object 0; object 2's component 3 splits off
         g = graph_from_edges(
-            {(0, 1): 1.0, (1, 2): 1.0, (2, 3): 1.0, (5, 6): 1.0},
+            {(0, 1): 1.0, (1, 2): 1.0, (2, 3): 1.0, (4, 5): 1.0},
             positions={
                 **{k: (0.02 * k, 0.0, 0.0) for k in range(4)},
-                5: (1.0, 0.0, 0.0),
-                6: (1.02, 0.0, 0.0),
-                8: (2.0, 0.0, 0.0),
-                9: (3.0, 0.0, 0.0),
-                11: (0.16, 0.0, 0.0),
+                4: (1.0, 0.0, 0.0),
+                5: (1.02, 0.0, 0.0),
+                6: (2.0, 0.0, 0.0),
+                7: (3.0, 0.0, 0.0),
+                8: (0.16, 0.0, 0.0),
             },
         )
         alloc = IdAllocator()
@@ -595,10 +613,10 @@ class TestConfirmMergesSplits:
             {
                 0: (0, 0, {0, 1}),
                 1: (1, 0, {2, 3}),
-                2: (2, 1, {5, 6}),
-                3: (2, 2, {8}),
-                4: (2, 3, {9}),
-                5: (1, 4, {11}),
+                2: (2, 1, {4, 5}),
+                3: (2, 2, {6}),
+                4: (2, 3, {7}),
+                5: (1, 4, {8}),
             },
             object_similarity={(0, 1): 0.9, (0, 2): 0.2, (1, 2): 0.2},
             component_similarity={(1, 5): 0.9, (2, 3): 0.1, (2, 4): 0.5, (3, 4): 0.2},
@@ -609,7 +627,7 @@ class TestConfirmMergesSplits:
         # the fused pieces tie in size, so the smaller id stays
         assert tree.component_table() == {0: (0, 0), 2: (2, 1), 3: (3, 2), 4: (2, 3), 5: (0, 4)}
         assert tree.object_similarity == {(0, 2): 0.2}
-        fresh = compute_similarity([0, 1, 2, 3], [11], g, PARAMS)
+        fresh = compute_similarity([0, 1, 2, 3], [8], g, PARAMS)
         assert fresh > PARAMS.split_threshold
         assert tree.component_similarity == {(0, 5): fresh, (2, 4): 0.5}
         _check(tree)
@@ -678,14 +696,9 @@ class TestInteractions:
 # The loop forms the array code replaced, kept as references.
 
 
-def _rows(graph, sv_ids):
-    """Each listed supervoxel's row in the graph's node arrays, one lookup per id."""
-    return [int(np.flatnonzero(graph.nodes == i)[0]) for i in sorted(sv_ids)]
-
-
-def _weighted_features(sv_ids, graph):
-    """Point-count-weighted centroid and mean Lab color of a supervoxel set."""
-    rows = _rows(graph, sv_ids)
+def _weighted_features(rows, graph):
+    """Point-count-weighted centroid and mean Lab color of a set of node positions."""
+    rows = sorted(rows)
     w = np.asarray([graph.point_counts[r] for r in rows], dtype=np.float64)
     cen = np.asarray([graph.centroids[r] for r in rows])
     col = np.asarray([graph.colors_lab[r] for r in rows])
@@ -693,15 +706,15 @@ def _weighted_features(sv_ids, graph):
     return (cen * w[:, None]).sum(axis=0) / total, (col * w[:, None]).sum(axis=0) / total
 
 
-def _min_gap(a_svs, b_svs, graph):
-    ca = np.asarray([graph.centroids[r] for r in _rows(graph, a_svs)])
-    cb = np.asarray([graph.centroids[r] for r in _rows(graph, b_svs)])
+def _min_gap(a_rows, b_rows, graph):
+    ca = np.asarray([graph.centroids[r] for r in sorted(a_rows)])
+    cb = np.asarray([graph.centroids[r] for r in sorted(b_rows)])
     return float(np.min(np.linalg.norm(ca[:, None, :] - cb[None, :, :], axis=2)))
 
 
 @st.composite
 def _partitioned_graphs(draw):
-    """A graph on sparse random ids with random features, and a random labelling into parts 0..k-1."""
+    """A graph on sparse random ids with random features, and a random labelling of its positions into parts 0..k-1."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 60))
     ids = np.sort(rng.choice(10_000, size=n, replace=False))
@@ -730,7 +743,7 @@ class TestArrayFeaturesMatchLoops:
         graph, labels, k = case
         centroids, colors = _means(graph, slice(None), labels)
         for part in range(k):
-            cen, col = _weighted_features(graph.nodes[labels == part].tolist(), graph)
+            cen, col = _weighted_features(np.flatnonzero(labels == part).tolist(), graph)
             assert np.array_equal(centroids[part], cen)
             assert np.array_equal(colors[part], col)
 
@@ -738,11 +751,11 @@ class TestArrayFeaturesMatchLoops:
     @given(case=_partitioned_graphs())
     def test_gaps_and_similarities_equal_loop_forms(self, case):
         graph, labels, k = case
-        parts = [graph.nodes[labels == part] for part in range(k)]
+        parts = [np.flatnonzero(labels == part) for part in range(k)]
         for a in parts:
             for b in parts[:3]:
                 gap = _min_gap(a.tolist(), b.tolist(), graph)
-                ca, cb = graph.centroids[np.isin(graph.nodes, a)], graph.centroids[np.isin(graph.nodes, b)]
+                ca, cb = graph.centroids[a], graph.centroids[b]
                 assert float(nearest(ca, cb)[0].min()) == gap
                 _, col_a = _weighted_features(a.tolist(), graph)
                 _, col_b = _weighted_features(b.tolist(), graph)
@@ -798,11 +811,10 @@ def _derive_blob_seeds_loop(problem, assignment, blobs, graph, seed_resolution):
     """derive_blob_seeds with one claim-cost pass per assigned segment."""
     seed_of = np.full(len(graph.nodes), -1, dtype=np.int64)
     seat = np.full(problem.num_segments, -1, dtype=np.int64)
-    for k, members in enumerate(blobs):
+    for k, at in enumerate(blobs):
         assigned = [s for s in range(problem.num_segments) if assignment.labels[s] == k]
         if not assigned:
             continue
-        at = np.searchsorted(graph.nodes, members)
         cen, col = graph.centroids[at], graph.colors_lab[at]
         claims = []  # (cost, object, segment)
         ranked = {}  # segment -> member positions, cheapest first
@@ -832,7 +844,7 @@ def _derive_blob_seeds_loop(problem, assignment, blobs, graph, seed_resolution):
 
 @st.composite
 def _seeding_cases(draw):
-    """Blobs over sparse ids, segments of a few objects, and an assignment.
+    """Blobs as node positions of a graph on sparse ids, segments of a few objects, and an assignment.
 
     With ``tied``, centroids and colours come from a few grid values, so
     claim costs tie across supervoxels and across segments.
@@ -853,7 +865,7 @@ def _seeding_cases(draw):
     )
     k = draw(st.integers(1, n))
     part = rng.permutation(np.arange(n) % k)
-    blobs = [ids[part == b] for b in range(k)]
+    blobs = [np.flatnonzero(part == b) for b in range(k)]
     m = draw(st.integers(1, 12))
     seg_c, seg_l = features(m)
     objects = rng.integers(0, draw(st.integers(1, m)), m)
