@@ -22,7 +22,6 @@ import numpy as np
 
 from dynseg.assignment import (
     AssignmentProblem,
-    BlobFeature,
     EnergyParams,
     GAConfig,
     Segments,
@@ -45,19 +44,17 @@ def random_assignment(rng, num_segments, num_blobs, params):
         for _ in range(num_segments)
     ]
     segments = Segments(*(np.asarray(column) for column in zip(*rows)))
-    blobs = []
+    # each blob's supervoxel rows, drawn blob by blob, as nodes of one edgeless graph
+    centroids, colors, blobs, n = [np.zeros((0, 3))], [np.zeros((0, 3))], [], 0
     for _ in range(num_blobs):
         k = int(rng.integers(1, 6))
         center = rng.uniform(0.0, 0.4, 3)
-        blobs.append(
-            BlobFeature(
-                sv_centroids=center + rng.normal(0.0, 0.02, (k, 3)),
-                sv_colors_lab=np.column_stack(
-                    [rng.uniform(20, 80, k), rng.uniform(-40, 40, k), rng.uniform(-40, 40, k)]
-                ),
-            )
-        )
-    return AssignmentProblem(segments=segments, blobs=blobs, params=params)
+        centroids.append(center + rng.normal(0.0, 0.02, (k, 3)))
+        colors.append(np.column_stack([rng.uniform(20, 80, k), rng.uniform(-40, 40, k), rng.uniform(-40, 40, k)]))
+        blobs.append(np.arange(n, n + k))
+        n += k
+    graph = AdjacencyGraph(np.arange(n), [], [], np.concatenate(centroids), np.concatenate(colors), np.ones(n))
+    return AssignmentProblem(segments=segments, graph=graph, blobs=blobs, params=params)
 
 
 def random_connected_graph(rng, n, random_features=False):

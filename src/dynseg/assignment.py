@@ -1,9 +1,10 @@
 """Blob-to-segment assignment energy and its two minimizers.
 
-Each previous-frame segment receives one current-blob label or NONE.  The
-energy combines appearance change, displacement to the nearest supervoxel of
-the chosen blob, a penalty per uncovered blob, and the variance of
-displacement vectors within each previous component.
+Each previous-frame segment receives one current-blob label or NONE.  A blob
+is its node positions in the frame graph, whose centroid and colour rows the
+energy reads.  The energy combines appearance change, displacement to the
+nearest supervoxel of the chosen blob, a penalty per uncovered blob, and the
+variance of displacement vectors within each previous component.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .graph import AdjacencyGraph
 from .supervoxel import nearest
 
 NONE_LABEL = -1
@@ -71,24 +73,15 @@ class Segments:
 
 
 @dataclass
-class BlobFeature:
-    sv_centroids: np.ndarray  # (K, 3)
-    sv_colors_lab: np.ndarray  # (K, 3)
-
-    def __post_init__(self) -> None:
-        self.sv_centroids = np.asarray(self.sv_centroids, dtype=np.float64).reshape(-1, 3)
-        self.sv_colors_lab = np.asarray(self.sv_colors_lab, dtype=np.float64).reshape(-1, 3)
-        if len(self.sv_centroids) == 0:
-            raise ValueError("blob must contain at least one supervoxel")
-        if len(self.sv_centroids) != len(self.sv_colors_lab):
-            raise ValueError("centroid and color counts differ")
-
-
-@dataclass
 class AssignmentProblem:
     segments: Segments
-    blobs: list[BlobFeature]
+    graph: AdjacencyGraph  # the current frame's graph
+    blobs: list[np.ndarray]  # each blob's node positions in graph
     params: EnergyParams  # resolved
+
+    def __post_init__(self) -> None:
+        if not all(map(len, self.blobs)):
+            raise ValueError("blob must contain at least one supervoxel")
 
     @property
     def num_segments(self) -> int:
@@ -107,12 +100,12 @@ class AssignmentProblem:
         cost = np.full((ms, mb + 1), p.rho)
         disp = np.zeros((ms, mb, 3))
         seg_c, seg_l, comp = self.segments.centroids, self.segments.colors_lab, self.segments.component_ids
-        for b, blob in enumerate(self.blobs):
-            dist, near = nearest(seg_c, blob.sv_centroids, min(3, len(blob.sv_centroids)))
-            near_color = blob.sv_colors_lab[near].mean(axis=1)
+        for b, at in enumerate(self.blobs):
+            dist, near = nearest(seg_c, self.graph.centroids[at], min(3, len(at)))
+            near_color = self.graph.colors_lab[at[near]].mean(axis=1)
             appearance = np.linalg.norm(near_color - seg_l, axis=1)
             cost[:, b] = p.alpha * appearance + p.beta * dist[:, 0]
-            disp[:, b] = blob.sv_centroids[near[:, 0]] - seg_c
+            disp[:, b] = self.graph.centroids[at[near[:, 0]]] - seg_c
         return cost, disp, [np.flatnonzero(comp == cid) for cid in np.unique(comp)]
 
 
@@ -197,8 +190,8 @@ def _canonical_blob_order(problem: AssignmentProblem) -> list[int]:
     """Content-derived blob order so the search is invariant to input indexing."""
 
     def key(b: int):
-        f = problem.blobs[b]
-        rows = np.concatenate([f.sv_centroids, f.sv_colors_lab], axis=1)
+        at = problem.blobs[b]
+        rows = np.concatenate([problem.graph.centroids[at], problem.graph.colors_lab[at]], axis=1)
         return tuple(sorted(tuple(r) for r in rows))
 
     return sorted(range(problem.num_blobs), key=lambda b: (key(b), b))

@@ -17,7 +17,6 @@ import numpy as np
 
 from .assignment import (
     AssignmentProblem,
-    BlobFeature,
     EnergyParams,
     GAConfig,
     Segments,
@@ -157,18 +156,17 @@ def process_frame(state: PipelineState, frame: PointCloudFrame) -> FrameResult:
         # nothing to inherit: every blob founds an object, the rest go (or stay) missing
         tree = init_tree(blobs, graph, fidx, state.alloc, cfg.overseg, cfg.tree, prev=state.tree)
     else:
-        blob_feats = [BlobFeature(sv_centroids=graph.centroids[b], sv_colors_lab=graph.colors_lab[b]) for b in blobs]
-        problem = AssignmentProblem(segments=segments, blobs=blob_feats, params=cfg.energy)
+        problem = AssignmentProblem(segments=segments, graph=graph, blobs=blobs, params=cfg.energy)
         ta = time.perf_counter()
         # enumerate when that is no more label vectors than the GA's shortest run
-        if (len(blob_feats) + 1) ** len(segments) <= cfg.ga.population * (cfg.ga.stagnation_stop + 1):
+        if (len(blobs) + 1) ** len(segments) <= cfg.ga.population * (cfg.ga.stagnation_stop + 1):
             path, assignment = "exact", solve_exhaustive(problem)
         else:
             path, assignment = "ga", solve_ga(problem, cfg.ga, rng_seed=(cfg.seed ^ fidx) & _MASK64)
         timings["assignment"] = (time.perf_counter() - ta) * 1e3
 
         sr = cfg.supervoxel.seed_resolution
-        labels, seat = derive_blob_seeds(problem, assignment, blobs, graph, sr)
+        labels, seat = derive_blob_seeds(problem, assignment, sr)
         tc = time.perf_counter()
         for blob in blobs:
             seeds = labels[blob]

@@ -165,24 +165,21 @@ def init_tree(
 
 
 def derive_blob_seeds(
-    problem: AssignmentProblem,
-    assignment: Assignment,
-    blobs: list[np.ndarray],
-    graph: AdjacencyGraph,
-    seed_resolution: float,
+    problem: AssignmentProblem, assignment: Assignment, seed_resolution: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Choose seed supervoxels inside each blob for the objects assigned into it.
 
     Returns (seed_of, seat): seed_of holds the object seeded at each node
-    position of ``graph``, -1 for none; seat holds the node position each
-    segment sits at, -1 for an unassigned segment.  Every object assigned
+    position of the problem's graph, -1 for none; seat holds the node position
+    each segment sits at, -1 for an unassigned segment.  Every object assigned
     into a blob keeps at least one seed; remaining segments claim their
     nearest free supervoxel, or share the nearest seeded one when none is free.
     Nearness is graphcut.claim_costs, the cost the cut unary also charges.
     """
+    graph = problem.graph
     seed_of = np.full(len(graph.nodes), -1, dtype=np.int64)
     seat = np.full(problem.num_segments, -1, dtype=np.int64)
-    for k, at in enumerate(blobs):
+    for k, at in enumerate(problem.blobs):
         assigned = np.flatnonzero(assignment.labels == k)
         if not len(assigned):
             continue

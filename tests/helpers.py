@@ -74,6 +74,28 @@ def graph_from_edges(edges: dict, positions: dict | None = None, colors: dict | 
     )
 
 
+def blob_graph(rows) -> tuple[AdjacencyGraph, list[np.ndarray]]:
+    """An edgeless frame graph from per-blob (centroids, Lab colours) rows, and each blob's node positions.
+
+    ``rows`` is read one blob at a time, so a generator that draws them keeps its draw order.
+    """
+    centroids, colors, blobs, n = [np.zeros((0, 3))], [np.zeros((0, 3))], [], 0
+    for blob_centroids, blob_colors in rows:
+        centroids.append(np.asarray(blob_centroids, dtype=np.float64).reshape(-1, 3))
+        colors.append(np.asarray(blob_colors, dtype=np.float64).reshape(-1, 3))
+        blobs.append(np.arange(n, n + len(centroids[-1])))
+        n += len(centroids[-1])
+    graph = AdjacencyGraph(
+        nodes=np.arange(n),
+        edges=[],
+        weights=[],
+        centroids=np.concatenate(centroids),
+        colors_lab=np.concatenate(colors),
+        point_counts=np.ones(n),
+    )
+    return graph, blobs
+
+
 def edge_dict(graph: AdjacencyGraph) -> dict[tuple[int, int], float]:
     """The graph's edges as {(i, j): weight} over node ids, in edge order."""
     return dict(zip(map(tuple, graph.nodes[graph.edges].tolist()), graph.weights.tolist()))

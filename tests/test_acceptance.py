@@ -15,7 +15,6 @@ import numpy as np
 
 from dynseg.assignment import (
     AssignmentProblem,
-    BlobFeature,
     EnergyParams,
     GAConfig,
     solve_exhaustive,
@@ -48,7 +47,7 @@ from dynseg.tree import (
     init_tree,
 )
 
-from helpers import graph_from_edges, segment_table
+from helpers import blob_graph, graph_from_edges, segment_table
 
 
 def _scenario_config() -> PipelineConfig:
@@ -69,19 +68,17 @@ def _random_assignment(rng, num_segments, num_blobs, params):
         )
         for _ in range(num_segments)
     )
-    blobs = []
-    for _ in range(num_blobs):
+
+    def blob():
         k = int(rng.integers(1, 6))
         center = rng.uniform(0.0, 0.4, 3)
-        blobs.append(
-            BlobFeature(
-                sv_centroids=center + rng.normal(0.0, 0.02, (k, 3)),
-                sv_colors_lab=np.column_stack(
-                    [rng.uniform(20, 80, k), rng.uniform(-40, 40, k), rng.uniform(-40, 40, k)]
-                ),
-            )
+        return (
+            center + rng.normal(0.0, 0.02, (k, 3)),
+            np.column_stack([rng.uniform(20, 80, k), rng.uniform(-40, 40, k), rng.uniform(-40, 40, k)]),
         )
-    return AssignmentProblem(segments=segments, blobs=blobs, params=params)
+
+    graph, blobs = blob_graph(blob() for _ in range(num_blobs))
+    return AssignmentProblem(segments=segments, graph=graph, blobs=blobs, params=params)
 
 
 def test_criterion_1_ga_matches_exhaustive_oracle():

@@ -8,18 +8,17 @@ import pytest
 from dynseg.assignment import (
     NONE_LABEL,
     AssignmentProblem,
-    BlobFeature,
     EnergyParams,
     GAConfig,
-    Segments,
     _energy_batch,
     energy_of,
     greedy_labels,
     solve_exhaustive,
     solve_ga,
 )
+from dynseg.tree import derive_blob_seeds
 
-from helpers import segment_table
+from helpers import blob_graph, segment_table
 
 
 def _params(**kw):
@@ -42,17 +41,18 @@ def _energy_oracle(problem, labels):
         if lab == NONE_LABEL:
             total += p.rho
             continue
-        blob = problem.blobs[lab]
-        d = np.linalg.norm(blob.sv_centroids - segs.centroids[s], axis=1)
+        at = problem.blobs[lab]
+        blob_centroids = problem.graph.centroids[at]
+        d = np.linalg.norm(blob_centroids - segs.centroids[s], axis=1)
         j = int(np.argmin(d))
-        k = min(3, len(blob.sv_centroids))
+        k = min(3, len(at))
         near = np.argsort(d, kind="stable")[:k]
-        near_color = blob.sv_colors_lab[near].mean(axis=0)
+        near_color = problem.graph.colors_lab[at][near].mean(axis=0)
         appearance = float(np.linalg.norm(near_color - segs.colors_lab[s]))
         total += p.alpha * appearance + p.beta * float(d[j])
         covered.add(int(lab))
         disp_by_comp.setdefault(int(segs.component_ids[s]), []).append(
-            blob.sv_centroids[j] - segs.centroids[s]
+            blob_centroids[j] - segs.centroids[s]
         )
     total += p.gamma * (problem.num_blobs - len(covered))
     if p.delta != 0.0:
@@ -72,28 +72,26 @@ def _random_problem(rng, ms, mb, delta=1.0):
         )
         for _ in range(ms)
     )
-    blobs = []
-    for _ in range(mb):
-        k = int(rng.integers(1, 5))
-        blobs.append(
-            BlobFeature(
-                sv_centroids=rng.uniform(0.0, 0.5, (k, 3)),
-                sv_colors_lab=np.column_stack(
-                    [rng.uniform(20, 80, k), rng.uniform(-30, 30, k), rng.uniform(-30, 30, k)]
-                ),
-            )
+    graph, blobs = blob_graph(
+        (
+            rng.uniform(0.0, 0.5, (k, 3)),
+            np.column_stack([rng.uniform(20, 80, k), rng.uniform(-30, 30, k), rng.uniform(-30, 30, k)]),
         )
-    return AssignmentProblem(segments=segments, blobs=blobs, params=_params(delta=delta))
+        for k in (int(rng.integers(1, 5)) for _ in range(mb))
+    )
+    return AssignmentProblem(segments=segments, graph=graph, blobs=blobs, params=_params(delta=delta))
+
+
+def _problem(segment_rows, blob_rows, **params):
+    """An AssignmentProblem from segment_table rows and per-blob (centroids, Lab colours) rows."""
+    graph, blobs = blob_graph(blob_rows)
+    return AssignmentProblem(segments=segment_table(segment_rows), graph=graph, blobs=blobs, params=_params(**params))
 
 
 class TestEnergy:
     def test_single_segment_hand_value(self):
         # data = 0.01 * 5 + 12.5 * 0.04 = 0.55, everything else zero
-        prob = AssignmentProblem(
-            segments=segment_table([_seg((0.0, 0.0, 0.0))]),
-            blobs=[BlobFeature(sv_centroids=[[0.04, 0.0, 0.0]], sv_colors_lab=[[55.0, 0.0, 0.0]])],
-            params=_params(),
-        )
+        prob = _problem([_seg((0.0, 0.0, 0.0))], [([[0.04, 0.0, 0.0]], [[55.0, 0.0, 0.0]])])
         assert energy_of(prob, [0]) == pytest.approx(0.55, rel=1e-9)
         # NONE: rho for the segment plus gamma for the uncovered blob
         assert energy_of(prob, [NONE_LABEL]) == pytest.approx(1.5 + 2.0, rel=1e-12)
@@ -101,28 +99,17 @@ class TestEnergy:
     def test_variance_term_hand_value(self):
         # displacements (0,0,0) and (0.04,0,0) in one component:
         # mean (0.02,0,0), per-vector dev 4e-4, term = 4e-4
-        prob = AssignmentProblem(
-            segments=segment_table([_seg((0.0, 0.0, 0.0), comp=0), _seg((0.1, 0.0, 0.0), comp=0)]),
-            blobs=[
-                BlobFeature(
-                    sv_centroids=[[0.0, 0.0, 0.0], [0.14, 0.0, 0.0]],
-                    sv_colors_lab=[[50.0, 0.0, 0.0], [50.0, 0.0, 0.0]],
-                )
-            ],
-            params=_params(),
+        prob = _problem(
+            [_seg((0.0, 0.0, 0.0), comp=0), _seg((0.1, 0.0, 0.0), comp=0)],
+            [([[0.0, 0.0, 0.0], [0.14, 0.0, 0.0]], [[50.0, 0.0, 0.0], [50.0, 0.0, 0.0]])],
         )
         assert energy_of(prob, [0, 0]) == pytest.approx(12.5 * 0.04 + 4e-4, rel=1e-9)
 
     def test_variance_term_off(self):
-        prob = AssignmentProblem(
-            segments=segment_table([_seg((0.0, 0.0, 0.0), comp=0), _seg((0.1, 0.0, 0.0), comp=0)]),
-            blobs=[
-                BlobFeature(
-                    sv_centroids=[[0.0, 0.0, 0.0], [0.14, 0.0, 0.0]],
-                    sv_colors_lab=[[50.0, 0.0, 0.0], [50.0, 0.0, 0.0]],
-                )
-            ],
-            params=_params(delta=0.0),
+        prob = _problem(
+            [_seg((0.0, 0.0, 0.0), comp=0), _seg((0.1, 0.0, 0.0), comp=0)],
+            [([[0.0, 0.0, 0.0], [0.14, 0.0, 0.0]], [[50.0, 0.0, 0.0], [50.0, 0.0, 0.0]])],
+            delta=0.0,
         )
         assert energy_of(prob, [0, 0]) == pytest.approx(12.5 * 0.04, rel=1e-9)
 
@@ -152,26 +139,23 @@ class TestEnergy:
         with pytest.raises(ValueError):
             energy_of(prob, [0, -2])  # below NONE
 
-    def test_blob_feature_validation(self):
-        with pytest.raises(ValueError):
-            BlobFeature(sv_centroids=np.empty((0, 3)), sv_colors_lab=np.empty((0, 3)))
-        with pytest.raises(ValueError):
-            BlobFeature(sv_centroids=np.zeros((2, 3)), sv_colors_lab=np.zeros((1, 3)))
+    def test_empty_blob_rejected(self):
+        with pytest.raises(ValueError, match="^blob must contain at least one supervoxel$"):
+            _problem(
+                [_seg((0.0, 0.0, 0.0))],
+                [([[0.0, 0.0, 0.0]], [[50.0, 0.0, 0.0]]), (np.empty((0, 3)), np.empty((0, 3)))],
+            )
 
 
 class TestGreedy:
     def test_prefers_none_when_rho_cheaper(self):
         # far segment: beta * 1.0 = 12.5 > rho = 1.5
-        prob = AssignmentProblem(
-            segments=segment_table([_seg((0.0, 0.0, 0.0)), _seg((0.99, 0.0, 0.0))]),
-            blobs=[BlobFeature(sv_centroids=[[1.0, 0.0, 0.0]], sv_colors_lab=[[50.0, 0.0, 0.0]])],
-            params=_params(),
-        )
+        prob = _problem([_seg((0.0, 0.0, 0.0)), _seg((0.99, 0.0, 0.0))], [([[1.0, 0.0, 0.0]], [[50.0, 0.0, 0.0]])])
         labels = greedy_labels(prob)
         assert labels.tolist() == [NONE_LABEL, 0]
 
     def test_empty(self):
-        prob = AssignmentProblem(segments=Segments.empty(), blobs=[], params=_params())
+        prob = _problem([], [])
         assert greedy_labels(prob).shape == (0,)
 
 
@@ -194,10 +178,10 @@ class TestExhaustive:
     def test_matches_itertools_reference_with_ties(self, ms, mb):
         # (9, 2) has 19,683 labelings, three 8,192-row chunks
         prob = _random_problem(np.random.default_rng(10 * ms + mb), ms, mb)
-        twins = AssignmentProblem(segments=prob.segments, blobs=[prob.blobs[0]] * mb, params=prob.params)
+        twins = AssignmentProblem(segments=prob.segments, graph=prob.graph, blobs=[prob.blobs[0]] * mb, params=prob.params)
         # every labeling ties, across chunk boundaries too
         zero = EnergyParams(alpha=0.0, beta=0.0, gamma=0.0, delta=0.0, rho=0.0)
-        flat = AssignmentProblem(segments=prob.segments, blobs=prob.blobs, params=zero)
+        flat = AssignmentProblem(segments=prob.segments, graph=prob.graph, blobs=prob.blobs, params=zero)
         vectors = np.asarray(list(itertools.product(range(-1, mb), repeat=ms)), dtype=np.int64)
         for p in (prob, twins, flat):
             energies = _energy_batch(p, vectors)
@@ -209,7 +193,7 @@ class TestExhaustive:
                 assert (energies == energies.min()).sum() >= 2
 
     def test_empty_segments(self):
-        prob = AssignmentProblem(segments=Segments.empty(), blobs=[], params=_params())
+        prob = _problem([], [])
         sol = solve_exhaustive(prob)
         assert sol.labels.shape == (0,)
         assert sol.energy == 0.0
@@ -258,6 +242,7 @@ class TestGA:
         inv = {old: new for new, old in enumerate(perm)}
         shuffled = AssignmentProblem(
             segments=prob.segments,
+            graph=prob.graph,
             blobs=[prob.blobs[b] for b in perm],
             params=prob.params,
         )
@@ -277,7 +262,72 @@ class TestGA:
         assert all(b2 <= b1 + 1e-12 for b1, b2 in zip(bests, bests[1:]))
 
     def test_empty_segments(self):
-        prob = AssignmentProblem(segments=Segments.empty(), blobs=[], params=_params())
+        prob = _problem([], [])
         sol = solve_ga(prob, GAConfig(), rng_seed=0)
         assert sol.labels.shape == (0,)
         assert sol.energy == 0.0
+
+
+def _ga_instance(seed):
+    """3-4 clustered blobs and 6-8 segments near them: more labelings than the pipeline enumerates."""
+    rng = np.random.default_rng(seed)
+    ms, mb = int(rng.integers(6, 9)), int(rng.integers(3, 5))
+    centers = rng.uniform(0.0, 0.4, (mb, 3))
+
+    def blob(center):
+        k = int(rng.integers(1, 6))
+        return center + rng.normal(0.0, 0.02, (k, 3)), rng.uniform([20.0, -40.0, -40.0], [80.0, 40.0, 40.0], (k, 3))
+
+    graph, blobs = blob_graph(blob(c) for c in centers)
+    objects = rng.integers(0, 3, ms)
+    segments = segment_table(
+        (
+            centers[rng.integers(0, mb)] + rng.normal(0.0, 0.03, 3),
+            rng.uniform([20.0, -40.0, -40.0], [80.0, 40.0, 40.0]),
+            2 * o + rng.integers(0, 2),
+            o,
+        )
+        for o in objects
+    )
+    return AssignmentProblem(segments=segments, graph=graph, blobs=blobs, params=_params())
+
+
+# seed: (GA labels, energy.hex(), derive_blob_seeds' seed_of, seat)
+_GA_PINS = {
+    0: (
+        [0, 2, 0, 0, 0, 0, 0, 0],
+        "0x1.578f020caba58p+3",
+        [0, 1, 2, -1, 1, -1, -1, -1, -1, -1],
+        [0, 4, 1, 0, 2, 2, 1, 2],
+    ),
+    1: (
+        [3, 0, 1, 1, 1, 3, 2],
+        "0x1.571a4172164bep+2",
+        [-1, 2, -1, -1, 1, 0, 1, -1, 2, 0, -1, -1, 1, -1],
+        [9, 1, 4, 6, 5, 12, 8],
+    ),
+    2: ([0, 1, 0, 0, 1, 0, 2, 1], "0x1.dd548e4392b9ap+2", [1, 2, 0, 2, 0, -1, -1, 1], [0, 3, 1, 1, 2, 1, 7, 4]),
+    3: ([2, 0, -1, 1, 1, 0, 1, 1], "0x1.0d9e8c4d22699p+3", [1, -1, 1, 0, 1, 2], [5, 0, -1, 4, 4, 2, 3, 3]),
+    4: (
+        [3, 2, 0, 3, -1, 1, 1, 2],
+        "0x1.241b81a154d49p+3",
+        [0, 2, 1, -1, -1, 1, 1, -1, 0, 1],
+        [9, 6, 0, 8, -1, 1, 2, 5],
+    ),
+    5: (
+        [1, 2, -1, 2, 0, 2, 2, 2],
+        "0x1.88ccad765b769p+3",
+        [2, -1, -1, -1, -1, 1, -1, 1, 0, -1, -1, -1],
+        [5, 8, -1, 8, 0, 8, 7, 7],
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_GA_PINS))
+def test_ga_path_and_its_seeds_are_pinned(seed):
+    # the pipeline takes this path above population * (stagnation_stop + 1) = 1,300 labelings
+    problem = _ga_instance(seed)
+    assert (problem.num_blobs + 1) ** problem.num_segments > GAConfig().population * (GAConfig().stagnation_stop + 1)
+    ga = solve_ga(problem, GAConfig(), rng_seed=seed)
+    seed_of, seat = derive_blob_seeds(problem, ga, 0.08)
+    assert (ga.labels.tolist(), ga.energy.hex(), seed_of.tolist(), seat.tolist()) == _GA_PINS[seed]

@@ -251,6 +251,13 @@ class TestAdjacencyGraph:
         with pytest.raises(ValueError):
             _bare([5, 0, 2], [(0, 1)], [0.5])
 
+    @pytest.mark.parametrize("short", ["centroids", "colors_lab", "point_counts"])
+    def test_node_columns_of_unequal_length_rejected(self, short):
+        columns = {"centroids": np.zeros((2, 3)), "colors_lab": np.zeros((2, 3)), "point_counts": np.ones(2)}
+        columns[short] = columns[short][:1]
+        with pytest.raises(ValueError, match="^nodes, centroids, colours and point counts differ in length$"):
+            AdjacencyGraph(nodes=[0, 1], edges=[], weights=[], **columns)
+
     @pytest.mark.parametrize(
         "edges, weights",
         [

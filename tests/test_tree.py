@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynseg.assignment import Assignment, AssignmentProblem, BlobFeature, EnergyParams, Segments
+from dynseg.assignment import Assignment, AssignmentProblem, EnergyParams, Segments
 from dynseg.cloud_io import InteractionRecord
 from dynseg.graph import AdjacencyGraph, connected_components
 from dynseg.graphcut import OversegConfig
@@ -72,10 +72,6 @@ def _tree(frame, comps, births=None, **similarities):
 def _check(tree):
     """The frame invariants, with one point per supervoxel."""
     return check_frame_invariants(tree, tree.object_of)
-
-
-def _blob_features(graph, blobs):
-    return [BlobFeature(sv_centroids=graph.centroids[at], sv_colors_lab=graph.colors_lab[at]) for at in blobs]
 
 
 class TestParams:
@@ -177,11 +173,12 @@ class TestDeriveBlobSeeds:
             segments=segment_table(
                 [_seg_row((0.0, 0.0, 0.0), comp=0, obj=0), _seg_row((0.3, 0.0, 0.0), comp=1, obj=1)]
             ),
-            blobs=_blob_features(g, blobs),
+            graph=g,
+            blobs=blobs,
             params=EPARAMS,
         )
         assignment = Assignment(labels=np.asarray([0, 0]), energy=0.0)
-        seed_of, seat = derive_blob_seeds(problem, assignment, blobs, g, 0.08)
+        seed_of, seat = derive_blob_seeds(problem, assignment, 0.08)
         assert seed_of.tolist() == [0, -1, -1, 1]
         assert seat.tolist() == [0, 3]
 
@@ -192,11 +189,12 @@ class TestDeriveBlobSeeds:
             segments=segment_table(
                 [_seg_row((0.0, 0.0, 0.0), comp=0, obj=0), _seg_row((0.01, 0.0, 0.0), comp=1, obj=1)]
             ),
-            blobs=_blob_features(g, blobs),
+            graph=g,
+            blobs=blobs,
             params=EPARAMS,
         )
         assignment = Assignment(labels=np.asarray([0, 0]), energy=0.0)
-        seed_of, seat = derive_blob_seeds(problem, assignment, blobs, g, 0.08)
+        seed_of, seat = derive_blob_seeds(problem, assignment, 0.08)
         assert seed_of.tolist() == [0]  # only the closer object wins the lone site
         assert seat.tolist() == [0, 0]
 
@@ -211,34 +209,35 @@ def _tracked_pair():
         segments=segment_table(
             [_seg_row((0.0, 0.0, 0.0), comp=0, obj=0), _seg_row((1.0, 0.0, 0.0), comp=1, obj=1)]
         ),
-        blobs=_blob_features(g1, blobs1),
+        graph=g1,
+        blobs=blobs1,
         params=EPARAMS,
     )
-    return prev, g1, blobs1, problem, alloc
+    return prev, problem, alloc
 
 
-def _update(prev, blobs, graph, problem, assignment, cuts, alloc):
+def _update(prev, problem, assignment, cuts, alloc):
     """update_tree at frame 1, seeded and cut the way process_frame does it; cuts maps blob index -> cut labels."""
-    labels, seat = derive_blob_seeds(problem, assignment, blobs, graph, 0.08)
+    labels, seat = derive_blob_seeds(problem, assignment, 0.08)
     for k, cut in cuts.items():
-        labels[blobs[k]] = cut
-    return update_tree(prev, blobs, graph, problem.segments, labels, seat, 1, alloc, OVERSEG)
+        labels[problem.blobs[k]] = cut
+    return update_tree(prev, problem.blobs, problem.graph, problem.segments, labels, seat, 1, alloc, OVERSEG)
 
 
 class TestUpdateTree:
     def test_identity_carries_over(self):
-        prev, g1, blobs1, problem, alloc = _tracked_pair()
+        prev, problem, alloc = _tracked_pair()
         assignment = Assignment(labels=np.asarray([0, 1]), energy=0.0)
-        tree = _update(prev, blobs1, g1, problem, assignment, {}, alloc)
+        tree = _update(prev, problem, assignment, {}, alloc)
         assert tree.object_of.tolist() == [0, 1]
         assert list(tree.component_table()) == [0, 1]
         assert tree.births == {0: 0, 1: 0}
         _check(tree)
 
     def test_identity_follows_assignment_not_position(self):
-        prev, g1, blobs1, problem, alloc = _tracked_pair()
+        prev, problem, alloc = _tracked_pair()
         assignment = Assignment(labels=np.asarray([1, 0]), energy=0.0)  # crossed
-        tree = _update(prev, blobs1, g1, problem, assignment, {}, alloc)
+        tree = _update(prev, problem, assignment, {}, alloc)
         assert tree.object_of.tolist() == [1, 0]
 
     def test_uncovered_blob_founds_new_object(self):
@@ -248,11 +247,12 @@ class TestUpdateTree:
         g1, blobs1 = _two_singletons(0.0, 2.0)
         problem = AssignmentProblem(
             segments=segment_table([_seg_row((0.0, 0.0, 0.0), comp=0, obj=0)]),
-            blobs=_blob_features(g1, blobs1),
+            graph=g1,
+            blobs=blobs1,
             params=EPARAMS,
         )
         assignment = Assignment(labels=np.asarray([0]), energy=0.0)
-        tree = _update(prev, blobs1, g1, problem, assignment, {}, alloc)
+        tree = _update(prev, problem, assignment, {}, alloc)
         assert tree.object_of.tolist() == [0, 1]
         assert tree.births[1] == 1
 
@@ -266,11 +266,12 @@ class TestUpdateTree:
             segments=segment_table(
                 [_seg_row((0.0, 0.0, 0.0), comp=0, obj=0), _seg_row((1.0, 0.0, 0.0), comp=1, obj=1)]
             ),
-            blobs=_blob_features(g1, blobs1),
+            graph=g1,
+            blobs=blobs1,
             params=EPARAMS,
         )
         assignment = Assignment(labels=np.asarray([0, -1]), energy=0.0)
-        tree = _update(prev, blobs1, g1, problem, assignment, {}, alloc)
+        tree = _update(prev, problem, assignment, {}, alloc)
         assert sorted(tree.births) == [0, 1]
         assert tree.missing_objects() == [1]
         assert 1 not in tree.object_of
@@ -289,12 +290,13 @@ class TestUpdateTree:
             segments=segment_table(
                 [_seg_row((0.0, 0.0, 0.0), comp=0, obj=0), _seg_row((0.3, 0.0, 0.0), comp=1, obj=1)]
             ),
-            blobs=_blob_features(g1, blobs1),
+            graph=g1,
+            blobs=blobs1,
             params=EPARAMS,
         )
         assignment = Assignment(labels=np.asarray([0, 0]), energy=0.0)
         cut = np.asarray([0, 0, 1, 1])
-        tree = _update(prev, blobs1, g1, problem, assignment, {0: cut}, alloc)
+        tree = _update(prev, problem, assignment, {0: cut}, alloc)
         assert tree.object_of.tolist() == [0, 0, 1, 1]
         # ids inherited through the seed votes, both components in blob 0
         assert tree.component_table() == {0: (0, 0), 1: (1, 0)}
@@ -313,12 +315,13 @@ class TestUpdateTree:
             segments=segment_table(
                 [_seg_row((0.0, 0.0, 0.0), comp=0, obj=0), _seg_row((0.3, 0.0, 0.0), comp=1, obj=1)]
             ),
-            blobs=_blob_features(g1, blobs1),
+            graph=g1,
+            blobs=blobs1,
             params=EPARAMS,
         )
         assignment = Assignment(labels=np.asarray([0, 0]), energy=0.0)
         with pytest.raises(ValueError):
-            _update(prev, blobs1, g1, problem, assignment, {}, alloc)
+            _update(prev, problem, assignment, {}, alloc)
 
     def test_blob_seeding_two_objects_without_cut_labels_is_named(self):
         g = graph_from_edges({(1, 2): 1.0, (2, 3): 1.0}, positions={k: (0.08 * k, 0.0, 0.0) for k in range(4)})
@@ -342,14 +345,15 @@ class TestUpdateTree:
         g1, blobs1 = _two_singletons(0.0, 0.2)
         problem = AssignmentProblem(
             segments=segment_table([_seg_row((0.01, 0.0, 0.0), comp=0, obj=0)]),
-            blobs=_blob_features(g1, blobs1),
+            graph=g1,
+            blobs=blobs1,
             params=EPARAMS,
         )
         # both blobs assigned to object 0's lone segment is impossible with one
         # label, so give the far blob no cover and check the near one: the far
         # blob founds a new object while object 0 keeps one component
         assignment = Assignment(labels=np.asarray([0]), energy=0.0)
-        tree = _update(prev, blobs1, g1, problem, assignment, {}, alloc)
+        tree = _update(prev, problem, assignment, {}, alloc)
         assert [oid for oid, _ in tree.component_table().values()].count(0) == 1
         assert len(tree.births) == 2
 
@@ -807,8 +811,9 @@ class TestCandidatesMatchLoopReference:
         assert _candidates(tree, graph, params, tracked) == _candidates_loop(tree, graph, params, tracked)
 
 
-def _derive_blob_seeds_loop(problem, assignment, blobs, graph, seed_resolution):
+def _derive_blob_seeds_loop(problem, assignment, seed_resolution):
     """derive_blob_seeds with one claim-cost pass per assigned segment."""
+    graph, blobs = problem.graph, problem.blobs
     seed_of = np.full(len(graph.nodes), -1, dtype=np.int64)
     seat = np.full(problem.num_segments, -1, dtype=np.int64)
     for k, at in enumerate(blobs):
@@ -872,17 +877,17 @@ def _seeding_cases(draw):
     segments = segment_table(
         _seg_row(c, comp=int(o), obj=int(o), color=tuple(col)) for c, col, o in zip(seg_c, seg_l, objects)
     )
-    problem = AssignmentProblem(segments=segments, blobs=_blob_features(graph, blobs), params=EPARAMS)
+    problem = AssignmentProblem(segments=segments, graph=graph, blobs=blobs, params=EPARAMS)
     assignment = Assignment(labels=rng.integers(-1, k, m), energy=0.0)
-    return problem, assignment, blobs, graph
+    return problem, assignment
 
 
 class TestBlobSeedsMatchLoopReference:
     @settings(max_examples=200, deadline=None)
     @given(case=_seeding_cases())
     def test_seeds_and_seats_equal_the_loop(self, case):
-        problem, assignment, blobs, graph = case
-        seed_of, seat = derive_blob_seeds(problem, assignment, blobs, graph, 0.08)
-        want_seed_of, want_seat = _derive_blob_seeds_loop(problem, assignment, blobs, graph, 0.08)
+        problem, assignment = case
+        seed_of, seat = derive_blob_seeds(problem, assignment, 0.08)
+        want_seed_of, want_seat = _derive_blob_seeds_loop(problem, assignment, 0.08)
         assert np.array_equal(seed_of, want_seed_of)
         assert np.array_equal(seat, want_seat)
