@@ -198,6 +198,7 @@ def _canonical_blob_order(problem: AssignmentProblem) -> list[int]:
 
 
 def _ga_core(problem: AssignmentProblem, config: GAConfig, rng_seed: int, trace: list | None) -> np.ndarray:
+    """Best vector found; a generation keeps its elite and breeds the rest from one batch of draws."""
     ms, mb = problem.num_segments, problem.num_blobs
     rng = np.random.Generator(np.random.Philox(key=np.uint64(rng_seed)))
     pop_size = config.population
@@ -226,37 +227,25 @@ def _ga_core(problem: AssignmentProblem, config: GAConfig, rng_seed: int, trace:
             break
 
         elite = np.argsort(energies, kind="stable")[: config.elitism]
-        nxt = np.empty_like(pop)
-        nxt[: config.elitism] = pop[elite]
-
-        def tournament() -> int:
-            picks = rng.integers(0, pop_size, size=config.tournament_size)
-            return int(picks[int(np.argmin(energies[picks]))])
-
-        for c in range(config.elitism, pop_size):
-            p1 = pop[tournament()]
-            p2 = pop[tournament()]
-            if rng.random() < config.crossover_rate:
-                mask = rng.random(ms) < 0.5
-                child = np.where(mask, p1, p2)
-            else:
-                child = p1.copy()
-            flips = rng.random(ms) < mut
-            n_flip = int(flips.sum())
-            if n_flip:
-                child = child.copy()
-                child[flips] = rng.integers(NONE_LABEL, mb, size=n_flip, endpoint=False)
-            nxt[c] = child
-        pop = nxt
+        n_child = pop_size - len(elite)
+        picks = rng.integers(0, pop_size, size=(n_child, 2, config.tournament_size))
+        wins = np.take_along_axis(picks, np.argmin(energies[picks], axis=2)[:, :, None], axis=2)[:, :, 0]
+        crossed = rng.random(n_child) < config.crossover_rate
+        first = ~crossed[:, None] | (rng.random((n_child, ms)) < 0.5)
+        children = np.where(first, pop[wins[:, 0]], pop[wins[:, 1]])
+        flips = rng.random((n_child, ms)) < mut
+        children[flips] = rng.integers(NONE_LABEL, mb, size=int(flips.sum()), endpoint=False)
+        pop = np.concatenate([pop[elite], children])
     return best_v
 
 
 def solve_ga(problem: AssignmentProblem, config: GAConfig, rng_seed: int = 0, trace: list | None = None) -> Assignment:
-    """Genetic search over label vectors; deterministic for a fixed rng_seed."""
+    """Genetic search in a content-derived blob order, scored in that order; deterministic per rng_seed."""
     ms, mb = problem.num_segments, problem.num_blobs
     if ms == 0:
         return Assignment(labels=np.empty(0, dtype=np.int64), energy=float(problem.params.gamma * mb))
     order = _canonical_blob_order(problem)
-    labels_canon = _ga_core(replace(problem, blobs=[problem.blobs[b] for b in order]), config, rng_seed, trace)
+    canonical = replace(problem, blobs=[problem.blobs[b] for b in order])
+    labels_canon = _ga_core(canonical, config, rng_seed, trace)
     labels = np.asarray([order[v] if v >= 0 else NONE_LABEL for v in labels_canon], dtype=np.int64)
-    return Assignment(labels=labels, energy=energy_of(problem, labels))
+    return Assignment(labels=labels, energy=energy_of(canonical, labels_canon))

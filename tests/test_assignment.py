@@ -16,6 +16,7 @@ from dynseg.assignment import (
     solve_exhaustive,
     solve_ga,
 )
+from dynseg.supervoxel import nearest
 from dynseg.tree import derive_blob_seeds
 
 from helpers import blob_graph, segment_table
@@ -331,3 +332,40 @@ def test_ga_path_and_its_seeds_are_pinned(seed):
     ga = solve_ga(problem, GAConfig(), rng_seed=seed)
     seed_of, seat = derive_blob_seeds(problem, ga, 0.08)
     assert (ga.labels.tolist(), ga.energy.hex(), seed_of.tolist(), seat.tolist()) == _GA_PINS[seed]
+
+
+def test_ga_builds_the_energy_tables_once(monkeypatch):
+    problem = _ga_instance(1)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return nearest(*args, **kwargs)
+
+    monkeypatch.setattr("dynseg.assignment.nearest", counted)
+    solve_ga(problem, GAConfig(), rng_seed=1)
+    assert len(calls) == problem.num_blobs
+
+
+@pytest.mark.parametrize(
+    "edge",
+    [
+        {"population": 1},
+        {"elitism": 0},
+        {"population": 5, "elitism": 5},
+        {"population": 5, "elitism": 8},
+        {"tournament_size": 1},
+        {"crossover_rate": 0.0},
+        {"crossover_rate": 1.0},
+        {"mutation_rate": 0.0},
+        {"generations": 0},
+    ],
+    ids=lambda edge: ",".join(f"{k}={v}" for k, v in edge.items()),
+)
+@pytest.mark.parametrize("seed", [0, 3])
+def test_ga_edge_configs_return_valid_labels_and_their_energy(edge, seed):
+    problem = _ga_instance(seed)
+    ga = solve_ga(problem, GAConfig(**edge), rng_seed=seed)
+    assert ga.labels.shape == (problem.num_segments,)
+    assert ga.labels.min() >= NONE_LABEL and ga.labels.max() < problem.num_blobs
+    assert ga.energy.hex() == energy_of(problem, ga.labels).hex()
