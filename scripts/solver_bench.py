@@ -25,6 +25,7 @@ from dynseg.assignment import (
     EnergyParams,
     GAConfig,
     Segments,
+    exact_limit,
     solve_exhaustive,
     solve_ga,
 )
@@ -133,7 +134,7 @@ def bench_assignment(instances, seed):
         for _ in range(instances)
     ]
     ga = GAConfig()
-    print(f"pipeline enumerates up to {ga.population * (ga.stagnation_stop + 1)} labelings")
+    print(f"pipeline enumerates up to {exact_limit(ga)} labelings")
     print(f"{'instance':>8} {'segments':>8} {'blobs':>5} {'labelings':>9} {'exact ms':>9} {'ga ms':>8}")
     optima = []
     for i, problem in enumerate(problems):

@@ -5,6 +5,9 @@ is its node positions in the frame graph, whose centroid and colour rows the
 energy reads.  The energy combines appearance change, displacement to the
 nearest supervoxel of the chosen blob, a penalty per uncovered blob, and the
 variance of displacement vectors within each previous component.
+
+The pipeline enumerates the (B + 1)^M labelings of M segments and B blobs
+when they are at most ``exact_limit``, and runs the genetic search otherwise.
 """
 
 from __future__ import annotations
@@ -45,6 +48,11 @@ class GAConfig:
     mutation_rate: float | None = None  # default 1 / num_segments
     elitism: int = 2
     stagnation_stop: int = 25
+
+
+def exact_limit(config: GAConfig) -> int:
+    """Most labelings the pipeline enumerates: the GA's shortest run, capped at 10^7."""
+    return min(config.population * (config.stagnation_stop + 1), _MAX_EXHAUSTIVE)
 
 
 @dataclass(frozen=True)
@@ -121,17 +129,11 @@ def _energy_batch(problem: AssignmentProblem, labels: np.ndarray) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64)
     ms, mb = problem.num_segments, problem.num_blobs
     p = problem.params
-    pop = labels.shape[0]
-    if ms == 0:
-        return np.full(pop, p.gamma * mb)
     # NONE_LABEL = -1 indexes the trailing rho column
     data = cost[np.arange(ms), labels].sum(axis=1)
-    if mb:
-        covered = (labels[:, :, None] == np.arange(mb)).any(axis=1).sum(axis=1)
-    else:
-        covered = np.zeros(pop, dtype=np.int64)
+    covered = (labels[:, :, None] == np.arange(mb)).any(axis=1).sum(axis=1)
     coverage = p.gamma * (mb - covered)
-    motion = np.zeros(pop)
+    motion = np.zeros(len(labels))
     if p.delta != 0.0 and mb:
         for idx in groups:
             sub = labels[:, idx]
@@ -158,8 +160,6 @@ def energy_of(problem: AssignmentProblem, labels) -> float:
 
 def greedy_labels(problem: AssignmentProblem) -> np.ndarray:
     """Per-segment argmin of the data term (NONE when rho is cheapest)."""
-    if problem.num_segments == 0:
-        return np.empty(0, dtype=np.int64)
     best = np.argmin(problem.tables[0], axis=1)
     best[best == problem.num_blobs] = NONE_LABEL
     return best.astype(np.int64)
@@ -168,8 +168,6 @@ def greedy_labels(problem: AssignmentProblem) -> np.ndarray:
 def solve_exhaustive(problem: AssignmentProblem) -> Assignment:
     """Exact minimum by enumeration; ties go to the lexicographically smallest vector."""
     ms, mb = problem.num_segments, problem.num_blobs
-    if ms == 0:
-        return Assignment(labels=np.empty(0, dtype=np.int64), energy=float(problem.params.gamma * mb))
     total = (mb + 1) ** ms
     if total > _MAX_EXHAUSTIVE:
         raise ValueError(f"instance too large for exhaustive search: {(mb + 1)}^{ms} labelings")
@@ -186,7 +184,7 @@ def solve_exhaustive(problem: AssignmentProblem) -> Assignment:
     return Assignment(labels=best_v, energy=best_e)
 
 
-def _canonical_blob_order(problem: AssignmentProblem) -> list[int]:
+def _canonical_blob_order(problem: AssignmentProblem) -> np.ndarray:
     """Content-derived blob order so the search is invariant to input indexing."""
 
     def key(b: int):
@@ -194,10 +192,10 @@ def _canonical_blob_order(problem: AssignmentProblem) -> list[int]:
         rows = np.concatenate([problem.graph.centroids[at], problem.graph.colors_lab[at]], axis=1)
         return tuple(sorted(tuple(r) for r in rows))
 
-    return sorted(range(problem.num_blobs), key=lambda b: (key(b), b))
+    return np.asarray(sorted(range(problem.num_blobs), key=lambda b: (key(b), b)), dtype=np.int64)
 
 
-def _ga_core(problem: AssignmentProblem, config: GAConfig, rng_seed: int, trace: list | None) -> np.ndarray:
+def _ga_core(problem: AssignmentProblem, config: GAConfig, rng_seed: int) -> np.ndarray:
     """Best vector found; a generation keeps its elite and breeds the rest from one batch of draws."""
     ms, mb = problem.num_segments, problem.num_blobs
     rng = np.random.Generator(np.random.Philox(key=np.uint64(rng_seed)))
@@ -221,8 +219,6 @@ def _ga_core(problem: AssignmentProblem, config: GAConfig, rng_seed: int, trace:
             stagnation = 0
         else:
             stagnation += 1
-        if trace is not None:
-            trace.append((gen, best_e, float(energies.mean())))
         if stagnation >= config.stagnation_stop or gen == config.generations - 1:
             break
 
@@ -239,13 +235,13 @@ def _ga_core(problem: AssignmentProblem, config: GAConfig, rng_seed: int, trace:
     return best_v
 
 
-def solve_ga(problem: AssignmentProblem, config: GAConfig, rng_seed: int = 0, trace: list | None = None) -> Assignment:
+def solve_ga(problem: AssignmentProblem, config: GAConfig, rng_seed: int = 0) -> Assignment:
     """Genetic search in a content-derived blob order, scored in that order; deterministic per rng_seed."""
     ms, mb = problem.num_segments, problem.num_blobs
     if ms == 0:
         return Assignment(labels=np.empty(0, dtype=np.int64), energy=float(problem.params.gamma * mb))
     order = _canonical_blob_order(problem)
     canonical = replace(problem, blobs=[problem.blobs[b] for b in order])
-    labels_canon = _ga_core(canonical, config, rng_seed, trace)
-    labels = np.asarray([order[v] if v >= 0 else NONE_LABEL for v in labels_canon], dtype=np.int64)
-    return Assignment(labels=labels, energy=energy_of(canonical, labels_canon))
+    labels_canon = _ga_core(canonical, config, rng_seed)
+    # NONE_LABEL = -1 indexes the appended NONE_LABEL
+    return Assignment(labels=np.append(order, NONE_LABEL)[labels_canon], energy=energy_of(canonical, labels_canon))

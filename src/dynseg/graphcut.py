@@ -21,10 +21,9 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from .graph import AdjacencyGraph
-from .supervoxel import nearest
+from .supervoxel import COLOR_NORM, nearest
 
 INF = float("inf")
-COLOR_NORM = 100.0
 
 
 @dataclass

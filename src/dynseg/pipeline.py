@@ -20,6 +20,7 @@ from .assignment import (
     EnergyParams,
     GAConfig,
     Segments,
+    exact_limit,
     solve_exhaustive,
     solve_ga,
 )
@@ -122,7 +123,6 @@ class FrameResult:
 class SequenceResult:
     frames: list[FrameResult]
     interactions: list[InteractionRecord]
-    final_tree: SegTree | None
     state: PipelineState
 
 
@@ -158,8 +158,7 @@ def process_frame(state: PipelineState, frame: PointCloudFrame) -> FrameResult:
     else:
         problem = AssignmentProblem(segments=segments, graph=graph, blobs=blobs, params=cfg.energy)
         ta = time.perf_counter()
-        # enumerate when that is no more label vectors than the GA's shortest run
-        if (len(blobs) + 1) ** len(segments) <= cfg.ga.population * (cfg.ga.stagnation_stop + 1):
+        if (len(blobs) + 1) ** len(segments) <= exact_limit(cfg.ga):
             path, assignment = "exact", solve_exhaustive(problem)
         else:
             path, assignment = "ga", solve_ga(problem, cfg.ga, rng_seed=(cfg.seed ^ fidx) & _MASK64)
@@ -233,13 +232,13 @@ def run_sequence(frames, config: PipelineConfig) -> SequenceResult:
     records = [ev for r in results for ev in r.interactions_closed] + list(state.open_events.values())
     state.open_events = {}
     records.sort(key=lambda r: (r.start_frame, r.end_frame, r.object_ids))
-    return SequenceResult(frames=results, interactions=records, final_tree=state.tree, state=state)
+    return SequenceResult(frames=results, interactions=records, state=state)
 
 
 def format_run_report(result: SequenceResult) -> str:
     lines = ["run v1"]
     lines.append(f"frames {len(result.frames)}")
-    final_objects = len(result.final_tree.live_objects()) if result.final_tree else 0
+    final_objects = len(result.state.tree.live_objects()) if result.state.tree else 0
     lines.append(f"objects {final_objects}")
     lines.append(f"interactions {len(result.interactions)}")
     for r in result.frames:

@@ -12,6 +12,7 @@ from dynseg.assignment import (
     GAConfig,
     _energy_batch,
     energy_of,
+    exact_limit,
     greedy_labels,
     solve_exhaustive,
     solve_ga,
@@ -160,6 +161,28 @@ class TestGreedy:
         assert greedy_labels(prob).shape == (0,)
 
 
+@pytest.mark.parametrize("delta", [0.0, 1.0])
+@pytest.mark.parametrize("ms, mb", [(0, 0), (0, 1), (0, 3), (1, 0), (3, 0)])
+def test_empty_instances_are_pinned(ms, mb, delta):
+    # M = 0: every blob is uncovered; B = 0: every segment takes NONE
+    prob = _random_problem(np.random.default_rng(10 * ms + mb), ms, mb, delta=delta)
+    want = (prob.params.gamma * mb if ms == 0 else prob.params.rho * ms).hex()
+    energies = _energy_batch(prob, np.full((4, ms), NONE_LABEL))
+    assert energies.dtype == np.float64 and [e.hex() for e in energies] == [want] * 4
+    sol = solve_exhaustive(prob)
+    assert sol.labels.dtype == np.int64 and sol.labels.tolist() == [NONE_LABEL] * ms
+    assert sol.energy.hex() == want
+    greedy = greedy_labels(prob)
+    assert greedy.dtype == np.int64 and greedy.shape == (ms,)
+    ga = solve_ga(prob, GAConfig(), rng_seed=0)
+    assert ga.labels.dtype == np.int64 and ga.labels.tolist() == [NONE_LABEL] * ms
+
+
+def test_exact_limit_is_the_shortest_ga_run_capped():
+    assert exact_limit(GAConfig()) == 1300
+    assert exact_limit(GAConfig(population=10**6, stagnation_stop=99)) == 10**7
+
+
 class TestExhaustive:
     def test_matches_brute_force_over_oracle(self):
         rng = np.random.default_rng(5)
@@ -252,15 +275,6 @@ class TestGA:
         assert b.energy == pytest.approx(a.energy, rel=1e-12)
         mapped = [inv[v] if v >= 0 else NONE_LABEL for v in a.labels]
         assert b.labels.tolist() == mapped
-
-    def test_trace_best_is_non_increasing(self):
-        rng = np.random.default_rng(3)
-        prob = _random_problem(rng, ms=6, mb=3)
-        trace = []
-        solve_ga(prob, GAConfig(), rng_seed=0, trace=trace)
-        assert trace
-        bests = [t[1] for t in trace]
-        assert all(b2 <= b1 + 1e-12 for b1, b2 in zip(bests, bests[1:]))
 
     def test_empty_segments(self):
         prob = _problem([], [])

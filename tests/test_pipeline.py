@@ -174,7 +174,7 @@ class TestGaps:
         assert (result.frames[1].growth_passes, result.frames[1].growth_converged) == (0, True)
         # the object comes back under its original id
         assert (result.frames[2].point_labels == 0).all()
-        assert sorted(result.final_tree.births) == [0]
+        assert sorted(result.state.tree.births) == [0]
 
     def test_leading_empty_frame(self):
         frames = [_frame(0, []), _frame(1, [((0.0, 0.0, 0.0), RED)])]
@@ -193,7 +193,7 @@ class TestGaps:
         result = run_sequence(frames, _config(retention_frames=2))
         # missing frames 1-3 exceed the retention window of 2
         assert (result.frames[4].point_labels == 1).all()
-        assert sorted(result.final_tree.births) == [1]
+        assert sorted(result.state.tree.births) == [1]
 
     def test_within_retention_keeps_id(self):
         frames = [
@@ -347,6 +347,12 @@ class TestAssignmentPath:
     def test_ga_runs_above_its_shortest_run(self):
         # 2 segments, 1 blob: 4 labelings against a shortest run of 2 * (0 + 1)
         result = run_sequence(_touching_pair(), _config(ga=GAConfig(population=2, stagnation_stop=0)))
+        assert [r.assignment for r in result.frames] == [None, "ga"]
+
+    def test_ga_runs_above_the_enumeration_cap(self, monkeypatch):
+        # 4 labelings: within the shortest run of 1,300, above a cap of 3
+        monkeypatch.setattr("dynseg.assignment._MAX_EXHAUSTIVE", 3)
+        result = run_sequence(_touching_pair(), _config())
         assert [r.assignment for r in result.frames] == [None, "ga"]
 
 
