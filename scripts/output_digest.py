@@ -41,10 +41,9 @@ import numpy as np
 
 from dynseg import cloud_io, pipeline
 from dynseg.cli import main as dynseg_main
-from dynseg.evaluation import generate_scenario, make_scenario
+from dynseg.evaluation import SCENARIO_FRAMES, generate_scenario, make_scenario
 from dynseg.supervoxel import SupervoxelConfig
 
-KINDS = ("static", "approach_merge_split", "occlusion_split", "crossing")
 WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
@@ -63,7 +62,7 @@ def check_set() -> list[tuple[str, object, float]]:
     for name in ("pair_contact_fine", "crossing_coarse"):
         voxel = workloads.WORKLOADS[name].voxel
         out += [(f"{name}-0-seq{i}", s, voxel) for i, s in enumerate(workloads.scenarios(name, 0))]
-    out += [(f"{kind}-0", make_scenario(kind, rng_seed=0), 0.02) for kind in KINDS]
+    out += [(f"{kind}-0", make_scenario(kind, rng_seed=0), 0.02) for kind in SCENARIO_FRAMES]
     out += [(f"triple_contact_fine-{s}", workloads.scenarios("triple_contact_fine", s)[0], 0.008) for s in (0, 1)]
     for s in (1, 2):
         out.append((f"approach_merge_split-{s}-fine", make_scenario("approach_merge_split", rng_seed=s), 0.008))

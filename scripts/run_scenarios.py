@@ -9,11 +9,9 @@ import argparse
 import sys
 import time
 
-from dynseg.evaluation import evaluate_run, generate_scenario, make_scenario
+from dynseg.evaluation import SCENARIO_FRAMES, evaluate_run, generate_scenario, make_scenario
 from dynseg.pipeline import PipelineConfig, run_sequence
 from dynseg.supervoxel import SupervoxelConfig
-
-KINDS = ("static", "approach_merge_split", "occlusion_split", "crossing")
 
 
 def run_one(kind: str, seed: int, voxel: float) -> dict:
@@ -38,7 +36,7 @@ def run_one(kind: str, seed: int, voxel: float) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--kinds", nargs="*", default=list(KINDS), choices=KINDS)
+    ap.add_argument("--kinds", nargs="*", default=list(SCENARIO_FRAMES), choices=list(SCENARIO_FRAMES))
     ap.add_argument("--seeds", type=int, default=5, help="seeds 0..N-1 per kind")
     ap.add_argument("--voxel", type=float, default=0.02, help="voxel resolution in meters")
     ns = ap.parse_args(argv)

@@ -223,14 +223,14 @@ def cmd_inspect(ns: argparse.Namespace) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     head = line.split()
-    if head[:2] == ["ptseq", "v1"]:
+    if head[:2] == [cloud_io.FRAME_MAGIC, cloud_io.FORMAT_VERSION]:
         frame = cloud_io.load_frame(path)
         lo = frame.points.min(axis=0) if frame.num_points else [0, 0, 0]
         hi = frame.points.max(axis=0) if frame.num_points else [0, 0, 0]
         print(f"frame file: {frame.num_points} points")
         print(f"bbox min {lo[0]:.4f} {lo[1]:.4f} {lo[2]:.4f}")
         print(f"bbox max {hi[0]:.4f} {hi[1]:.4f} {hi[2]:.4f}")
-    elif head[:2] == ["ptlab", "v1"]:
+    elif head[:2] == [cloud_io.LABEL_MAGIC, cloud_io.FORMAT_VERSION]:
         labels = cloud_io.load_ground_truth(path)
         ids, counts = np.unique(labels, return_counts=True)
         print(f"label file: {len(labels)} entries, {len(ids)} ids")

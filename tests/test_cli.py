@@ -576,11 +576,3 @@ def test_segmenting_leaves_scipy_spatial_and_special_unloaded(tmp_path):
     )
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout
     assert out.split()[-3:] == ["0", "False", "False"]
-
-
-def test_package_exports_resolve_to_their_modules():
-    for name in dynseg.__all__:
-        value = getattr(dynseg, name)
-        assert value.__module__.startswith("dynseg."), name
-    with pytest.raises(AttributeError):
-        dynseg.no_such_name

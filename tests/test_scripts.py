@@ -4,6 +4,8 @@ import importlib.util
 import re
 from pathlib import Path
 
+from dynseg.evaluation import SCENARIO_FRAMES
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -32,6 +34,11 @@ def test_output_digest_is_stable(capsys):
         outputs.append(capsys.readouterr().out)
     assert re.fullmatch(r"[0-9a-f]{64}  static-0\n", outputs[0])
     assert outputs[0] == outputs[1]
+
+
+def test_check_set_covers_every_scenario_kind():
+    entries = {(name, voxel) for name, _, voxel in _load("output_digest").check_set()}
+    assert all((f"{kind}-0", 0.02) in entries for kind in SCENARIO_FRAMES)
 
 
 def test_output_digest_matches_pinned_digests(capsys):
