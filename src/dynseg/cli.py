@@ -130,7 +130,7 @@ def cmd_segment(ns: argparse.Namespace) -> int:
 
     result = run_sequence(frames(), config)
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config_resolved.txt"), "w", encoding="utf-8") as fh:
+    with open(os.path.join(out_dir, "config_resolved.txt"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(format_resolved_config(config))
     for r in result.frames:
         if len(r.point_labels) == 0:
@@ -140,7 +140,7 @@ def cmd_segment(ns: argparse.Namespace) -> int:
             os.path.join(out_dir, f"labels_{r.frame_index:04d}.txt"),
         )
     cloud_io.write_interaction_log(result.interactions, os.path.join(out_dir, "interactions.txt"))
-    with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as fh:
+    with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(format_run_report(result))
     print(f"segmented {len(result.frames)} frames -> {out_dir}")
     return 0
@@ -236,7 +236,7 @@ def cmd_inspect(ns: argparse.Namespace) -> int:
         print(f"label file: {len(labels)} entries, {len(ids)} ids")
         for i, c in zip(ids, counts):
             print(f"label {i}: {c}")
-    elif first[:2] == ["#", "interactions"]:
+    elif first == cloud_io.INTERACTION_HEADER.split():
         for rec in cloud_io.read_interaction_log(path):
             ids = " ".join(str(i) for i in rec.object_ids)
             print(f"interaction frames {rec.start_frame}-{rec.end_frame} objects {ids}")

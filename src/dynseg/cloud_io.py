@@ -22,6 +22,8 @@ import numpy as np
 FRAME_MAGIC = "ptseq"
 LABEL_MAGIC = "ptlab"
 FORMAT_VERSION = "v1"
+# an interaction log's first line; readers skip it as a comment
+INTERACTION_HEADER = f"# interactions {FORMAT_VERSION}"
 _FRAME_ROW = np.dtype([("x", "f8"), ("y", "f8"), ("z", "f8"), ("r", "i8"), ("g", "i8"), ("b", "i8")])
 
 
@@ -336,8 +338,7 @@ def write_interaction_log(events: list[InteractionRecord], path: str | os.PathLi
         ids = tuple(sorted(int(i) for i in ev.object_ids))
         records.append((int(ev.start_frame), int(ev.end_frame), int(ev.blob_hint), ids))
     records.sort(key=lambda r: (r[0], r[1], r[3]))
-    # leading comment makes the file self-identifying; readers skip "#" lines
-    lines = ["# interactions v1"]
+    lines = [INTERACTION_HEADER]
     lines.extend(f"{s} {e} {h} " + " ".join(str(i) for i in ids) for s, e, h, ids in records)
     _write_lines(path, lines)
 

@@ -16,7 +16,8 @@ loop over per-axis ranks when the keys' box exceeds int64), the voxel links
 are read from an index table over the keys' bounding box (with empty
 stretches between far-apart keys closed first, and binary search over
 sorted codes when the box is still too sparse), the symmetric link matrix
-is built once per frame from links listed in an order that needs no sort,
+is built once per frame from int32 link ends listed in an order that needs
+no sort, the link costs are summed a coordinate column at a time,
 the voxel components are searched only when the first pass leaves a voxel
 unclaimed, each pass renumbers its claims through a seed -> slot array, and
 row lengths are summed by ``squared_norms`` rather than ``np.linalg.norm``,
@@ -395,14 +396,57 @@ def pairs_closer_than(points: np.ndarray, radius: float) -> np.ndarray:
     return np.concatenate(pairs)
 
 
+def _squared_gaps(values: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """squared_norms(values[a] - values[b]) summed one column at a time, with the same bytes.
+
+    The columns add in squared_norms' order, (x^2 + y^2) + z^2, and no (m, 3)
+    gather is made.
+    """
+    total = np.zeros(len(a))
+    for column in values.T:
+        d = np.take(column, a)
+        d -= np.take(column, b)
+        d *= d
+        total += d
+    return total
+
+
 def _link_costs(centroids: np.ndarray, labs: np.ndarray, a: np.ndarray, b: np.ndarray, config: SupervoxelConfig) -> np.ndarray:
     """Growth metric D of each link between voxel rows ``a`` and ``b``."""
-    ds = np.sqrt(squared_norms(np.take(centroids, a, axis=0) - np.take(centroids, b, axis=0)))
-    dc = np.sqrt(squared_norms(np.take(labs, a, axis=0) - np.take(labs, b, axis=0)))
+    ds = np.sqrt(_squared_gaps(centroids, a, b))
+    dc = np.sqrt(_squared_gaps(labs, a, b))
     return np.sqrt(
         config.weight_color * (dc / COLOR_NORM) ** 2
         + config.weight_spatial * (ds / config.seed_resolution) ** 2
     )
+
+
+def _link_graph(
+    keys: np.ndarray, reach: int, centroids: np.ndarray, labs: np.ndarray, config: SupervoxelConfig
+) -> tuple[csr_matrix, np.ndarray, np.ndarray]:
+    """The symmetric link matrix of the voxels within ``reach``, weighted by ``_link_costs``, and its links' ends a < b.
+
+    Symmetric, so every growth pass runs a directed Dijkstra with no
+    transpose.  The pairs come one half-stencil offset at a time, in offset
+    order, rows ascending, each partner after its row; so with every link's
+    upper end listed first, in reverse pair order, scipy's stable bucketing by
+    row leaves each row's columns ascending, and the CSR needs no sort.  The
+    ends are int32, the index width of scipy's CSR; ``a`` and ``b`` are the
+    second half of the matrix's own row and column inputs, and the int64
+    pairs and the costs are freed before the matrix is built.
+    """
+    pairs = voxel_neighbour_pairs(keys, reach)
+    m, n = len(pairs), len(keys)
+    ends = np.empty((2, 2 * m), dtype=np.int32)
+    ends[:, m:] = pairs.T
+    del pairs
+    rows, cols = ends
+    a, b = rows[m:], cols[m:]
+    rows[:m], cols[:m] = b[::-1], a[::-1]
+    cost = _link_costs(centroids, labs, a, b, config)
+    weights = np.concatenate([cost[::-1], cost])
+    del cost
+    return csr_matrix((weights, (rows, cols)), shape=(n, n)), a, b
 
 
 def _group_means(values: np.ndarray, groups: np.ndarray, n: int, weights: np.ndarray | None = None) -> np.ndarray:
@@ -449,16 +493,7 @@ def cluster_supervoxels(frame: PointCloudFrame, config: SupervoxelConfig, reach:
     vox_centroid = _group_means(frame.points, point_voxel, n_vox)
     vox_lab = _group_means(lab_all, point_voxel, n_vox)
 
-    pairs = voxel_neighbour_pairs(keys, reach)
-    a, b = pairs.T
-    cost = _link_costs(vox_centroid, vox_lab, a, b, config)
-    # symmetric, so every pass runs a directed Dijkstra with no transpose.
-    # The pairs come one half-stencil offset at a time, in offset order, rows
-    # ascending, each partner after its row; so with every link's upper end
-    # listed first, in reverse pair order, scipy's stable bucketing by row
-    # leaves each row's columns ascending, and the CSR needs no sort
-    both = (np.concatenate([b[::-1], a]), np.concatenate([a[::-1], b]))
-    links = csr_matrix((np.concatenate([cost[::-1], cost]), both), shape=(n_vox, n_vox))
+    links, a, b = _link_graph(keys, reach, vox_centroid, vox_lab, config)
 
     cell_keys = grid_keys(vox_centroid, config.seed_resolution, config.voxel_resolution)
     centers = (cell_keys + 0.5) * config.seed_resolution
@@ -487,6 +522,7 @@ def cluster_supervoxels(frame: PointCloudFrame, config: SupervoxelConfig, reach:
         converged = np.array_equal(moved, seeds)
         seeds = moved
 
+    del links  # the contacts need only the link ends
     # number the clusters by their smallest voxel index, which is also their smallest key
     first_member = np.full(len(seeds), n_vox)
     np.minimum.at(first_member, cluster, np.arange(n_vox))

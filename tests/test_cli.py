@@ -518,6 +518,14 @@ class TestInspect:
         assert main(["inspect", str(labels_path)]) == 0
         assert "point label file: 1 frames, 3 points, 2 objects" in capsys.readouterr().out
 
+    def test_inspect_empty_interaction_log(self, tmp_path, capsys):
+        # the log holds only its header, which no other format's first line matches
+        log_path = tmp_path / "interactions.txt"
+        cloud_io.write_interaction_log([], str(log_path))
+        assert log_path.read_text() == cloud_io.INTERACTION_HEADER + "\n"
+        assert main(["inspect", str(log_path)]) == 0
+        assert capsys.readouterr().out == ""
+
     def test_inspect_reads_label_fields_as_int_does(self, tmp_path, capsys):
         # the fields read_label_file and dynseg eval accept, such as "+1", mark a point label file
         p = tmp_path / "labels_0000.txt"

@@ -1,14 +1,17 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
+from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree  # a test oracle only: dynseg itself does not load scipy.spatial
 
 from dynseg import supervoxel
 from dynseg.cloud_io import PointCloudFrame
+from dynseg.evaluation import generate_scenario, make_scenario
 from dynseg.graph import connected_sets
 from dynseg.supervoxel import (
     COLOR_NORM,
@@ -17,6 +20,7 @@ from dynseg.supervoxel import (
     SupervoxelConfig,
     Supervoxels,
     _link_costs,
+    _link_graph,
     _nearest_per_group,
     cluster_supervoxels,
     nearest,
@@ -387,6 +391,46 @@ def test_voxel_neighbour_pairs_match_offset_lookup(keys, shift, reach):
     assert listed == sorted(listed)
 
 
+def _int64_link_matrix(keys, reach, centroids, labs, config):
+    """The link matrix and link ends built from int64 pairs, with three concatenations feeding scipy's COO."""
+    a, b = voxel_neighbour_pairs(keys, reach).T
+    cost = _link_costs(centroids, labs, a, b, config)
+    both = (np.concatenate([b[::-1], a]), np.concatenate([a[::-1], b]))
+    return csr_matrix((np.concatenate([cost[::-1], cost]), both), shape=(len(keys), len(keys))), a, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    keys=st.sets(st.tuples(*[st.integers(-3, 3)] * 3), max_size=60),
+    spread=st.sampled_from([1, 3, 2**40]),
+    reach=st.sampled_from([1, 2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# _SPARSE takes the sorted codes and _APART the gap-closed table at both reaches
+@example(keys=_DENSE, spread=1, reach=1, seed=0)
+@example(keys=_SPARSE, spread=1, reach=1, seed=1)
+@example(keys=_SPARSE, spread=1, reach=2, seed=2)
+@example(keys=_APART, spread=1, reach=1, seed=3)
+@example(keys=_APART, spread=1, reach=2, seed=4)
+def test_link_matrix_from_int32_ends_has_the_int64_bytes(keys, spread, reach, seed):
+    """_link_graph's CSR holds the indptr, indices and data bytes of the int64 construction.
+
+    Keys ``spread`` apart stand beyond the reach, so their box has its gaps
+    closed, and may still be searched through sorted codes.
+    """
+    rows = np.asarray(sorted(keys), dtype=np.int64).reshape(-1, 3) * spread
+    rng = np.random.default_rng(seed)
+    centroids, labs = rng.uniform(-1.0, 1.0, (len(rows), 3)), rng.uniform(-100.0, 100.0, (len(rows), 3))
+    config = SupervoxelConfig()
+    links, a, b = _link_graph(rows, reach, centroids, labs, config)
+    expected, a64, b64 = _int64_link_matrix(rows, reach, centroids, labs, config)
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(links, name), getattr(expected, name)
+        assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), name
+    assert a.dtype == b.dtype == np.int32
+    assert np.array_equal(a, a64) and np.array_equal(b, b64)
+
+
 def _random_cloud(seed: int, n: int, extent: float):
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0.0, extent, size=(n, 3))
@@ -605,3 +649,25 @@ def test_seedless_component_is_seeded_at_its_smallest_voxel(order):
     assert _seedless_components(frame, cfg, 1) == [{(0, 0, 0), (1, 0, 0), (2, 0, 0)}]
     svs = cluster_supervoxels(frame, cfg)
     assert (svs.passes, svs.converged, len(svs)) == (1, False, 2)
+
+
+def test_growth_traced_peak_stays_under_its_bound():
+    """One growth on a 48,000-point frame (23,852 voxels, 233,938 links) peaks under 18 MiB of traced allocations.
+
+    Built from int64 pair ends, with (m, 3) gathers for the link costs, the
+    growth peaked at 28.8 MiB on this frame; from int32 ends that are the
+    link matrix's own inputs, with costs summed a column at a time, it peaks
+    at 16.0 MiB.
+    """
+    frame = generate_scenario(
+        make_scenario("approach_merge_split", frame_count=8, points_per_object=24000, rng_seed=1)
+    ).frames[7]
+    config = SupervoxelConfig(voxel_resolution=0.008)
+    assert (frame.num_points, voxel_reach(frame.points, config.voxel_resolution)) == (48000, 1)
+    tracemalloc.start()
+    try:
+        cluster_supervoxels(frame, config, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 18 * 2**20
