@@ -96,12 +96,6 @@ def format_resolved_config(config: PipelineConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--config", default=None, help="key=value config file")
-    parser.add_argument("--seed", type=int, default=None, help="sequence seed")
-
-
 def _collect_overrides(ns: argparse.Namespace) -> dict[str, str]:
     values = vars(ns)
     return {k: str(values[k]) for k in _config_keys() if values[k] is not None}
@@ -237,7 +231,9 @@ def cmd_inspect(ns: argparse.Namespace) -> int:
         for i, c in zip(ids, counts):
             print(f"label {i}: {c}")
     elif first == cloud_io.INTERACTION_HEADER.split():
-        for rec in cloud_io.read_interaction_log(path):
+        records = cloud_io.read_interaction_log(path)
+        print(f"interaction log: {len(records)} events")
+        for rec in records:
             ids = " ".join(str(i) for i in rec.object_ids)
             print(f"interaction frames {rec.start_frame}-{rec.end_frame} objects {ids}")
     elif len(head) == 3 and _parse_as_ints(head):
@@ -256,16 +252,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_seg = sub.add_parser("segment", help="segment a sequence manifest")
     p_seg.add_argument("manifest", help="sequence manifest path")
-    _add_common(p_seg)
+    p_seg.add_argument("--out", default=None, help="output directory")
+    p_seg.add_argument("--config", default=None, help="key=value config file")
     for key in sorted(_config_keys()):
-        if key == "seed":
-            continue
         p_seg.add_argument(f"--{key}", dest=key, default=None, metavar="V")
     p_seg.set_defaults(func=cmd_segment)
 
     p_syn = sub.add_parser("synth", help="generate a synthetic scenario")
     p_syn.add_argument("spec", help="scenario spec file (key=value)")
-    _add_common(p_syn)
+    p_syn.add_argument("--out", default=None, help="output directory")
+    p_syn.add_argument("--seed", type=int, default=None, help="scenario seed, in place of the spec's")
     p_syn.set_defaults(func=cmd_synth)
 
     p_eval = sub.add_parser("eval", help="score labels against ground truth")

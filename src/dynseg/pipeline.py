@@ -154,7 +154,7 @@ def process_frame(state: PipelineState, frame: PointCloudFrame) -> FrameResult:
     segments = state.ghosts if state.tree is None else state.tree.segments().concat(state.ghosts)
     if not blobs or not segments:
         # nothing to inherit: every blob founds an object, the rest go (or stay) missing
-        tree = init_tree(blobs, graph, fidx, state.alloc, cfg.overseg, cfg.tree, prev=state.tree)
+        tree = init_tree(graph, fidx, state.alloc, cfg.overseg, cfg.tree, prev=state.tree)
     else:
         problem = AssignmentProblem(segments=segments, graph=graph, blobs=blobs, params=cfg.energy)
         ta = time.perf_counter()
@@ -180,7 +180,7 @@ def process_frame(state: PipelineState, frame: PointCloudFrame) -> FrameResult:
                 labels[blob] = restricted_cut(cut_problem)
         timings["cut"] = (time.perf_counter() - tc) * 1e3
 
-        tree = update_tree(state.tree, blobs, graph, segments, labels, seat, fidx, state.alloc, cfg.overseg)
+        tree = update_tree(state.tree, graph, segments, labels, seat, fidx, state.alloc, cfg.overseg)
         tree = accumulate_similarities(tree, state.tree, graph, cfg.tree)
         tree, audit = confirm_splits_merges(tree, graph, cfg.tree, state.alloc, cfg.overseg)
         merges, splits = audit["merges"], audit["splits"]
@@ -212,13 +212,13 @@ def process_frame(state: PipelineState, frame: PointCloudFrame) -> FrameResult:
 def _update_ghosts(state: PipelineState, tree: SegTree, frame_index: int, segments: Segments) -> None:
     """Keep the missing objects' rows of this frame's assignment input as the ghosts; take the rest off file.
 
-    A missing object stays on file while it has rows in ``segments`` and it
-    has been missing for fewer than retention_frames frames.
+    A missing object stays on file while it has been missing for fewer than
+    retention_frames frames.  It has rows in ``segments``, since it was live
+    in the previous tree or a ghost.
     """
     since = {oid: state.missing_since.get(oid, frame_index) for oid in tree.missing_objects()}
-    has_rows = set(segments.object_ids.tolist())
     retention = state.config.retention_frames
-    state.missing_since = {oid: t for oid, t in since.items() if oid in has_rows and frame_index - t < retention}
+    state.missing_since = {oid: t for oid, t in since.items() if frame_index - t < retention}
     tree.forget(since.keys() - state.missing_since.keys())
     # by object id, each object's rows in input order
     order = np.argsort(segments.object_ids, kind="stable")

@@ -144,7 +144,6 @@ def _means(graph: AdjacencyGraph, at, labels: np.ndarray) -> tuple[np.ndarray, n
 
 
 def init_tree(
-    blobs: list[np.ndarray],
     graph: AdjacencyGraph,
     frame_index: int,
     alloc: IdAllocator,
@@ -159,7 +158,7 @@ def init_tree(
     from zero.
     """
     unseeded = np.full(len(graph.nodes), -1, dtype=np.int64)
-    tree = update_tree(prev, blobs, graph, Segments.empty(), unseeded, unseeded[:0], frame_index, alloc, overseg)
+    tree = update_tree(prev, graph, Segments.empty(), unseeded, unseeded[:0], frame_index, alloc, overseg)
     tree.object_similarity = dict.fromkeys(_candidates(tree, graph, params, {}), 0.0)
     return tree
 
@@ -208,7 +207,6 @@ def derive_blob_seeds(
 
 def update_tree(
     prev: SegTree | None,
-    blobs: list[np.ndarray],
     graph: AdjacencyGraph,
     segments: Segments,
     labels: np.ndarray,
@@ -217,15 +215,16 @@ def update_tree(
     alloc: IdAllocator,
     overseg: OversegConfig,
 ) -> SegTree:
-    """Carry object identity into the current frame's blob partition.
+    """Carry object identity into the current frame's blob partition, the graph's connected pieces.
 
-    ``blobs`` are the graph's connected pieces, as connected_components
-    gives them.  ``labels`` holds an object id or -1 per node position of
-    ``graph``: derive_blob_seeds' seeds, with each contested blob's
-    restricted_cut labels written over them.  ``seat`` is derive_blob_seeds' node position
+    ``labels`` holds an object id or -1 per node position of ``graph``:
+    derive_blob_seeds' seeds, with each contested blob's restricted_cut
+    labels written over them.  ``seat`` is derive_blob_seeds' node position
     per row of ``segments``, the assignment's segments.  A blob with no id
     founds an object, a blob with one id takes it everywhere, and a fully
-    labelled blob keeps its labels.  The objects on file in ``prev`` stay on
+    labelled blob keeps its labels.  A component of ``prev`` passes its id
+    to at most one piece of its object; a ghost's component is not in
+    ``prev`` and passes on none.  The objects on file in ``prev`` stay on
     file.
     """
     n = graph.num_nodes
@@ -235,7 +234,7 @@ def update_tree(
     blob_of = np.empty(n, dtype=np.int64)
     births = dict(prev.births) if prev is not None else {}
     shared = False  # some blob holds two or more objects
-    for k, at in enumerate(blobs):
+    for k, at in enumerate(graph.pieces):
         blob_of[at] = k
         ids = np.unique(object_of[at]).tolist()
         if ids[0] >= 0:  # fully labelled
@@ -251,7 +250,7 @@ def update_tree(
     # components: connected pieces of each (object, blob) region, as node
     # positions ordered by (blob, object, smallest member); no edge joins two
     # blobs, so where each blob holds one object its pieces are the blobs
-    pieces = blobs
+    pieces = graph.pieces
     if shared:
         pos = graph.edges
         pieces = sorted(
@@ -262,21 +261,18 @@ def update_tree(
     for k, at in enumerate(pieces):
         piece_of[at] = k
 
-    # component id inheritance: each previous component passes its id to the
-    # piece that received most of its assigned segments
+    # component id inheritance: each seated segment of a component of prev
+    # (a ghost's component is not one) votes for the piece its seat is in;
+    # by ascending id, each component passes its id to the free piece with
+    # the most votes, ties to the smaller first member
     seated = np.flatnonzero(seat >= 0)
     seated = seated[object_of[seat[seated]] == segments.object_ids[seated]]  # else its seat went to another object
-    votes: dict[int, Counter] = {}
-    for cid, k in zip(segments.component_ids[seated].tolist(), piece_of[seat[seated]].tolist()):
-        votes.setdefault(cid, Counter())[k] += 1
-    prev_owner = {cid: oid for cid, (oid, _) in prev.component_table().items()} if prev is not None else {}
+    seated = seated[np.isin(segments.component_ids[seated], prev.component_of if prev is not None else [])]
+    votes = Counter(zip(segments.component_ids[seated].tolist(), piece_of[seat[seated]].tolist()))
     piece_cid: dict[int, int] = {}
-    for cid in sorted(votes):
-        tally = votes[cid]
-        for k in sorted(tally, key=lambda k: (-tally[k], pieces[k][0])):
-            if k not in piece_cid and object_of[pieces[k][0]] == prev_owner.get(cid):
-                piece_cid[k] = cid
-                break
+    for cid, _, _, k in sorted((cid, -count, pieces[k][0], k) for (cid, k), count in votes.items()):
+        if k not in piece_cid and cid not in piece_cid.values():
+            piece_cid[k] = cid
     cids = [piece_cid[k] if k in piece_cid else alloc.new_component_id() for k in range(len(pieces))]
     component_of = np.asarray(cids, dtype=np.int64)[piece_of]
     segment_of = np.full(n, -1, dtype=np.int64)

@@ -329,8 +329,7 @@ def test_criterion_6_occlusion_split_ten_seeds():
 def test_criterion_7_accumulation_closed_form():
     params = TreeParams().resolve(0.08)
     g = graph_from_edges({}, positions={0: (0.0, 0.0, 0.0), 1: (0.1, 0.0, 0.0)})
-    blobs = connected_components(g)
-    prev = init_tree(blobs, g, 0, IdAllocator(), OversegConfig(), params)
+    prev = init_tree(g, 0, IdAllocator(), OversegConfig(), params)
     s = compute_similarity([0], [1], g, params)
     for k in range(1, 21):
         cur = replace(prev, frame_index=k, object_similarity={}, component_similarity={})

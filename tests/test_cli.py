@@ -477,6 +477,22 @@ class TestExitCodes:
         with pytest.raises(SystemExit):
             main(["segment", "m.txt", "--ga.rng_seed", "4"])
 
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_bad_seed_is_config_error(self, tmp_path, capsys, source):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = abc\n")
+        args = ["--seed", "abc"] if source == "flag" else ["--config", str(cfg)]
+        assert main(["segment", str(tmp_path / "nope.txt"), *args]) == 1
+        assert "config error: bad value for 'seed': 'abc'" in capsys.readouterr().err
+
+    def test_synth_takes_no_config_file(self, tmp_path):
+        spec = tmp_path / "scene.txt"
+        spec.write_text("kind = static\nframes = 1\npoints_per_object = 60\n")
+        with pytest.raises(SystemExit) as exit_:
+            main(["synth", str(spec), "--out", str(tmp_path / "data"), "--config", str(tmp_path / "nonexistent.cfg")])
+        assert exit_.value.code == 2
+        assert not (tmp_path / "data").exists()
+
 
 class TestInspect:
     def test_inspect_frame_gt_and_interactions(self, tmp_path, capsys):
@@ -511,7 +527,7 @@ class TestInspect:
             [cloud_io.InteractionRecord(2, 5, 0, (0, 1))], str(log_path)
         )
         assert main(["inspect", str(log_path)]) == 0
-        assert "interaction frames 2-5 objects 0 1" in capsys.readouterr().out
+        assert capsys.readouterr().out == "interaction log: 1 events\ninteraction frames 2-5 objects 0 1\n"
 
         labels_path = tmp_path / "labels_0004.txt"
         cloud_io.write_labels(cloud_io.LabeledFrame(4, [0, 0, 7]), str(labels_path))
@@ -524,7 +540,7 @@ class TestInspect:
         cloud_io.write_interaction_log([], str(log_path))
         assert log_path.read_text() == cloud_io.INTERACTION_HEADER + "\n"
         assert main(["inspect", str(log_path)]) == 0
-        assert capsys.readouterr().out == ""
+        assert capsys.readouterr().out == "interaction log: 0 events\n"
 
     def test_inspect_reads_label_fields_as_int_does(self, tmp_path, capsys):
         # the fields read_label_file and dynseg eval accept, such as "+1", mark a point label file

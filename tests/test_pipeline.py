@@ -205,6 +205,21 @@ class TestGaps:
         result = run_sequence(frames, _config(retention_frames=3))
         assert (result.frames[3].point_labels == 0).all()
 
+    def test_revived_ghost_keeps_its_object_and_takes_a_fresh_component(self):
+        """A ghost's component passes on no id; a live object's component keeps its id.
+
+        Static spheres A and B, with B occluded in frames 2-4: the check set's static-0-ghost.
+        """
+        scenario = make_scenario("static", rng_seed=0, occluder_width=0.4, occluder_frames=(2, 4), occluder_x=0.5)
+        state = init_state(_config())
+        seen = []
+        for frame in generate_scenario(scenario).frames:
+            process_frame(state, frame)
+            seen.append((state.tree.component_table(), sorted(set(state.ghosts.component_ids.tolist()))))
+        # component id -> (object id, blob index), and the ghosts' component ids
+        both, hidden, revived = {0: (0, 0), 1: (1, 1)}, {0: (0, 0)}, {0: (0, 0), 2: (1, 1)}
+        assert seen == [(both, [])] * 2 + [(hidden, [1])] * 3 + [(revived, [])] * 3
+
 
 def _three_hide_and_return():
     """Spheres A, B and C, 0.5 m apart and still; B hides for frames 3-5 and C for frames 3-8.

@@ -72,14 +72,16 @@ def test_record_digest_matches_pinned_digest(capsys):
     crossing-0 runs no cut; pair_contact_fine-0-seq0 runs the binary cut
     on reach-2 frames; triple_contact_fine-0 runs the three-label expansion
     cut on its contested blobs and over-segments each object piece, both
-    through blob subgraphs.
+    through blob subgraphs; static-0-ghost revives a ghost, so its
+    component ids follow the inheritance rule past a ghost's component.
     """
-    names = ["--records", "crossing-0", "pair_contact_fine-0-seq0", "triple_contact_fine-0"]
+    names = ["--records", "crossing-0", "pair_contact_fine-0-seq0", "triple_contact_fine-0", "static-0-ghost"]
     assert _load("output_digest").main(names) == 0
     assert capsys.readouterr().out == (
         "bac4f826c017fbc5f872b02456cc6fb83c346d8769a75a9da7607169ceea93ba  pair_contact_fine-0-seq0\n"
         "26828caf1f1d30afcff01d907b4d109482947ae19ff9d74457dcd35776b54d31  crossing-0\n"
         "4a986809d43ec652f84f9b8f26a65fe50ce99a2d01f6f625e72c9fd3bf51c6cc  triple_contact_fine-0\n"
+        "77e692482eed2a962aae0878df4283e805cd6721e2eefe619c1c45b8a6c1ec97  static-0-ghost\n"
     )
 
 

@@ -122,9 +122,9 @@ class TestSimilarity:
 
 class TestInitTree:
     def test_one_object_per_blob(self):
-        g, blobs = _two_singletons()
+        g, _ = _two_singletons()
         alloc = IdAllocator()
-        tree = init_tree(blobs, g, 0, alloc, OVERSEG, PARAMS)
+        tree = init_tree(g, 0, alloc, OVERSEG, PARAMS)
         assert tree.births == {0: 0, 1: 0}
         assert tree.component_table() == {0: (0, 0), 1: (1, 1)}
         assert tree.object_of.tolist() == [0, 1]
@@ -133,8 +133,8 @@ class TestInitTree:
         _check(tree)
 
     def test_candidate_pair_starts_at_zero(self):
-        g, blobs = _two_singletons(0.0, 0.1)  # gap under 3 * seed_resolution
-        tree = init_tree(blobs, g, 0, IdAllocator(), OVERSEG, PARAMS)
+        g, _ = _two_singletons(0.0, 0.1)  # gap under 3 * seed_resolution
+        tree = init_tree(g, 0, IdAllocator(), OVERSEG, PARAMS)
         assert tree.object_similarity == {(0, 1): 0.0}
 
     def test_segments_cover_blobs(self):
@@ -142,21 +142,21 @@ class TestInitTree:
             {(0, 1): 1.0, (1, 2): 1.0},
             positions={k: (0.02 * k, 0.0, 0.0) for k in range(3)},
         )
-        tree = init_tree(connected_components(g), g, 0, IdAllocator(), OVERSEG, PARAMS)
+        tree = init_tree(g, 0, IdAllocator(), OVERSEG, PARAMS)
         assert tree.segment_of.shape == (3,)
         assert (tree.segment_of >= 0).all()
         _check(tree)
 
     def test_objects_on_file_carry_over_without_components(self):
-        g, blobs = _two_singletons()
+        g, _ = _two_singletons()
         alloc = IdAllocator()
-        prev = init_tree(blobs, g, 0, alloc, OVERSEG, PARAMS)
-        tree = init_tree(blobs, g, 3, alloc, OVERSEG, PARAMS, prev=prev)
+        prev = init_tree(g, 0, alloc, OVERSEG, PARAMS)
+        tree = init_tree(g, 3, alloc, OVERSEG, PARAMS, prev=prev)
         assert tree.births == {0: 0, 1: 0, 2: 3, 3: 3}
         assert tree.live_objects() == [2, 3]
         assert tree.missing_objects() == [0, 1]
         empty = graph_from_edges({})
-        tree = init_tree([], empty, 4, alloc, OVERSEG, PARAMS, prev=tree)
+        tree = init_tree(empty, 4, alloc, OVERSEG, PARAMS, prev=tree)
         assert tree.live_objects() == [] and tree.missing_objects() == [0, 1, 2, 3]
         assert len(tree.segments()) == 0
         _check(tree)
@@ -201,9 +201,9 @@ class TestDeriveBlobSeeds:
 
 def _tracked_pair():
     """Frame 0 with two singleton objects, plus the frame 1 inputs."""
-    g0, blobs0 = _two_singletons(0.0, 1.0)
+    g0, _ = _two_singletons(0.0, 1.0)
     alloc = IdAllocator()
-    prev = init_tree(blobs0, g0, 0, alloc, OVERSEG, PARAMS)
+    prev = init_tree(g0, 0, alloc, OVERSEG, PARAMS)
     g1, blobs1 = _two_singletons(0.01, 1.01)
     problem = AssignmentProblem(
         segments=segment_table(
@@ -221,7 +221,7 @@ def _update(prev, problem, assignment, cuts, alloc):
     labels, seat = derive_blob_seeds(problem, assignment, 0.08)
     for k, cut in cuts.items():
         labels[problem.blobs[k]] = cut
-    return update_tree(prev, problem.blobs, problem.graph, problem.segments, labels, seat, 1, alloc, OVERSEG)
+    return update_tree(prev, problem.graph, problem.segments, labels, seat, 1, alloc, OVERSEG)
 
 
 class TestUpdateTree:
@@ -243,7 +243,7 @@ class TestUpdateTree:
     def test_uncovered_blob_founds_new_object(self):
         g0 = graph_from_edges({}, positions={0: (0.0, 0.0, 0.0)})
         alloc = IdAllocator()
-        prev = init_tree(connected_components(g0), g0, 0, alloc, OVERSEG, PARAMS)
+        prev = init_tree(g0, 0, alloc, OVERSEG, PARAMS)
         g1, blobs1 = _two_singletons(0.0, 2.0)
         problem = AssignmentProblem(
             segments=segment_table([_seg_row((0.0, 0.0, 0.0), comp=0, obj=0)]),
@@ -257,9 +257,9 @@ class TestUpdateTree:
         assert tree.births[1] == 1
 
     def test_vanished_object_keeps_empty_row(self):
-        g0, blobs0 = _two_singletons()
+        g0, _ = _two_singletons()
         alloc = IdAllocator()
-        prev = init_tree(blobs0, g0, 0, alloc, OVERSEG, PARAMS)
+        prev = init_tree(g0, 0, alloc, OVERSEG, PARAMS)
         g1 = graph_from_edges({}, positions={0: (0.0, 0.0, 0.0)})
         blobs1 = connected_components(g1)
         problem = AssignmentProblem(
@@ -277,9 +277,9 @@ class TestUpdateTree:
         assert 1 not in tree.object_of
 
     def test_multi_label_blob_uses_cut(self):
-        g0, blobs0 = _two_singletons(0.0, 0.3)
+        g0, _ = _two_singletons(0.0, 0.3)
         alloc = IdAllocator()
-        prev = init_tree(blobs0, g0, 0, alloc, OVERSEG, PARAMS)
+        prev = init_tree(g0, 0, alloc, OVERSEG, PARAMS)
         # the two objects meet in one four-node chain
         g1 = graph_from_edges(
             {(0, 1): 1.0, (1, 2): 1.0, (2, 3): 1.0},
@@ -303,9 +303,9 @@ class TestUpdateTree:
         _check(tree)
 
     def test_multi_label_blob_without_cut_rejected(self):
-        g0, blobs0 = _two_singletons(0.0, 0.3)
+        g0, _ = _two_singletons(0.0, 0.3)
         alloc = IdAllocator()
-        prev = init_tree(blobs0, g0, 0, alloc, OVERSEG, PARAMS)
+        prev = init_tree(g0, 0, alloc, OVERSEG, PARAMS)
         g1 = graph_from_edges(
             {(0, 1): 1.0, (1, 2): 1.0, (2, 3): 1.0},
             positions={k: (0.08 * k, 0.0, 0.0) for k in range(4)},
@@ -325,23 +325,22 @@ class TestUpdateTree:
 
     def test_blob_seeding_two_objects_without_cut_labels_is_named(self):
         g = graph_from_edges({(1, 2): 1.0, (2, 3): 1.0}, positions={k: (0.08 * k, 0.0, 0.0) for k in range(4)})
-        blobs = connected_components(g)
         labels = np.asarray([-1, 0, -1, 1])  # blob 1 seeds objects 0 and 1 and holds an unlabelled node
         with pytest.raises(ValueError, match=r"blob 1 seeds objects \[0, 1\]"):
-            update_tree(None, blobs, g, Segments.empty(), labels, np.empty(0, dtype=np.int64), 0, IdAllocator(), OVERSEG)
+            update_tree(None, g, Segments.empty(), labels, np.empty(0, dtype=np.int64), 0, IdAllocator(), OVERSEG)
 
     @pytest.mark.parametrize("kept", [[1, 2, 3], [0, 1, 3]])
     def test_graph_whose_ids_are_not_its_positions_rejected(self, kept):
         g = graph_from_edges({(0, 1): 1.0, (1, 2): 1.0, (2, 3): 1.0}).subgraph(kept)
-        blobs, labels = connected_components(g), np.full(3, -1)
+        labels = np.full(3, -1)
         with pytest.raises(ValueError, match=r"node ids are its positions 0\.\.N-1"):
-            update_tree(None, blobs, g, Segments.empty(), labels, labels[:0], 0, IdAllocator(), OVERSEG)
+            update_tree(None, g, Segments.empty(), labels, labels[:0], 0, IdAllocator(), OVERSEG)
 
     def test_disconnected_region_splits_into_components(self):
         # one object assigned into a blob pattern that leaves its svs split
         g0 = graph_from_edges({(0, 1): 1.0}, positions={0: (0.0, 0.0, 0.0), 1: (0.02, 0.0, 0.0)})
         alloc = IdAllocator()
-        prev = init_tree(connected_components(g0), g0, 0, alloc, OVERSEG, PARAMS)
+        prev = init_tree(g0, 0, alloc, OVERSEG, PARAMS)
         g1, blobs1 = _two_singletons(0.0, 0.2)
         problem = AssignmentProblem(
             segments=segment_table([_seg_row((0.01, 0.0, 0.0), comp=0, obj=0)]),
@@ -391,8 +390,7 @@ class TestComponentVote:
         # each voter's segment sits on the next free node of its piece
         seat = [pieces[v][voters[:k].count(v)] for k, v in enumerate(voters)]
         segments = segment_table([_seg_row((0.0, 0.0, 0.0), comp=0, obj=0)] * len(voters))
-        blobs = connected_components(g)
-        tree = update_tree(prev, blobs, g, segments, np.asarray(labels), np.asarray(seat), 1, alloc, OVERSEG)
+        tree = update_tree(prev, g, segments, np.asarray(labels), np.asarray(seat), 1, alloc, OVERSEG)
         loser = pieces["a" if winner == "b" else "b"]
         assert np.flatnonzero(tree.component_of == 0).tolist() == pieces[winner]
         (loser_cid,) = set(tree.component_of[loser].tolist())
@@ -402,9 +400,9 @@ class TestComponentVote:
 
 class TestAccumulation:
     def test_closed_form_halving(self):
-        g, blobs = _two_singletons(0.0, 0.1)
+        g, _ = _two_singletons(0.0, 0.1)
         alloc = IdAllocator()
-        prev = init_tree(blobs, g, 0, alloc, OVERSEG, PARAMS)
+        prev = init_tree(g, 0, alloc, OVERSEG, PARAMS)
         s = compute_similarity([0], [1], g, PARAMS)
         for k in range(1, 21):
             cur = replace(prev, frame_index=k, object_similarity={}, component_similarity={})
@@ -413,9 +411,9 @@ class TestAccumulation:
             prev = cur
 
     def test_new_pair_initializes_at_current_value(self):
-        g0, blobs0 = _two_singletons(0.0, 1.0)  # too far for a candidate pair
+        g0, _ = _two_singletons(0.0, 1.0)  # too far for a candidate pair
         alloc = IdAllocator()
-        prev = init_tree(blobs0, g0, 0, alloc, OVERSEG, PARAMS)
+        prev = init_tree(g0, 0, alloc, OVERSEG, PARAMS)
         assert prev.object_similarity == {}
         g1, _ = _two_singletons(0.0, 0.1)  # now within reach
         cur = replace(prev, frame_index=1, object_similarity={}, component_similarity={})
@@ -424,8 +422,8 @@ class TestAccumulation:
         assert cur.object_similarity[(0, 1)] == pytest.approx(s_now, rel=1e-12)
 
     def test_tracked_pair_of_the_only_two_objects_runs_no_close_pair_search(self, monkeypatch):
-        g, blobs = _two_singletons(0.0, 0.1)
-        prev = init_tree(blobs, g, 0, IdAllocator(), OVERSEG, PARAMS)
+        g, _ = _two_singletons(0.0, 0.1)
+        prev = init_tree(g, 0, IdAllocator(), OVERSEG, PARAMS)
         assert prev.object_similarity == {(0, 1): 0.0}
 
         def search(*args):
@@ -437,9 +435,9 @@ class TestAccumulation:
         assert cur.object_similarity == {(0, 1): compute_similarity([0], [1], g, PARAMS) / 2.0}
 
     def test_vanished_object_drops_from_matrix(self):
-        g0, blobs0 = _two_singletons(0.0, 0.1)
+        g0, _ = _two_singletons(0.0, 0.1)
         alloc = IdAllocator()
-        prev = init_tree(blobs0, g0, 0, alloc, OVERSEG, PARAMS)
+        prev = init_tree(g0, 0, alloc, OVERSEG, PARAMS)
         g1 = graph_from_edges({}, positions={0: (0.0, 0.0, 0.0)})
         cur = _tree(1, {0: (0, 0, {0})}, births={0: 0, 1: 0})  # object 1 lost every supervoxel
         accumulate_similarities(cur, prev, g1, PARAMS)
